@@ -17,7 +17,7 @@ from repro.constants import Protocol
 from repro.delivery.network import default_isp_profiles
 from repro.entities.ladder import BitrateLadder
 from repro.playback.abr import BufferBasedAbr, ThroughputAbr
-from repro.playback.session import SessionConfig, simulate_session
+from repro.playback.session import SessionConfig, simulate_sessions
 from repro.synthesis import calibration as cal
 from repro.telemetry.dataset import Dataset
 
@@ -103,18 +103,16 @@ def test_ablation_qoe_gap_across_abrs(benchmark):
     def gap_for(abr):
         rng = np.random.default_rng(5)
         means = [path.sample_session_mean(rng) for _ in range(120)]
-        owner_rates = [
-            simulate_session(
-                owner, path, config, rng, abr=abr, session_mean_kbps=m
-            ).average_bitrate_kbps
-            for m in means
-        ]
-        syn_rates = [
-            simulate_session(
-                syndicator, path, config, rng, abr=abr, session_mean_kbps=m
-            ).average_bitrate_kbps
-            for m in means
-        ]
+        results = simulate_sessions(
+            [owner] * len(means) + [syndicator] * len(means),
+            path,
+            config,
+            rng,
+            abr=abr,
+            session_means=means * 2,
+        )
+        rates = [r.average_bitrate_kbps for r in results]
+        owner_rates, syn_rates = rates[: len(means)], rates[len(means):]
         return float(np.median(owner_rates) / np.median(syn_rates))
 
     throughput_gap = benchmark.pedantic(

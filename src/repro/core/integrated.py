@@ -20,17 +20,20 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.delivery.network import NetworkPath, default_isp_profiles
-from repro.parallel import parallel_map
 from repro.entities.ladder import BitrateLadder
 from repro.errors import AnalysisError
 from repro.playback.abr import AbrAlgorithm, ThroughputAbr
-from repro.playback.session import SessionConfig, simulate_session
+# simulate_session stays bound here: traced runs wrap it at this name.
+from repro.playback.session import (  # noqa: F401
+    SessionConfig,
+    simulate_session,
+    simulate_sessions,
+)
 from repro.stats.cdf import ECDF
 from repro.synthesis.syndication import CaseStudy
 from repro.telemetry.dataset import Dataset
@@ -91,23 +94,20 @@ def integrated_qoe_projection(
     own_ladder = case_study.ladder(label)
     owner_ladder = case_study.ladder("O")
     means = [path.sample_session_mean(rng) for _ in range(sessions)]
-    before_rates: List[float] = []
-    after_rates: List[float] = []
-    before_rebuffer: List[float] = []
-    after_rebuffer: List[float] = []
-    for mean_kbps in means:
-        before = simulate_session(
-            own_ladder, path, config, rng, abr=abr,
-            session_mean_kbps=mean_kbps,
-        )
-        after = simulate_session(
-            owner_ladder, path, config, rng, abr=abr,
-            session_mean_kbps=mean_kbps,
-        )
-        before_rates.append(before.average_bitrate_kbps)
-        after_rates.append(after.average_bitrate_kbps)
-        before_rebuffer.append(before.rebuffer_ratio)
-        after_rebuffer.append(after.rebuffer_ratio)
+    # Rows alternate before/after, so each pair shares one session mean
+    # and sits next to its partner in the draw order.
+    results = simulate_sessions(
+        [own_ladder, owner_ladder] * sessions,
+        path,
+        config,
+        rng,
+        abr=abr,
+        session_means=[mean for mean in means for _ in range(2)],
+    )
+    before_rates = [r.average_bitrate_kbps for r in results[0::2]]
+    after_rates = [r.average_bitrate_kbps for r in results[1::2]]
+    before_rebuffer = [r.rebuffer_ratio for r in results[0::2]]
+    after_rebuffer = [r.rebuffer_ratio for r in results[1::2]]
     return QoeProjection(
         isp=isp,
         cdn_name=cdn_name,
@@ -119,46 +119,25 @@ def integrated_qoe_projection(
     )
 
 
-def _projection_task(
-    case_study: CaseStudy,
-    isp: str,
-    cdn_name: str,
-    sessions: int,
-    seed: int,
-    label: str,
-) -> QoeProjection:
-    """Worker entry point: one syndicator's full projection."""
-    return integrated_qoe_projection(
-        case_study, label, isp, cdn_name, sessions=sessions, seed=seed
-    )
-
-
 def project_all_syndicators(
     case_study: CaseStudy,
     isp: str = "X",
     cdn_name: str = "A",
     sessions: int = 120,
     seed: int = 7,
-    jobs: int = 1,
 ) -> Dict[str, QoeProjection]:
     """QoE projections for every syndicator in the case study.
 
     Each label's projection consumes its own ``default_rng(seed)``
-    from scratch (the before/after pairing *requires* one sequential
-    stream per label), so the per-label fan-out under ``jobs > 1`` is
-    byte-identical to the serial loop by construction.
+    from scratch, as the before/after pairing requires one sequential
+    stream per label.
     """
-    labels = list(case_study.syndicator_labels)
-    projections = parallel_map(
-        partial(
-            _projection_task, case_study, isp, cdn_name, sessions, seed
-        ),
-        labels,
-        jobs=jobs,
-        chunk_sizes=[1] * len(labels) if labels else None,
-        label="playback.projections",
-    )
-    return dict(zip(labels, projections))
+    return {
+        label: integrated_qoe_projection(
+            case_study, label, isp, cdn_name, sessions=sessions, seed=seed
+        )
+        for label in case_study.syndicator_labels
+    }
 
 
 # ---------------------------------------------------------------------------

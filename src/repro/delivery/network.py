@@ -10,6 +10,7 @@ lognormal session-mean throughput plus within-session variation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
@@ -45,6 +46,16 @@ class NetworkPath:
     outage_mean_chunks: float = 5.0
 
     def __post_init__(self) -> None:
+        if not all(
+            math.isfinite(value)
+            for value in (
+                self.median_kbps,
+                self.sigma,
+                self.within_session_cv,
+                self.outage_mean_chunks,
+            )
+        ):
+            raise DeliveryError("network path parameters must be finite")
         if self.median_kbps <= 0:
             raise DeliveryError("median throughput must be positive")
         if self.sigma < 0 or self.within_session_cv < 0:
@@ -65,9 +76,18 @@ class NetworkPath:
     def sample_chunk_throughputs(
         self, session_mean_kbps: float, n_chunks: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Per-chunk throughputs around a session mean (kbps)."""
-        if session_mean_kbps <= 0:
-            raise DeliveryError("session mean must be positive")
+        """Per-chunk throughputs around a session mean (kbps).
+
+        The congestion chain consumes one uniform per chunk, plus one
+        more on each chunk that enters an episode.  Uniforms are drawn
+        in blocks: ``n_chunks`` up front and, whenever a block runs out
+        at chunk ``i``, ``n_chunks - i`` more.  Every chunk still to be
+        walked takes at least one draw, so no block over-draws the
+        stream: the values and the generator's final state equal those
+        of one ``rng.uniform()`` call per draw.
+        """
+        if not math.isfinite(session_mean_kbps) or session_mean_kbps <= 0:
+            raise DeliveryError("session mean must be positive and finite")
         if n_chunks < 1:
             raise DeliveryError("need at least one chunk")
         if self.within_session_cv == 0:
@@ -77,20 +97,28 @@ class NetworkPath:
             mu = np.log(session_mean_kbps) - sigma**2 / 2.0
             throughputs = np.exp(rng.normal(mu, sigma, size=n_chunks))
         if self.outage_prob > 0:
-            congested = np.zeros(n_chunks, dtype=bool)
+            enter_prob = self.outage_prob
             exit_prob = 1.0 / self.outage_mean_chunks
+            congested = np.zeros(n_chunks, dtype=bool)
+            # ``random`` yields the doubles ``uniform()`` would, one each.
+            draws = rng.random(n_chunks).tolist()
+            used = 0
             in_episode = False
             for i in range(n_chunks):
+                if used == len(draws):
+                    draws += rng.random(n_chunks - i).tolist()
+                draw = draws[used]
+                used += 1
                 if in_episode:
                     congested[i] = True
-                    if rng.uniform() < exit_prob:
-                        in_episode = False
-                elif rng.uniform() < self.outage_prob:
+                    in_episode = draw >= exit_prob
+                elif draw < enter_prob:
                     congested[i] = True
-                    in_episode = rng.uniform() >= exit_prob
-            throughputs = np.where(
-                congested, throughputs * self.outage_factor, throughputs
-            )
+                    if used == len(draws):
+                        draws += rng.random(n_chunks - i).tolist()
+                    in_episode = draws[used] >= exit_prob
+                    used += 1
+            throughputs[congested] *= self.outage_factor
         return throughputs
 
 

@@ -11,6 +11,7 @@ exactly that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -31,8 +32,10 @@ _RESOLUTION_BANDS: Tuple[Tuple[float, Tuple[int, int]], ...] = (
 
 def resolution_for_bitrate(bitrate_kbps: float) -> Tuple[int, int]:
     """Representative resolution for a video bitrate (16:9 ladder)."""
-    if bitrate_kbps <= 0:
-        raise LadderError(f"bitrate must be positive, got {bitrate_kbps}")
+    if not math.isfinite(bitrate_kbps) or bitrate_kbps <= 0:
+        raise LadderError(
+            f"bitrate must be positive and finite, got {bitrate_kbps}"
+        )
     for upper, resolution in _RESOLUTION_BANDS:
         if bitrate_kbps <= upper:
             return resolution
@@ -50,9 +53,10 @@ class Rendition:
     audio_bitrate_kbps: float = 96.0
 
     def __post_init__(self) -> None:
-        if self.bitrate_kbps <= 0:
+        if not math.isfinite(self.bitrate_kbps) or self.bitrate_kbps <= 0:
             raise LadderError(
-                f"rendition bitrate must be positive, got {self.bitrate_kbps}"
+                "rendition bitrate must be positive and finite, "
+                f"got {self.bitrate_kbps}"
             )
         if self.width <= 0 or self.height <= 0:
             raise LadderError("rendition resolution must be positive")

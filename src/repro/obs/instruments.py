@@ -107,6 +107,15 @@ CATALOG: Tuple[InstrumentSpec, ...] = (
         "calls rejected outright by an open circuit",
         labels=("breaker",),
     ),
+    # -- playback --------------------------------------------------------
+    InstrumentSpec(
+        "playback.sessions", "counter",
+        "playback sessions simulated by the lockstep kernel",
+    ),
+    InstrumentSpec(
+        "playback.chunks", "counter",
+        "chunk steps simulated (sessions x chunks per session)",
+    ),
     # -- delivery --------------------------------------------------------
     InstrumentSpec(
         "multicdn.served", "counter",

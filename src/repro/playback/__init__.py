@@ -11,7 +11,12 @@ from repro.playback.abr import (
     ThroughputAbr,
     BufferBasedAbr,
 )
-from repro.playback.session import SessionConfig, SessionResult, simulate_session
+from repro.playback.session import (
+    SessionConfig,
+    SessionResult,
+    simulate_session,
+    simulate_sessions,
+)
 from repro.playback.useragent import (
     build_user_agent,
     parse_user_agent,
@@ -25,6 +30,7 @@ __all__ = [
     "SessionConfig",
     "SessionResult",
     "simulate_session",
+    "simulate_sessions",
     "build_user_agent",
     "parse_user_agent",
     "UserAgentInfo",

@@ -13,6 +13,7 @@ from their ladder choices rather than being painted on.
 
 from __future__ import annotations
 
+import itertools
 from datetime import date
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
@@ -32,7 +33,12 @@ from repro.entities.ladder import BitrateLadder
 from repro.entities.publisher import Publisher, PublisherProfile
 from repro.packaging.manifest.detect import sample_manifest_url
 from repro.playback.abr import ThroughputAbr
-from repro.playback.session import SessionConfig, simulate_session
+# simulate_session stays bound here: traced runs wrap it at this name.
+from repro.playback.session import (  # noqa: F401
+    SessionConfig,
+    simulate_session,
+    simulate_sessions,
+)
 from repro.playback.useragent import build_user_agent
 from repro.synthesis import calibration as cal
 from repro.synthesis.catalogues import (
@@ -536,6 +542,7 @@ class SessionSampler:
         config = SessionConfig(
             view_seconds=900.0, chunk_seconds=6.0, max_buffer_seconds=20.0
         )
+        labels = ("O",) + study.syndicator_labels
         records: List[ViewRecord] = []
         for isp_name, cdn_name in cal.QOE_COMBOS:
             path = profiles[isp_name].path_to(cdn_name)
@@ -543,7 +550,21 @@ class SessionSampler:
                 path.sample_session_mean(self._rng)
                 for _ in range(sessions_per_combo)
             ]
-            for label in ("O",) + study.syndicator_labels:
+            results = iter(
+                simulate_sessions(
+                    [
+                        study.ladder(label)
+                        for label in labels
+                        for _ in session_means
+                    ],
+                    path,
+                    config,
+                    self._rng,
+                    abr=abr,
+                    session_means=session_means * len(labels),
+                )
+            )
+            for label in labels:
                 publisher_id = study.publisher_id(label)
                 ladder = study.ladder(label)
                 url = sample_manifest_url(
@@ -551,15 +572,7 @@ class SessionSampler:
                     case_video_id(),
                     f"{cdn_name.lower()}.cdn.example.net",
                 )
-                for mean_kbps in session_means:
-                    result = simulate_session(
-                        ladder,
-                        path,
-                        config,
-                        self._rng,
-                        abr=abr,
-                        session_mean_kbps=mean_kbps,
-                    )
+                for result in itertools.islice(results, sessions_per_combo):
                     records.append(
                         ViewRecord(
                             snapshot=snapshot,

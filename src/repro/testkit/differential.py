@@ -14,7 +14,10 @@ import tempfile
 from pathlib import Path
 from typing import List
 
+import numpy as np
+
 from repro.constants import HTTP_ADAPTIVE_PROTOCOLS, ContentType, Protocol
+from repro.delivery.network import default_isp_profiles
 from repro.entities.ladder import BitrateLadder
 from repro.entities.video import Video
 from repro.packaging.manifest import manifest_writer_for, parser_for
@@ -22,6 +25,8 @@ from repro.packaging.manifest.detect import (
     detect_protocol,
     sample_manifest_url,
 )
+from repro.playback.abr import BufferBasedAbr, HybridAbr, ThroughputAbr
+from repro.playback.session import SessionConfig, simulate_sessions
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.ingest import (
     ErrorPolicy,
@@ -29,6 +34,7 @@ from repro.telemetry.ingest import (
     events_from_records,
 )
 from repro.testkit.oracles import Check, Skip, oracle
+from repro.testkit.reference import simulate_session_scalar
 from repro.testkit.scenario import ScenarioRun
 
 #: Records replayed through the clean strict-vs-repair comparison.
@@ -36,6 +42,9 @@ _CLEAN_REPLAY_LIMIT = 200
 
 #: Distinct dataset ladders exercised per protocol round-trip.
 _LADDER_SAMPLE = 3
+
+#: Distinct dataset ladders mixed into each playback batch.
+_PLAYBACK_LADDERS = 12
 
 
 @oracle(
@@ -167,13 +176,15 @@ def save_load_roundtrip(run: ScenarioRun, check: Check) -> str:
     )
 
 
-def _sample_ladders(run: ScenarioRun) -> List[BitrateLadder]:
+def _sample_ladders(
+    run: ScenarioRun, limit: int = _LADDER_SAMPLE
+) -> List[BitrateLadder]:
     """First few distinct ladders observed in the scenario's dataset."""
     seen = []
     for record in run.result.dataset.records:
         if record.bitrate_ladder_kbps not in seen:
             seen.append(record.bitrate_ladder_kbps)
-        if len(seen) >= _LADDER_SAMPLE:
+        if len(seen) >= limit:
             break
     return [BitrateLadder.from_bitrates(b) for b in seen]
 
@@ -246,6 +257,48 @@ def manifest_roundtrip(run: ScenarioRun, check: Check) -> str:
     return (
         f"{len(HTTP_ADAPTIVE_PROTOCOLS)} adaptive protocols round-trip "
         f"{len(ladders)} dataset ladders; RTMP + progressive detect"
+    )
+
+
+@oracle(
+    "differential",
+    "playback-batch-vs-scalar",
+    "lockstep session batches equal the scalar per-chunk loop exactly",
+)
+def playback_batch_vs_scalar(run: ScenarioRun, check: Check) -> str:
+    """The batch kernel over the scenario's own ladders, per ABR family.
+
+    One batch mixes every sampled ladder (twice over) on the congested
+    case-study path; each row must equal the scalar reference session
+    drawn from an identically seeded generator, and both generators
+    must end in the same state.
+    """
+    ladders = _sample_ladders(run, _PLAYBACK_LADDERS) * 2
+    check.that(len(ladders) > 0, "scenario dataset carries no ladders")
+    path = default_isp_profiles()["X"].path_to("A")
+    config = SessionConfig(view_seconds=300.0, max_buffer_seconds=20.0)
+    abrs = (ThroughputAbr(safety=0.85), BufferBasedAbr(), HybridAbr())
+    for abr in abrs:
+        name = type(abr).__name__
+        batch_rng = np.random.default_rng(run.spec.seed)
+        scalar_rng = np.random.default_rng(run.spec.seed)
+        batch = simulate_sessions(ladders, path, config, batch_rng, abr=abr)
+        for ladder, result in zip(ladders, batch):
+            check.equal(
+                result,
+                simulate_session_scalar(
+                    ladder, path, config, scalar_rng, abr=abr
+                ),
+                f"{name} session over {ladder!r}",
+            )
+        check.equal(
+            batch_rng.bit_generator.state,
+            scalar_rng.bit_generator.state,
+            f"{name} generator state after the batch",
+        )
+    return (
+        f"{len(ladders)}-session batches over {len(ladders) // 2} "
+        f"scenario ladders match the scalar loop under {len(abrs)} ABRs"
     )
 
 

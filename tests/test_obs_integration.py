@@ -27,7 +27,7 @@ from repro.entities.cdn import CDN, CdnAssignment
 from repro.errors import CircuitOpenError, DeliveryError, RetryExhaustedError
 from repro.obs import FakeClock, MetricsRegistry
 from repro.resilience import BackoffPolicy, CircuitBreaker, retry_with_backoff
-from repro.synthesis.calibration import EcosystemConfig
+from repro.synthesis.calibration import QOE_COMBOS, EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator
 from repro.telemetry.faults import FaultInjector, FaultMix
 from repro.telemetry.ingest import IngestPipeline, events_from_records
@@ -248,6 +248,31 @@ class TestPipelineSpans:
         counters = global_obs.registry.snapshot()["counters"]
         assert counters["synthesis.records"] == len(result.dataset)
         assert counters["synthesis.snapshots"] == 2
+
+    def test_case_study_counts_playback_rows_and_chunks(self, global_obs):
+        result = EcosystemGenerator(
+            EcosystemConfig(**FAST_CONFIG)
+        ).generate()
+        labels = len(result.case_study.syndicator_labels) + 1
+        rows = labels * FAST_CONFIG["qoe_sessions"]
+        chunks_per_row = 150  # 900 s views in 6 s chunks
+        spans = [
+            s
+            for s in global_obs.tracer.finished
+            if s.name == "playback.simulate"
+        ]
+        assert [s.attrs for s in spans] == [
+            {
+                "sessions": rows,
+                "chunks": rows * chunks_per_row,
+                "abr": "ThroughputAbr",
+            }
+        ] * len(QOE_COMBOS)
+        counters = global_obs.registry.snapshot()["counters"]
+        assert counters["playback.sessions"] == len(QOE_COMBOS) * rows
+        assert counters["playback.chunks"] == (
+            len(QOE_COMBOS) * rows * chunks_per_row
+        )
 
     def test_figure_run_span_and_counter(self, eco, global_obs):
         rows = figures.run_figure("F2a", eco)

@@ -1,19 +1,16 @@
-"""The shared process-pool execution layer and its three hot paths.
+"""The shared process-pool execution layer.
 
 Unit coverage for :mod:`repro.parallel` (jobs validation, chunking,
-ordered collection) plus the standing determinism contract: every
-``jobs``-capable entry point — figure suite, testkit matrix, playback
-batches, QoE projections — must produce byte-identical results at any
-worker count, with merged observability equal to the serial run.
+ordered collection, seed spawning) plus the standing determinism
+contract: merged observability from a pooled map equals the serial
+run's.  The ``jobs``-capable entry points (figure suite, testkit
+matrix) are pinned byte-identical in ``tests/test_parallel_suite.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.integrated import project_all_syndicators
-from repro.delivery.network import default_isp_profiles
-from repro.entities.ladder import BitrateLadder
 from repro.errors import ParallelError
 from repro.parallel import (
     chunk_sizes_for,
@@ -21,8 +18,6 @@ from repro.parallel import (
     parse_jobs,
     spawn_streams,
 )
-from repro.playback.batch import simulate_session_batch
-from repro.playback.session import SessionConfig
 
 pytestmark = pytest.mark.perf
 
@@ -130,39 +125,3 @@ class TestSpawnStreams:
     def test_negative_count_rejected(self):
         with pytest.raises(ParallelError):
             spawn_streams(7, -1)
-
-
-class TestPlaybackBatch:
-    @pytest.fixture()
-    def path(self):
-        return default_isp_profiles()["X"].path_to("A")
-
-    def test_parallel_batch_matches_serial(self, ladder, path):
-        config = SessionConfig(view_seconds=120.0)
-        serial = simulate_session_batch(
-            ladder, path, config, seed=11, sessions=6, jobs=1
-        )
-        pooled = simulate_session_batch(
-            ladder, path, config, seed=11, sessions=6, jobs=2
-        )
-        assert serial == pooled
-
-    def test_sessions_differ_across_streams(self, ladder, path):
-        config = SessionConfig(view_seconds=120.0)
-        results = simulate_session_batch(
-            ladder, path, config, seed=11, sessions=6
-        )
-        bitrates = {r.average_bitrate_kbps for r in results}
-        assert len(bitrates) > 1
-
-
-class TestProjectionsParallel:
-    def test_parallel_projections_match_serial(self, eco):
-        serial = project_all_syndicators(
-            eco.case_study, sessions=20, jobs=1
-        )
-        pooled = project_all_syndicators(
-            eco.case_study, sessions=20, jobs=2
-        )
-        assert serial == pooled
-        assert set(pooled) == set(eco.case_study.syndicator_labels)

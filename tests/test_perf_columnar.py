@@ -34,6 +34,7 @@ from tests.test_telemetry_records import make_record
 pytestmark = pytest.mark.perf
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "figures_seed2018_s6.json"
+QOE_GOLDEN_PATH = Path(__file__).parent / "golden" / "qoe_seed2018_s6.json"
 
 #: Figures captured in the golden file: deterministic rows without NaN
 #: cells (NaN is not valid JSON).
@@ -41,6 +42,10 @@ GOLDEN_FIGURES = (
     "T1", "F2a", "F2b", "F2c", "F3a", "F3c", "F6a", "F7",
     "F9a", "F11a", "F11b", "F12a", "S41R",
 )
+
+#: Playback-simulated figures, pinned bit-exact: the batched session
+#: kernel must reproduce the scalar loop's floats, not approximate them.
+QOE_GOLDEN_FIGURES = ("F15", "F16", "X2")
 
 
 def _rows_close(actual, expected, rel=1e-9):
@@ -349,3 +354,9 @@ class TestGoldenFigures:
             _rows_close(
                 figures.run_figure(figure_id, eco), golden[figure_id]
             )
+
+    def test_qoe_figures_match_golden_rows_exactly(self, eco):
+        golden = json.loads(QOE_GOLDEN_PATH.read_text(encoding="utf-8"))
+        assert sorted(golden) == sorted(QOE_GOLDEN_FIGURES)
+        for figure_id in QOE_GOLDEN_FIGURES:
+            assert figures.run_figure(figure_id, eco) == golden[figure_id]

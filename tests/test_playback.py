@@ -5,7 +5,7 @@ import pytest
 
 from repro.delivery.network import NetworkPath
 from repro.entities.ladder import BitrateLadder
-from repro.errors import PlaybackError
+from repro.errors import DeliveryError, LadderError, PlaybackError
 from repro.playback.abr import AbrState, BufferBasedAbr, ThroughputAbr
 from repro.playback.session import SessionConfig, simulate_session
 from repro.playback.useragent import build_user_agent, parse_user_agent
@@ -80,6 +80,45 @@ class TestSessionConfig:
             SessionConfig(view_seconds=60, max_buffer_seconds=1)
         with pytest.raises(PlaybackError):
             SessionConfig(view_seconds=60, ewma_alpha=0)
+
+
+class TestNonFiniteInputs:
+    """Non-finite inputs fail at the playback boundary with typed errors.
+
+    In a batch, one NaN row would otherwise poison results silently.
+    """
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(view_seconds=float("nan")),
+            dict(view_seconds=float("inf")),
+            dict(view_seconds=60.0, max_buffer_seconds=float("nan")),
+        ],
+        ids=["view-nan", "view-inf", "max-buffer-nan"],
+    )
+    def test_session_config_rejects(self, kwargs):
+        with pytest.raises(PlaybackError):
+            SessionConfig(**kwargs)
+
+    def test_ladder_rejects_nan_bitrate(self):
+        with pytest.raises(LadderError):
+            BitrateLadder.from_bitrates([float("nan")])
+
+    def test_network_path_rejects_nan_median(self):
+        with pytest.raises(DeliveryError):
+            NetworkPath(isp="X", cdn_name="A", median_kbps=float("nan"))
+
+    def test_session_rejects_nan_session_mean(self, ladder, rng):
+        path = NetworkPath(isp="X", cdn_name="A", median_kbps=5000)
+        with pytest.raises(DeliveryError):
+            simulate_session(
+                ladder,
+                path,
+                SessionConfig(view_seconds=60),
+                rng,
+                session_mean_kbps=float("nan"),
+            )
 
 
 class TestSimulation:
