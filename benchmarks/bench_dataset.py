@@ -1,10 +1,12 @@
-"""Dataset backend benchmark: row-at-a-time vs columnar aggregation.
+"""Dataset benchmark: row-at-a-time reference vs column-store aggregation.
 
-Times the hot dataset aggregations on both backends over a scaled-up
-record set (default 10x the 6-snapshot build) and writes the timings
-and speedups to ``BENCH_dataset.json`` at the repo root.  CI runs this
-at small scale and fails the build if the columnar path is ever slower
-than the row path (speedup < 1).  Run directly::
+Times the hot dataset aggregations on :class:`Dataset` (the column
+store) and on :class:`~repro.testkit.reference.RowDataset` (the
+row-at-a-time reference) over a scaled-up record set (default 10x the
+6-snapshot build) and writes the timings and speedups to
+``BENCH_dataset.json`` at the repo root.  CI runs this at small scale
+and fails the build if the column store is ever slower than the
+reference (speedup < 1).  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_dataset.py [--scale 10]
 
@@ -24,12 +26,13 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple, Type
 
 from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.records import ViewRecord
+from repro.testkit.reference import RowDataset
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_dataset.json"
 
@@ -73,10 +76,10 @@ def _time_op(
     """Best-of-N steady-state run.
 
     The warm-up call interns any columns the op needs (a no-op on the
-    row backend); each timed repeat first drops the dataset's memoized
-    aggregation results (``_init_caches``) so both backends recompute
-    the answer — the row backend re-scans, the columnar backend
-    re-aggregates over the already-interned store.
+    reference, which memoizes nothing); each timed repeat first drops
+    the dataset's memoized aggregation results (``_init_caches``) so
+    both recompute the answer — the reference re-scans, the column
+    store re-aggregates over its already-interned columns.
     """
     op(dataset)
     best = float("inf")
@@ -89,10 +92,12 @@ def _time_op(
 
 
 def _first_call_s(
-    records: Tuple[ViewRecord, ...], columnar: bool, repeats: int
+    records: Tuple[ViewRecord, ...],
+    dataset_cls: Type[Dataset],
+    repeats: int,
 ) -> float:
     """Cold cost of the first aggregation on a fresh dataset (for the
-    columnar backend this includes code interning).
+    column store this includes code interning).
 
     Best of ``repeats`` fresh datasets: a single cold sample swings
     ~15% with scheduler noise, which is wider than the row-vs-columnar
@@ -100,7 +105,7 @@ def _first_call_s(
     """
     best = float("inf")
     for _ in range(repeats):
-        dataset = Dataset(records, columnar=columnar)
+        dataset = dataset_cls(records)
         start = time.perf_counter()
         dataset.publisher_view_hours()
         best = min(best, time.perf_counter() - start)
@@ -109,8 +114,8 @@ def _first_call_s(
 
 def run_bench(scale: int, repeats: int) -> Dict[str, object]:
     records = _base_records(scale)
-    row = Dataset(records, columnar=False)
-    col = Dataset(records, columnar=True)
+    row = RowDataset(records)
+    col = Dataset(records)
     results: Dict[str, Dict[str, float]] = {}
     for name, op in _ops().items():
         row_s = _time_op(row, op, repeats)
@@ -135,10 +140,10 @@ def run_bench(scale: int, repeats: int) -> Dict[str, object]:
         },
         "first_call": {
             "row_s": round(
-                _first_call_s(records, columnar=False, repeats=repeats), 6
+                _first_call_s(records, RowDataset, repeats=repeats), 6
             ),
             "columnar_s": round(
-                _first_call_s(records, columnar=True, repeats=repeats), 6
+                _first_call_s(records, Dataset, repeats=repeats), 6
             ),
         },
         "operations": results,

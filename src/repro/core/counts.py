@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, List
 
 from repro.core.dimensions import Dimension
 from repro.errors import AnalysisError
@@ -19,25 +19,12 @@ from repro.telemetry.dataset import Dataset
 
 def publisher_counts(dataset: Dataset, dimension: Dimension) -> Dict[str, int]:
     """Distinct dimension values per publisher in a dataset slice."""
-    if dimension.column_key is not None and dataset.columnar:
-        counts = dataset.values_per_publisher(dimension.column_key)
-        if not counts:
-            raise AnalysisError(
-                f"no records in scope for dimension {dimension.name!r}"
-            )
-        return counts
-    values_by_publisher: Dict[str, Set[object]] = defaultdict(set)
-    for record in dataset:
-        for value in dimension.values(record):
-            values_by_publisher[record.publisher_id].add(value)
-    if not values_by_publisher:
+    counts = dataset.values_per_publisher(dimension.column_key)
+    if not counts:
         raise AnalysisError(
             f"no records in scope for dimension {dimension.name!r}"
         )
-    return {
-        publisher: len(values)
-        for publisher, values in values_by_publisher.items()
-    }
+    return counts
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ and count analysis is generic over a dimension.
 from __future__ import annotations
 
 import abc
+from operator import attrgetter
 from typing import Optional, Tuple
 
 from repro.constants import Platform, Protocol
-from repro.entities.device import DeviceRegistry, default_registry
+from repro.entities.device import default_registry
 from repro.packaging.manifest.detect import detect_protocol_or_none
 from repro.telemetry.columnar import ColumnKey
 from repro.telemetry.records import ViewRecord
@@ -29,12 +30,10 @@ class Dimension(abc.ABC):
 
     name: str
 
-    #: Vectorization hook: single-valued dimensions publish a
-    #: :class:`ColumnKey` so the prevalence/count analyses can group by
-    #: interned codes on the dataset's column store.  ``None`` (the
-    #: multi-valued CDN dimension, or a non-default device registry)
-    #: keeps the generic row-at-a-time path.
-    column_key: Optional[ColumnKey] = None
+    #: The dimension as a derived column of the dataset's store, which
+    #: the prevalence and count analyses group by.  Its function is
+    #: :meth:`values`, or an equivalent one.
+    column_key: ColumnKey
 
     @abc.abstractmethod
     def values(self, record: ViewRecord) -> Tuple[object, ...]:
@@ -47,11 +46,6 @@ class Dimension(abc.ABC):
             return ()
         fraction = 1.0 / len(values)
         return tuple((value, fraction) for value in values)
-
-    def _single_value(self, record: ViewRecord) -> Optional[object]:
-        """The record's sole value, or None out of scope (ColumnKey fn)."""
-        values = self.values(record)
-        return values[0] if values else None
 
 
 class ProtocolDimension(Dimension):
@@ -66,8 +60,7 @@ class ProtocolDimension(Dimension):
     def __init__(self, http_only: bool = True) -> None:
         self.http_only = http_only
         self.column_key = ColumnKey(
-            "protocol:http" if http_only else "protocol:all",
-            self._single_value,
+            "protocol:http" if http_only else "protocol:all", self.values
         )
 
     def values(self, record: ViewRecord) -> Tuple[object, ...]:
@@ -84,10 +77,9 @@ class PlatformDimension(Dimension):
 
     name = "platform"
 
-    def __init__(self, registry: Optional[DeviceRegistry] = None) -> None:
-        self._registry = registry or default_registry()
-        if registry is None:
-            self.column_key = ColumnKey("platform", self._single_value)
+    def __init__(self) -> None:
+        self._registry = default_registry()
+        self.column_key = ColumnKey(self.name, self.values)
 
     def values(self, record: ViewRecord) -> Tuple[object, ...]:
         if record.device_model not in self._registry:
@@ -99,16 +91,11 @@ class FamilyDimension(Dimension):
     """Within-platform device family (Fig 10): browser player
     technology, mobile OS, set-top family, and so on."""
 
-    def __init__(
-        self,
-        platform: Platform,
-        registry: Optional[DeviceRegistry] = None,
-    ) -> None:
+    def __init__(self, platform: Platform) -> None:
         self.platform = platform
         self.name = f"family:{platform.value}"
-        self._registry = registry or default_registry()
-        if registry is None:
-            self.column_key = ColumnKey(self.name, self._single_value)
+        self._registry = default_registry()
+        self.column_key = ColumnKey(self.name, self.values)
 
     def values(self, record: ViewRecord) -> Tuple[object, ...]:
         if record.device_model not in self._registry:
@@ -127,6 +114,7 @@ class CdnDimension(Dimension):
     """
 
     name = "cdn"
+    column_key = ColumnKey("cdn", attrgetter("cdn_names"))
 
     def values(self, record: ViewRecord) -> Tuple[object, ...]:
         return tuple(record.cdn_names)
@@ -137,6 +125,5 @@ def record_protocol(record: ViewRecord) -> Optional[Protocol]:
     return detect_protocol_or_none(record.url)
 
 
-#: Named derived column for the detected protocol (RTMP included);
-#: shares its interned codes with ``ProtocolDimension(http_only=False)``.
-PROTOCOL_COLUMN = ColumnKey("protocol:all", record_protocol)
+#: Named derived column for the detected protocol (RTMP included).
+PROTOCOL_COLUMN = ProtocolDimension(http_only=False).column_key

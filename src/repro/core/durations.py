@@ -8,21 +8,18 @@ set-top boxes leading by view-hours (Fig 6a) but not by views (Fig 6c).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.constants import Platform
 from repro.core.dimensions import PlatformDimension
-from repro.entities.device import DeviceRegistry
 from repro.errors import AnalysisError
 from repro.stats.cdf import ECDF
 from repro.telemetry.dataset import Dataset
 
 
-def duration_cdfs(
-    dataset: Dataset, registry: Optional[DeviceRegistry] = None
-) -> Dict[Platform, ECDF]:
+def duration_cdfs(dataset: Dataset) -> Dict[Platform, ECDF]:
     """Views-weighted duration CDF per platform for a dataset slice."""
-    dimension = PlatformDimension(registry)
+    dimension = PlatformDimension()
     samples: Dict[Platform, list] = {p: [] for p in Platform}
     weights: Dict[Platform, list] = {p: [] for p in Platform}
     for record in dataset:
@@ -42,24 +39,20 @@ def duration_cdfs(
 
 
 def long_view_fractions(
-    dataset: Dataset,
-    threshold_hours: float = 0.2,
-    registry: Optional[DeviceRegistry] = None,
+    dataset: Dataset, threshold_hours: float = 0.2
 ) -> Dict[Platform, float]:
     """P[view duration > threshold] per platform (§4.2's 0.2 h cut)."""
     if threshold_hours < 0:
         raise AnalysisError("threshold must be non-negative")
     return {
         platform: cdf.survival(threshold_hours)
-        for platform, cdf in duration_cdfs(dataset, registry).items()
+        for platform, cdf in duration_cdfs(dataset).items()
     }
 
 
-def median_durations(
-    dataset: Dataset, registry: Optional[DeviceRegistry] = None
-) -> Dict[Platform, float]:
+def median_durations(dataset: Dataset) -> Dict[Platform, float]:
     """Median individual view duration per platform, in hours."""
     return {
         platform: cdf.median()
-        for platform, cdf in duration_cdfs(dataset, registry).items()
+        for platform, cdf in duration_cdfs(dataset).items()
     }

@@ -12,7 +12,6 @@ Two generic time series per dimension:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from datetime import date
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -30,28 +29,13 @@ def publisher_support_series(
     """% of publishers supporting each value, per snapshot (Figs 2a, 7, 11a)."""
     if len(dataset) == 0:
         raise AnalysisError("dataset is empty")
-    key = dimension.column_key
     series: SeriesByValue = {}
     for snapshot in dataset.snapshots():
         snap = dataset.for_snapshot(snapshot)
-        if key is not None and snap.columnar:
-            per_value = snap.publishers_per_value(key)
-            total = len(snap.publishers())
-            series[snapshot] = {
-                value: 100.0 * count / total
-                for value, count in per_value.items()
-            }
-            continue
-        publishers_by_value: Dict[object, set] = defaultdict(set)
-        all_publishers = set()
-        for record in snap:
-            all_publishers.add(record.publisher_id)
-            for value in dimension.values(record):
-                publishers_by_value[value].add(record.publisher_id)
-        total = len(all_publishers)
+        per_value = snap.publishers_per_value(dimension.column_key)
+        total = len(snap.publishers())
         series[snapshot] = {
-            value: 100.0 * len(publishers) / total
-            for value, publishers in publishers_by_value.items()
+            value: 100.0 * count / total for value, count in per_value.items()
         }
     return series
 
@@ -73,41 +57,16 @@ def view_hour_share_series(
     series: SeriesByValue = {}
     for snapshot in dataset.snapshots():
         snap = dataset.for_snapshot(snapshot)
-        if key is not None and snap.columnar:
-            if excluded:
-                snap = snap.exclude_publishers(excluded)
-            totals_by_value = (
-                snap.views_by(key) if by_views else snap.view_hours_by(key)
-            )
-            in_scope = sum(totals_by_value.values())
-            if in_scope <= 0:
-                raise AnalysisError(
-                    f"snapshot {snapshot} has no in-scope records"
-                )
-            series[snapshot] = {
-                value: 100.0 * total / in_scope
-                for value, total in totals_by_value.items()
-            }
-            continue
-        totals: Dict[object, float] = defaultdict(float)
-        in_scope_total = 0.0
-        for record in snap:
-            if record.publisher_id in excluded:
-                continue
-            weighted = dimension.weighted_values(record)
-            if not weighted:
-                continue
-            amount = record.views if by_views else record.view_hours
-            in_scope_total += amount
-            for value, fraction in weighted:
-                totals[value] += amount * fraction
-        if in_scope_total <= 0:
+        if excluded:
+            snap = snap.exclude_publishers(excluded)
+        totals = snap.views_by(key) if by_views else snap.view_hours_by(key)
+        in_scope = sum(totals.values())
+        if in_scope <= 0:
             raise AnalysisError(
                 f"snapshot {snapshot} has no in-scope records"
             )
         series[snapshot] = {
-            value: 100.0 * total / in_scope_total
-            for value, total in totals.items()
+            value: 100.0 * total / in_scope for value, total in totals.items()
         }
     return series
 

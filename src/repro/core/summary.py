@@ -20,7 +20,6 @@ from repro.core.dimensions import (
     Dimension,
     PlatformDimension,
     ProtocolDimension,
-    record_protocol,
 )
 from repro.core.trends import count_trend
 from repro.errors import AnalysisError
@@ -71,21 +70,11 @@ def rtmp_share(dataset: Dataset) -> Dict[str, float]:
         ("first", dataset.first_snapshot()),
         ("latest", dataset.latest_snapshot()),
     ):
-        snap = dataset.for_snapshot(snapshot)
-        if snap.columnar:
-            by_protocol = snap.view_hours_by(PROTOCOL_COLUMN)
-            total = sum(by_protocol.values())
-            rtmp = by_protocol.get(Protocol.RTMP, 0.0)
-        else:
-            total = 0.0
-            rtmp = 0.0
-            for record in snap:
-                protocol = record_protocol(record)
-                if protocol is None:
-                    continue
-                total += record.view_hours
-                if protocol is Protocol.RTMP:
-                    rtmp += record.view_hours
+        by_protocol = dataset.for_snapshot(snapshot).view_hours_by(
+            PROTOCOL_COLUMN
+        )
+        total = sum(by_protocol.values())
+        rtmp = by_protocol.get(Protocol.RTMP, 0.0)
         if total <= 0:
             raise AnalysisError(f"no classifiable records at {snapshot}")
         shares[which] = 100.0 * rtmp / total

@@ -7,8 +7,8 @@ legitimately had access to in the paper (catalogue sizes per publisher,
 the syndication case-study definition, which publishers drive DASH).
 
 Snapshot synthesis is embarrassingly parallel: every snapshot draws
-from its own RNG stream, derived via
-``np.random.SeedSequence(seed).spawn(...)``, and the sampler resets its
+from its own RNG stream, spawned from the seed by
+:func:`repro.parallel.spawn_streams`, and the sampler resets its
 per-snapshot state between batches.  ``generate(jobs=N)`` fans the
 snapshot loop out through :func:`repro.parallel.parallel_map`;
 because each stream is independent of execution order, a parallel build
@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.parallel import parallel_map
+from repro.parallel import parallel_map, spawn_streams
 from repro.constants import Protocol
 from repro.entities.device import DeviceRegistry, default_registry
 from repro.entities.publisher import Publisher, PublisherProfile
@@ -173,14 +173,6 @@ def _select_snapshots(
     return tuple(dates[int(round(p))] for p in positions)
 
 
-def _snapshot_streams(
-    seed: int, n_snapshots: int
-) -> List[np.random.SeedSequence]:
-    """One independent child stream per snapshot, plus one for the
-    §6 case-study batch (the last entry)."""
-    return np.random.SeedSequence(seed).spawn(n_snapshots + 1)
-
-
 def _snapshot_t(index: int, n_snapshots: int) -> float:
     last = n_snapshots - 1
     return index / last if last > 0 else 1.0
@@ -207,7 +199,7 @@ def _snapshot_batch(
 ) -> List[ViewRecord]:
     """Worker entry point: all records of snapshot ``index``."""
     plan = _plan_for(config)
-    streams = _snapshot_streams(config.seed, len(plan.snapshots))
+    streams = spawn_streams(config.seed, len(plan.snapshots) + 1)
     return plan.sampler.snapshot_records(
         plan.snapshots[index],
         _snapshot_t(index, len(plan.snapshots)),
@@ -251,7 +243,8 @@ class EcosystemGenerator:
         _plan_for.cache_clear()
         plan = _plan_for(config)
         snapshots = plan.snapshots
-        streams = _snapshot_streams(config.seed, len(snapshots))
+        # One stream per snapshot, plus the last for the §6 case study.
+        streams = spawn_streams(config.seed, len(snapshots) + 1)
         obs.gauge("synthesis.workers").set(jobs)
 
         record_counter = obs.counter("synthesis.records")

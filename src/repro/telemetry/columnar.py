@@ -1,4 +1,4 @@
-"""Columnar backend for :class:`~repro.telemetry.dataset.Dataset`.
+"""Column store behind :class:`~repro.telemetry.dataset.Dataset`.
 
 A :class:`ColumnStore` mirrors one immutable tuple of
 :class:`~repro.telemetry.records.ViewRecord` as NumPy arrays, built
@@ -8,13 +8,18 @@ interned into integer codes so group-bys reduce to ``np.bincount`` over
 codes; numeric measures (view-hours, views) are plain float64 arrays.
 
 Derived columns — values computed from a record rather than stored on
-it, such as the protocol detected from the URL — are registered through
-:class:`ColumnKey`: a *named* single-valued record function.  The store
-evaluates the function once per record on first use and memoizes the
-codes under the key's name, so every analysis that groups by the same
-derived key shares one classification pass.  A derived function may
-return ``None`` for out-of-scope records; those rows receive the
-sentinel code ``-1`` and are excluded from group-bys.
+it, such as the protocol detected from the URL or the CDNs that served
+the view — are registered through :class:`ColumnKey`: a *named* record
+function returning a tuple of values.  The store evaluates the function
+once per record on first use and memoizes the result under the key's
+name, so every analysis that groups by the same derived key shares one
+classification pass.
+
+Group-bys run over :class:`Entries`: one (record, code) entry per value
+in record-major order.  A record with k values has k entries, each
+carrying 1/k of the record's measures — the even split §4.3 applies to
+multi-CDN views.  A record with no value is out of scope and has no
+entry, so a single-valued key is simply the k <= 1 case.
 
 Everything here is immutable after construction of the record tuple:
 columns are only ever *added* to the caches, never changed, which is
@@ -24,31 +29,67 @@ why aggregation memoization in the dataset layer needs no invalidation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.telemetry.records import ViewRecord
 
-#: Sentinel code for records a derived column does not classify.
+#: Sentinel code for a stored field whose value is ``None``.
 OUT_OF_SCOPE = -1
 
 
 @dataclass(frozen=True)
 class ColumnKey:
-    """A named, single-valued derived column.
+    """A named derived column.
 
     ``name`` identifies the column in the store's cache (two keys with
     the same name must compute the same values); ``fn`` maps a record
-    to a hashable value, or ``None`` when the record is out of scope.
+    to a tuple of hashable values, empty when the record is out of
+    scope.
     """
 
     name: str
-    fn: Callable[[ViewRecord], object]
+    fn: Callable[[ViewRecord], Tuple[object, ...]]
 
     def __repr__(self) -> str:  # fn identity is noise in test output
         return f"ColumnKey({self.name!r})"
+
+
+#: A grouping column: a stored record field name or a derived column.
+ColumnRef = Union[str, ColumnKey]
+
+
+class Entries(NamedTuple):
+    """A column as (record, value) entries in record-major order.
+
+    Entry ``i`` gives record ``rows[i]`` the value ``values[codes[i]]``
+    and ``shares[i]`` of that record's measures.
+    """
+
+    rows: np.ndarray
+    codes: np.ndarray
+    values: Tuple[object, ...]
+    shares: np.ndarray
+
+    def where(self, mask: Optional[np.ndarray]) -> "Entries":
+        """The entries of the records ``mask`` keeps (all when None)."""
+        if mask is None:
+            return self
+        keep = mask[self.rows]
+        return Entries(
+            self.rows[keep], self.codes[keep], self.values, self.shares[keep]
+        )
 
 
 class ColumnStore:
@@ -56,8 +97,11 @@ class ColumnStore:
 
     def __init__(self, records: Tuple[ViewRecord, ...]) -> None:
         self.records = records
-        self._codes: Dict[str, Tuple[np.ndarray, Tuple[object, ...]]] = {}
+        #: Interned columns by name: ``(codes, values)`` for a stored
+        #: field, :class:`Entries` for a derived column.
+        self._codes: Dict[str, tuple] = {}
         self._numeric: Dict[str, np.ndarray] = {}
+        self._field_entries: Dict[str, Entries] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -95,46 +139,57 @@ class ColumnStore:
     def field_codes(
         self, field: str
     ) -> Tuple[np.ndarray, Tuple[object, ...]]:
-        """Interned codes for a stored record attribute."""
+        """Interned codes of a stored record attribute, one per record;
+        records whose value is ``None`` get :data:`OUT_OF_SCOPE`."""
         cached = self._codes.get(field)
         if cached is None:
-            cached = self._intern(
-                field, map(attrgetter(field), self.records)
-            )
+            cached = self._intern(map(attrgetter(field), self.records))
+            self._codes[field] = cached
         return cached
 
-    def derived_codes(
-        self, key: ColumnKey
-    ) -> Tuple[np.ndarray, Tuple[object, ...]]:
-        """Interned codes for a derived column, memoized by name."""
+    def derived_codes(self, key: ColumnKey) -> Entries:
+        """Interned entries of a derived column, memoized by name."""
         cached = self._codes.get(key.name)
         if cached is None:
-            cached = self._intern(key.name, map(key.fn, self.records))
+            per_record = list(map(key.fn, self.records))
+            counts = np.fromiter(
+                map(len, per_record), dtype=np.int64, count=len(per_record)
+            )
+            codes, values = self._intern(chain.from_iterable(per_record))
+            rows = np.repeat(np.arange(len(per_record)), counts)
+            cached = Entries(rows, codes, values, 1.0 / counts[rows])
+            self._codes[key.name] = cached
         return cached
 
-    def codes_for(
-        self, key: "str | ColumnKey"
-    ) -> Tuple[np.ndarray, Tuple[object, ...]]:
+    def entries(self, key: ColumnRef) -> Entries:
+        """Entries of a derived column, or of a stored field (one per
+        record whose value is not ``None``, with share 1)."""
         if isinstance(key, ColumnKey):
             return self.derived_codes(key)
-        return self.field_codes(key)
+        cached = self._field_entries.get(key)
+        if cached is None:
+            codes, values = self.field_codes(key)
+            rows = np.flatnonzero(codes != OUT_OF_SCOPE)
+            cached = Entries(rows, codes[rows], values, np.ones(len(rows)))
+            self._field_entries[key] = cached
+        return cached
 
     # ------------------------------------------------------------------
     # Internal
     # ------------------------------------------------------------------
 
     def _intern(
-        self, name: str, values: Iterable[object]
+        self, values: Iterable[object]
     ) -> Tuple[np.ndarray, Tuple[object, ...]]:
         """Intern values to first-appearance codes, loops kept in C.
 
         ``dict.fromkeys`` collects the distinct values in first-
         appearance order without a Python-level loop; the code lookup
         then runs as ``map(lookup.__getitem__, ...)`` feeding
-        ``np.fromiter``, so every pass over the record axis executes
-        inside the interpreter's C machinery.  ``None`` (out of scope)
-        is routed through the lookup table itself rather than a
-        per-value branch.
+        ``np.fromiter``, so every pass over the values executes inside
+        the interpreter's C machinery.  ``None`` (out of scope) is
+        routed through the lookup table itself rather than a per-value
+        branch.
         """
         materialized = list(values)
         uniques = dict.fromkeys(materialized)
@@ -147,55 +202,38 @@ class ColumnStore:
         codes = np.fromiter(
             map(lookup.__getitem__, materialized),
             dtype=np.int64,
-            count=len(self.records),
+            count=len(materialized),
         )
-        result = (codes, ordered)
-        self._codes[name] = result
-        return result
+        return codes, ordered
 
 
-def grouped_sum(
-    codes: np.ndarray,
-    values: Tuple[object, ...],
-    weights: np.ndarray,
-    mask: Optional[np.ndarray],
-) -> Dict[object, float]:
-    """Sum ``weights`` per code under ``mask``; out-of-scope dropped.
+def grouped_sum(entries: Entries, measure: np.ndarray) -> Dict[object, float]:
+    """Sum each entry's share of its record's ``measure`` per value.
 
-    Groups with no in-scope record are absent from the result (matching
-    the row-at-a-time path); groups that appear but sum to zero are
-    kept at 0.0.
+    Values with no entry are absent from the result; values whose
+    entries sum to zero are kept at 0.0.  ``bincount`` adds in entry
+    order, so a value's total accumulates record by record.
     """
-    if mask is not None:
-        codes = codes[mask]
-        weights = weights[mask]
-    in_scope = codes >= 0
-    if not in_scope.all():
-        codes = codes[in_scope]
-        weights = weights[in_scope]
-    sums = np.bincount(codes, weights=weights, minlength=len(values))
-    present = np.bincount(codes, minlength=len(values))
+    sums = np.bincount(
+        entries.codes,
+        weights=measure[entries.rows] * entries.shares,
+        minlength=len(entries.values),
+    )
+    present = np.bincount(entries.codes, minlength=len(entries.values))
     return {
-        values[i]: float(sums[i]) for i in np.flatnonzero(present > 0)
+        entries.values[i]: float(sums[i])
+        for i in np.flatnonzero(present > 0)
     }
 
 
-def distinct_pairs(
-    codes_a: np.ndarray,
-    n_a: int,
-    codes_b: np.ndarray,
-    n_b: int,
-    mask: Optional[np.ndarray],
+def distinct_pair_counts(
+    codes_a: np.ndarray, n_a: int, codes_b: np.ndarray, n_b: int
 ) -> np.ndarray:
-    """Unique in-scope ``(a, b)`` code pairs, encoded as ``a * n_b + b``.
+    """Distinct ``b`` codes paired with each ``a`` code (length ``n_a``).
 
-    Rows where either side is out of scope are dropped.  Used for
-    "distinct publishers per value" and "distinct values per publisher"
-    style counts without building per-group Python sets.
+    Backs "distinct publishers per value" and "distinct values per
+    publisher" counts without building per-group Python sets.
     """
-    if mask is not None:
-        codes_a = codes_a[mask]
-        codes_b = codes_b[mask]
-    in_scope = (codes_a >= 0) & (codes_b >= 0)
-    combo = codes_a[in_scope] * np.int64(max(n_b, 1)) + codes_b[in_scope]
-    return np.unique(combo)
+    stride = np.int64(max(n_b, 1))
+    pairs = np.unique(codes_a * stride + codes_b)
+    return np.bincount(pairs // stride, minlength=n_a)

@@ -5,17 +5,18 @@ publisher, by any record attribute — and aggregate by view-hours, by
 views, or by distinct video IDs.  Persistence is line-delimited JSON
 (gzipped when the path ends in ``.gz``).
 
+Every dataset runs on a :class:`~repro.telemetry.columnar.ColumnStore`.
 Slicing is **zero-copy**: ``filter``/``for_snapshot``/
-``exclude_publishers`` return views that share the parent's
-:class:`~repro.telemetry.columnar.ColumnStore` plus a boolean mask, so
-stacking slices never re-materializes record tuples.  Aggregations
-whose grouping key is a known column (a record field name or a
-:class:`~repro.telemetry.columnar.ColumnKey`) dispatch to vectorized
-``bincount`` group-bys over interned codes and are memoized per
-(view, key) — safe because stores are immutable.  Arbitrary callables
-fall back to the row-at-a-time path; the two paths are
-property-tested to agree (``dataset.columnar_hits`` /
-``dataset.row_fallbacks`` count the dispatches).
+``exclude_publishers`` return views that share the parent's store plus
+a boolean mask, so stacking slices never re-materializes record tuples.
+Aggregations whose grouping key is a column (a record field name or a
+:class:`~repro.telemetry.columnar.ColumnKey`) are vectorized
+``bincount`` group-bys over interned codes, memoized per (view, key) —
+safe because stores are immutable.  Only opaque Python runs row at a
+time: ``filter`` predicates and callable group-by keys.
+``dataset.columnar_hits`` / ``dataset.row_fallbacks`` count the two
+kinds of dispatch, and :class:`repro.testkit.reference.RowDataset` is
+the row-at-a-time reference the vectorized code is tested against.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import csv
 import dataclasses
 import gzip
 import io
+import zlib
 from datetime import date
 from pathlib import Path
 from typing import (
@@ -45,8 +47,10 @@ from repro import obs
 from repro.errors import DatasetError
 from repro.telemetry.columnar import (
     ColumnKey,
+    ColumnRef,
     ColumnStore,
-    distinct_pairs,
+    Entries,
+    distinct_pair_counts,
     grouped_sum,
 )
 from repro.telemetry.records import ViewRecord
@@ -61,14 +65,10 @@ _SAVE_BATCH = 4096
 class Dataset:
     """An immutable collection of weighted view records."""
 
-    def __init__(
-        self, records: Iterable[ViewRecord], columnar: bool = True
-    ) -> None:
+    def __init__(self, records: Iterable[ViewRecord]) -> None:
         materialized: Tuple[ViewRecord, ...] = tuple(records)
         self._records: Optional[Tuple[ViewRecord, ...]] = materialized
-        self._store: Optional[ColumnStore] = (
-            ColumnStore(materialized) if columnar else None
-        )
+        self._store = ColumnStore(materialized)
         self._mask: Optional[np.ndarray] = None
         self._length = len(materialized)
         self._init_caches()
@@ -110,17 +110,11 @@ class Dataset:
     @property
     def records(self) -> Tuple[ViewRecord, ...]:
         if self._records is None:
-            assert self._store is not None and self._mask is not None
             parent = self._store.records
             self._records = tuple(
                 parent[i] for i in np.flatnonzero(self._mask)
             )
         return self._records
-
-    @property
-    def columnar(self) -> bool:
-        """Whether vectorized dispatch is available for this dataset."""
-        return self._store is not None
 
     # ------------------------------------------------------------------
     # Slicing
@@ -129,15 +123,10 @@ class Dataset:
     def snapshots(self) -> List[date]:
         """Sorted distinct snapshot dates."""
         if self._snapshots_cache is None:
-            if self._store is not None:
-                codes, values = self._store.field_codes("snapshot")
-                if self._mask is not None:
-                    codes = codes[self._mask]
-                present = np.unique(codes)
-                found = sorted(values[i] for i in present)
-            else:
-                found = sorted({r.snapshot for r in self.records})
-            self._snapshots_cache = tuple(found)
+            codes, values = self._field_codes("snapshot")
+            self._snapshots_cache = tuple(
+                sorted(values[i] for i in np.unique(codes))
+            )
         return list(self._snapshots_cache)
 
     def latest_snapshot(self) -> date:
@@ -157,26 +146,18 @@ class Dataset:
         cached = self._snapshot_views.get(snapshot)
         if cached is not None:
             return cached
-        if self._store is None:
-            subset = tuple(
-                r for r in self.records if r.snapshot == snapshot
-            )
-            if not subset:
-                raise DatasetError(f"no records for snapshot {snapshot}")
-            view = Dataset(subset, columnar=False)
-        else:
-            codes, values = self._store.field_codes("snapshot")
-            try:
-                code = values.index(snapshot)
-            except ValueError:
-                code = -2  # never matches a real code
-            mask = codes == code
-            if self._mask is not None:
-                mask &= self._mask
-            if not mask.any():
-                raise DatasetError(f"no records for snapshot {snapshot}")
-            obs.counter("dataset.columnar_hits").inc()
-            view = Dataset._view(self._store, mask)
+        codes, values = self._store.field_codes("snapshot")
+        try:
+            code = values.index(snapshot)
+        except ValueError:
+            code = -2  # never matches a real code
+        mask = codes == code
+        if self._mask is not None:
+            mask &= self._mask
+        if not mask.any():
+            raise DatasetError(f"no records for snapshot {snapshot}")
+        obs.counter("dataset.columnar_hits").inc()
+        view = Dataset._view(self._store, mask)
         self._snapshot_views[snapshot] = view
         return view
 
@@ -189,10 +170,6 @@ class Dataset:
         The predicate runs row-at-a-time (it is opaque Python), but the
         result is still a mask view — no record tuple is copied.
         """
-        if self._store is None:
-            return Dataset(
-                (r for r in self.records if predicate(r)), columnar=False
-            )
         obs.counter("dataset.row_fallbacks").inc()
         parent = self._store.records
         mask = np.zeros(len(parent), dtype=bool)
@@ -212,21 +189,16 @@ class Dataset:
         cached = self._exclude_views.get(excluded)
         if cached is not None:
             return cached
-        if self._store is None:
-            view: Dataset = self.filter(
-                lambda r: r.publisher_id not in excluded
-            )
-        else:
-            codes, values = self._store.field_codes("publisher_id")
-            banned = np.array(
-                [i for i, v in enumerate(values) if v in excluded],
-                dtype=np.int64,
-            )
-            mask = ~np.isin(codes, banned)
-            if self._mask is not None:
-                mask &= self._mask
-            obs.counter("dataset.columnar_hits").inc()
-            view = Dataset._view(self._store, mask)
+        codes, values = self._store.field_codes("publisher_id")
+        banned = np.array(
+            [i for i, v in enumerate(values) if v in excluded],
+            dtype=np.int64,
+        )
+        mask = ~np.isin(codes, banned)
+        if self._mask is not None:
+            mask &= self._mask
+        obs.counter("dataset.columnar_hits").inc()
+        view = Dataset._view(self._store, mask)
         self._exclude_views[excluded] = view
         return view
 
@@ -237,13 +209,8 @@ class Dataset:
     def publishers(self) -> Set[str]:
         cached = self._agg_cache.get(("publishers", None))
         if cached is None:
-            if self._store is not None:
-                codes, values = self._store.field_codes("publisher_id")
-                if self._mask is not None:
-                    codes = codes[self._mask]
-                cached = {values[i] for i in np.unique(codes)}
-            else:
-                cached = {r.publisher_id for r in self.records}
+            codes, values = self._field_codes("publisher_id")
+            cached = {values[i] for i in np.unique(codes)}
             self._agg_cache[("publishers", None)] = cached
         return set(cached)
 
@@ -281,36 +248,20 @@ class Dataset:
         cache_key = ("distinct_video_ids", publisher_id)
         cached = self._agg_cache.get(cache_key)
         if cached is None:
-            if self._store is not None:
-                obs.counter("dataset.columnar_hits").inc()
-                codes, _ = self._store.field_codes("video_id")
-                if self._mask is not None:
-                    codes = codes[self._mask]
-                if publisher_id is not None:
-                    pub_codes, pub_values = self._store.field_codes(
-                        "publisher_id"
-                    )
-                    if self._mask is not None:
-                        pub_codes = pub_codes[self._mask]
-                    try:
-                        wanted = pub_values.index(publisher_id)
-                    except ValueError:
-                        wanted = -2
-                    codes = codes[pub_codes == wanted]
-                cached = int(np.unique(codes).size)
-            else:
-                cached = len(
-                    {
-                        r.video_id
-                        for r in self.records
-                        if publisher_id is None
-                        or r.publisher_id == publisher_id
-                    }
-                )
+            obs.counter("dataset.columnar_hits").inc()
+            codes, _ = self._field_codes("video_id")
+            if publisher_id is not None:
+                pub_codes, pub_values = self._field_codes("publisher_id")
+                try:
+                    wanted = pub_values.index(publisher_id)
+                except ValueError:
+                    wanted = -2
+                codes = codes[pub_codes == wanted]
+            cached = int(np.unique(codes).size)
             self._agg_cache[cache_key] = cached
         return cached
 
-    def publishers_per_value(self, key: GroupKey) -> Dict[object, int]:
+    def publishers_per_value(self, key: ColumnRef) -> Dict[object, int]:
         """Distinct publishers observed per value of ``key``.
 
         Backs the "% of publishers supporting X" series without
@@ -319,35 +270,21 @@ class Dataset:
         cache_key = ("publishers_per_value", _cache_token(key))
         cached = self._agg_cache.get(cache_key)
         if cached is None:
-            if self._store is not None and not callable(key):
-                obs.counter("dataset.columnar_hits").inc()
-                v_codes, v_values = self._store.codes_for(key)
-                p_codes, _ = self._store.field_codes("publisher_id")
-                pairs = distinct_pairs(
-                    v_codes, len(v_values), p_codes, self._store_n_pub(),
-                    self._mask,
-                )
-                counts = np.bincount(
-                    pairs // np.int64(max(self._store_n_pub(), 1)),
-                    minlength=len(v_values),
-                )
-                cached = {
-                    v_values[i]: int(counts[i])
-                    for i in np.flatnonzero(counts > 0)
-                }
-            else:
-                fn = _row_fn(key)
-                sets: Dict[object, Set[str]] = {}
-                for record in self.records:
-                    value = fn(record)
-                    if value is None:
-                        continue
-                    sets.setdefault(value, set()).add(record.publisher_id)
-                cached = {v: len(pubs) for v, pubs in sets.items()}
+            obs.counter("dataset.columnar_hits").inc()
+            entries = self._entries(key)
+            p_codes, p_values = self._store.field_codes("publisher_id")
+            counts = distinct_pair_counts(
+                entries.codes, len(entries.values),
+                p_codes[entries.rows], len(p_values),
+            )
+            cached = {
+                entries.values[i]: int(counts[i])
+                for i in np.flatnonzero(counts > 0)
+            }
             self._agg_cache[cache_key] = cached
         return dict(cached)
 
-    def values_per_publisher(self, key: GroupKey) -> Dict[str, int]:
+    def values_per_publisher(self, key: ColumnRef) -> Dict[str, int]:
         """Distinct values of ``key`` observed per publisher.
 
         Backs the Figs 3a/9a/12a per-publisher instance counts.
@@ -355,31 +292,17 @@ class Dataset:
         cache_key = ("values_per_publisher", _cache_token(key))
         cached = self._agg_cache.get(cache_key)
         if cached is None:
-            if self._store is not None and not callable(key):
-                obs.counter("dataset.columnar_hits").inc()
-                v_codes, v_values = self._store.codes_for(key)
-                p_codes, p_values = self._store.field_codes("publisher_id")
-                pairs = distinct_pairs(
-                    p_codes, len(p_values), v_codes, len(v_values),
-                    self._mask,
-                )
-                counts = np.bincount(
-                    pairs // np.int64(max(len(v_values), 1)),
-                    minlength=len(p_values),
-                )
-                cached = {
-                    str(p_values[i]): int(counts[i])
-                    for i in np.flatnonzero(counts > 0)
-                }
-            else:
-                fn = _row_fn(key)
-                sets: Dict[str, Set[object]] = {}
-                for record in self.records:
-                    value = fn(record)
-                    if value is None:
-                        continue
-                    sets.setdefault(record.publisher_id, set()).add(value)
-                cached = {p: len(vals) for p, vals in sets.items()}
+            obs.counter("dataset.columnar_hits").inc()
+            entries = self._entries(key)
+            p_codes, p_values = self._store.field_codes("publisher_id")
+            counts = distinct_pair_counts(
+                p_codes[entries.rows], len(p_values),
+                entries.codes, len(entries.values),
+            )
+            cached = {
+                str(p_values[i]): int(counts[i])
+                for i in np.flatnonzero(counts > 0)
+            }
             self._agg_cache[cache_key] = cached
         return dict(cached)
 
@@ -399,7 +322,7 @@ class Dataset:
                 )
             unit = dataclasses.replace(record, weight=1.0)
             exploded.extend([unit] * int(round(weight)))
-        return Dataset(exploded, columnar=self.columnar)
+        return type(self)(exploded)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -468,43 +391,53 @@ class Dataset:
             raise DatasetError(f"dataset file not found: {path}")
         opener = gzip.open if path.suffix == ".gz" else io.open
         records: List[ViewRecord] = []
-        with opener(path, "rt", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                if limit is not None and len(records) >= limit:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(ViewRecord.from_json(line))
-                except DatasetError as exc:
-                    raise DatasetError(
-                        f"{path}:{line_number}: {exc}"
-                    ) from exc
+        try:
+            with opener(path, "rt", encoding="utf-8") as handle:
+                for line_number, line in enumerate(handle, start=1):
+                    if limit is not None and len(records) >= limit:
+                        break
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        records.append(ViewRecord.from_json(line))
+                    except DatasetError as exc:
+                        raise DatasetError(
+                            f"{path}:{line_number}: {exc}"
+                        ) from exc
+        # A directory, a truncated or corrupt gzip stream, or bytes
+        # that are not UTF-8.
+        except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
+            raise DatasetError(
+                f"{path}: unreadable dataset file: {exc}"
+            ) from exc
         return cls(records)
 
     # ------------------------------------------------------------------
     # Internal
     # ------------------------------------------------------------------
 
-    def _store_n_pub(self) -> int:
-        assert self._store is not None
-        _, values = self._store.field_codes("publisher_id")
-        return len(values)
+    def _field_codes(
+        self, field: str
+    ) -> Tuple[np.ndarray, Tuple[object, ...]]:
+        """This view's per-record codes of a stored field, and its values."""
+        codes, values = self._store.field_codes(field)
+        if self._mask is not None:
+            codes = codes[self._mask]
+        return codes, values
+
+    def _entries(self, key: ColumnRef) -> Entries:
+        """This view's entries of a stored field or derived column."""
+        return self._store.entries(key).where(self._mask)
 
     def _total(self, measure: str) -> float:
         cache_key = ("total", measure)
         cached = self._agg_cache.get(cache_key)
         if cached is None:
-            if self._store is not None:
-                column = self._store.numeric(measure)
-                if self._mask is not None:
-                    column = column[self._mask]
-                cached = float(np.sum(column))
-            elif measure == "view_hours":
-                cached = sum(r.view_hours for r in self.records)
-            else:
-                cached = sum(r.views for r in self.records)
+            column = self._store.numeric(measure)
+            if self._mask is not None:
+                column = column[self._mask]
+            cached = float(np.sum(column))
             self._agg_cache[cache_key] = cached
         return cached
 
@@ -514,47 +447,23 @@ class Dataset:
             # every return value (including None) is a group.
             obs.counter("dataset.row_fallbacks").inc()
             totals: Dict[object, float] = {}
-            attr = "view_hours" if measure == "view_hours" else "views"
             for record in self.records:
                 value = key(record)
                 totals[value] = totals.get(value, 0.0) + getattr(
-                    record, attr
+                    record, measure
                 )
             return totals
         cache_key = (measure, _cache_token(key))
         cached = self._agg_cache.get(cache_key)
         if cached is None:
-            if self._store is not None:
-                obs.counter("dataset.columnar_hits").inc()
-                codes, values = self._store.codes_for(key)
-                cached = grouped_sum(
-                    codes, values, self._store.numeric(measure), self._mask
-                )
-            else:
-                fn = _row_fn(key)
-                attr = "view_hours" if measure == "view_hours" else "views"
-                cached = {}
-                for record in self.records:
-                    value = fn(record)
-                    if value is None:
-                        continue
-                    cached[value] = cached.get(value, 0.0) + getattr(
-                        record, attr
-                    )
+            obs.counter("dataset.columnar_hits").inc()
+            cached = grouped_sum(
+                self._entries(key), self._store.numeric(measure)
+            )
             self._agg_cache[cache_key] = cached
         return dict(cached)
 
 
-def _cache_token(key: GroupKey) -> object:
-    """Hashable cache identity of a non-callable grouping key."""
+def _cache_token(key: ColumnRef) -> object:
+    """Hashable cache identity of a column."""
     return key.name if isinstance(key, ColumnKey) else key
-
-
-def _row_fn(key: GroupKey) -> Callable[[ViewRecord], object]:
-    """Row-path evaluator matching the columnar scope semantics."""
-    if isinstance(key, ColumnKey):
-        return key.fn
-    if callable(key):
-        return key
-    field = str(key)
-    return lambda record: getattr(record, field)

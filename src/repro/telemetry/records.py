@@ -15,6 +15,7 @@ any aggregate (the weight-invariance property is tested).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from datetime import date
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -50,22 +51,36 @@ class ViewRecord:
     connection: ConnectionType = ConnectionType.WIFI
 
     def __post_init__(self) -> None:
+        # The range checks are written so that NaN fails them too: a
+        # single non-finite measure would poison every total.
         if not self.publisher_id:
             raise DatasetError("record missing publisher_id")
         if not self.url:
             raise DatasetError("record missing url")
         if not self.cdn_names:
             raise DatasetError("record missing CDN names")
-        if self.view_duration_hours < 0:
-            raise DatasetError("view duration must be non-negative")
-        if self.weight <= 0:
-            raise DatasetError("record weight must be positive")
+        if not 0.0 <= self.view_duration_hours < math.inf:
+            raise DatasetError(
+                "view duration must be finite and non-negative: "
+                f"{self.view_duration_hours}"
+            )
+        if not 0.0 < self.weight < math.inf:
+            raise DatasetError(
+                f"record weight must be finite and positive: {self.weight}"
+            )
         if not 0.0 <= self.rebuffer_ratio <= 1.0:
             raise DatasetError(
                 f"rebuffer ratio out of range: {self.rebuffer_ratio}"
             )
-        if self.avg_bitrate_kbps < 0:
-            raise DatasetError("average bitrate must be non-negative")
+        if not 0.0 <= self.avg_bitrate_kbps < math.inf:
+            raise DatasetError(
+                "average bitrate must be finite and non-negative: "
+                f"{self.avg_bitrate_kbps}"
+            )
+        if not all(map(math.isfinite, self.bitrate_ladder_kbps)):
+            raise DatasetError(
+                f"non-finite ladder rung: {self.bitrate_ladder_kbps}"
+            )
 
     @property
     def view_hours(self) -> float:
@@ -123,7 +138,7 @@ class ViewRecord:
                 geo=data.get("geo"),
                 connection=ConnectionType(data.get("connection", "wifi")),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise DatasetError(f"malformed view record: {exc}") from exc
 
     @classmethod
@@ -132,4 +147,8 @@ class ViewRecord:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"record is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise DatasetError(
+                f"record is not a JSON object: {type(data).__name__}"
+            )
         return cls.from_json_dict(data)

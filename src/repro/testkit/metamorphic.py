@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, Set
+from typing import Dict
 
 from repro.core import prevalence as prevalence_mod
 from repro.core import summary as summary_mod
@@ -49,23 +49,6 @@ def _dimensions() -> Dict[str, Dimension]:
         "platform": PlatformDimension(),
         "cdn": CdnDimension(),
     }
-
-
-def _publisher_counts(dataset: Dataset, dimension: Dimension) -> Dict[object, int]:
-    """Distinct publishers per dimension value (latest-snapshot cut).
-
-    Uses the vectorized ``publishers_per_value`` path when the
-    dimension publishes a column key and the generic row path for the
-    multi-valued CDN dimension — the same split the prevalence
-    analyses make.
-    """
-    if dimension.column_key is not None and dataset.columnar:
-        return dataset.publishers_per_value(dimension.column_key)
-    sets: Dict[object, Set[str]] = {}
-    for record in dataset.records:
-        for value in dimension.values(record):
-            sets.setdefault(value, set()).add(record.publisher_id)
-    return {value: len(pubs) for value, pubs in sets.items()}
 
 
 @oracle(
@@ -129,8 +112,8 @@ def subset_monotonicity(run: ScenarioRun, check: Check) -> str:
     )
     compared = 0
     for name, dimension in sorted(_dimensions().items()):
-        full = _publisher_counts(latest, dimension)
-        sub = _publisher_counts(subset, dimension)
+        full = latest.publishers_per_value(dimension.column_key)
+        sub = subset.publishers_per_value(dimension.column_key)
         check.that(
             set(sub) <= set(full),
             f"{name}: exclusion invented new values "

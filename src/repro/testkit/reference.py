@@ -1,4 +1,4 @@
-"""Scalar references that the vectorized playback kernels are checked against.
+"""Straightforward references that the vectorized kernels are checked against.
 
 :func:`repro.playback.session.simulate_sessions` advances a whole batch
 of sessions one chunk at a time with numpy, and
@@ -7,20 +7,29 @@ draws its congestion uniforms in blocks.  Both promise bit-identical
 results to the straightforward per-chunk loops kept here: the
 ``playback-batch-vs-scalar`` oracle and the Hypothesis differential
 suite compare the two exactly, floats and generator state included.
+
+:class:`~repro.telemetry.dataset.Dataset` slices and aggregates on its
+column store; :class:`RowDataset` does the same by scanning records,
+and the ``row-vs-columnar`` oracle, the perf parity suite and
+``benchmarks/bench_dataset.py`` compare the two.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from datetime import date
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.delivery.network import NetworkPath
 from repro.entities.ladder import BitrateLadder
-from repro.errors import DeliveryError
+from repro.errors import DatasetError, DeliveryError
 from repro.playback.abr import AbrAlgorithm, AbrState, ThroughputAbr
 from repro.playback.session import SessionConfig, SessionResult
+from repro.telemetry.columnar import ColumnKey, ColumnRef
+from repro.telemetry.dataset import Dataset, GroupKey
+from repro.telemetry.records import ViewRecord
 
 
 def chunk_throughputs_per_chunk(
@@ -137,4 +146,98 @@ def simulate_session_scalar(
     )
 
 
-__all__ = ["chunk_throughputs_per_chunk", "simulate_session_scalar"]
+class RowDataset(Dataset):
+    """The row-at-a-time reference for :class:`Dataset`.
+
+    Every slice is a new ``RowDataset`` of the matching records, and
+    every aggregation is a Python loop over them; nothing is memoized
+    and the column store is never read.  A derived column splits a
+    record with k values into k shares of 1/k, as the store does.
+    """
+
+    def snapshots(self) -> List[date]:
+        return sorted({r.snapshot for r in self.records})
+
+    def for_snapshot(self, snapshot: date) -> "RowDataset":
+        subset = RowDataset(r for r in self.records if r.snapshot == snapshot)
+        if not len(subset):
+            raise DatasetError(f"no records for snapshot {snapshot}")
+        return subset
+
+    def filter(self, predicate: Callable[[ViewRecord], bool]) -> "RowDataset":
+        return RowDataset(r for r in self.records if predicate(r))
+
+    def exclude_publishers(self, publisher_ids: Iterable[str]) -> "RowDataset":
+        excluded = frozenset(publisher_ids)
+        return self.filter(lambda r: r.publisher_id not in excluded)
+
+    def publishers(self) -> Set[str]:
+        return {r.publisher_id for r in self.records}
+
+    def distinct_video_ids(self, publisher_id: Optional[str] = None) -> int:
+        return len(
+            {
+                r.video_id
+                for r in self.records
+                if publisher_id is None or r.publisher_id == publisher_id
+            }
+        )
+
+    def publishers_per_value(self, key: ColumnRef) -> Dict[object, int]:
+        sets: Dict[object, Set[str]] = {}
+        for record in self.records:
+            for value in _row_values(key, record):
+                sets.setdefault(value, set()).add(record.publisher_id)
+        return {value: len(pubs) for value, pubs in sets.items()}
+
+    def values_per_publisher(self, key: ColumnRef) -> Dict[str, int]:
+        sets: Dict[str, Set[object]] = {}
+        for record in self.records:
+            for value in _row_values(key, record):
+                sets.setdefault(record.publisher_id, set()).add(value)
+        return {pub: len(values) for pub, values in sets.items()}
+
+    # _total and the field-key loop in _grouped keep the row path's
+    # original per-record cost (for a field: a lambda and two getattrs):
+    # bench_dataset.py's speedup floors and first-call ceiling are
+    # calibrated against it.
+
+    def _total(self, measure: str) -> float:
+        if measure == "view_hours":
+            return sum(r.view_hours for r in self.records)
+        return sum(r.views for r in self.records)
+
+    def _grouped(self, measure: str, key: GroupKey) -> Dict[object, float]:
+        totals: Dict[object, float] = {}
+        if isinstance(key, ColumnKey):
+            for record in self.records:
+                values = key.fn(record)
+                for value in values:
+                    totals[value] = totals.get(value, 0.0) + getattr(
+                        record, measure
+                    ) * (1.0 / len(values))
+            return totals
+        if callable(key):
+            return super()._grouped(measure, key)
+        fn = lambda record: getattr(record, key)  # noqa: E731
+        for record in self.records:
+            value = fn(record)
+            if value is None:
+                continue
+            totals[value] = totals.get(value, 0.0) + getattr(record, measure)
+        return totals
+
+
+def _row_values(key: ColumnRef, record: ViewRecord) -> Tuple[object, ...]:
+    """A column's values for one record; a ``None`` field is out of scope."""
+    if isinstance(key, ColumnKey):
+        return key.fn(record)
+    value = getattr(record, key)
+    return () if value is None else (value,)
+
+
+__all__ = [
+    "RowDataset",
+    "chunk_throughputs_per_chunk",
+    "simulate_session_scalar",
+]

@@ -35,9 +35,9 @@ from repro import figures, obs
 from repro.errors import TestkitError
 from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator, EcosystemResult
-from repro.telemetry.dataset import Dataset
 from repro.telemetry.faults import FaultInjector, FaultMix
 from repro.telemetry.records import ViewRecord
+from repro.testkit.reference import RowDataset
 
 Rows = List[Dict[str, object]]
 
@@ -176,9 +176,7 @@ class ScenarioRun:
             elif which == "row":
                 built = dataclasses.replace(
                     self.result,
-                    dataset=Dataset(
-                        self.result.dataset.records, columnar=False
-                    ),
+                    dataset=RowDataset(self.result.dataset.records),
                 )
             elif which == "perturbed":
                 if spec.perturb is None:
@@ -200,7 +198,8 @@ class ScenarioRun:
         return self._build("alt-seed")
 
     def row_result(self) -> EcosystemResult:
-        """The base build with its dataset on the row backend."""
+        """The base build with its dataset on the row-at-a-time
+        reference (:class:`~repro.testkit.reference.RowDataset`)."""
         return self._build("row")
 
     def perturbed_result(self) -> EcosystemResult:

@@ -44,8 +44,10 @@ FAST_CONFIG = dict(
 
 @pytest.fixture
 def global_obs():
-    """Enable the process-global obs context; restore defaults after."""
+    """Enable the process-global obs context with nothing recorded yet
+    (earlier tests may leave spans behind); restore defaults after."""
     ctx = obs.configure(enabled=True, clock=FakeClock())
+    ctx.reset()
     yield ctx
     ctx.configure(enabled=False)
     ctx.reset()

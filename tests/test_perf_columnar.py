@@ -1,13 +1,14 @@
 """Performance suite: columnar/row parity and parallel determinism.
 
-Three guarantees back the columnar backend (DESIGN.md §8):
+Three guarantees back the column store (DESIGN.md §10):
 
 * **mask views** — ``filter``/``for_snapshot``/``exclude_publishers``
   return zero-copy views sharing the parent's column store, and views
   compose arbitrarily;
 * **parity** — every figure and every dataset aggregation returns the
-  same answer on the vectorized path as on the row-at-a-time path
-  (floats compared with ``isclose``: summation order differs);
+  same answer on the column store as on the row-at-a-time reference,
+  :class:`~repro.testkit.reference.RowDataset` (floats compared with
+  ``isclose``: summation order differs);
 * **determinism** — a parallel (``jobs=N``) synthesis is byte-identical
   to the serial build.
 """
@@ -26,9 +27,10 @@ from hypothesis import strategies as st
 
 from repro import figures, obs
 from repro.constants import ContentType
-from repro.core.dimensions import PROTOCOL_COLUMN
+from repro.core.dimensions import PROTOCOL_COLUMN, CdnDimension
 from repro.synthesis.generator import generate_default_dataset
 from repro.telemetry.dataset import Dataset
+from repro.testkit.reference import RowDataset
 from tests.test_telemetry_records import make_record
 
 pytestmark = pytest.mark.perf
@@ -82,10 +84,9 @@ def _dicts_close(a, b, rel=1e-9):
 
 
 def _row_backed(result):
-    """The same ecosystem with the dataset on the row backend."""
+    """The same ecosystem with the dataset on the row reference."""
     return dataclasses.replace(
-        result,
-        dataset=Dataset(result.dataset.records, columnar=False),
+        result, dataset=RowDataset(result.dataset.records)
     )
 
 
@@ -195,16 +196,20 @@ class TestMaskViews:
 
 
 # ---------------------------------------------------------------------------
-# Row/columnar aggregation parity (property-based)
+# Row-reference/column-store aggregation parity (property-based)
 # ---------------------------------------------------------------------------
 
 _SNAPSHOTS = (date(2016, 1, 4), date(2017, 1, 2), date(2018, 3, 12))
+_PUBLISHERS = ("p1", "p2", "p3", "p4")
 
 _record_st = st.builds(
     make_record,
     snapshot=st.sampled_from(_SNAPSHOTS),
-    publisher_id=st.sampled_from(("p1", "p2", "p3", "p4")),
+    publisher_id=st.sampled_from(_PUBLISHERS),
     video_id=st.sampled_from(("vid_a", "vid_b", "vid_c")),
+    cdn_names=st.lists(
+        st.sampled_from(("A", "B", "C")), min_size=1, max_size=3
+    ).map(tuple),
     weight=st.integers(min_value=1, max_value=5).map(float),
     view_duration_hours=st.floats(
         min_value=0.01, max_value=4.0, allow_nan=False
@@ -219,7 +224,7 @@ class TestAggregationParity:
     @settings(max_examples=50, deadline=None)
     def test_aggregations_agree(self, records):
         columnar = Dataset(records)
-        row = Dataset(records, columnar=False)
+        row = RowDataset(records)
         assert columnar.snapshots() == row.snapshots()
         assert columnar.publishers() == row.publishers()
         assert columnar.total_view_hours() == pytest.approx(
@@ -246,12 +251,46 @@ class TestAggregationParity:
             "video_id"
         ) == row.values_per_publisher("video_id")
 
+    @given(
+        records=st.lists(_record_st, min_size=1, max_size=40),
+        dropped=st.sets(st.sampled_from(_PUBLISHERS), max_size=2),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_multi_valued_column_agrees(self, records, dropped):
+        """A view's k CDNs each carry 1/k of it, in record order, so the
+        store's sums equal the row loop's exactly."""
+        records = [
+            *records,
+            make_record(publisher_id="p1", cdn_names=("B", "B", "C")),
+        ]
+        key = CdnDimension.column_key
+        columnar, row = Dataset(records), RowDataset(records)
+        snapshot = records[0].snapshot
+        views = [
+            (columnar, row),
+            (columnar.for_snapshot(snapshot), row.for_snapshot(snapshot)),
+            (
+                columnar.exclude_publishers(dropped),
+                row.exclude_publishers(dropped),
+            ),
+        ]
+        methods = (
+            "view_hours_by",
+            "views_by",
+            "publishers_per_value",
+            "values_per_publisher",
+        )
+        for col_view, row_view in views:
+            for method in methods:
+                assert getattr(col_view, method)(key) == getattr(
+                    row_view, method
+                )(key), method
+
     @given(records=st.lists(_record_st, min_size=1, max_size=15))
     @settings(max_examples=25, deadline=None)
     def test_explode_preserves_aggregations(self, records):
         weighted = Dataset(records)
         exploded = weighted.explode()
-        assert exploded.columnar
         assert len(exploded) == int(
             sum(r.weight for r in records)
         )
@@ -271,13 +310,13 @@ class TestAggregationParity:
     @settings(max_examples=25, deadline=None)
     def test_callable_keys_fall_back_identically(self, records):
         columnar = Dataset(records)
-        row = Dataset(records, columnar=False)
+        row = RowDataset(records)
         key = lambda r: (r.publisher_id, r.content_type)  # noqa: E731
         _dicts_close(columnar.view_hours_by(key), row.view_hours_by(key))
 
 
 # ---------------------------------------------------------------------------
-# Figure parity across seeds (row backend vs columnar backend)
+# Figure parity across seeds (row reference vs column store)
 # ---------------------------------------------------------------------------
 
 

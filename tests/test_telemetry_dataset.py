@@ -1,5 +1,7 @@
 """The Dataset container (repro.telemetry.dataset)."""
 
+import json
+import math
 from datetime import date
 
 import pytest
@@ -194,6 +196,72 @@ class TestLoadLimit:
         # The argument error wins over the missing-file error.
         with pytest.raises(DatasetError, match=">= 0"):
             Dataset.load(tmp_path / "absent.jsonl", limit=-5)
+
+
+class TestLoadErrors:
+    """Every unreadable input surfaces as a DatasetError with its location."""
+
+    @staticmethod
+    def _line(**overrides):
+        data = make_record().to_json_dict()
+        data.update(overrides)
+        return json.dumps(data)
+
+    def _load_error(self, path):
+        with pytest.raises(DatasetError) as excinfo:
+            Dataset.load(path)
+        assert str(path) in str(excinfo.value)
+        return str(excinfo.value)
+
+    def test_truncated_gzip(self, small_dataset, tmp_path):
+        path = tmp_path / "cut.jsonl.gz"
+        small_dataset.save(path)
+        path.write_bytes(path.read_bytes()[:-12])
+        self._load_error(path)
+
+    @pytest.mark.parametrize(
+        "payload", [b"not gzip at all\n", b"\x1f\x8b\x63garbage"]
+    )
+    def test_gz_file_that_is_not_gzip(self, tmp_path, payload):
+        path = tmp_path / "fake.jsonl.gz"
+        path.write_bytes(payload)
+        self._load_error(path)
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "latin.jsonl"
+        path.write_bytes(self._line().encode() + b"\n\xff\xfe\n")
+        self._load_error(path)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "42"])
+    def test_line_that_is_not_an_object(self, tmp_path, line):
+        path = tmp_path / "scalar.jsonl"
+        path.write_text(self._line() + "\n" + line + "\n")
+        assert f"{path}:2" in self._load_error(path)
+
+    def test_cdn_names_not_a_list(self, tmp_path):
+        path = tmp_path / "cdn.jsonl"
+        path.write_text(self._line(cdn_names=5) + "\n")
+        assert f"{path}:1" in self._load_error(path)
+
+    def test_directory_path(self, tmp_path):
+        self._load_error(tmp_path)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"view_duration_hours": math.nan},
+            {"view_duration_hours": math.inf},
+            {"weight": math.nan},
+            {"weight": math.inf},
+            {"avg_bitrate_kbps": math.nan},
+            {"bitrate_ladder_kbps": [150.0, math.nan, 2400.0]},
+        ],
+        ids=lambda o: f"{next(iter(o))}={next(iter(o.values()))}",
+    )
+    def test_non_finite_measures(self, tmp_path, overrides):
+        path = tmp_path / "nan.jsonl"
+        path.write_text(self._line() + "\n" + self._line(**overrides) + "\n")
+        assert f"{path}:2" in self._load_error(path)
 
 
 class TestRepr:

@@ -1,5 +1,6 @@
 """View records and their serialization (repro.telemetry.records)."""
 
+import math
 from datetime import date
 
 import pytest
@@ -77,6 +78,23 @@ class TestValidation:
     def test_negative_bitrate(self):
         with pytest.raises(DatasetError):
             make_record(avg_bitrate_kbps=-1)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"view_duration_hours": math.nan},
+            {"view_duration_hours": math.inf},
+            {"weight": math.nan},
+            {"weight": math.inf},
+            {"avg_bitrate_kbps": math.nan},
+            {"bitrate_ladder_kbps": (150.0, math.nan)},
+            {"bitrate_ladder_kbps": (math.inf,)},
+        ],
+        ids=lambda o: f"{next(iter(o))}={next(iter(o.values()))}",
+    )
+    def test_non_finite_values_rejected(self, overrides):
+        with pytest.raises(DatasetError):
+            make_record(**overrides)
 
 
 class TestSerialization:
