@@ -9,7 +9,8 @@ calibrated size that yields Fig 18's ~1916 TB of origin storage.
 
 from __future__ import annotations
 
-from typing import List
+from bisect import bisect_left
+from typing import List, Sequence
 
 import numpy as np
 
@@ -60,26 +61,29 @@ def video_id_for(publisher_id: str, index: int) -> str:
     return f"vid_{publisher_id}_{index:05d}"
 
 
-#: Cached Zipf CDFs keyed by (catalogue size, exponent); the sampler
-#: calls this for every record, so rebuilding the weights would
-#: dominate generation time.
-_ZIPF_CDF_CACHE: dict = {}
+def zipf_cdf(catalogue_size: int, zipf_s: float = 1.1) -> List[float]:
+    """Cumulative Zipf popularity of a catalogue's titles, by rank.
+
+    A list, so :func:`sample_video_index` can search it with
+    :func:`bisect.bisect_left`; the session sampler keeps one per
+    catalogue size for the length of a build.
+    """
+    ranks = np.arange(1, catalogue_size + 1, dtype=float)
+    weights = ranks**-zipf_s
+    return np.cumsum(weights / weights.sum()).tolist()
 
 
-def sample_video_index(
-    rng: np.random.Generator, catalogue_size: int, zipf_s: float = 1.1
-) -> int:
-    """Zipf-biased title index: a few titles get most views."""
-    if catalogue_size <= 1:
+def sample_video_index(rng: np.random.Generator, cdf: Sequence[float]) -> int:
+    """Zipf-biased title index: a few titles get most views.
+
+    ``cdf`` is the catalogue's :func:`zipf_cdf`.  One ``rng.random()``
+    (the double ``rng.uniform()`` returns) located with ``bisect_left``,
+    the search ``np.searchsorted(cdf, u, side="left")`` makes; a
+    one-title catalogue draws nothing.
+    """
+    if len(cdf) <= 1:
         return 0
-    key = (catalogue_size, zipf_s)
-    cdf = _ZIPF_CDF_CACHE.get(key)
-    if cdf is None:
-        ranks = np.arange(1, catalogue_size + 1, dtype=float)
-        weights = ranks**-zipf_s
-        cdf = np.cumsum(weights / weights.sum())
-        _ZIPF_CDF_CACHE[key] = cdf
-    return int(np.searchsorted(cdf, rng.uniform(), side="left"))
+    return bisect_left(cdf, rng.random())
 
 
 def build_case_catalogue(rng: np.random.Generator) -> Catalogue:

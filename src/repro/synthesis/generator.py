@@ -8,9 +8,9 @@ the syndication case-study definition, which publishers drive DASH).
 
 Snapshot synthesis is embarrassingly parallel: every snapshot draws
 from its own RNG stream, spawned from the seed by
-:func:`repro.parallel.spawn_streams`, and the sampler resets its
-per-snapshot state between batches.  ``generate(jobs=N)`` fans the
-snapshot loop out through :func:`repro.parallel.parallel_map`;
+:func:`repro.parallel.spawn_streams`, and the sampler carries no
+per-snapshot state from one batch to the next.  ``generate(jobs=N)``
+fans the snapshot loop out through :func:`repro.parallel.parallel_map`;
 because each stream is independent of execution order, a parallel build
 is byte-identical to the serial one (the determinism suite asserts
 equality of the saved JSONL and of every figure's rows).

@@ -6,6 +6,11 @@ splits the publisher's two-day view-hours across those cells using the
 calibrated time-varying weights, and emits weighted view records with
 realistic URLs, devices, SDK versions, CDNs, durations and QoE.
 
+The sequence of draws a snapshot makes from its generator is the
+dataset's identity: DESIGN.md §16 lists it record by record, and
+``repro.testkit.reference.ScalarSessionSampler`` keeps the plain
+per-record loop the sampler is checked against.
+
 The §6 case-study records (Figs 15-17) are generated separately via the
 playback simulator so that owner/syndicator QoE differences *emerge*
 from their ladder choices rather than being painted on.
@@ -14,6 +19,8 @@ from their ladder choices rather than being painted on.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from datetime import date
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
@@ -46,6 +53,7 @@ from repro.synthesis.catalogues import (
     publisher_ladder,
     sample_video_index,
     video_id_for,
+    zipf_cdf,
 )
 from repro.synthesis.population import size_decade, size_rank_percentile
 from repro.synthesis.portfolios import PortfolioAssigner
@@ -72,6 +80,171 @@ _PLATFORM_THROUGHPUT_MEDIAN = {
 
 _APPLE_FAMILIES = frozenset({"ios", "appletv"})
 
+#: Number of strata for duration sampling (see ``_stratified_duration``).
+_DURATION_STRATA = 8
+
+#: Share of views that download chunks from two CDNs (§3).
+_MULTI_CDN_SHARE = 0.06
+
+#: Log-sd of a record's throughput around its platform median.
+_THROUGHPUT_SIGMA = 0.6
+
+#: The average bitrate is the sustainable rate times U(low, high);
+#: numpy's ``uniform(low, high)`` returns ``low + (high - low) * u``.
+_BITRATE_FACTOR_LOW = 0.72
+_BITRATE_FACTOR_SPAN = 0.95 - 0.72
+
+_ISPS = tuple(f"isp_{i:02d}" for i in range(12))
+_GEOS = ("CA", "NY", "TX", "UK", "DE", "IN", "BR")
+_CONNECTIONS = (
+    ConnectionType.WIFI,
+    ConnectionType.CELLULAR_4G,
+    ConnectionType.WIRED,
+)
+
+
+def choice_cdf(p: Sequence[float]) -> List[float]:
+    """The cdf ``Generator.choice(a, p=p)`` searches, as a list.
+
+    ``choice`` draws one ``random()`` and returns ``a[i]`` for
+    ``i = cdf.searchsorted(u, side="right")`` over ``cdf = p.cumsum();
+    cdf /= cdf[-1]``.  The same operations here make
+    ``a[bisect_right(cdf, rng.random())]`` that exact draw, without
+    ``choice``'s per-call validation.
+    """
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+_CONNECTION_CDF = choice_cdf((0.55, 0.25, 0.20))
+
+
+def sample_without_replacement(
+    rng: np.random.Generator, n: int, k: int
+) -> List[int]:
+    """``rng.choice(n, size=k, replace=False)``, draw for draw.
+
+    For ``n`` up to 10,000 (device families hold a handful of models)
+    numpy's ``choice`` runs Floyd's algorithm: for ``j`` in
+    ``[n - k, n)`` it draws ``integers(j + 1)`` and keeps the draw, or
+    ``j`` when the draw repeats an earlier pick; then it shuffles the
+    picks with one ``integers(i + 1)`` per position ``i = k - 1 .. 1``.
+    The same bounded draws here skip ``choice``'s hash-set and array
+    set-up.
+    """
+    picks: List[int] = []
+    for j in range(n - k, n):
+        drawn = int(rng.integers(j + 1))
+        picks.append(j if drawn in picks else drawn)
+    for i in range(k - 1, 0, -1):
+        swap = int(rng.integers(i + 1))
+        picks[i], picks[swap] = picks[swap], picks[i]
+    return picks
+
+
+#: One device family of a (publisher, platform): its eligible models,
+#: its share of the platform's view-hours and how many models a cell
+#: samples from it.
+_Family = Tuple[List[Device], float, int]
+
+#: The CDNs serving one content type: names, hostnames, ``choice`` cdf.
+_CdnTable = Tuple[Tuple[str, ...], Tuple[str, ...], List[float]]
+
+
+def _stratified_duration(
+    rng: np.random.Generator,
+    pool: List[int],
+    tilted_log_median: float,
+    sigma: float,
+) -> float:
+    """Length-biased lognormal duration draw, stratified.
+
+    Records carry ``weight = view_hours / duration`` so that the
+    calibrated view-hour splits are *exact*.  Weighting by 1/d tilts the
+    observed duration distribution by a factor 1/d, so the draw itself
+    is taken from the length-biased lognormal (``tilted_log_median`` =
+    log(median) + sigma^2); after 1/d weighting the views-weighted
+    duration distribution is exactly the target lognormal of Fig 8.
+
+    Draws cycle through shuffled quantile strata per (publisher,
+    platform, family), which tempers the view-count noise of families
+    with few records (Fig 6c).  An empty ``pool`` is refilled in place
+    with ``range(8)`` shuffled by ``rng.shuffle``, the swaps
+    ``rng.permutation(8)`` makes: consecutive draws cover every stratum,
+    in an order that never aligns with the record-generation order.
+    """
+    if not pool:
+        pool.extend(range(_DURATION_STRATA))
+        rng.shuffle(pool)
+    u = (pool.pop() + rng.random()) / _DURATION_STRATA
+    u = min(max(u, 1e-9), 1.0 - 1e-9)
+    return float(np.exp(tilted_log_median + sigma * ndtri(u)))
+
+
+def _pick_cdns(
+    rng: np.random.Generator, table: _CdnTable
+) -> Tuple[Tuple[str, ...], str]:
+    """The view's CDNs and the first one's hostname.
+
+    ``((), "")``, without a draw, when no CDN serves the content type.
+    """
+    names, hosts, cdf = table
+    if not names:
+        return (), ""
+    i = bisect_right(cdf, rng.random())
+    if len(names) > 1 and rng.random() < _MULTI_CDN_SHARE:
+        others = names[:i] + names[i + 1 :]
+        return (names[i], others[rng.integers(len(others))]), hosts[i]
+    return (names[i],), hosts[i]
+
+
+@dataclass
+class _PublisherDraws:
+    """One publisher's sampling tables and state for one snapshot.
+
+    The tables (CDN cdfs, title cdfs, ladder, SDK versions) are constant
+    across the publisher's cells; the duration strata pools and SDK
+    round-robin cursors start empty every snapshot, so a snapshot is a
+    pure function of the construction-time state and its stream.
+    """
+
+    publisher_id: str
+    content_split: List[Tuple[ContentType, float, _CdnTable]]
+    owners: Tuple[str, ...]
+    owner_cdfs: Tuple[List[float], ...]
+    title_cdf: List[float]
+    owner_ref: Optional[str]
+    rungs: Tuple[float, ...]
+    top_kbps: float
+    sdk_versions: Dict[str, Tuple[str, ...]]
+    strata: Dict[Tuple[Platform, str], List[int]] = field(default_factory=dict)
+    sdk_cursor: Dict[Optional[str], int] = field(default_factory=dict)
+
+    def video(
+        self, rng: np.random.Generator
+    ) -> Tuple[str, bool, Optional[str]]:
+        """Video ID, syndicated flag and owner of one view."""
+        owners = self.owners
+        if owners and rng.random() < cal.SYNDICATED_VIEW_SHARE:
+            k = rng.integers(len(owners))
+            index = sample_video_index(rng, self.owner_cdfs[k])
+            return video_id_for(owners[k], index), True, owners[k]
+        index = sample_video_index(rng, self.title_cdf)
+        return video_id_for(self.publisher_id, index), False, self.owner_ref
+
+    def sdk_version(self, sdk_name: Optional[str]) -> str:
+        """Round-robin through the publisher's versions of one SDK.
+
+        Cycling guarantees that, given enough records, every maintained
+        version shows up in telemetry — which is what lets the Fig 13c
+        unique-SDKs metric be measured from the dataset.
+        """
+        versions = self.sdk_versions.get(sdk_name, ("1.0",))
+        cursor = self.sdk_cursor.get(sdk_name, 0)
+        self.sdk_cursor[sdk_name] = cursor + 1
+        return versions[cursor % len(versions)]
+
 
 class SessionSampler:
     """Samples weighted view records for the whole study."""
@@ -87,7 +260,6 @@ class SessionSampler:
         syndicator_owners: Mapping[str, Tuple[str, ...]],
         case_study: Optional[CaseStudy] = None,
     ) -> None:
-        self._rng = rng
         self._publishers = {p.publisher_id: p for p in publishers}
         self._assigner = assigner
         self._registry = registry
@@ -101,11 +273,11 @@ class SessionSampler:
         self._live_share: Dict[str, float] = {
             p.publisher_id: float(rng.beta(2.0, 4.0)) for p in publishers
         }
-        self._sdk_cursor: Dict[Tuple[str, str], int] = {}
-        self._sdk_versions: Dict[Tuple[str, str], List[str]] = {}
-        self._duration_strata_pool: Dict[
-            Tuple[str, Platform, str], List[int]
-        ] = {}
+        # Per-build tables, filled on first use and dropped with the
+        # sampler: title cdfs by catalogue size and final-profile SDK
+        # versions by publisher.
+        self._title_cdfs: Dict[int, List[float]] = {}
+        self._final_sdks: Dict[str, Dict[str, Tuple[str, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Regular records
@@ -116,40 +288,43 @@ class SessionSampler:
         snapshot: date,
         t: float,
         scale: float = 1.0,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> List[ViewRecord]:
-        """All records for one bi-weekly snapshot.
+        """All records for one bi-weekly snapshot, drawn from ``rng``.
 
-        When ``rng`` is given, the snapshot is sampled from that stream
-        and all per-snapshot sampling state (SDK round-robin cursors,
-        duration strata pools) is reset first.  Each snapshot is then a
-        pure function of (construction-time state, snapshot stream), so
-        snapshots can be generated out of order — or in parallel
-        worker processes — and still match a serial build byte for
-        byte.  The generator derives one stream per snapshot via
+        Per-snapshot sampling state (SDK round-robin cursors, duration
+        strata pools) starts empty on every call, so each snapshot is a
+        pure function of (construction-time state, snapshot stream):
+        snapshots can be generated out of order — or in parallel worker
+        processes — and still match a serial build byte for byte.  The
+        generator derives one stream per snapshot via
         ``np.random.SeedSequence(seed).spawn(...)``.
         """
-        if rng is not None:
-            self._rng = rng
-            self._sdk_cursor.clear()
-            self._duration_strata_pool.clear()
         records: List[ViewRecord] = []
         for publisher_id in sorted(self._publishers):
             records.extend(
-                self._publisher_records(publisher_id, snapshot, t, scale)
+                self._publisher_records(rng, publisher_id, snapshot, t, scale)
             )
         return records
 
     def _publisher_records(
-        self, publisher_id: str, snapshot: date, t: float, scale: float
+        self,
+        rng: np.random.Generator,
+        publisher_id: str,
+        snapshot: date,
+        t: float,
+        scale: float,
     ) -> List[ViewRecord]:
         publisher = self._publishers[publisher_id]
         profile = self._assigner.profile_at(publisher_id, t)
         window_vh = publisher.daily_view_hours * 2.0 * scale
         platform_weights = self._platform_weights(publisher_id, profile, t)
         protocol_weights = self._protocol_weights(publisher_id, profile, t)
+        draws = self._publisher_draws(publisher, profile, t)
         records: List[ViewRecord] = []
         for platform, w_platform in platform_weights.items():
+            families = self._device_families(publisher, profile, platform, t)
             for protocol, w_protocol in protocol_weights.items():
                 if not self._compatible(platform, protocol):
                     continue
@@ -158,201 +333,237 @@ class SessionSampler:
                     continue
                 records.extend(
                     self._cell_records(
-                        publisher,
-                        profile,
+                        rng,
+                        draws,
+                        families,
                         platform,
                         protocol,
                         cell_vh,
                         snapshot,
-                        t,
                     )
                 )
         return records
 
-    def _cell_records(
+    def _publisher_draws(
+        self, publisher: Publisher, profile: PublisherProfile, t: float
+    ) -> _PublisherDraws:
+        publisher_id = publisher.publisher_id
+        owners = self._syndicator_owners.get(publisher_id, ())
+        ladder = self._ladders[publisher_id]
+        return _PublisherDraws(
+            publisher_id=publisher_id,
+            content_split=[
+                (ctype, share, self._cdn_table(profile, ctype, t))
+                for ctype, share in self._content_split(publisher)
+            ],
+            owners=owners,
+            owner_cdfs=tuple(
+                self._title_cdf(self._publishers[owner_id].catalogue_size)
+                for owner_id in owners
+            ),
+            title_cdf=self._title_cdf(publisher.catalogue_size),
+            # Owned content carries the owned/syndicated flag of §6:
+            # owner-role publishers reference themselves, so owners whose
+            # content is never syndicated still appear in the Fig 14
+            # population.
+            owner_ref=(
+                publisher_id
+                if publisher.role is SyndicationRole.OWNER
+                else None
+            ),
+            rungs=ladder.bitrates_kbps,
+            top_kbps=ladder.max_bitrate_kbps,
+            sdk_versions=self._final_sdk_versions(publisher_id),
+        )
+
+    def _device_families(
         self,
         publisher: Publisher,
         profile: PublisherProfile,
         platform: Platform,
-        protocol: Protocol,
-        cell_vh: float,
-        snapshot: date,
         t: float,
-    ) -> List[ViewRecord]:
-        # Allocate the cell's view-hours to device families by the
-        # calibrated family weights, then spread each family's share
-        # over a rotating sample of its device models.  Splitting at
-        # the family level keeps Fig 10's shares exact; sampling at the
-        # model level keeps the combination metric's device breadth.
+    ) -> List[_Family]:
+        """The platform's device families in sorted order, with shares.
+
+        The cell's view-hours go to device families by the calibrated
+        family weights; each family's share is then spread over a
+        rotating sample of its models.  Splitting at the family level
+        keeps Fig 10's shares exact; sampling at the model level keeps
+        the combination metric's device breadth.
+        """
         by_family: Dict[str, List[Device]] = {}
         for device in self._eligible_devices(profile, platform):
             by_family.setdefault(device.family, []).append(device)
-        if not by_family:
-            return []
         family_weights = self._family_weight_map(platform, t)
         weights = {
             family: family_weights.get(family, 0.05)
             for family in sorted(by_family)
         }
         total_weight = sum(weights.values())
-        decade = size_decade(publisher.daily_view_hours)
-        per_family = cal.DEVICES_PER_CELL_BY_DECADE[decade]
+        per_family = cal.DEVICES_PER_CELL_BY_DECADE[
+            size_decade(publisher.daily_view_hours)
+        ]
+        return [
+            (
+                by_family[family],
+                weights[family] / total_weight,
+                min(per_family, len(by_family[family])),
+            )
+            for family in sorted(by_family)
+        ]
+
+    def _cell_records(
+        self,
+        rng: np.random.Generator,
+        draws: _PublisherDraws,
+        families: List[_Family],
+        platform: Platform,
+        protocol: Protocol,
+        cell_vh: float,
+        snapshot: date,
+    ) -> List[ViewRecord]:
+        """The records of one (publisher, platform, protocol) cell.
+
+        Each record draws, in this order: its duration (a stratum pool
+        refill, then one double), its CDNs, its video, a browser major
+        version (browser views only), its throughput, its bitrate
+        factor, its rebuffer ratio, its ISP, its geo and its connection.
+        DESIGN.md §16 gives each draw's numpy call.
+        """
         devices: List[Device] = []
         device_share: List[float] = []
-        for family in sorted(by_family):
-            models = by_family[family]
-            take = min(per_family, len(models))
-            picked = self._rng.choice(len(models), size=take, replace=False)
-            family_share = weights[family] / total_weight
-            for i in picked:
-                devices.append(models[int(i)])
+        for models, family_share, take in families:
+            for i in sample_without_replacement(rng, len(models), take):
+                devices.append(models[i])
                 device_share.append(family_share / take)
+        median, sigma = cal.VIEW_DURATION_LOGNORMAL[platform]
+        tilted_log_median = float(np.log(median) + sigma**2)
+        log_throughput = float(np.log(_PLATFORM_THROUGHPUT_MEDIAN[platform]))
+        is_browser = platform is Platform.BROWSER
+        publisher_id = draws.publisher_id
         records: List[ViewRecord] = []
         for device, share in zip(devices, device_share):
-            for content_type, ct_share in self._content_split(publisher):
-                vh = cell_vh * float(share) * ct_share
+            pool = draws.strata.setdefault((platform, device.family), [])
+            browser = device.model.split("-")[0]
+            for content_type, ct_share, cdn_table in draws.content_split:
+                vh = cell_vh * share * ct_share
                 # Split heavy cells into several duration draws: the
                 # views-weighted duration CDF (Fig 8) is a
                 # self-normalized estimator whose bias shrinks with the
                 # effective number of draws behind the big publishers.
                 splits = min(max(int(round(vh / 3e5)), 1), 6)
                 for _ in range(splits):
-                    record = self._make_record(
-                        publisher,
-                        profile,
-                        platform,
-                        protocol,
-                        device,
-                        content_type,
-                        vh / splits,
-                        snapshot,
-                        t,
+                    duration = _stratified_duration(
+                        rng, pool, tilted_log_median, sigma
                     )
-                    if record is not None:
-                        records.append(record)
+                    cdns, host = _pick_cdns(rng, cdn_table)
+                    if not cdns:
+                        continue
+                    video_id, is_syndicated, owner_id = draws.video(rng)
+                    if is_browser:
+                        user_agent = build_user_agent(
+                            browser,
+                            major_version=55 + int(rng.integers(30)),
+                        )
+                        sdk_name = sdk_version = None
+                    else:
+                        user_agent = None
+                        sdk_name = device.sdk_name
+                        sdk_version = draws.sdk_version(sdk_name)
+                    throughput = float(
+                        np.exp(
+                            log_throughput
+                            + _THROUGHPUT_SIGMA * rng.standard_normal()
+                        )
+                    )
+                    avg_bitrate = min(draws.top_kbps, throughput) * (
+                        _BITRATE_FACTOR_LOW
+                        + _BITRATE_FACTOR_SPAN * rng.random()
+                    )
+                    rebuffer = rng.beta(1.2, 60.0)
+                    isp = _ISPS[rng.integers(len(_ISPS))]
+                    geo = _GEOS[rng.integers(len(_GEOS))]
+                    connection = _CONNECTIONS[
+                        bisect_right(_CONNECTION_CDF, rng.random())
+                    ]
+                    # weight x duration == the cell's exact view-hours,
+                    # so every share analysis sees the calibrated splits
+                    # without sampling noise; the tilted duration draw
+                    # keeps the views-weighted distribution on target.
+                    records.append(
+                        ViewRecord(
+                            snapshot=snapshot,
+                            publisher_id=publisher_id,
+                            url=sample_manifest_url(
+                                protocol, video_id, host
+                            ),
+                            device_model=device.model,
+                            os_name=device.os_name,
+                            cdn_names=cdns,
+                            bitrate_ladder_kbps=draws.rungs,
+                            view_duration_hours=duration,
+                            avg_bitrate_kbps=avg_bitrate,
+                            rebuffer_ratio=rebuffer,
+                            content_type=content_type,
+                            video_id=video_id,
+                            weight=vh / splits / duration,
+                            user_agent=user_agent,
+                            sdk_name=sdk_name,
+                            sdk_version=sdk_version,
+                            is_syndicated=is_syndicated,
+                            owner_id=owner_id,
+                            isp=isp,
+                            geo=geo,
+                            connection=connection,
+                        )
+                    )
         return records
 
-    def _make_record(
-        self,
-        publisher: Publisher,
-        profile: PublisherProfile,
-        platform: Platform,
-        protocol: Protocol,
-        device: Device,
-        content_type: ContentType,
-        vh: float,
-        snapshot: date,
-        t: float,
-    ) -> Optional[ViewRecord]:
-        rng = self._rng
-        median, sigma = cal.VIEW_DURATION_LOGNORMAL[platform]
-        duration = self._stratified_duration(
-            publisher.publisher_id, platform, device.family, median, sigma
+    def _cdn_table(
+        self, profile: PublisherProfile, content_type: ContentType, t: float
+    ) -> _CdnTable:
+        """Names, hostnames and ``choice`` cdf of the CDNs serving a
+        content type, weighted by their calibrated drift at ``t``."""
+        names = tuple(
+            a.cdn.name
+            for a in profile.cdn_assignments
+            if a.serves(content_type)
         )
-        # weight x duration == the cell's exact view-hours, so every
-        # share analysis sees the calibrated splits without sampling
-        # noise; the tilted draw (see _stratified_duration) keeps the
-        # views-weighted duration distribution on target.
-        views = vh / duration
-        cdns = self._pick_cdns(profile, content_type, t)
-        if not cdns:
-            return None
-        video_id, is_syndicated, owner_id = self._pick_video(publisher)
-        url = sample_manifest_url(
-            protocol, video_id, f"{cdns[0].lower()}.cdn.example.net"
+        if not names:
+            return (), (), []
+        weights = np.array(
+            [
+                cal.CDN_WEIGHT[name].level(t)
+                if name in cal.CDN_WEIGHT
+                else cal.CDN_WEIGHT["OTHER"].level(t)
+                for name in names
+            ]
         )
-        ladder = self._ladders[publisher.publisher_id]
-        user_agent = None
-        sdk_name = None
-        sdk_version = None
-        if platform is Platform.BROWSER:
-            browser = device.model.split("-")[0]
-            user_agent = build_user_agent(
-                browser if browser != "ie11" else "ie11",
-                major_version=55 + int(rng.integers(0, 30)),
-            )
-        else:
-            sdk_name = device.sdk_name
-            sdk_version = self._next_sdk_version(
-                publisher.publisher_id, profile, sdk_name
-            )
-        throughput = float(
-            np.exp(
-                rng.normal(
-                    np.log(_PLATFORM_THROUGHPUT_MEDIAN[platform]), 0.6
-                )
-            )
-        )
-        avg_bitrate = min(ladder.max_bitrate_kbps, throughput) * float(
-            rng.uniform(0.72, 0.95)
-        )
-        rebuffer = float(rng.beta(1.2, 60.0))
-        return ViewRecord(
-            snapshot=snapshot,
-            publisher_id=publisher.publisher_id,
-            url=url,
-            device_model=device.model,
-            os_name=device.os_name,
-            cdn_names=cdns,
-            bitrate_ladder_kbps=ladder.bitrates_kbps,
-            view_duration_hours=duration,
-            avg_bitrate_kbps=avg_bitrate,
-            rebuffer_ratio=rebuffer,
-            content_type=content_type,
-            video_id=video_id,
-            weight=float(views),
-            user_agent=user_agent,
-            sdk_name=sdk_name,
-            sdk_version=sdk_version,
-            is_syndicated=is_syndicated,
-            owner_id=owner_id,
-            isp=f"isp_{int(rng.integers(0, 12)):02d}",
-            geo=rng.choice(("CA", "NY", "TX", "UK", "DE", "IN", "BR")),
-            connection=ConnectionType(
-                rng.choice(("wifi", "4g", "wired"), p=(0.55, 0.25, 0.20))
-            ),
-        )
+        hosts = tuple(f"{name.lower()}.cdn.example.net" for name in names)
+        return names, hosts, choice_cdf(weights / weights.sum())
 
-    #: Number of strata for duration sampling (see below).
-    _DURATION_STRATA = 8
+    def _title_cdf(self, catalogue_size: int) -> List[float]:
+        cdf = self._title_cdfs.get(catalogue_size)
+        if cdf is None:
+            cdf = zipf_cdf(catalogue_size)
+            self._title_cdfs[catalogue_size] = cdf
+        return cdf
 
-    def _stratified_duration(
-        self,
-        publisher_id: str,
-        platform: Platform,
-        family: str,
-        median: float,
-        sigma: float,
-    ) -> float:
-        """Length-biased lognormal duration draw, stratified.
-
-        Records carry ``weight = view_hours / duration`` so that the
-        calibrated view-hour splits are *exact*.  Weighting by 1/d
-        tilts the observed duration distribution by a factor 1/d, so
-        the draw itself is taken from the length-biased lognormal
-        (median scaled by e^(sigma^2)); after 1/d weighting the
-        views-weighted duration distribution is exactly the target
-        lognormal of Fig 8.
-
-        Draws cycle through shuffled quantile strata per (publisher,
-        platform, family), which tempers the view-count noise of
-        families with few records (Fig 6c).
-        """
-        key = (publisher_id, platform, family)
-        pool = self._duration_strata_pool.get(key)
-        if not pool:
-            # Refill with a shuffled permutation: consecutive K draws
-            # cover every stratum, but in random order, so strata never
-            # align with the deterministic record-generation order.
-            pool = list(
-                self._rng.permutation(self._DURATION_STRATA)
-            )
-            self._duration_strata_pool[key] = pool
-        stratum = int(pool.pop())
-        u = (stratum + float(self._rng.uniform())) / self._DURATION_STRATA
-        u = min(max(u, 1e-9), 1.0 - 1e-9)
-        tilted_log_median = np.log(median) + sigma**2
-        return float(np.exp(tilted_log_median + sigma * ndtri(u)))
+    def _final_sdk_versions(
+        self, publisher_id: str
+    ) -> Dict[str, Tuple[str, ...]]:
+        """Sorted SDK versions by SDK name in the publisher's final
+        (t = 1) profile: the versions it maintains over the study."""
+        versions = self._final_sdks.get(publisher_id)
+        if versions is None:
+            by_name: Dict[str, List[str]] = {}
+            for sdk in self._assigner.profile_at(publisher_id, 1.0).sdks:
+                by_name.setdefault(sdk.name, []).append(sdk.version)
+            versions = {
+                name: tuple(sorted(found)) for name, found in by_name.items()
+            }
+            self._final_sdks[publisher_id] = versions
+        return versions
 
     # ------------------------------------------------------------------
     # Weight helpers
@@ -444,76 +655,6 @@ class SessionSampler:
             eligible.append(device)
         return eligible
 
-    def _pick_cdns(
-        self, profile: PublisherProfile, content_type: ContentType, t: float
-    ) -> Tuple[str, ...]:
-        eligible = [
-            a for a in profile.cdn_assignments if a.serves(content_type)
-        ]
-        if not eligible:
-            return ()
-        names = [a.cdn.name for a in eligible]
-        weights = np.array(
-            [
-                cal.CDN_WEIGHT[name].level(t)
-                if name in cal.CDN_WEIGHT
-                else cal.CDN_WEIGHT["OTHER"].level(t)
-                for name in names
-            ]
-        )
-        probs = weights / weights.sum()
-        first = str(self._rng.choice(names, p=probs))
-        # A small fraction of views download chunks from two CDNs (§3).
-        if len(names) > 1 and self._rng.uniform() < 0.06:
-            others = [n for n in names if n != first]
-            second = others[int(self._rng.integers(len(others)))]
-            return (first, second)
-        return (first,)
-
-    def _pick_video(
-        self, publisher: Publisher
-    ) -> Tuple[str, bool, Optional[str]]:
-        owners = self._syndicator_owners.get(publisher.publisher_id, ())
-        if owners and self._rng.uniform() < cal.SYNDICATED_VIEW_SHARE:
-            owner_id = owners[int(self._rng.integers(len(owners)))]
-            owner = self._publishers[owner_id]
-            index = sample_video_index(self._rng, owner.catalogue_size)
-            return video_id_for(owner_id, index), True, owner_id
-        index = sample_video_index(self._rng, publisher.catalogue_size)
-        # Owned content carries the owned/syndicated flag of §6: owner-
-        # role publishers reference themselves, so owners whose content
-        # is never syndicated still appear in the Fig 14 population.
-        owner_ref = (
-            publisher.publisher_id
-            if publisher.role is SyndicationRole.OWNER
-            else None
-        )
-        return video_id_for(publisher.publisher_id, index), False, owner_ref
-
-    def _next_sdk_version(
-        self, publisher_id: str, profile: PublisherProfile, sdk_name: str
-    ) -> str:
-        """Round-robin through the publisher's versions of one SDK.
-
-        Cycling guarantees that, given enough records, every maintained
-        version shows up in telemetry — which is what lets the Fig 13c
-        unique-SDKs metric be measured from the dataset.
-        """
-        key = (publisher_id, sdk_name)
-        versions = self._sdk_versions.get(key)
-        if versions is None:
-            versions = sorted(
-                sdk.version
-                for sdk in self._assigner.profile_at(publisher_id, 1.0).sdks
-                if sdk.name == sdk_name
-            )
-            if not versions:
-                versions = ["1.0"]
-            self._sdk_versions[key] = versions
-        cursor = self._sdk_cursor.get(key, 0)
-        self._sdk_cursor[key] = cursor + 1
-        return versions[cursor % len(versions)]
-
     # ------------------------------------------------------------------
     # Case-study records (Figs 15-17)
     # ------------------------------------------------------------------
@@ -522,18 +663,17 @@ class SessionSampler:
         self,
         snapshot: date,
         sessions_per_combo: int,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> List[ViewRecord]:
         """Simulated owner/syndicator sessions for the popular video.
 
         California iPad clients over WiFi, per (ISP, CDN) combination;
         network draws are paired across publishers so QoE differences
         come from the ladders alone.  Like :meth:`snapshot_records`,
-        an explicit ``rng`` makes the batch independent of how many
-        snapshots were sampled before it.
+        the batch draws only from ``rng``, so it does not depend on how
+        many snapshots were sampled before it.
         """
-        if rng is not None:
-            self._rng = rng
         if self._case_study is None:
             return []
         study = self._case_study
@@ -547,7 +687,7 @@ class SessionSampler:
         for isp_name, cdn_name in cal.QOE_COMBOS:
             path = profiles[isp_name].path_to(cdn_name)
             session_means = [
-                path.sample_session_mean(self._rng)
+                path.sample_session_mean(rng)
                 for _ in range(sessions_per_combo)
             ]
             results = iter(
@@ -559,7 +699,7 @@ class SessionSampler:
                     ],
                     path,
                     config,
-                    self._rng,
+                    rng,
                     abr=abr,
                     session_means=session_means * len(labels),
                 )

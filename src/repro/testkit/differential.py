@@ -26,7 +26,9 @@ from repro.packaging.manifest.detect import (
     sample_manifest_url,
 )
 from repro.playback.abr import BufferBasedAbr, HybridAbr, ThroughputAbr
+from repro.parallel import spawn_streams
 from repro.playback.session import SessionConfig, simulate_sessions
+from repro.synthesis.generator import _build_plan, _snapshot_t
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.ingest import (
     ErrorPolicy,
@@ -34,7 +36,11 @@ from repro.telemetry.ingest import (
     events_from_records,
 )
 from repro.testkit.oracles import Check, Skip, oracle
-from repro.testkit.reference import RowDataset, simulate_session_scalar
+from repro.testkit.reference import (
+    RowDataset,
+    ScalarSessionSampler,
+    simulate_session_scalar,
+)
 from repro.testkit.scenario import ScenarioRun
 
 #: Records replayed through the clean strict-vs-repair comparison.
@@ -303,6 +309,54 @@ def playback_batch_vs_scalar(run: ScenarioRun, check: Check) -> str:
     return (
         f"{len(ladders)}-session batches over {len(ladders) // 2} "
         f"scenario ladders match the scalar loop under {len(abrs)} ABRs"
+    )
+
+
+@oracle(
+    "differential",
+    "synthesis-vs-scalar",
+    "the snapshot sampler equals the per-record reference loop exactly",
+)
+def synthesis_vs_scalar(run: ScenarioRun, check: Check) -> str:
+    """Both samplers over the scenario's plan, snapshot by snapshot.
+
+    The reference shares the plan sampler's construction-time state;
+    each snapshot's two generators start from the same spawned stream,
+    so the records must be equal and the generators must end in the
+    same state.
+    """
+    config = run.spec.config()
+    plan = _build_plan(config)
+    reference = ScalarSessionSampler(plan.sampler)
+    n_snapshots = len(plan.snapshots)
+    streams = spawn_streams(config.seed, n_snapshots + 1)
+    total = 0
+    for index, snapshot in enumerate(plan.snapshots):
+        t = _snapshot_t(index, n_snapshots)
+        fast_rng = np.random.default_rng(streams[index])
+        scalar_rng = np.random.default_rng(streams[index])
+        fast = plan.sampler.snapshot_records(
+            snapshot, t, scale=config.records_scale, rng=fast_rng
+        )
+        scalar = reference.snapshot_records(
+            snapshot, t, scale=config.records_scale, rng=scalar_rng
+        )
+        check.that(len(fast) > 0, f"snapshot {snapshot} has no records")
+        check.equal(len(fast), len(scalar), f"snapshot {snapshot} records")
+        check.that(
+            fast == scalar,
+            f"snapshot {snapshot}: the sampler drew different records "
+            "than the per-record loop",
+        )
+        check.equal(
+            fast_rng.bit_generator.state,
+            scalar_rng.bit_generator.state,
+            f"generator state after snapshot {snapshot}",
+        )
+        total += len(fast)
+    return (
+        f"{total} records over {n_snapshots} snapshots equal the "
+        "per-record loop, generator state included"
     )
 
 

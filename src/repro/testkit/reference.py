@@ -8,6 +8,13 @@ results to the straightforward per-chunk loops kept here: the
 ``playback-batch-vs-scalar`` oracle and the Hypothesis differential
 suite compare the two exactly, floats and generator state included.
 
+:class:`~repro.synthesis.sessions.SessionSampler` draws each view
+record through the cheapest numpy call that consumes the stream the
+way the original per-record loop did; :class:`ScalarSessionSampler`
+is that loop, and the ``synthesis-vs-scalar`` oracle and the Hypothesis
+differential in ``tests/test_synthesis_sampler.py`` compare records and
+generator state after every snapshot.
+
 :class:`~repro.telemetry.dataset.Dataset` slices and aggregates on its
 column store; :class:`RowDataset` does the same by scanning records,
 and the ``row-vs-columnar`` oracle, the perf parity suite and
@@ -21,12 +28,31 @@ from datetime import date
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
+from scipy.special import ndtri
 
+from repro.constants import (
+    ConnectionType,
+    ContentType,
+    Platform,
+    Protocol,
+    SyndicationRole,
+)
 from repro.delivery.network import NetworkPath
+from repro.entities.device import Device
 from repro.entities.ladder import BitrateLadder
+from repro.entities.publisher import Publisher, PublisherProfile
 from repro.errors import DatasetError, DeliveryError
+from repro.packaging.manifest.detect import sample_manifest_url
 from repro.playback.abr import AbrAlgorithm, AbrState, ThroughputAbr
 from repro.playback.session import SessionConfig, SessionResult
+from repro.playback.useragent import build_user_agent
+from repro.synthesis import calibration as cal
+from repro.synthesis.catalogues import video_id_for
+from repro.synthesis.population import size_decade
+from repro.synthesis.sessions import (
+    _PLATFORM_THROUGHPUT_MEDIAN,
+    SessionSampler,
+)
 from repro.telemetry.columnar import ColumnKey, ColumnRef
 from repro.telemetry.dataset import Dataset, GroupKey
 from repro.telemetry.records import ViewRecord
@@ -146,6 +172,371 @@ def simulate_session_scalar(
     )
 
 
+#: The construction-time state a reference sampler shares with the
+#: sampler it is built from.
+_SAMPLER_STATE = (
+    "_publishers",
+    "_assigner",
+    "_registry",
+    "_dash_drivers",
+    "_top3",
+    "_syndicator_owners",
+    "_case_study",
+    "_ladders",
+    "_live_share",
+)
+
+
+def sample_video_index_searchsorted(
+    rng: np.random.Generator,
+    catalogue_size: int,
+    cdfs: Dict[Tuple[int, float], np.ndarray],
+    zipf_s: float = 1.1,
+) -> int:
+    """Zipf title index via ``np.searchsorted`` over an array cdf."""
+    if catalogue_size <= 1:
+        return 0
+    key = (catalogue_size, zipf_s)
+    cdf = cdfs.get(key)
+    if cdf is None:
+        ranks = np.arange(1, catalogue_size + 1, dtype=float)
+        weights = ranks**-zipf_s
+        cdf = np.cumsum(weights / weights.sum())
+        cdfs[key] = cdf
+    return int(np.searchsorted(cdf, rng.uniform(), side="left"))
+
+
+class ScalarSessionSampler(SessionSampler):
+    """The per-record reference for :class:`SessionSampler`'s record loop.
+
+    Every draw goes through the numpy call the loop was written with
+    (``choice`` with and without ``p``, ``uniform``, ``normal``,
+    ``permutation``, ``searchsorted``), and every table is rebuilt per
+    record.  Built from a sampler, it shares that sampler's
+    construction-time state (publishers, portfolios, ladders, live
+    shares) and inherits its weight helpers, so both must draw the same
+    records from the same snapshot stream and leave it in the same
+    state.  ``geo`` goes through ``str()``, as ``choice`` returns a
+    numpy string.
+    """
+
+    def __init__(self, sampler: SessionSampler) -> None:
+        for name in _SAMPLER_STATE:
+            setattr(self, name, getattr(sampler, name))
+        self._sdk_cursor: Dict[Tuple[str, str], int] = {}
+        self._sdk_versions: Dict[Tuple[str, str], List[str]] = {}
+        self._duration_strata_pool: Dict[
+            Tuple[str, Platform, str], List[int]
+        ] = {}
+        self._zipf_cdfs: Dict[Tuple[int, float], np.ndarray] = {}
+
+    def snapshot_records(
+        self,
+        snapshot: date,
+        t: float,
+        scale: float = 1.0,
+        *,
+        rng: np.random.Generator,
+    ) -> List[ViewRecord]:
+        self._rng = rng
+        self._sdk_cursor.clear()
+        self._duration_strata_pool.clear()
+        records: List[ViewRecord] = []
+        for publisher_id in sorted(self._publishers):
+            records.extend(
+                self._publisher_records(publisher_id, snapshot, t, scale)
+            )
+        return records
+
+    def _publisher_records(
+        self, publisher_id: str, snapshot: date, t: float, scale: float
+    ) -> List[ViewRecord]:
+        publisher = self._publishers[publisher_id]
+        profile = self._assigner.profile_at(publisher_id, t)
+        window_vh = publisher.daily_view_hours * 2.0 * scale
+        platform_weights = self._platform_weights(publisher_id, profile, t)
+        protocol_weights = self._protocol_weights(publisher_id, profile, t)
+        records: List[ViewRecord] = []
+        for platform, w_platform in platform_weights.items():
+            for protocol, w_protocol in protocol_weights.items():
+                if not self._compatible(platform, protocol):
+                    continue
+                cell_vh = window_vh * w_platform * w_protocol
+                if cell_vh <= 0:
+                    continue
+                records.extend(
+                    self._cell_records(
+                        publisher,
+                        profile,
+                        platform,
+                        protocol,
+                        cell_vh,
+                        snapshot,
+                        t,
+                    )
+                )
+        return records
+
+    def _cell_records(
+        self,
+        publisher: Publisher,
+        profile: PublisherProfile,
+        platform: Platform,
+        protocol: Protocol,
+        cell_vh: float,
+        snapshot: date,
+        t: float,
+    ) -> List[ViewRecord]:
+        # Allocate the cell's view-hours to device families by the
+        # calibrated family weights, then spread each family's share
+        # over a rotating sample of its device models.  Splitting at
+        # the family level keeps Fig 10's shares exact; sampling at the
+        # model level keeps the combination metric's device breadth.
+        by_family: Dict[str, List[Device]] = {}
+        for device in self._eligible_devices(profile, platform):
+            by_family.setdefault(device.family, []).append(device)
+        if not by_family:
+            return []
+        family_weights = self._family_weight_map(platform, t)
+        weights = {
+            family: family_weights.get(family, 0.05)
+            for family in sorted(by_family)
+        }
+        total_weight = sum(weights.values())
+        decade = size_decade(publisher.daily_view_hours)
+        per_family = cal.DEVICES_PER_CELL_BY_DECADE[decade]
+        devices: List[Device] = []
+        device_share: List[float] = []
+        for family in sorted(by_family):
+            models = by_family[family]
+            take = min(per_family, len(models))
+            picked = self._rng.choice(len(models), size=take, replace=False)
+            family_share = weights[family] / total_weight
+            for i in picked:
+                devices.append(models[int(i)])
+                device_share.append(family_share / take)
+        records: List[ViewRecord] = []
+        for device, share in zip(devices, device_share):
+            for content_type, ct_share in self._content_split(publisher):
+                vh = cell_vh * float(share) * ct_share
+                # Split heavy cells into several duration draws: the
+                # views-weighted duration CDF (Fig 8) is a
+                # self-normalized estimator whose bias shrinks with the
+                # effective number of draws behind the big publishers.
+                splits = min(max(int(round(vh / 3e5)), 1), 6)
+                for _ in range(splits):
+                    record = self._make_record(
+                        publisher,
+                        profile,
+                        platform,
+                        protocol,
+                        device,
+                        content_type,
+                        vh / splits,
+                        snapshot,
+                        t,
+                    )
+                    if record is not None:
+                        records.append(record)
+        return records
+
+    def _make_record(
+        self,
+        publisher: Publisher,
+        profile: PublisherProfile,
+        platform: Platform,
+        protocol: Protocol,
+        device: Device,
+        content_type: ContentType,
+        vh: float,
+        snapshot: date,
+        t: float,
+    ) -> Optional[ViewRecord]:
+        rng = self._rng
+        median, sigma = cal.VIEW_DURATION_LOGNORMAL[platform]
+        duration = self._stratified_duration(
+            publisher.publisher_id, platform, device.family, median, sigma
+        )
+        # weight x duration == the cell's exact view-hours, so every
+        # share analysis sees the calibrated splits without sampling
+        # noise; the tilted draw (see _stratified_duration) keeps the
+        # views-weighted duration distribution on target.
+        views = vh / duration
+        cdns = self._pick_cdns(profile, content_type, t)
+        if not cdns:
+            return None
+        video_id, is_syndicated, owner_id = self._pick_video(publisher)
+        url = sample_manifest_url(
+            protocol, video_id, f"{cdns[0].lower()}.cdn.example.net"
+        )
+        ladder = self._ladders[publisher.publisher_id]
+        user_agent = None
+        sdk_name = None
+        sdk_version = None
+        if platform is Platform.BROWSER:
+            browser = device.model.split("-")[0]
+            user_agent = build_user_agent(
+                browser if browser != "ie11" else "ie11",
+                major_version=55 + int(rng.integers(0, 30)),
+            )
+        else:
+            sdk_name = device.sdk_name
+            sdk_version = self._next_sdk_version(
+                publisher.publisher_id, profile, sdk_name
+            )
+        throughput = float(
+            np.exp(
+                rng.normal(
+                    np.log(_PLATFORM_THROUGHPUT_MEDIAN[platform]), 0.6
+                )
+            )
+        )
+        avg_bitrate = min(ladder.max_bitrate_kbps, throughput) * float(
+            rng.uniform(0.72, 0.95)
+        )
+        rebuffer = float(rng.beta(1.2, 60.0))
+        return ViewRecord(
+            snapshot=snapshot,
+            publisher_id=publisher.publisher_id,
+            url=url,
+            device_model=device.model,
+            os_name=device.os_name,
+            cdn_names=cdns,
+            bitrate_ladder_kbps=ladder.bitrates_kbps,
+            view_duration_hours=duration,
+            avg_bitrate_kbps=avg_bitrate,
+            rebuffer_ratio=rebuffer,
+            content_type=content_type,
+            video_id=video_id,
+            weight=float(views),
+            user_agent=user_agent,
+            sdk_name=sdk_name,
+            sdk_version=sdk_version,
+            is_syndicated=is_syndicated,
+            owner_id=owner_id,
+            isp=f"isp_{int(rng.integers(0, 12)):02d}",
+            geo=str(rng.choice(("CA", "NY", "TX", "UK", "DE", "IN", "BR"))),
+            connection=ConnectionType(
+                rng.choice(("wifi", "4g", "wired"), p=(0.55, 0.25, 0.20))
+            ),
+        )
+
+    #: Number of strata for duration sampling (see below).
+    _DURATION_STRATA = 8
+
+    def _stratified_duration(
+        self,
+        publisher_id: str,
+        platform: Platform,
+        family: str,
+        median: float,
+        sigma: float,
+    ) -> float:
+        """Length-biased lognormal duration draw, stratified.
+
+        Records carry ``weight = view_hours / duration`` so that the
+        calibrated view-hour splits are *exact*.  Weighting by 1/d
+        tilts the observed duration distribution by a factor 1/d, so
+        the draw itself is taken from the length-biased lognormal
+        (median scaled by e^(sigma^2)); after 1/d weighting the
+        views-weighted duration distribution is exactly the target
+        lognormal of Fig 8.
+
+        Draws cycle through shuffled quantile strata per (publisher,
+        platform, family), which tempers the view-count noise of
+        families with few records (Fig 6c).
+        """
+        key = (publisher_id, platform, family)
+        pool = self._duration_strata_pool.get(key)
+        if not pool:
+            # Refill with a shuffled permutation: consecutive K draws
+            # cover every stratum, but in random order, so strata never
+            # align with the deterministic record-generation order.
+            pool = list(
+                self._rng.permutation(self._DURATION_STRATA)
+            )
+            self._duration_strata_pool[key] = pool
+        stratum = int(pool.pop())
+        u = (stratum + float(self._rng.uniform())) / self._DURATION_STRATA
+        u = min(max(u, 1e-9), 1.0 - 1e-9)
+        tilted_log_median = np.log(median) + sigma**2
+        return float(np.exp(tilted_log_median + sigma * ndtri(u)))
+
+    def _pick_cdns(
+        self, profile: PublisherProfile, content_type: ContentType, t: float
+    ) -> Tuple[str, ...]:
+        eligible = [
+            a for a in profile.cdn_assignments if a.serves(content_type)
+        ]
+        if not eligible:
+            return ()
+        names = [a.cdn.name for a in eligible]
+        weights = np.array(
+            [
+                cal.CDN_WEIGHT[name].level(t)
+                if name in cal.CDN_WEIGHT
+                else cal.CDN_WEIGHT["OTHER"].level(t)
+                for name in names
+            ]
+        )
+        probs = weights / weights.sum()
+        first = str(self._rng.choice(names, p=probs))
+        # A small fraction of views download chunks from two CDNs (§3).
+        if len(names) > 1 and self._rng.uniform() < 0.06:
+            others = [n for n in names if n != first]
+            second = others[int(self._rng.integers(len(others)))]
+            return (first, second)
+        return (first,)
+
+    def _pick_video(
+        self, publisher: Publisher
+    ) -> Tuple[str, bool, Optional[str]]:
+        owners = self._syndicator_owners.get(publisher.publisher_id, ())
+        if owners and self._rng.uniform() < cal.SYNDICATED_VIEW_SHARE:
+            owner_id = owners[int(self._rng.integers(len(owners)))]
+            owner = self._publishers[owner_id]
+            index = sample_video_index_searchsorted(
+                self._rng, owner.catalogue_size, self._zipf_cdfs
+            )
+            return video_id_for(owner_id, index), True, owner_id
+        index = sample_video_index_searchsorted(
+            self._rng, publisher.catalogue_size, self._zipf_cdfs
+        )
+        # Owned content carries the owned/syndicated flag of §6: owner-
+        # role publishers reference themselves, so owners whose content
+        # is never syndicated still appear in the Fig 14 population.
+        owner_ref = (
+            publisher.publisher_id
+            if publisher.role is SyndicationRole.OWNER
+            else None
+        )
+        return video_id_for(publisher.publisher_id, index), False, owner_ref
+
+    def _next_sdk_version(
+        self, publisher_id: str, profile: PublisherProfile, sdk_name: str
+    ) -> str:
+        """Round-robin through the publisher's versions of one SDK.
+
+        Cycling guarantees that, given enough records, every maintained
+        version shows up in telemetry — which is what lets the Fig 13c
+        unique-SDKs metric be measured from the dataset.
+        """
+        key = (publisher_id, sdk_name)
+        versions = self._sdk_versions.get(key)
+        if versions is None:
+            versions = sorted(
+                sdk.version
+                for sdk in self._assigner.profile_at(publisher_id, 1.0).sdks
+                if sdk.name == sdk_name
+            )
+            if not versions:
+                versions = ["1.0"]
+            self._sdk_versions[key] = versions
+        cursor = self._sdk_cursor.get(key, 0)
+        self._sdk_cursor[key] = cursor + 1
+        return versions[cursor % len(versions)]
+
+
 class RowDataset(Dataset):
     """The row-at-a-time reference for :class:`Dataset`.
 
@@ -238,6 +629,8 @@ def _row_values(key: ColumnRef, record: ViewRecord) -> Tuple[object, ...]:
 
 __all__ = [
     "RowDataset",
+    "ScalarSessionSampler",
     "chunk_throughputs_per_chunk",
+    "sample_video_index_searchsorted",
     "simulate_session_scalar",
 ]

@@ -12,6 +12,7 @@ from repro.synthesis.catalogues import (
     publisher_ladder,
     sample_video_index,
     video_id_for,
+    zipf_cdf,
 )
 from repro.synthesis.population import generate_publishers
 from repro.synthesis.syndication import (
@@ -47,17 +48,21 @@ class TestVideoIds:
         assert video_id_for("pub_003", 7) == "vid_pub_003_00007"
 
     def test_zipf_concentrates_on_popular_titles(self, rng):
-        draws = [sample_video_index(rng, 1000) for _ in range(3000)]
+        cdf = zipf_cdf(1000)
+        draws = [sample_video_index(rng, cdf) for _ in range(3000)]
         top10_share = sum(1 for d in draws if d < 10) / len(draws)
         assert top10_share > 0.25
 
     def test_zipf_within_bounds(self, rng):
+        cdf = zipf_cdf(50)
         assert all(
-            0 <= sample_video_index(rng, 50) < 50 for _ in range(500)
+            0 <= sample_video_index(rng, cdf) < 50 for _ in range(500)
         )
 
     def test_single_title_catalogue(self, rng):
-        assert sample_video_index(rng, 1) == 0
+        state = rng.bit_generator.state
+        assert sample_video_index(rng, zipf_cdf(1)) == 0
+        assert rng.bit_generator.state == state  # nothing drawn
 
 
 class TestCaseCatalogue:
