@@ -36,6 +36,7 @@ from repro.analysis.effects import EffectAnalysis, Effects
 from repro.analysis.engine import (
     ANALYSIS_VERSION,
     AnalysisResult,
+    collect_findings,
     run_analysis,
 )
 from repro.analysis.project import Project, load_project
@@ -50,6 +51,7 @@ __all__ = [
     "Effects",
     "Project",
     "build_call_graph",
+    "collect_findings",
     "format_json",
     "format_text",
     "graph_json",

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.project import (
     FunctionInfo,
     ModuleInfo,
     Project,
+    dotted_name,
     normalize_dotted,
 )
 
@@ -200,13 +201,13 @@ def build_call_graph(project: Project) -> CallGraph:
         scope = _FunctionScope(
             info=None, module=module, qualname=f"{name}.{MODULE_FN}"
         )
-        _collect(project, graph, scope, module.tree)
+        _collect(project, graph, scope, module.nodes)
     for qualname in sorted(project.functions):
         info = project.functions[qualname]
         module = project.modules[info.module]
         scope = _FunctionScope(info=info, module=module, qualname=qualname)
         _infer_param_types(project, scope)
-        _collect(project, graph, scope, info.node)
+        _collect(project, graph, scope, info.nodes)
     return graph
 
 
@@ -222,7 +223,7 @@ def _infer_param_types(project: Project, scope: _FunctionScope) -> None:
     for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
         if arg.annotation is None:
             continue
-        dotted = _dotted_name(arg.annotation)
+        dotted = dotted_name(arg.annotation)
         if dotted is None:
             continue
         resolved = normalize_dotted(project.resolve(scope.module, dotted))
@@ -230,26 +231,14 @@ def _infer_param_types(project: Project, scope: _FunctionScope) -> None:
             scope.local_types.setdefault(arg.arg, resolved)
 
 
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _collect(
     project: Project,
     graph: CallGraph,
     scope: _FunctionScope,
-    root: ast.AST,
+    nodes: Iterable[ast.AST],
 ) -> None:
-    """Walk one function body (not descending into nested defs)."""
-    for node in _body_walk(root):
+    """Record the calls of one scope, given its nodes in walk order."""
+    for node in nodes:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             _track_assignment(project, scope, node)
         elif isinstance(node, ast.withitem):
@@ -258,27 +247,13 @@ def _collect(
             _handle_call(project, graph, scope, node)
 
 
-def _body_walk(root: ast.AST):
-    """``ast.walk`` that stops at nested function/class boundaries."""
-    stack = list(ast.iter_child_nodes(root))
-    while stack:
-        node = stack.pop(0)
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
-                   ast.Lambda)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _value_type(
     project: Project, scope: _FunctionScope, value: ast.AST
 ) -> Tuple[Optional[str], Optional[str]]:
     """(class qualname, pool kind) a value expression constructs."""
     if not isinstance(value, ast.Call):
         return None, None
-    dotted = _dotted_name(value.func)
+    dotted = dotted_name(value.func)
     if dotted is None:
         return None, None
     resolved = normalize_dotted(project.resolve(scope.module, dotted))
@@ -352,7 +327,7 @@ def _resolve_callable(
     project: Project, scope: _FunctionScope, func: ast.AST
 ) -> List[str]:
     """Possible project-local targets of a call expression."""
-    dotted = _dotted_name(func)
+    dotted = dotted_name(func)
     if dotted is None:
         return []
     # obj.method() through the one-level local type environment
@@ -396,7 +371,7 @@ def _bind_method(
 def _fanout_for(
     project: Project, scope: _FunctionScope, node: ast.Call
 ) -> Optional[FanoutSite]:
-    dotted = _dotted_name(node.func)
+    dotted = dotted_name(node.func)
     if dotted is None:
         return None
     pool: Optional[str] = None
@@ -435,7 +410,7 @@ def _worker_target(
     if isinstance(expr, ast.Lambda):
         return "<lambda>", expr
     if isinstance(expr, ast.Call):
-        dotted = _dotted_name(expr.func)
+        dotted = dotted_name(expr.func)
         if dotted is not None:
             resolved = normalize_dotted(project.resolve(scope.module, dotted))
             if resolved in _PARTIAL or dotted in _PARTIAL:

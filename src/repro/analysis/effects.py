@@ -3,7 +3,8 @@
 Layer three of repgraph.  Two passes run over every function (and over
 each module's import-time ``<module>`` pseudo-function):
 
-1. **Direct effects** — a single AST walk per function records
+1. **Direct effects** — one pass over each scope's node list (built
+   once by :class:`~repro.analysis.project.Project`) records
    * writes to module globals (``global`` rebinding, attribute or
      subscript stores, and mutating method calls like ``.append`` on a
      module-level name),
@@ -26,7 +27,8 @@ each module's import-time ``<module>`` pseudo-function):
 A separate fixpoint computes **clock return-taint**: whether a
 function's return value derives from a wall-clock read, directly or
 through calls to other clock-tainted functions, plus any flows of
-tainted values into ``json.dump``/``json.dumps`` arguments.
+tainted values into ``json.dump``/``json.dumps`` arguments.  Its
+rounds run a small program compiled once per scope, never the tree.
 Every recorded site is a ``(path, line, detail)`` triple so analyses
 can report at the offending source line with a provenance chain.
 """
@@ -35,7 +37,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.analysis.callgraph import CallGraph, MODULE_FN
 from repro.analysis.project import (
@@ -43,6 +47,7 @@ from repro.analysis.project import (
     ModuleInfo,
     Project,
     RNG_CONSTRUCTORS,
+    dotted_name,
     normalize_dotted,
 )
 
@@ -110,34 +115,8 @@ class Effects:
         return bool(self.writes_global or self.mutates_capture)
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _body_nodes(root: ast.AST):
-    """Walk a function body without entering nested defs/lambdas."""
-    stack = list(ast.iter_child_nodes(root))
-    while stack:
-        node = stack.pop(0)
-        yield node
-        if isinstance(
-            node,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _bound_names(root: ast.AST) -> Set[str]:
-    """Names bound locally inside one function body."""
+def _bound_names(root: ast.AST, nodes: Sequence[ast.AST]) -> Set[str]:
+    """Names bound locally in one scope, given its nodes."""
     bound: Set[str] = set()
     if isinstance(root, (ast.FunctionDef, ast.AsyncFunctionDef)):
         args = root.args
@@ -149,7 +128,7 @@ def _bound_names(root: ast.AST) -> Set[str]:
             bound.add(args.vararg.arg)
         if args.kwarg:
             bound.add(args.kwarg.arg)
-    for node in _body_nodes(root):
+    for node in nodes:
         if isinstance(node, ast.Name) and isinstance(
             node.ctx, (ast.Store, ast.Del)
         ):
@@ -171,6 +150,24 @@ def _bound_names(root: ast.AST) -> Set[str]:
     return bound
 
 
+@dataclass(frozen=True)
+class _TaintExpr:
+    """What decides whether an expression carries a wall-clock value."""
+
+    loads: FrozenSet[str]  # names it loads
+    clock: bool  # it calls a wall clock itself
+    callees: FrozenSet[str]  # analyzed functions it calls
+
+
+@dataclass
+class _TaintProgram:
+    """One scope's clock-taint statements, compiled once."""
+
+    assigns: List[Tuple[FrozenSet[str], _TaintExpr]]
+    returns: Optional[_TaintExpr]  # every return value, merged
+    sinks: List[Tuple[int, _TaintExpr]]  # json.dump(s) line, its arguments
+
+
 class EffectAnalysis:
     """Direct + summarized effects, and clock return-taint."""
 
@@ -181,30 +178,54 @@ class EffectAnalysis:
         self.summary: Dict[str, Effects] = {}
         self.returns_clock: Dict[str, bool] = {}
         self.json_sink_sites: List[Site] = []
-        self._capture_env: Dict[str, Set[str]] = {}
         self._rng_symbols = project.rng_symbols()
+        # What the direct pass saw of each scope's calls, for the taint
+        # pass: resolved callee names, and the scopes holding a lambda
+        # (whose calls the scope walk does not enter).
+        self._calls: Dict[str, Set[str]] = {}
+        self._opaque: Set[str] = set()
         self.run()
 
     # -- entry ----------------------------------------------------------
 
     def run(self) -> None:
-        for name in sorted(self.project.modules):
-            module = self.project.modules[name]
-            if module.tree is None:
-                continue
-            qualname = f"{name}.{MODULE_FN}"
+        functions = self.project.functions
+        bound = {
+            qualname: _bound_names(info.node, info.nodes)
+            for qualname, info in functions.items()
+        }
+        for qualname, module, nodes, info in self._scopes():
+            # A module scope's checks never consult its local names.
+            local: Set[str] = set()
+            enclosing: Set[str] = set()  # names of enclosing functions
+            if info is not None:
+                local = bound[qualname]
+                parent = info.parent
+                while parent in functions:
+                    enclosing |= bound[parent]
+                    parent = functions[parent].parent
             self.direct[qualname] = self._direct_effects(
-                module, module.tree, qualname, enclosing_bound=set()
-            )
-        for qualname in sorted(self.project.functions):
-            info = self.project.functions[qualname]
-            module = self.project.modules[info.module]
-            enclosing = self._enclosing_bound(info)
-            self.direct[qualname] = self._direct_effects(
-                module, info.node, qualname, enclosing_bound=enclosing
+                module, nodes, qualname, local, enclosing
             )
         self._fixpoint_summaries()
         self._fixpoint_clock_taint()
+
+    def _scopes(
+        self,
+    ) -> Iterator[
+        Tuple[str, ModuleInfo, List[ast.AST], Optional[FunctionInfo]]
+    ]:
+        """``(qualname, module, nodes, info)`` of every module body,
+        then of every function (``info`` None for a module body).
+        """
+        for name in sorted(self.project.modules):
+            module = self.project.modules[name]
+            if module.tree is not None:
+                yield f"{name}.{MODULE_FN}", module, module.nodes, None
+        for qualname in sorted(self.project.functions):
+            info = self.project.functions[qualname]
+            module = self.project.modules[info.module]
+            yield qualname, module, info.nodes, info
 
     def effects_of(self, qualname: str) -> Effects:
         """Summarized effects; empty for unknown functions."""
@@ -212,27 +233,15 @@ class EffectAnalysis:
 
     # -- direct pass ----------------------------------------------------
 
-    def _enclosing_bound(self, info: FunctionInfo) -> Set[str]:
-        """Names bound in enclosing function scopes (capture sources)."""
-        bound: Set[str] = set()
-        parent = info.parent
-        while parent is not None:
-            parent_info = self.project.functions.get(parent)
-            if parent_info is None:
-                break
-            bound |= _bound_names(parent_info.node)
-            parent = parent_info.parent
-        return bound
-
     def _direct_effects(
         self,
         module: ModuleInfo,
-        root: ast.AST,
+        nodes: Sequence[ast.AST],
         qualname: str,
+        local: Set[str],
         enclosing_bound: Set[str],
     ) -> Effects:
         effects = Effects()
-        local = _bound_names(root)
         declared_global: Set[str] = set()
         declared_nonlocal: Set[str] = set()
         module_names = (
@@ -257,13 +266,14 @@ class EffectAnalysis:
                 and name not in module_names
             )
 
-        for node in _body_nodes(root):
+        for node in nodes:
             if isinstance(node, ast.Global):
                 declared_global.update(node.names)
             elif isinstance(node, ast.Nonlocal):
                 declared_nonlocal.update(node.names)
 
-        for node in _body_nodes(root):
+        calls = self._calls[qualname] = set()
+        for node in nodes:
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (
                     node.targets
@@ -276,16 +286,20 @@ class EffectAnalysis:
                         is_module_global, is_capture,
                     )
             elif isinstance(node, ast.Call):
-                self._record_call(
+                resolved = self._record_call(
                     module, qualname, effects, node,
                     is_module_global, is_capture,
                 )
+                if resolved is not None:
+                    calls.add(resolved)
             elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
                 node.ctx, ast.Load
             ):
                 self._record_rng_use(
                     module, qualname, effects, node, local
                 )
+            elif isinstance(node, ast.Lambda):
+                self._opaque.add(qualname)
         return effects
 
     def _record_rng_use(
@@ -311,7 +325,7 @@ class EffectAnalysis:
             return
         if base.id in local and not qualname.endswith(f".{MODULE_FN}"):
             return
-        dotted = _dotted(node)
+        dotted = dotted_name(node)
         if dotted is None:
             return
         resolved = normalize_dotted(self.project.resolve(module, dotted))
@@ -362,10 +376,11 @@ class EffectAnalysis:
         node: ast.Call,
         is_module_global,
         is_capture,
-    ) -> None:
-        dotted = _dotted(node.func)
+    ) -> Optional[str]:
+        """Record one call's effects; returns its resolved callee."""
+        dotted = dotted_name(node.func)
         if dotted is None:
-            return
+            return None
         head, _, rest = dotted.partition(".")
         if rest and "." not in rest and rest in _MUTATING_METHODS:
             if is_module_global(head):
@@ -379,6 +394,7 @@ class EffectAnalysis:
             effects.rng_origins.append(
                 (node.lineno, resolved, bool(node.args or node.keywords))
             )
+        return resolved
 
     # -- summaries ------------------------------------------------------
 
@@ -412,28 +428,31 @@ class EffectAnalysis:
     # -- clock return-taint ---------------------------------------------
 
     def _fixpoint_clock_taint(self) -> None:
+        """Clock return-taint and tainted json sinks, to a fixpoint.
+
+        A scope is compiled (:meth:`_compile_taint`) only once it could
+        hold a tainted value: it reads a wall clock, holds a lambda, or
+        calls a function already found to return a clock value.  Until
+        then it returns no clock value and reaches no sink.
+        """
+        scopes = {
+            qualname: (module, nodes)
+            for qualname, module, nodes, _ in self._scopes()
+        }
+        programs: Dict[str, _TaintProgram] = {}
         self.returns_clock = {q: False for q in self.direct}
         sink_sites: Set[Site] = set()
         changed = True
         while changed:
             changed = False
-            for qualname in sorted(self.direct):
-                info = self.project.functions.get(qualname)
-                module = self.project.modules.get(
-                    qualname.rsplit(".", 1)[0]
-                    if qualname.endswith(f".{MODULE_FN}")
-                    else (info.module if info else "")
-                )
-                if module is None:
-                    continue
-                root = (
-                    module.tree
-                    if qualname.endswith(f".{MODULE_FN}")
-                    else info.node
-                )
-                if root is None:
-                    continue
-                returns, sinks = self._taint_function(module, qualname, root)
+            for qualname in sorted(scopes):
+                program = programs.get(qualname)
+                if program is None:
+                    if not self._may_taint(qualname):
+                        continue
+                    program = self._compile_taint(*scopes[qualname])
+                    programs[qualname] = program
+                returns, sinks = self._run_taint(qualname, program)
                 if returns and not self.returns_clock[qualname]:
                     self.returns_clock[qualname] = True
                     changed = True
@@ -443,55 +462,67 @@ class EffectAnalysis:
                     changed = True
         self.json_sink_sites = sorted(sink_sites)
 
-    def _taint_function(
-        self, module: ModuleInfo, qualname: str, root: ast.AST
-    ) -> Tuple[bool, Set[Site]]:
-        tainted: Set[str] = set()
-        sinks: Set[Site] = set()
-        returns = False
+    def _may_taint(self, qualname: str) -> bool:
+        return (
+            qualname in self._opaque
+            or bool(self.direct[qualname].clock_sites)
+            or any(self.returns_clock.get(c) for c in self._calls[qualname])
+        )
 
-        def expr_tainted(node: ast.AST) -> bool:
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and isinstance(
-                    sub.ctx, ast.Load
-                ):
-                    if sub.id in tainted:
-                        return True
-                elif isinstance(sub, ast.Call):
-                    dotted = _dotted(sub.func)
-                    if dotted is None:
-                        continue
-                    resolved = normalize_dotted(
-                        self.project.resolve(module, dotted)
-                    )
-                    if (
-                        resolved in WALL_CLOCK_CALLS
-                        or dotted in WALL_CLOCK_CALLS
+    def _compile_taint(
+        self, module: ModuleInfo, nodes: Sequence[ast.AST]
+    ) -> _TaintProgram:
+        """Reduce a scope to the statements the taint rounds evaluate."""
+
+        def compile_expr(exprs: Sequence[ast.AST]) -> _TaintExpr:
+            loads: Set[str] = set()
+            clock = False
+            callees: Set[str] = set()
+            for expr in exprs:
+                for sub in ast.walk(expr):
+                    if isinstance(sub, ast.Name) and isinstance(
+                        sub.ctx, ast.Load
                     ):
-                        return True
-                    if self.returns_clock.get(resolved):
-                        return True
-            return False
+                        loads.add(sub.id)
+                    elif isinstance(sub, ast.Call):
+                        dotted = dotted_name(sub.func)
+                        if dotted is None:
+                            continue
+                        resolved = normalize_dotted(
+                            self.project.resolve(module, dotted)
+                        )
+                        if (
+                            resolved in WALL_CLOCK_CALLS
+                            or dotted in WALL_CLOCK_CALLS
+                        ):
+                            clock = True
+                        if resolved in self.direct:
+                            callees.add(resolved)
+            return _TaintExpr(frozenset(loads), clock, frozenset(callees))
 
-        for node in _body_nodes(root):
+        program = _TaintProgram(assigns=[], returns=None, sinks=[])
+        returns: List[ast.AST] = []
+        for node in nodes:
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                value = node.value
-                if value is None or not expr_tainted(value):
+                if node.value is None:
                     continue
                 targets = (
                     node.targets
                     if isinstance(node, ast.Assign)
                     else [node.target]
                 )
-                for target in targets:
-                    for name_node in ast.walk(target):
-                        if isinstance(name_node, ast.Name):
-                            tainted.add(name_node.id)
+                names = frozenset(
+                    name_node.id
+                    for target in targets
+                    for name_node in ast.walk(target)
+                    if isinstance(name_node, ast.Name)
+                )
+                program.assigns.append((names, compile_expr([node.value])))
             elif isinstance(node, ast.Return):
-                if node.value is not None and expr_tainted(node.value):
-                    returns = True
+                if node.value is not None:
+                    returns.append(node.value)
             elif isinstance(node, ast.Call):
-                dotted = _dotted(node.func)
+                dotted = dotted_name(node.func)
                 if dotted is None:
                     continue
                 resolved = normalize_dotted(
@@ -501,8 +532,40 @@ class EffectAnalysis:
                     args = list(node.args) + [
                         kw.value for kw in node.keywords
                     ]
-                    if any(expr_tainted(a) for a in args):
-                        sinks.add(
-                            (qualname, node.lineno, "json payload")
-                        )
+                    program.sinks.append((node.lineno, compile_expr(args)))
+        if returns:
+            program.returns = compile_expr(returns)
+        return program
+
+    def _run_taint(
+        self, qualname: str, program: _TaintProgram
+    ) -> Tuple[bool, Set[Site]]:
+        """Whether the scope returns a clock value, and its tainted sinks.
+
+        Local taint is flow-insensitive: assignments run until the
+        tainted names stop growing, then returns and sinks are judged
+        against that set, so statement order never hides a flow.
+        """
+        tainted: Set[str] = set()
+
+        def expr_tainted(expr: _TaintExpr) -> bool:
+            return (
+                expr.clock
+                or not expr.loads.isdisjoint(tainted)
+                or any(self.returns_clock[c] for c in expr.callees)
+            )
+
+        grown = True
+        while grown:
+            grown = False
+            for names, expr in program.assigns:
+                if not names <= tainted and expr_tainted(expr):
+                    tainted |= names
+                    grown = True
+        returns = program.returns is not None and expr_tainted(program.returns)
+        sinks = {
+            (qualname, line, "json payload")
+            for line, expr in program.sinks
+            if expr_tainted(expr)
+        }
         return returns, sinks

@@ -121,6 +121,24 @@ def _apply_file_pragmas(
     return kept
 
 
+def collect_findings(
+    project: Project, graph: CallGraph, effects: EffectAnalysis
+) -> List[Finding]:
+    """Every RPL1xx finding after exemptions and pragmas, sorted.
+
+    Parse failures are included; baselines are not applied.
+    """
+    ctx = _RuleContext(project)
+    findings: List[Finding] = list(project.parse_findings)
+    with obs.span("analysis.rules"):
+        for analysis_pass in _ANALYSIS_PASSES:
+            findings.extend(analysis_pass.run(project, graph, effects, ctx))
+    findings = _apply_exemptions(findings)
+    findings = _apply_file_pragmas(project, findings)
+    findings.sort(key=lambda f: f.sort_key())
+    return findings
+
+
 def run_analysis(
     paths: Optional[Sequence[str]] = None,
     config: Optional[LintConfig] = None,
@@ -139,16 +157,7 @@ def run_analysis(
             graph = build_call_graph(project)
         with obs.span("analysis.effects"):
             effects = EffectAnalysis(project, graph)
-        ctx = _RuleContext(project)
-        findings: List[Finding] = list(project.parse_findings)
-        with obs.span("analysis.rules"):
-            for analysis_pass in _ANALYSIS_PASSES:
-                findings.extend(
-                    analysis_pass.run(project, graph, effects, ctx)
-                )
-        findings = _apply_exemptions(findings)
-        findings = _apply_file_pragmas(project, findings)
-        findings.sort(key=lambda f: f.sort_key())
+        findings = collect_findings(project, graph, effects)
 
         suppressions: Dict[str, dict] = {}
         if isinstance(baseline, dict):

@@ -9,9 +9,12 @@ under the configured paths exactly once and builds:
   ``import`` / ``from ... import`` (including aliases and relative
   imports) to fully-qualified dotted targets,
 * a **function index** over every ``def`` (module-level, methods, and
-  named nested functions), and
+  named nested functions),
 * a **class index** with resolved base classes, feeding the
-  class-hierarchy pass that binds ``self.method()`` calls.
+  class-hierarchy pass that binds ``self.method()`` calls, and
+* a **node list per scope** (each function body and each module's
+  import-time ``<module>`` body), walked once here and shared by the
+  call graph and every effect pass.
 
 Everything downstream keys on *qualnames*: ``repro.figures.fig2a``,
 ``repro.synthesis.sessions.SessionSampler.snapshot_records``.  Files
@@ -60,6 +63,7 @@ class FunctionInfo:
     cls: Optional[str] = None  # enclosing class qualname, if a method
     parent: Optional[str] = None  # enclosing function qualname, if nested
     decorators: Tuple[str, ...] = ()
+    nodes: List[ast.AST] = field(default_factory=list)  # see scope_nodes
 
     @property
     def is_method(self) -> bool:
@@ -102,9 +106,42 @@ class ModuleInfo:
     mutable_globals: Dict[str, int] = field(default_factory=dict)
     rng_globals: Dict[str, RngGlobal] = field(default_factory=dict)
     parse_finding: Optional[Finding] = None
+    nodes: List[ast.AST] = field(default_factory=list)  # the <module> scope
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
+#: Nodes that open a scope of their own; a scope's walk stops at them.
+_SCOPE_BOUNDARIES = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda,
+)
+
+
+def scope_nodes(root: ast.AST) -> List[ast.AST]:
+    """Every node of one scope's body, breadth first.
+
+    The walk yields nested ``def``/``class``/``lambda`` nodes but does
+    not enter them.  Its order is part of the analyzer's output (RNG
+    origins are listed in it), so it must stay the order of a FIFO
+    queue seeded with ``root``'s children: the list is its own queue.
+    Children are read field by field, as :func:`ast.iter_child_nodes`
+    does, without its two generator layers per node.
+    """
+    nodes = list(ast.iter_child_nodes(root))
+    index = 0
+    while index < len(nodes):
+        node = nodes[index]
+        index += 1
+        if isinstance(node, _SCOPE_BOUNDARIES):
+            continue
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if isinstance(value, ast.AST):
+                nodes.append(value)
+            elif isinstance(value, list):
+                nodes.extend(v for v in value if isinstance(v, ast.AST))
+    return nodes
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: List[str] = []
     current = node
@@ -159,6 +196,7 @@ class Project:
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self.parse_findings: List[Finding] = []
+        self._subclasses: Dict[str, List[str]] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -179,6 +217,7 @@ class Project:
             if module.tree is not None:
                 project._index_module(module)
         project._bind_class_methods()
+        project._index_subclasses()
         return project
 
     def _add_file(self, path: str, text: str) -> None:
@@ -215,6 +254,7 @@ class Project:
 
     def _index_module(self, module: ModuleInfo) -> None:
         assert module.tree is not None
+        module.nodes = scope_nodes(module.tree)
         package = module.name.rpartition(".")[0]
         for node in module.tree.body:
             self._index_statement(module, node, package)
@@ -265,7 +305,7 @@ class Project:
             module.mutable_globals[name] = lineno
             return
         if isinstance(value, ast.Call):
-            dotted = _dotted(value.func)
+            dotted = dotted_name(value.func)
             if dotted is None:
                 return
             resolved = normalize_dotted(self.resolve(module, dotted))
@@ -311,7 +351,9 @@ class Project:
                 decorators = tuple(
                     normalize_dotted(self.resolve(module, d))
                     for d in (
-                        _dotted(dec.func if isinstance(dec, ast.Call) else dec)
+                        dotted_name(
+                            dec.func if isinstance(dec, ast.Call) else dec
+                        )
                         for dec in child.decorator_list
                     )
                     if d is not None
@@ -326,6 +368,7 @@ class Project:
                     cls=cls,
                     parent=parent,
                     decorators=decorators,
+                    nodes=scope_nodes(child),
                 )
                 self.functions[qualname] = info
                 if cls is not None and parent is None:
@@ -337,7 +380,7 @@ class Project:
                 qualname = f"{prefix}.{child.name}"
                 bases = tuple(
                     normalize_dotted(self.resolve(module, b))
-                    for b in (_dotted(base) for base in child.bases)
+                    for b in (dotted_name(base) for base in child.bases)
                     if b is not None
                 )
                 self.classes[qualname] = ClassInfo(
@@ -364,6 +407,13 @@ class Project:
                     continue
                 for method, target in base_info.methods.items():
                     info.methods.setdefault(method, target)
+
+    def _index_subclasses(self) -> None:
+        """Map each class to its project-local (transitive) subclasses."""
+        self._subclasses = {}
+        for qualname in sorted(self.classes):
+            for base in self.mro(qualname)[1:]:
+                self._subclasses.setdefault(base, []).append(qualname)
 
     # -- queries --------------------------------------------------------
 
@@ -407,13 +457,7 @@ class Project:
 
     def subclasses(self, class_qualname: str) -> List[str]:
         """Project-local classes that (transitively) inherit from it."""
-        out = []
-        for name in sorted(self.classes):
-            if name == class_qualname:
-                continue
-            if class_qualname in self.mro(name)[1:]:
-                out.append(name)
-        return out
+        return list(self._subclasses.get(class_qualname, ()))
 
     def lookup_method(
         self, class_qualname: str, method: str

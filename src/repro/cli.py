@@ -271,6 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "repgraph whole-program analysis: call graph + RNG/clock/"
             "purity dataflow (RPL1xx)"
         ),
+        parents=[obs_parent],
     )
     analyze.add_argument(
         "paths",
@@ -315,6 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="replint static analysis: determinism/units/error hygiene",
+        parents=[obs_parent],
     )
     lint.add_argument(
         "paths",

@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Union
 
+from repro import obs
 from repro.lint.baseline import load_baseline, split_by_baseline
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
@@ -220,25 +221,27 @@ def run_lint(
     targets = list(paths) if paths else list(cfg.paths)
     result = LintResult()
     all_findings: List[Finding] = []
-    for rel in collect_files(targets, cfg):
-        abs_path = os.path.join(os.path.abspath(cfg.root), rel)
-        try:
-            with open(abs_path, "r", encoding="utf-8") as fh:
-                source = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            all_findings.append(
-                Finding(
-                    path=rel,
-                    line=1,
-                    col=0,
-                    code=PARSE_ERROR_CODE,
-                    severity=Severity.ERROR,
-                    message=f"cannot read file: {exc}",
+    with obs.span("lint.run", paths=",".join(targets)):
+        for rel in collect_files(targets, cfg):
+            abs_path = os.path.join(os.path.abspath(cfg.root), rel)
+            try:
+                with open(abs_path, "r", encoding="utf-8") as fh:
+                    source = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                all_findings.append(
+                    Finding(
+                        path=rel,
+                        line=1,
+                        col=0,
+                        code=PARSE_ERROR_CODE,
+                        severity=Severity.ERROR,
+                        message=f"cannot read file: {exc}",
+                    )
                 )
-            )
-            continue
-        result.files_checked += 1
-        all_findings.extend(lint_source(source, rel, cfg))
+                continue
+            result.files_checked += 1
+            all_findings.extend(lint_source(source, rel, cfg))
+        obs.counter("lint.files").inc(result.files_checked)
     suppressions: Dict[str, dict] = {}
     if isinstance(baseline, dict):
         suppressions = baseline

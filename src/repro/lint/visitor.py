@@ -6,15 +6,15 @@ method for it.  This keeps lint time linear in file size regardless of
 how many rules are enabled, which matters once the rule pack grows and
 the linter runs on every commit.
 
-The visitor also maintains a parent map so rules can look upward
-(``parent_of``) — e.g. to check whether a ``set()`` call is already
-wrapped in ``sorted()`` — without each rule re-walking the tree.
+Rules look downward from the node they are handed: RPL006 visits the
+``list(...)``/``for`` that consumes a set, not the set, so no rule
+needs a node's parent and the visitor keeps no parent map.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.lint.findings import Finding
 from repro.lint.registry import BaseRule
@@ -44,24 +44,6 @@ class MultiRuleVisitor:
                     continue
                 node_name = name[len("visit_"):]
                 self._handlers.setdefault(node_name, []).append((r, handler))
-        self._parents: Dict[int, ast.AST] = {}
-
-    # -- parent access --------------------------------------------------
-
-    def parent_of(self, node: ast.AST) -> Optional[ast.AST]:
-        """The direct parent of ``node`` in the current tree."""
-        return self._parents.get(id(node))
-
-    def ancestors(self, node: ast.AST) -> List[ast.AST]:
-        """Parents from nearest to the module root."""
-        chain: List[ast.AST] = []
-        current: Optional[ast.AST] = self.parent_of(node)
-        while current is not None:
-            chain.append(current)
-            current = self.parent_of(current)
-        return chain
-
-    # -- the walk -------------------------------------------------------
 
     def run(
         self,
@@ -71,16 +53,10 @@ class MultiRuleVisitor:
         sink: Callable[[Finding], None],
     ) -> None:
         """Visit ``tree`` once, reporting findings through ``sink``."""
-        self._parents = {}
         for r in self.rules:
             r.bind(path, lines, tree, sink)
-            # Rules that need upward context get the shared parent map.
-            r.visitor = self  # type: ignore[attr-defined]
         for r in self.rules:
             r.enter_file()
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                self._parents[id(child)] = node
         self._dispatch(tree)
         for r in self.rules:
             r.leave_file()

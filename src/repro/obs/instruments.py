@@ -177,6 +177,11 @@ CATALOG: Tuple[InstrumentSpec, ...] = (
         "chaos.scenarios", "gauge",
         "scenarios in the most recent chaos campaign",
     ),
+    # -- lint (replint) --------------------------------------------------
+    InstrumentSpec(
+        "lint.files", "counter",
+        "source files read and checked by replint",
+    ),
     # -- analysis (repgraph) ---------------------------------------------
     InstrumentSpec(
         "analysis.modules", "gauge",

@@ -19,17 +19,48 @@ generator state after every snapshot.
 column store; :class:`RowDataset` does the same by scanning records,
 and the ``row-vs-columnar`` oracle, the perf parity suite and
 ``benchmarks/bench_dataset.py`` compare the two.
+
+:class:`~repro.analysis.effects.EffectAnalysis` and
+:func:`~repro.analysis.callgraph.build_call_graph` read each scope's
+node list, built once when the project is parsed, and the clock-taint
+rounds run a program compiled once per scope.
+:class:`ReferenceEffectAnalysis` and :func:`reference_call_graph`
+re-walk the trees in every pass instead, and the analysis suite's
+differential test requires equal effects, graphs and findings.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 from datetime import date
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+)
 
 import numpy as np
 from scipy.special import ndtri
 
+from repro.analysis.callgraph import (
+    MODULE_FN,
+    CallGraph,
+    _collect,
+    _FunctionScope,
+    _infer_param_types,
+)
+from repro.analysis.effects import (
+    _JSON_SINKS,
+    WALL_CLOCK_CALLS,
+    EffectAnalysis,
+    Effects,
+    _bound_names,
+)
+from repro.analysis.project import (
+    ModuleInfo,
+    Project,
+    dotted_name,
+    normalize_dotted,
+)
 from repro.constants import (
     ConnectionType,
     ContentType,
@@ -627,10 +658,252 @@ def _row_values(key: ColumnRef, record: ViewRecord) -> Tuple[object, ...]:
     return () if value is None else (value,)
 
 
+def scope_walk(root: ast.AST) -> Iterator[ast.AST]:
+    """One scope's nodes, by a FIFO queue popped from the front.
+
+    The walk :func:`repro.analysis.project.scope_nodes` must reproduce:
+    same nodes, same order, nested ``def``/``class``/``lambda`` yielded
+    but not entered.
+    """
+    stack = list(ast.iter_child_nodes(root))
+    while stack:
+        node = stack.pop(0)
+        yield node
+        if isinstance(
+            node,
+            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
+        ):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def subclasses_by_mro(project: Project, class_qualname: str) -> List[str]:
+    """Subclasses found by linearizing every class, per query."""
+    return [
+        name
+        for name in sorted(project.classes)
+        if name != class_qualname
+        and class_qualname in project.mro(name)[1:]
+    ]
+
+
+def reference_call_graph(project: Project) -> CallGraph:
+    """:func:`~repro.analysis.callgraph.build_call_graph`, re-walking
+    each scope's tree instead of reading its stored node list."""
+    graph = CallGraph()
+    for name in sorted(project.modules):
+        module = project.modules[name]
+        if module.tree is None:
+            continue
+        scope = _FunctionScope(
+            info=None, module=module, qualname=f"{name}.{MODULE_FN}"
+        )
+        _collect(project, graph, scope, scope_walk(module.tree))
+    for qualname in sorted(project.functions):
+        info = project.functions[qualname]
+        scope = _FunctionScope(
+            info=info, module=project.modules[info.module], qualname=qualname
+        )
+        _infer_param_types(project, scope)
+        _collect(project, graph, scope, scope_walk(info.node))
+    return graph
+
+
+class ReferenceEffectAnalysis(EffectAnalysis):
+    """The re-walking reference for :class:`EffectAnalysis`.
+
+    Every pass walks the scope's tree again: the ``global``/``nonlocal``
+    prescan, the effect loop, the local names (once per enclosing
+    function of every nested one), and every clock-taint round, which
+    also walks and resolves each expression anew.  Local taint is the
+    same flow-insensitive rule: assignments repeat until the tainted
+    names stop growing, then returns and ``json.dump(s)`` sinks are
+    judged.  The per-node recording (``_record_*``) and the summary
+    fixpoint are shared.
+    """
+
+    def run(self) -> None:
+        for name in sorted(self.project.modules):
+            module = self.project.modules[name]
+            if module.tree is None:
+                continue
+            qualname = f"{name}.{MODULE_FN}"
+            self.direct[qualname] = self._rewalked_effects(
+                module, module.tree, qualname, enclosing_bound=set()
+            )
+        for qualname in sorted(self.project.functions):
+            info = self.project.functions[qualname]
+            bound: Set[str] = set()
+            parent = self.project.functions.get(info.parent or "")
+            while parent is not None:
+                parent_nodes = list(scope_walk(parent.node))
+                bound |= _bound_names(parent.node, parent_nodes)
+                parent = self.project.functions.get(parent.parent or "")
+            self.direct[qualname] = self._rewalked_effects(
+                self.project.modules[info.module], info.node, qualname, bound
+            )
+        self._fixpoint_summaries()
+        self._fixpoint_clock_taint()
+
+    def _rewalked_effects(
+        self,
+        module: ModuleInfo,
+        root: ast.AST,
+        qualname: str,
+        enclosing_bound: Set[str],
+    ) -> Effects:
+        effects = Effects()
+        local = _bound_names(root, list(scope_walk(root)))
+        declared_global: Set[str] = set()
+        declared_nonlocal: Set[str] = set()
+        module_names = (
+            set(module.global_names)
+            | set(module.mutable_globals)
+            | set(module.rng_globals)
+        )
+        at_module = qualname.endswith(f".{MODULE_FN}")
+
+        def is_module_global(name: str) -> bool:
+            if name in declared_global:
+                return True
+            if at_module:
+                return name in module_names
+            return name in module_names and name not in local
+
+        def is_capture(name: str) -> bool:
+            if name in declared_nonlocal:
+                return True
+            return (
+                name in enclosing_bound
+                and name not in local
+                and name not in module_names
+            )
+
+        for node in scope_walk(root):
+            if isinstance(node, ast.Global):
+                declared_global.update(node.names)
+            elif isinstance(node, ast.Nonlocal):
+                declared_nonlocal.update(node.names)
+        for node in scope_walk(root):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = (
+                    node.targets
+                    if isinstance(node, ast.Assign)
+                    else [node.target]
+                )
+                for target in targets:
+                    self._record_store(
+                        module, qualname, effects, target,
+                        is_module_global, is_capture,
+                    )
+            elif isinstance(node, ast.Call):
+                self._record_call(
+                    module, qualname, effects, node,
+                    is_module_global, is_capture,
+                )
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                node.ctx, ast.Load
+            ):
+                self._record_rng_use(module, qualname, effects, node, local)
+        return effects
+
+    def _fixpoint_clock_taint(self) -> None:
+        self.returns_clock = {q: False for q in self.direct}
+        sink_sites: Set[Tuple[str, int, str]] = set()
+        changed = True
+        while changed:
+            changed = False
+            for qualname in sorted(self.direct):
+                if qualname.endswith(f".{MODULE_FN}"):
+                    module = self.project.modules[qualname.rsplit(".", 1)[0]]
+                    root: ast.AST = module.tree
+                else:
+                    info = self.project.functions[qualname]
+                    module = self.project.modules[info.module]
+                    root = info.node
+                returns, sinks = self._rewalked_taint(module, qualname, root)
+                if returns and not self.returns_clock[qualname]:
+                    self.returns_clock[qualname] = True
+                    changed = True
+                if not sinks <= sink_sites:
+                    sink_sites |= sinks
+                    changed = True
+        self.json_sink_sites = sorted(sink_sites)
+
+    def _rewalked_taint(
+        self, module: ModuleInfo, qualname: str, root: ast.AST
+    ) -> Tuple[bool, Set[Tuple[str, int, str]]]:
+        tainted: Set[str] = set()
+
+        def resolved(call: ast.Call) -> Tuple[Optional[str], str]:
+            dotted = dotted_name(call.func)
+            if dotted is None:
+                return None, ""
+            return dotted, normalize_dotted(
+                self.project.resolve(module, dotted)
+            )
+
+        def expr_tainted(node: ast.AST) -> bool:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    if sub.id in tainted:
+                        return True
+                elif isinstance(sub, ast.Call):
+                    dotted, name = resolved(sub)
+                    if dotted is None:
+                        continue
+                    if name in WALL_CLOCK_CALLS or dotted in WALL_CLOCK_CALLS:
+                        return True
+                    if self.returns_clock.get(name):
+                        return True
+            return False
+
+        grown = True
+        while grown:
+            grown = False
+            for node in scope_walk(root):
+                if not isinstance(
+                    node, (ast.Assign, ast.AnnAssign, ast.AugAssign)
+                ):
+                    continue
+                if node.value is None or not expr_tainted(node.value):
+                    continue
+                targets = (
+                    node.targets
+                    if isinstance(node, ast.Assign)
+                    else [node.target]
+                )
+                before = len(tainted)
+                for target in targets:
+                    for name_node in ast.walk(target):
+                        if isinstance(name_node, ast.Name):
+                            tainted.add(name_node.id)
+                grown = grown or len(tainted) > before
+        returns = False
+        sinks: Set[Tuple[str, int, str]] = set()
+        for node in scope_walk(root):
+            if isinstance(node, ast.Return):
+                if node.value is not None and expr_tainted(node.value):
+                    returns = True
+            elif isinstance(node, ast.Call):
+                dotted, name = resolved(node)
+                if dotted is None:
+                    continue
+                if name in _JSON_SINKS or dotted in _JSON_SINKS:
+                    args = list(node.args) + [kw.value for kw in node.keywords]
+                    if any(expr_tainted(a) for a in args):
+                        sinks.add((qualname, node.lineno, "json payload"))
+        return returns, sinks
+
+
 __all__ = [
+    "ReferenceEffectAnalysis",
     "RowDataset",
     "ScalarSessionSampler",
     "chunk_throughputs_per_chunk",
+    "reference_call_graph",
     "sample_video_index_searchsorted",
+    "scope_walk",
     "simulate_session_scalar",
+    "subclasses_by_mro",
 ]

@@ -15,6 +15,7 @@ the whole-program pass worth having:
 from __future__ import annotations
 
 import json
+import sysconfig
 import textwrap
 from pathlib import Path
 
@@ -29,9 +30,11 @@ from repro.analysis import (
     EffectAnalysis,
     Project,
     build_call_graph,
+    collect_findings,
     format_json,
     format_text,
     graph_json,
+    load_project,
     run_analysis,
 )
 from repro.analysis.callgraph import MODULE_FN
@@ -44,6 +47,12 @@ from repro.lint import (
 from repro.lint.baseline import split_by_baseline
 from repro.lint.engine import apply_pragmas, collect_files, pragma_map
 from repro.lint.findings import Finding, Severity
+from repro.testkit.reference import (
+    ReferenceEffectAnalysis,
+    reference_call_graph,
+    scope_walk,
+    subclasses_by_mro,
+)
 
 pytestmark = pytest.mark.analysis
 
@@ -315,6 +324,47 @@ class TestEffects:
         assert effects.returns_clock["app.clocks.now"]
         assert effects.returns_clock["app.clocks.indirect"]
 
+    def test_clock_assigned_in_a_block_taints_the_return(self):
+        """The return sits above the assignment in the walk's order."""
+        project = project_of({
+            "src/app/clocks.py": """
+            import time
+
+            def stamp(live):
+                if live:
+                    now = time.time()
+                else:
+                    now = 0.0
+                return now
+            """,
+        })
+        effects = self._effects(project)
+        assert effects.returns_clock["app.clocks.stamp"]
+
+    def test_clock_reads_inside_lambdas_taint_their_binding(self):
+        project = project_of({
+            "src/app/lam.py": """
+            import json
+            import time
+
+            def now():
+                return time.time()
+
+            def direct():
+                read = lambda: time.time()
+                return json.dumps({"at": read})
+
+            def indirect():
+                read = lambda: now()
+                return json.dumps({"at": read})
+            """,
+        })
+        effects = self._effects(project)
+        assert effects.json_sink_sites == [
+            ("app.lam.direct", 10, "json payload"),
+            ("app.lam.indirect", 14, "json payload"),
+        ]
+
     def test_cross_module_rng_use_lands_in_worker_summary(self):
         project = project_of({
             "src/app/streams.py": "import random\nRNG = random.Random(3)\n",
@@ -422,6 +472,33 @@ class TestAnalyses:
         assert codes == {"RPL103"}
         paths = {f.path for f in result.findings}
         assert "src/app/good.py" not in paths
+
+    def test_rpl103_clock_assigned_in_if_else_reaches_json_sink(
+        self, tmp_path
+    ):
+        """Local taint ignores statement order: the payload line comes
+        first in the breadth-first walk, the clock read inside the
+        ``if`` after it."""
+        result = analyze_tree(
+            tmp_path,
+            {
+                "src/app/encode.py": (
+                    "import json\n"
+                    "import time\n\n"
+                    "def encode(flag):\n"
+                    "    if flag:\n"
+                    "        now = time.time()\n"
+                    "    else:\n"
+                    "        now = 0.0\n"
+                    "    payload = {'at': now}\n"
+                    "    return json.dumps(payload)\n"
+                ),
+            },
+        )
+        assert [(f.code, f.line) for f in result.findings] == [
+            ("RPL103", 10)
+        ]
+        assert "json payload" in result.findings[0].message
 
     def test_rpl104_impure_worker_flagged_and_memoized_builder_clean(
         self, tmp_path
@@ -792,6 +869,109 @@ class TestProperties:
             for code in sorted(codes)
         ]
         assert apply_pragmas(findings, pragmas) == []
+
+
+# ---------------------------------------------------------------------------
+# Differential: walk-once passes against the re-walking reference
+# ---------------------------------------------------------------------------
+
+
+def _stdlib_project() -> Project:
+    stdlib = sysconfig.get_paths()["stdlib"]
+    return load_project(stdlib, ["json", "http", "concurrent"])
+
+
+def _clock_flow_package(rnd) -> dict:
+    """Two modules of small functions that pass clock values around:
+    nested blocks, lambdas, cross-module calls and json sinks."""
+    names = ["a", "b", "c"]
+    funcs = {m: [f"f{m}{i}" for i in range(rnd.randint(1, 3))] for m in (0, 1)}
+    callees = funcs[0] + funcs[1]
+
+    def value() -> str:
+        return rnd.choice([
+            "time.time()", f"{rnd.choice(callees)}()",
+            f"{rnd.choice(names)} + 1", f"lambda: {rnd.choice(callees)}()",
+            "lambda: time.time()", f"[{rnd.choice(names)} for _ in x]", "0",
+        ])
+
+    def block(depth: int) -> list:
+        pad = "    " * (depth + 1)
+        lines = []
+        for _ in range(rnd.randint(1, 3)):
+            kind = rnd.randrange(6)
+            if kind == 0 and depth < 2:
+                lines += [f"{pad}if x:", *block(depth + 1), f"{pad}else:",
+                          *block(depth + 1)]
+            elif kind == 1:
+                lines.append(f"{pad}json.dumps({{'v': {rnd.choice(names)}}})")
+            elif kind == 2:
+                lines.append(f"{pad}return {rnd.choice(names)}")
+            else:
+                lines.append(f"{pad}{rnd.choice(names)} = {value()}")
+        return lines
+
+    files = {}
+    for m, own in funcs.items():
+        other = ", ".join(funcs[1 - m])
+        lines = ["import json", "import time",
+                 f"from app.m{1 - m} import {other}"]
+        for name in own:
+            lines += [f"def {name}(x=()):", *block(0)]
+        files[f"src/app/m{m}.py"] = "\n".join(lines) + "\n"
+    return files
+
+
+class TestReferenceDifferential:
+    """Stored node lists, the subclass index, the compiled taint
+    program and its lazy scheduling change no analysis output."""
+
+    @pytest.mark.parametrize(
+        "load",
+        [
+            lambda: load_project(str(DEMO_ROOT), ["demo"]),
+            lambda: load_project(
+                str(ROOT), ["src"], exclude=LintConfig.load(str(ROOT)).exclude
+            ),
+            _stdlib_project,
+        ],
+        ids=["repgraph_demo", "src", "stdlib"],
+    )
+    def test_matches_reference(self, load):
+        project = load()
+        assert len(project.functions) > 5
+        for module in project.modules.values():
+            if module.tree is not None:
+                assert module.nodes == list(scope_walk(module.tree))
+        for info in project.functions.values():
+            assert info.nodes == list(scope_walk(info.node))
+        for name in project.classes:
+            assert project.subclasses(name) == subclasses_by_mro(
+                project, name
+            )
+
+        graph = build_call_graph(project)
+        ref_graph = reference_call_graph(project)
+        assert graph.to_dict() == ref_graph.to_dict()
+        effects = EffectAnalysis(project, graph)
+        ref = ReferenceEffectAnalysis(project, ref_graph)
+        assert effects.direct == ref.direct
+        assert effects.summary == ref.summary
+        assert effects.returns_clock == ref.returns_clock
+        assert effects.json_sink_sites == ref.json_sink_sites
+        assert collect_findings(project, graph, effects) == (
+            collect_findings(project, ref_graph, ref)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_clock_flows_match_reference(self, rnd):
+        project = project_of(_clock_flow_package(rnd))
+        effects = EffectAnalysis(project, build_call_graph(project))
+        ref = ReferenceEffectAnalysis(project, reference_call_graph(project))
+        assert effects.direct == ref.direct
+        assert effects.returns_clock == ref.returns_clock
+        assert effects.json_sink_sites == ref.json_sink_sites
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ Three claims are under test here:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -406,7 +407,23 @@ class TestCliObs:
             "histograms",
         }
 
-    def test_trace_flag_rejected_without_subcommand_support(self, capsys):
-        # lint deliberately has no obs flags: it never runs the pipeline.
-        with pytest.raises(SystemExit):
-            cli.main(["lint", "--trace"])
+    def test_lint_trace_prints_lint_run_span(
+        self, tmp_path, capsys, global_obs
+    ):
+        for name in ("a.py", "b.py"):
+            (tmp_path / name).write_text("VALUE = 1\n", encoding="utf-8")
+        args = ["lint", str(tmp_path), "--root", str(tmp_path), "--trace"]
+        assert cli.main(args) == 0
+        assert "lint.run" in capsys.readouterr().err
+        assert global_obs.registry.counter("lint.files").value == 2
+
+    def test_analyze_trace_prints_stage_spans(self, capsys, global_obs):
+        demo = Path(__file__).parent / "fixtures" / "repgraph_demo"
+        code = cli.main(
+            ["analyze", "demo", "--root", str(demo), "--no-baseline",
+             "--trace"]
+        )
+        assert code == 1  # the fixture plants one hazard per RPL1xx code
+        err = capsys.readouterr().err
+        for stage in ("analysis.run", "  analysis.effects"):
+            assert stage in err
