@@ -1,28 +1,20 @@
 """repro.chaos: deterministic cross-layer fault injection.
 
-The chaos plane turns "does the pipeline degrade gracefully?" into a
-checked, versioned artifact: a :class:`~repro.chaos.plan.FaultPlan`
-declares what breaks where and when; the layer injectors execute it
-against the *real* components; degradation contracts assert what
-graceful means; and the runner folds everything into a deterministic
-:class:`~repro.chaos.runner.DegradationReport`.
+The chaos plane breaks several layers of the pipeline at once: a
+:class:`~repro.chaos.plan.FaultPlan` declares what breaks where and
+when; the layer injectors execute it against the *real* components;
+and :class:`~repro.chaos.runner.ChaosRun` caches one scenario's
+campaign and its per-layer fault ledger.  What graceful degradation
+*means* is stated by the zoo's ``contract`` oracles, which run in the
+testkit matrix (:func:`repro.testkit.run_matrix`) beside the
+differential and metamorphic oracles.
 
 Importing this package also loads the scenario zoo
 (:mod:`repro.chaos.zoo`), which registers its scenarios, perturbations,
-and degradation contracts as a side effect — see the import at the
-bottom of this module.
+and contract oracles as a side effect — see the import at the bottom
+of this module.
 """
 
-from repro.chaos.contracts import (
-    ContractCheck,
-    ContractOutcome,
-    DegradationContract,
-    contract,
-    contract_names,
-    contracts_for,
-    get_contract,
-    run_contract,
-)
 from repro.chaos.injectors import (
     BreakerTransition,
     DeliveryChaosResult,
@@ -46,27 +38,14 @@ from repro.chaos.plan import (
     Layer,
     Window,
 )
-from repro.chaos.runner import (
-    DEGRADATION_REPORT_VERSION,
-    ChaosRun,
-    DegradationReport,
-    ScenarioChaosReport,
-    chaos_scenario_names,
-    run_chaos,
-    run_chaos_scenario,
-)
+from repro.chaos.runner import ChaosRun
 
 __all__ = [
     "LAYER_KINDS",
     "PLAN_VERSION",
     "RECOVERABLE_KINDS",
-    "DEGRADATION_REPORT_VERSION",
     "BreakerTransition",
     "ChaosRun",
-    "ContractCheck",
-    "ContractOutcome",
-    "DegradationContract",
-    "DegradationReport",
     "DeliveryChaosResult",
     "FaultKind",
     "FaultPlan",
@@ -75,26 +54,16 @@ __all__ = [
     "Layer",
     "ManifestChaosResult",
     "PoisonEvent",
-    "ScenarioChaosReport",
     "TelemetryInjection",
     "Window",
-    "chaos_scenario_names",
-    "contract",
-    "contract_names",
-    "contracts_for",
-    "get_contract",
     "inject_ingest_pressure",
     "inject_telemetry",
-    "run_chaos",
-    "run_chaos_scenario",
-    "run_contract",
     "run_delivery_chaos",
     "run_ingest_chaos",
     "run_manifest_chaos",
 ]
 
-# Load the scenario zoo last: it needs every name above plus a fully
-# initialized repro.testkit.scenario.  When repro.testkit is imported
-# first, its own trailing zoo import lands here and resolves via
-# sys.modules without re-executing anything.
+# Load the scenario zoo last.  It needs repro.chaos.plan and a fully
+# initialized repro.testkit, which the runner import above has already
+# pulled in (and which loads the zoo itself when imported first).
 from repro.chaos import zoo as _zoo  # noqa: E402,F401

@@ -173,15 +173,21 @@ class FaultSpec:
         try:
             kind = FaultKind(str(payload["kind"]))
             layer = Layer(str(payload["layer"]))
-            start, end = payload.get("window", [0.0, 1.0])  # type: ignore[misc]
             intensity = float(payload.get("intensity", 0.5))  # type: ignore[arg-type]
         except (KeyError, TypeError, ValueError) as exc:
             raise ChaosError(f"malformed fault spec payload: {exc}") from exc
+        window = payload.get("window", [0.0, 1.0])
+        try:
+            start, end = (float(bound) for bound in window)  # type: ignore[union-attr]
+        except (TypeError, ValueError):
+            raise ChaosError(
+                f"fault spec window must be two numbers, got {window!r}"
+            ) from None
         target = payload.get("target")
         return cls(
             kind=kind,
             layer=layer,
-            window=Window(float(start), float(end)),
+            window=Window(start, end),
             intensity=intensity,
             target=str(target) if target is not None else None,
         )
@@ -196,8 +202,17 @@ class FaultPlan:
     specs: Tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.name or any(c.isspace() for c in self.name):
-            raise ChaosError("plan name must be non-empty, no spaces")
+        if (
+            not isinstance(self.name, str)
+            or not self.name
+            or any(c.isspace() for c in self.name)
+        ):
+            raise ChaosError(
+                f"plan name must be a non-empty string without spaces, "
+                f"got {self.name!r}"
+            )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ChaosError(f"plan seed must be an integer, got {self.seed!r}")
 
     # -- queries --------------------------------------------------------
 
@@ -263,15 +278,14 @@ class FaultPlan:
                 f"(expected {PLAN_VERSION})"
             )
         try:
-            name = str(payload["name"])
-            seed = int(payload["seed"])  # type: ignore[arg-type]
-            raw_specs = payload.get("specs", [])
-        except (KeyError, TypeError, ValueError) as exc:
+            name, seed = payload["name"], payload["seed"]
+        except KeyError as exc:
             raise ChaosError(f"malformed fault plan payload: {exc}") from exc
+        raw_specs = payload.get("specs", [])
         if not isinstance(raw_specs, (list, tuple)):
             raise ChaosError("plan specs must be a list")
         specs = tuple(FaultSpec.from_payload(s) for s in raw_specs)
-        return cls(name=name, seed=seed, specs=specs)
+        return cls(name=name, seed=seed, specs=specs)  # type: ignore[arg-type]
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":

@@ -1,33 +1,24 @@
-"""The chaos runner: one scenario x one fault plan -> degradation report.
+"""The chaos campaign of one scenario: :class:`ChaosRun`.
 
-:class:`ChaosRun` is the cached artifact the degradation contracts
-inspect, the chaos analogue of
-:class:`~repro.testkit.scenario.ScenarioRun`: every expensive stage —
-the replayed event stream, the faulted ingest, the delivery timeline,
-the manifest sweep, the recovery pair — is built lazily and exactly
-once, so a panel of contracts over one scenario shares the work.
-
-:func:`run_chaos` executes every applicable contract for each requested
-scenario and folds the outcomes plus the per-layer fault ledgers into a
-:class:`DegradationReport`, the artifact ``repro chaos run --json``
-emits and CI archives.  The payload is deterministic (sorted keys, no
-timestamps) so two runs of the same tree diff clean.
+:class:`ChaosRun` is the cached artifact the contract oracles
+(:mod:`repro.chaos.zoo`) and the chaos-recovery oracle inspect: every
+expensive stage — the replayed event stream, the faulted ingest, the
+delivery timeline, the manifest sweep, the recovery pair — is built
+lazily and exactly once.  One instance hangs off each
+:class:`~repro.testkit.scenario.ScenarioRun`
+(:meth:`~repro.testkit.scenario.ScenarioRun.chaos`), so every oracle
+over one scenario shares the work, and the matrix reads the per-layer
+fault :meth:`~ChaosRun.ledger` into the oracle report.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.chaos.contracts import (
-    ContractOutcome,
-    contracts_for,
-    run_contract,
-)
 from repro.chaos.injectors import (
     DeliveryChaosResult,
     IngestChaosResult,
@@ -39,19 +30,9 @@ from repro.chaos.injectors import (
     run_manifest_chaos,
 )
 from repro.chaos.plan import FaultPlan, Layer
-from repro.core.report import format_table
 from repro.entities.cdn import CDN, CdnAssignment
 from repro.errors import ChaosError
-from repro.testkit.scenario import (
-    ScenarioRun,
-    ScenarioSpec,
-    get_scenario,
-    run_scenario,
-    scenario_names,
-)
-
-#: Schema version of the degradation-report JSON payload.
-DEGRADATION_REPORT_VERSION = 1
+from repro.testkit.scenario import ScenarioRun
 
 #: Clean records replayed through the telemetry/ingest chaos stages.
 REPLAY_LIMIT = 160
@@ -104,21 +85,10 @@ class ChaosRun:
     cannot leak between contracts.
     """
 
-    def __init__(
-        self, spec: ScenarioSpec, scenario: Optional[ScenarioRun] = None
-    ) -> None:
-        self.spec = spec
-        plan = spec.chaos_plan
-        if plan is None:
-            plan = FaultPlan(name=f"{spec.name}-noop", seed=spec.seed)
-        if not isinstance(plan, FaultPlan):
-            raise ChaosError(
-                f"scenario {spec.name!r} carries a non-FaultPlan chaos_plan"
-            )
-        self.plan: FaultPlan = plan
-        # An existing ScenarioRun may be passed to share its cached
-        # builds (the chaos-recovery oracle does this).
-        self.scenario: ScenarioRun = scenario or run_scenario(spec)
+    def __init__(self, run: ScenarioRun) -> None:
+        self.scenario = run
+        self.spec = run.spec
+        self.plan: FaultPlan = run.spec.require_plan()
         self._events: Optional[List[object]] = None
         self._clean_report = None
         self._telemetry: Optional[TelemetryOutcome] = None
@@ -229,8 +199,7 @@ class ChaosRun:
         """Ingest under the plan's *recoverable* faults only.
 
         The resulting records must equal the fault-free replay exactly —
-        the invariant behind the chaos-recovery differential oracle and
-        the universal recovered-equals-fault-free contract.
+        the invariant behind the chaos-recovery differential oracle.
         """
         from repro.telemetry.ingest import ErrorPolicy, IngestPipeline
 
@@ -288,7 +257,7 @@ class ChaosRun:
         return cached
 
     def ledger(self) -> Dict[str, Dict[str, int]]:
-        """Per-layer injected/absorbed/leaked, for the report.
+        """Per-layer injected/absorbed/leaked, for the oracle report.
 
         Only layers the plan actually targets are materialized; an
         all-quiet plan yields an empty ledger rather than burning time
@@ -349,184 +318,3 @@ def _multiset_delta(left: Sequence[object], right: Sequence[object]) -> int:
     only_left = sum((left_counts - right_counts).values())
     only_right = sum((right_counts - left_counts).values())
     return max(only_left, only_right)
-
-
-# ----------------------------------------------------------------------
-# The degradation report
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScenarioChaosReport:
-    """One scenario's plan, fault ledger, and contract outcomes."""
-
-    scenario: str
-    plan: Dict[str, object]
-    ledger: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    outcomes: Tuple[ContractOutcome, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return all(o.passed for o in self.outcomes)
-
-
-@dataclass(frozen=True)
-class DegradationReport:
-    """All scenarios of one chaos run — the CI artifact."""
-
-    reports: Tuple[ScenarioChaosReport, ...]
-
-    @property
-    def passed(self) -> int:
-        return sum(
-            1
-            for r in self.reports
-            for o in r.outcomes
-            if o.status == "pass"
-        )
-
-    @property
-    def failed(self) -> int:
-        return sum(
-            1
-            for r in self.reports
-            for o in r.outcomes
-            if o.status == "fail"
-        )
-
-    @property
-    def skipped(self) -> int:
-        return sum(
-            1
-            for r in self.reports
-            for o in r.outcomes
-            if o.status == "skip"
-        )
-
-    @property
-    def checks(self) -> int:
-        return sum(o.checks for r in self.reports for o in r.outcomes)
-
-    @property
-    def ok(self) -> bool:
-        """True when nothing failed and something actually passed."""
-        return self.failed == 0 and self.passed > 0
-
-    def failures(self) -> List[ContractOutcome]:
-        return [
-            o
-            for r in self.reports
-            for o in r.outcomes
-            if o.status == "fail"
-        ]
-
-    def to_payload(self) -> Dict[str, object]:
-        """The JSON-ready report body (deterministic ordering)."""
-        return {
-            "version": DEGRADATION_REPORT_VERSION,
-            "scenarios": [
-                {
-                    "scenario": r.scenario,
-                    "plan": r.plan,
-                    "ledger": {
-                        layer: dict(sorted(counts.items()))
-                        for layer, counts in sorted(r.ledger.items())
-                    },
-                    "contracts": [
-                        {
-                            "contract": o.contract,
-                            "status": o.status,
-                            "checks": o.checks,
-                            "detail": o.detail,
-                        }
-                        for o in sorted(
-                            r.outcomes, key=lambda o: o.contract
-                        )
-                    ],
-                }
-                for r in sorted(self.reports, key=lambda r: r.scenario)
-            ],
-            "summary": {
-                "pass": self.passed,
-                "fail": self.failed,
-                "skip": self.skipped,
-                "checks": self.checks,
-                "ok": self.ok,
-            },
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_payload(), indent=indent, sort_keys=True)
-
-    def format_text(self) -> str:
-        """An aligned text table plus a one-line verdict."""
-        rows = []
-        for report in sorted(self.reports, key=lambda r: r.scenario):
-            for outcome in sorted(
-                report.outcomes, key=lambda o: o.contract
-            ):
-                rows.append(
-                    {
-                        "scenario": report.scenario,
-                        "contract": outcome.contract,
-                        "status": outcome.status.upper(),
-                        "checks": outcome.checks,
-                    }
-                )
-        lines = [format_table(rows)] if rows else []
-        for failure in self.failures():
-            lines.append(
-                f"FAIL {failure.scenario}/{failure.contract}: "
-                f"{failure.detail}"
-            )
-        verdict = "OK" if self.ok else "FAILED"
-        lines.append(
-            f"{verdict}: {self.passed} passed, {self.failed} failed, "
-            f"{self.skipped} skipped ({self.checks} checks)"
-        )
-        return "\n".join(lines)
-
-
-def chaos_scenario_names() -> List[str]:
-    """Scenarios that declare a chaos plan (the scenario zoo)."""
-    return [
-        name
-        for name in scenario_names()
-        if get_scenario(name).chaos_plan is not None
-    ]
-
-
-def run_chaos_scenario(spec: ScenarioSpec) -> ScenarioChaosReport:
-    """All applicable contracts + the fault ledger for one scenario."""
-    chaos_run = ChaosRun(spec)
-    with obs.span("chaos.scenario", scenario=spec.name):
-        outcomes = tuple(
-            run_contract(target, chaos_run)
-            for target in contracts_for(spec.name)
-        )
-        ledger = chaos_run.ledger()
-    return ScenarioChaosReport(
-        scenario=spec.name,
-        plan=chaos_run.plan.to_payload(),
-        ledger=ledger,
-        outcomes=outcomes,
-    )
-
-
-def run_chaos(
-    scenarios: Optional[Sequence[object]] = None,
-) -> DegradationReport:
-    """Run the chaos campaign (default: every plan-bearing scenario)."""
-    if scenarios is None:
-        specs = [get_scenario(name) for name in chaos_scenario_names()]
-    else:
-        specs = [
-            get_scenario(item) if isinstance(item, str) else item
-            for item in scenarios
-        ]
-    if not specs:
-        raise ChaosError("no chaos scenarios to run")
-    obs.gauge("chaos.scenarios").set(len(specs))
-    return DegradationReport(
-        reports=tuple(run_chaos_scenario(spec) for spec in specs)
-    )

@@ -3,8 +3,9 @@
 Each scenario pairs a small deterministic ecosystem build with a
 cross-layer :class:`~repro.chaos.plan.FaultPlan` and, where the
 scenario is metamorphic, a registered perturbation of the built
-dataset.  The degradation contracts at the bottom state what graceful
-degradation means for each one:
+dataset.  The ``contract`` oracles at the bottom state what graceful
+degradation means for each one; they read the scenario's campaign
+through :meth:`~repro.testkit.scenario.ScenarioRun.chaos`:
 
 ``flash-crowd``
     One publisher's audience multiplies 5x at the latest snapshot.
@@ -33,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List
 
-from repro.chaos.contracts import ContractCheck, contract
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec, Layer, Window
 from repro.constants import Protocol
 from repro.core.dimensions import CdnDimension, ProtocolDimension
@@ -43,8 +43,9 @@ from repro.core.prevalence import (
 )
 from repro.synthesis.generator import EcosystemResult
 from repro.telemetry.dataset import Dataset
-from repro.testkit.oracles import Skip
+from repro.testkit.oracles import Check, Skip, oracle
 from repro.testkit.scenario import (
+    ScenarioRun,
     ScenarioSpec,
     register_perturbation,
     register_scenario,
@@ -369,55 +370,17 @@ register_scenario(
 # ----------------------------------------------------------------------
 
 
-@contract(
-    "recovered-equals-fault-free",
-    "after recoverable faults end, ingest output and every figure row "
-    "equal the fault-free run exactly",
-)
-def recovered_equals_fault_free(run, check: ContractCheck) -> str:
-    recovery = run.recovery()
-    check.that(
-        recovery.injection.total_injected > 0,
-        "plan injected no recoverable telemetry faults — the recovery "
-        "comparison would be vacuous",
-    )
-    check.equal(
-        recovery.quarantined, 0, "recoverable faults must not quarantine"
-    )
-    check.equal(
-        len(recovery.recovered_records),
-        len(recovery.clean_records),
-        "recovered record count",
-    )
-    check.that(
-        recovery.identical,
-        "recovered records differ from the fault-free replay",
-    )
-    clean_rows = run.figure_rows_from(recovery.clean_records, "clean")
-    recovered_rows = run.figure_rows_from(
-        recovery.recovered_records, "recovered"
-    )
-    for figure_id in sorted(clean_rows):
-        check.rows_equal(
-            recovered_rows[figure_id],
-            clean_rows[figure_id],
-            f"figure {figure_id} under recovered faults",
-        )
-    return (
-        f"{recovery.injection.total_injected} recoverable faults absorbed; "
-        f"{len(clean_rows)} figures byte-identical"
-    )
-
-
-@contract(
+@oracle(
+    "contract",
     "breaker-reclose",
     "every circuit breaker opened by delivery faults re-closes once "
     "the faults end",
 )
-def breaker_reclose(run, check: ContractCheck) -> str:
-    if Layer.DELIVERY not in run.plan.layers():
+def breaker_reclose(run: ScenarioRun, check: Check) -> str:
+    chaos = run.chaos()
+    if Layer.DELIVERY not in chaos.plan.layers():
         raise Skip("plan has no delivery faults")
-    delivery = run.delivery()
+    delivery = chaos.delivery()
     check.equal(
         delivery.unrecovered,
         [],
@@ -440,13 +403,14 @@ def breaker_reclose(run, check: ContractCheck) -> str:
     )
 
 
-@contract(
+@oracle(
+    "contract",
     "no-silent-leaks",
     "every injected fault is absorbed through a typed degradation "
     "path; zero leak into silent corruption",
 )
-def no_silent_leaks(run, check: ContractCheck) -> str:
-    ledger = run.ledger()
+def no_silent_leaks(run: ScenarioRun, check: Check) -> str:
+    ledger = run.chaos().ledger()
     check.that(bool(ledger), "plan exercises no layer at all")
     total = 0
     for layer in sorted(ledger):
@@ -462,15 +426,16 @@ def no_silent_leaks(run, check: ContractCheck) -> str:
 # ----------------------------------------------------------------------
 
 
-@contract(
+@oracle(
+    "contract",
     "flash-crowd-shares",
     "a flash crowd moves view-hour-weighted shares but not "
     "publisher-count shares",
     scenarios=("flash-crowd",),
 )
-def flash_crowd_shares(run, check: ContractCheck) -> str:
-    base = run.scenario.result.dataset
-    perturbed = run.scenario.perturbed_result().dataset
+def flash_crowd_shares(run: ScenarioRun, check: Check) -> str:
+    base = run.result.dataset
+    perturbed = run.perturbed_result().dataset
     dimension = CdnDimension()
     check.equal(
         publisher_support_series(perturbed, dimension),
@@ -492,14 +457,16 @@ def flash_crowd_shares(run, check: ContractCheck) -> str:
     return f"publisher shares frozen; view-hour shares moved {moved:.1f}pp"
 
 
-@contract(
+@oracle(
+    "contract",
     "regional-outage-contained",
     "a regional CDN outage is absorbed by failover and does not "
     "change packaging figures",
     scenarios=("regional-cdn-outage",),
 )
-def regional_outage_contained(run, check: ContractCheck) -> str:
-    delivery = run.delivery()
+def regional_outage_contained(run: ScenarioRun, check: Check) -> str:
+    chaos = run.chaos()
+    delivery = chaos.delivery()
     check.that(delivery.injected > 0, "outage window injected nothing")
     check.that(
         delivery.absorbed > 0, "no fetch was served during the outage"
@@ -514,18 +481,18 @@ def regional_outage_contained(run, check: ContractCheck) -> str:
     healthy_served = sum(
         count
         for cdn, count in delivery.served.items()
-        if cdn not in run.plan.targets(Layer.DELIVERY)
+        if cdn not in chaos.plan.targets(Layer.DELIVERY)
     )
     check.that(
         healthy_served > 0,
         "no healthy CDN ever served — failover did not engage",
     )
     base_rows = {
-        figure_id: run.scenario.figure_rows(figure_id)
+        figure_id: run.figure_rows(figure_id)
         for figure_id in run.spec.figures()
     }
-    fresh_rows = run.figure_rows_from(
-        run.scenario.result.dataset.records, "post-outage"
+    fresh_rows = chaos.figure_rows_from(
+        run.result.dataset.records, "post-outage"
     )
     for figure_id in sorted(base_rows):
         check.rows_equal(
@@ -539,15 +506,16 @@ def regional_outage_contained(run, check: ContractCheck) -> str:
     )
 
 
-@contract(
+@oracle(
+    "contract",
     "migration-wave-monotone",
     "an RTMP-to-HLS migration erases RTMP support, never shrinks HLS "
     "support, and preserves every record",
     scenarios=("protocol-migration-wave",),
 )
-def migration_wave_monotone(run, check: ContractCheck) -> str:
-    base = run.scenario.result.dataset
-    perturbed = run.scenario.perturbed_result().dataset
+def migration_wave_monotone(run: ScenarioRun, check: Check) -> str:
+    base = run.result.dataset
+    perturbed = run.perturbed_result().dataset
     check.equal(
         len(perturbed), len(base), "record count across the migration"
     )
@@ -583,15 +551,16 @@ def migration_wave_monotone(run, check: ContractCheck) -> str:
     return f"RTMP erased across {len(base.snapshots())} snapshot(s)"
 
 
-@contract(
+@oracle(
+    "contract",
     "low-end-fleet-caps",
     "capping the fleet's bitrate only lowers bitrates; view-hours and "
     "engagement survive intact",
     scenarios=("low-end-device-fleet",),
 )
-def low_end_fleet_caps(run, check: ContractCheck) -> str:
-    base = run.scenario.result.dataset.records
-    perturbed = run.scenario.perturbed_result().dataset.records
+def low_end_fleet_caps(run: ScenarioRun, check: Check) -> str:
+    base = run.result.dataset.records
+    perturbed = run.perturbed_result().dataset.records
     check.equal(len(perturbed), len(base), "record count under the cap")
     capped = 0
     for before, after in zip(base, perturbed):
@@ -617,13 +586,14 @@ def low_end_fleet_caps(run, check: ContractCheck) -> str:
     return f"{capped} record(s) capped at {LOW_END_CAP_KBPS:.0f} kbps"
 
 
-@contract(
+@oracle(
+    "contract",
     "abr-hybrid-floor",
     "the hybrid ABR never picks a rendition above either of its "
     "constituent policies",
     scenarios=("abr-policy-zoo",),
 )
-def abr_hybrid_floor(run, check: ContractCheck) -> str:
+def abr_hybrid_floor(run: ScenarioRun, check: Check) -> str:
     from repro.entities.ladder import BitrateLadder
     from repro.playback.abr import (
         AbrState,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro import figures, obs
 from repro.core.report import format_table
@@ -186,7 +186,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     testkit = sub.add_parser(
         "testkit",
-        help="scenario harness: differential + metamorphic oracle matrix",
+        help=(
+            "scenario harness: differential, metamorphic and contract "
+            "oracle matrix"
+        ),
         parents=[obs_parent],
     )
     testkit.add_argument(
@@ -228,14 +231,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="chaos plane: fault plans, injectors, degradation contracts",
+        help=(
+            "deprecated alias: the contract oracles of 'repro testkit' "
+            "over the plan-bearing scenarios"
+        ),
         parents=[obs_parent],
     )
     chaos.add_argument(
         "action",
         choices=["run", "list", "plan"],
         help=(
-            "run the degradation contracts, list the scenario zoo, or "
+            "run the contract oracles, list the scenario zoo, or "
             "print a scenario's fault plan as JSON"
         ),
     )
@@ -256,13 +262,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         dest="as_json",
-        help="emit the machine-readable degradation report on stdout",
+        help="emit the machine-readable oracle report on stdout",
     )
     chaos.add_argument(
         "--out",
         default=None,
         metavar="PATH",
-        help="also write the JSON degradation report to PATH",
+        help="also write the JSON oracle report to PATH",
     )
 
     analyze = sub.add_parser(
@@ -496,14 +502,10 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def _testkit(args: argparse.Namespace) -> int:
     """Run (or list) the scenario x oracle matrix; exit 1 on failure."""
-    from pathlib import Path
-
-    from repro.errors import TestkitError
     from repro.testkit import (
         get_oracle,
         get_scenario,
         oracle_names,
-        run_matrix,
         scenario_names,
     )
 
@@ -527,15 +529,28 @@ def _testkit(args: argparse.Namespace) -> int:
         print()
         print(format_table(oracle_rows))
         return 0
+    return _run_matrix(
+        "testkit", args, args.scenarios, args.oracle_names, args.jobs
+    )
+
+
+def _run_matrix(
+    prog: str,
+    args: argparse.Namespace,
+    scenarios: Optional[Sequence[object]],
+    oracles: Optional[Sequence[object]],
+    jobs: int,
+) -> int:
+    """Run one matrix and print its report; exit 2 on misconfiguration."""
+    from pathlib import Path
+
+    from repro.errors import ChaosError, TestkitError
+    from repro.testkit import run_matrix
 
     try:
-        report = run_matrix(
-            scenarios=args.scenarios or None,
-            oracles=args.oracle_names or None,
-            jobs=args.jobs,
-        )
-    except TestkitError as error:
-        print(f"testkit: {error}", file=sys.stderr)
+        report = run_matrix(scenarios=scenarios, oracles=oracles, jobs=jobs)
+    except (ChaosError, TestkitError) as error:
+        print(f"{prog}: {error}", file=sys.stderr)
         return 2
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
@@ -545,55 +560,43 @@ def _testkit(args: argparse.Namespace) -> int:
 
 
 def _chaos(args: argparse.Namespace) -> int:
-    """Run (or inspect) the chaos plane; exit 1 on contract violation."""
-    from pathlib import Path
-
-    # Lazy import: the chaos plane pulls in testkit and the zoo.
-    from repro.chaos import chaos_scenario_names, run_chaos
-    from repro.chaos.contracts import contracts_for
+    """Deprecated alias: the contract oracles over the plan-bearing
+    scenarios, reported like ``repro testkit run``."""
     from repro.errors import ChaosError, TestkitError
-    from repro.testkit.scenario import get_scenario
+    from repro.testkit import chaos_scenarios, oracles_by_kind
 
-    if args.action == "list":
-        rows = []
-        for name in chaos_scenario_names():
-            spec = get_scenario(name)
-            plan = spec.chaos_plan
-            rows.append(
-                {
-                    "scenario": name,
-                    "specs": len(plan.specs),
-                    "layers": ",".join(
-                        layer.value for layer in plan.layers()
-                    ),
-                    "contracts": len(contracts_for(name)),
-                    "perturbation": spec.perturb or "-",
-                }
-            )
-        print(format_table(rows))
-        return 0
-
-    if args.action == "plan":
-        names = args.scenarios or chaos_scenario_names()
-        try:
-            for name in names:
-                print(get_scenario(name).chaos_plan.to_json())
-        except (TestkitError, AttributeError) as error:
-            print(f"chaos: {error}", file=sys.stderr)
-            return 2
-        return 0
-
-    scenarios = None if (args.run_all or not args.scenarios) else args.scenarios
+    print(
+        "chaos: deprecated; runs only the contract oracles, use "
+        "'repro testkit run|list' (which also runs chaos-recovery)",
+        file=sys.stderr,
+    )
+    contracts = oracles_by_kind("contract")
     try:
-        report = run_chaos(scenarios)
+        specs = chaos_scenarios(None if args.run_all else args.scenarios)
     except (ChaosError, TestkitError) as error:
         print(f"chaos: {error}", file=sys.stderr)
         return 2
-    if args.out:
-        Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
-        print(f"wrote degradation report to {args.out}", file=sys.stderr)
-    print(report.to_json() if args.as_json else report.format_text())
-    return 0 if report.ok else 1
+
+    if args.action == "list":
+        rows = [
+            {
+                "scenario": spec.name,
+                "specs": len(spec.chaos_plan.specs),
+                "layers": ",".join(
+                    layer.value for layer in spec.chaos_plan.layers()
+                ),
+                "contracts": sum(o.applies_to(spec) for o in contracts),
+                "perturbation": spec.perturb or "-",
+            }
+            for spec in specs
+        ]
+        print(format_table(rows))
+        return 0
+    if args.action == "plan":
+        for spec in specs:
+            print(spec.chaos_plan.to_json())
+        return 0
+    return _run_matrix("chaos", args, specs, contracts, jobs=1)
 
 
 def _metrics(args: argparse.Namespace) -> int:

@@ -81,15 +81,6 @@ class ChaosError(ReproError):
     """The chaos plane was misconfigured (bad plan, layer, or window)."""
 
 
-class ContractViolation(ChaosError):
-    """A degradation contract's graceful-degradation invariant failed.
-
-    Raised at the first failing elementary assertion; the message names
-    the violated invariant so a degradation-report line is actionable
-    on its own.
-    """
-
-
 class TransportError(ReproError):
     """A (possibly transient) transport-level delivery failure."""
 

@@ -164,18 +164,9 @@ CATALOG: Tuple[InstrumentSpec, ...] = (
         labels=("layer", "disposition"),
     ),
     InstrumentSpec(
-        "chaos.contracts", "counter",
-        "degradation-contract executions by outcome status",
-        labels=("status",),
-    ),
-    InstrumentSpec(
         "chaos.breaker_recovery", "histogram",
         "breaker open-to-reclose latency under delivery chaos, "
         "in injected ticks",
-    ),
-    InstrumentSpec(
-        "chaos.scenarios", "gauge",
-        "scenarios in the most recent chaos campaign",
     ),
     # -- lint (replint) --------------------------------------------------
     InstrumentSpec(

@@ -21,17 +21,18 @@ parallel *if* three disciplines hold (DESIGN.md §14):
 
 :func:`parallel_map` packages all three: ordered result collection
 over a :class:`~concurrent.futures.ProcessPoolExecutor`, contiguous
-chunking (so units that share a per-process cache land on one worker),
-and per-worker obs capture.  ``jobs=1`` is an exact in-process serial
-run — no pool, no pickling — which keeps the serial path the reference
-implementation the differential oracles compare against.
+chunking, and per-worker obs capture.  ``jobs=1`` is an exact
+in-process serial run — no pool, no pickling — which keeps the serial
+path the reference implementation the differential oracles compare
+against.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from typing import Callable, List, Optional, Sequence, TypeVar
+from itertools import accumulate
+from typing import Callable, List, Sequence, TypeVar
 
 import numpy as np
 
@@ -103,21 +104,6 @@ def chunk_sizes_for(units: int, jobs: int) -> List[int]:
     return sizes
 
 
-def _chunk(items: List[T], sizes: Sequence[int]) -> List[List[T]]:
-    if any(size < 1 for size in sizes):
-        raise ParallelError("chunk sizes must all be >= 1")
-    if sum(sizes) != len(items):
-        raise ParallelError(
-            f"chunk sizes sum to {sum(sizes)}, expected {len(items)}"
-        )
-    chunks: List[List[T]] = []
-    start = 0
-    for size in sizes:
-        chunks.append(items[start:start + size])
-        start += size
-    return chunks
-
-
 def _run_chunk(fn: Callable[[T], U], chunk: List[T]):
     """Worker entry point: run one contiguous chunk under capture.
 
@@ -134,7 +120,6 @@ def parallel_map(
     fn: Callable[[T], U],
     items: Sequence[T],
     jobs: int = 1,
-    chunk_sizes: Optional[Sequence[int]] = None,
     label: str = "parallel.map",
 ) -> List[U]:
     """Map a pure worker over units on a process pool, in order.
@@ -142,22 +127,16 @@ def parallel_map(
     ``fn`` must be picklable (a module-level function, possibly
     wrapped in :func:`functools.partial`) and pure in the RPL104
     sense.  Results come back in unit-index order regardless of
-    scheduling.  ``chunk_sizes`` overrides the default heuristic with
-    explicit contiguous chunk lengths — callers use this to keep units
-    that share a per-process cache (e.g. one scenario's oracle cells)
-    on a single worker.  ``jobs=1`` runs everything in-process with no
+    scheduling; :func:`chunk_sizes_for` cuts the units into
+    contiguous chunks.  ``jobs=1`` runs everything in-process with no
     capture indirection: the serial path *is* the reference.
     """
     jobs = parse_jobs(jobs)
     items = list(items)
     if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    sizes = (
-        list(chunk_sizes)
-        if chunk_sizes is not None
-        else chunk_sizes_for(len(items), jobs)
-    )
-    chunks = _chunk(items, sizes)
+    bounds = list(accumulate(chunk_sizes_for(len(items), jobs), initial=0))
+    chunks = [items[a:b] for a, b in zip(bounds, bounds[1:])]
     with obs.span(label, jobs=jobs, units=len(items)) as span:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             packed = list(pool.map(partial(_run_chunk, fn), chunks))

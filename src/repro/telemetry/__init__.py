@@ -28,7 +28,6 @@ from repro.telemetry.ingest import (
 from repro.telemetry.faults import (
     FaultInjector,
     FaultMix,
-    FlakyTransport,
     corrupt_heartbeat,
 )
 from repro.telemetry.snapshots import (
@@ -68,6 +67,5 @@ __all__ = [
     "events_from_records",
     "FaultInjector",
     "FaultMix",
-    "FlakyTransport",
     "corrupt_heartbeat",
 ]

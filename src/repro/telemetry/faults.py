@@ -4,21 +4,19 @@ Robustness claims are only worth what exercises them: this module
 corrupts event streams the way real SDK fleets do — dropped packets,
 duplicated sends, reordering, truncated fields, impossible timings,
 crossed sessions — under a seeded RNG so every corrupted stream is
-exactly reproducible.  :class:`FlakyTransport` models the other failure
-axis, a lossy ingestion *call* path, to drive the retry/backoff and
-circuit-breaker primitives in :mod:`repro.resilience`.
+exactly reproducible.  Lossy *call* paths are exercised elsewhere: the
+chaos plane's delivery injector drives :mod:`repro.resilience` retries
+and breakers through the real multi-CDN fetcher.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import DatasetError, TransportError
+from repro.errors import DatasetError
 from repro.telemetry.events import Heartbeat, SessionEnd, SessionStart
-
-T = TypeVar("T")
 
 
 def _raw_heartbeat(**values: object) -> Heartbeat:
@@ -221,38 +219,3 @@ class FaultInjector:
         if isinstance(event, SessionEnd):
             return SessionEnd(session_id=other)
         return replace(event, session_id=other)
-
-
-class FlakyTransport:
-    """A delivery callable that fails probabilistically (seeded).
-
-    Wraps any function; each call first draws against ``failure_rate``
-    and raises :class:`~repro.errors.TransportError` on a failure draw,
-    otherwise delegates.  Use with
-    :func:`repro.resilience.retry_with_backoff` and
-    :class:`repro.resilience.CircuitBreaker` to exercise the full
-    resilience path.
-    """
-
-    def __init__(
-        self,
-        deliver: Callable[..., T],
-        failure_rate: float,
-        seed: int = 0,
-    ) -> None:
-        if not 0.0 <= failure_rate <= 1.0:
-            raise TransportError("failure_rate must be in [0, 1]")
-        self._deliver = deliver
-        self.failure_rate = failure_rate
-        self._rng = random.Random(seed)
-        self.attempts = 0
-        self.failures = 0
-
-    def __call__(self, *args: object, **kwargs: object) -> T:
-        self.attempts += 1
-        if self._rng.random() < self.failure_rate:
-            self.failures += 1
-            raise TransportError(
-                f"transport failure (attempt {self.attempts})"
-            )
-        return self._deliver(*args, **kwargs)

@@ -16,6 +16,8 @@ checked only piecewise.  This package checks the *whole chain* at once:
   relations that must hold between a run and a transformed run:
   record-permutation invariance, publisher-subset monotonicity,
   view-hour scale invariance, and seed sensitivity;
+* **contract oracles** (:mod:`repro.chaos.zoo`) assert what graceful
+  degradation means on the scenarios that declare a fault plan;
 * the **report** layer (:mod:`repro.testkit.report`) runs the full
   scenario x oracle matrix, wires counts into :mod:`repro.obs`, and
   renders a machine-readable JSON report (``repro testkit run --json``).
@@ -42,6 +44,7 @@ from repro.testkit.scenario import (
     IngestSpec,
     ScenarioRun,
     ScenarioSpec,
+    chaos_scenarios,
     get_scenario,
     register_scenario,
     run_scenario,
@@ -54,15 +57,11 @@ from repro.testkit import differential as _differential  # noqa: F401
 from repro.testkit import metamorphic as _metamorphic  # noqa: F401
 
 # The chaos scenario zoo registers its scenarios, perturbations, and
-# degradation contracts as import side effects.  It must come last (it
-# imports back into repro.testkit.scenario) and must be skipped when
-# repro.chaos is already mid-import higher in the stack — that package
-# imports the zoo itself as its final statement, and importing it here
-# would hit its partially initialized contracts module.
-import sys as _sys
-
-if "repro.chaos" not in _sys.modules:
-    from repro.chaos import zoo as _zoo  # noqa: E402,F401
+# contract oracles as import side effects.  It must come last: it
+# imports back into repro.testkit.oracles and repro.testkit.scenario.
+# It imports nothing else from repro.chaos but the plan DSL, so this
+# line is safe even while repro.chaos is mid-import higher in the stack.
+from repro.chaos import zoo as _zoo  # noqa: E402,F401
 
 __all__ = [
     "Check",
@@ -74,6 +73,7 @@ __all__ = [
     "ScenarioRun",
     "ScenarioSpec",
     "TestkitError",
+    "chaos_scenarios",
     "get_oracle",
     "get_scenario",
     "oracle",

@@ -441,10 +441,7 @@ def chaos_recovery(run: ScenarioRun, check: Check) -> str:
     """
     if run.spec.chaos_plan is None:
         raise Skip(f"scenario {run.spec.name!r} declares no chaos plan")
-    # Lazy import: repro.chaos is not in testkit's module-import graph.
-    from repro.chaos.runner import ChaosRun
-
-    chaos_run = ChaosRun(run.spec, scenario=run)
+    chaos_run = run.chaos()
     recovery = chaos_run.recovery()
     check.that(
         recovery.injection.total_injected > 0,

@@ -3,12 +3,17 @@
 An **oracle** is a named predicate over a :class:`ScenarioRun` that
 either passes, fails with the first violated elementary assertion, or
 declares itself inapplicable (e.g. the fault-ingest oracle on a
-scenario without an ingest stage).  Oracles come in two kinds:
+scenario without an ingest stage).  Oracles come in three kinds:
 
 * ``differential`` — run the same scenario along two independent code
   paths and assert equivalence;
 * ``metamorphic`` — transform the scenario's input and assert the
-  known relation between the two outputs.
+  known relation between the two outputs;
+* ``contract`` — assert what graceful degradation means under the
+  scenario's fault plan, through the cached
+  :meth:`~repro.testkit.scenario.ScenarioRun.chaos` campaign.  A
+  contract gets a cell only on scenarios that declare a ``chaos_plan``
+  and fall in its scope (``"*"`` is every such scenario).
 
 Implementations never use bare ``assert`` (the matrix must also run
 under ``python -O`` and outside pytest): they call the :class:`Check`
@@ -21,16 +26,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import OracleFailure, ReproError, TestkitError
-from repro.testkit.scenario import ScenarioRun
+from repro.testkit.scenario import ScenarioRun, ScenarioSpec
 
 #: Outcome status values (stable wire strings for the JSON report).
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
+
+#: Oracle kinds (stable wire strings for the JSON report).
+KINDS = ("differential", "metamorphic", "contract")
 
 
 class Skip(TestkitError):
@@ -167,29 +175,51 @@ OracleFn = Callable[[ScenarioRun, Check], str]
 
 @dataclass(frozen=True)
 class Oracle:
-    """A registered oracle: identity, kind, and body."""
+    """A registered oracle: identity, kind, scope, and body."""
 
     name: str
     kind: str
     description: str
     fn: OracleFn
+    #: Scenario names this oracle runs on; ``"*"`` means every one.
+    scenarios: Tuple[str, ...] = ("*",)
+
+    def applies_to(self, spec: ScenarioSpec) -> bool:
+        """Whether the matrix builds a (spec, oracle) cell at all.
+
+        A contract also needs a fault plan to degrade under;
+        differential and metamorphic oracles that do not apply raise
+        :class:`Skip` from their body instead, so their cells stay.
+        """
+        if self.kind == "contract" and spec.chaos_plan is None:
+            return False
+        return "*" in self.scenarios or spec.name in self.scenarios
 
 
 _ORACLES: Dict[str, Oracle] = {}
 
 
 def oracle(
-    kind: str, name: str, description: str
+    kind: str,
+    name: str,
+    description: str,
+    scenarios: Tuple[str, ...] = ("*",),
 ) -> Callable[[OracleFn], OracleFn]:
-    """Register an oracle body under a kind and name."""
-    if kind not in ("differential", "metamorphic"):
+    """Register an oracle body under a kind, name and scenario scope."""
+    if kind not in KINDS:
         raise TestkitError(f"unknown oracle kind {kind!r}")
+    if not scenarios:
+        raise TestkitError(f"oracle {name!r} must scope to some scenario")
 
     def decorator(fn: OracleFn) -> OracleFn:
         if name in _ORACLES:
             raise TestkitError(f"duplicate oracle name {name!r}")
         _ORACLES[name] = Oracle(
-            name=name, kind=kind, description=description, fn=fn
+            name=name,
+            kind=kind,
+            description=description,
+            fn=fn,
+            scenarios=tuple(scenarios),
         )
         return fn
 

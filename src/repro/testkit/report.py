@@ -1,21 +1,22 @@
 """Matrix runner and the machine-readable oracle report.
 
 :func:`run_matrix` executes every applicable oracle against every
-requested scenario and folds the outcomes into an
-:class:`OracleReport`, the artifact ``repro testkit run --json`` emits
-and CI archives.  The payload is deterministic (sorted keys, no
-timestamps) so two runs of the same tree diff clean.
+requested scenario and folds the outcomes, plus the fault ledger of
+each scenario that ran a contract, into an :class:`OracleReport`, the
+artifact ``repro testkit run --json`` emits and CI archives.  The
+payload is deterministic (sorted keys, no timestamps) so two runs of
+the same tree diff clean.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.report import format_table
+from repro.errors import TestkitError
 from repro.parallel import parallel_map, parse_jobs
 from repro.testkit.oracles import (
     FAIL,
@@ -28,7 +29,6 @@ from repro.testkit.oracles import (
     run_oracle,
 )
 from repro.testkit.scenario import (
-    ScenarioRun,
     ScenarioSpec,
     get_scenario,
     run_scenario,
@@ -36,14 +36,23 @@ from repro.testkit.scenario import (
 )
 
 #: Schema version of the JSON payload; bump on incompatible change.
-REPORT_VERSION = 1
+#: Version 2 added the ``chaos`` map of plans and fault ledgers.
+REPORT_VERSION = 2
+
+#: Per-layer ``injected``/``absorbed``/``leaked`` counts of one campaign.
+Ledger = Dict[str, Dict[str, int]]
 
 
 @dataclass(frozen=True)
 class OracleReport:
-    """All outcomes of one scenario x oracle matrix run."""
+    """All outcomes of one scenario x oracle matrix run.
+
+    ``chaos`` maps each plan-bearing scenario that ran a contract to
+    its ``plan`` payload and per-layer fault ``ledger``.
+    """
 
     outcomes: tuple  # Tuple[OracleOutcome, ...]
+    chaos: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
     @property
     def passed(self) -> int:
@@ -95,6 +104,7 @@ class OracleReport:
                 "checks": self.checks,
                 "ok": self.ok,
             },
+            "chaos": self.chaos,
         }
 
     def to_json(self, indent: int = 2) -> str:
@@ -151,24 +161,23 @@ def _resolve_oracles(
     ]
 
 
-@lru_cache(maxsize=1)
-def _run_for(spec: ScenarioSpec) -> "ScenarioRun":
-    """Per-process run-artifact memo for pool workers.
+def _scenario_row(
+    row: Tuple[ScenarioSpec, Tuple[Oracle, ...]],
+) -> Tuple[List[OracleOutcome], Optional[Ledger]]:
+    """Worker entry point: one scenario's oracle row plus its ledger.
 
-    One matrix chunk is one scenario's oracle row, so every cell of
-    the chunk shares this single cached :class:`ScenarioRun` (and its
-    lazily built variants) exactly as the serial loop does —
-    ``maxsize=1`` because a worker only ever needs the scenario it is
-    currently on.  A pure function of the frozen spec, which is what
-    makes the memo RPL104-safe.
+    The scenario is built once and shared by every cell of the row.
+    The ledger comes from the same cached campaign the contracts
+    inspected, and is ``None`` when the row ran no contract.
     """
-    return run_scenario(spec)
-
-
-def _matrix_cell(cell: Tuple[ScenarioSpec, Oracle]) -> OracleOutcome:
-    """Worker entry point: one scenario x oracle cell."""
-    spec, target = cell
-    return run_oracle(target, _run_for(spec))
+    spec, targets = row
+    run = run_scenario(spec)
+    ledger = None
+    with obs.span("testkit.scenario", scenario=spec.name):
+        outcomes = [run_oracle(target, run) for target in targets]
+        if any(target.kind == "contract" for target in targets):
+            ledger = run.chaos().ledger()
+    return outcomes, ledger
 
 
 def run_matrix(
@@ -178,36 +187,40 @@ def run_matrix(
 ) -> OracleReport:
     """Run ``scenarios x oracles`` (defaults: everything registered).
 
-    Items may be names or already-constructed specs/oracles.  Each
-    scenario's expensive builds are shared across its oracles through
-    the cached :class:`~repro.testkit.scenario.ScenarioRun`.
+    Items may be names or already-constructed specs/oracles.  Only the
+    cells an oracle applies to are built (:meth:`Oracle.applies_to`);
+    a matrix with no such cell is a :class:`TestkitError` naming the
+    scenarios.  Each scenario's expensive builds are shared across its
+    oracles through the cached
+    :class:`~repro.testkit.scenario.ScenarioRun`.
 
-    ``jobs > 1`` fans the matrix onto a process pool, one task per
-    cell, chunked so a scenario's whole oracle row stays on one worker
-    (each scenario is still built exactly once).  Outcomes come back
-    in the same (scenario, oracle) order as the serial loop, so the
-    JSON report is byte-identical and merged obs counters match the
+    Scenario rows are the units of :func:`~repro.parallel.parallel_map`
+    at every ``jobs`` value; at ``jobs > 1`` each row runs whole on one
+    worker, and rows come back in order, so the JSON report is
+    byte-identical to the serial one and merged obs counters match the
     serial totals.
     """
     specs = _resolve_scenarios(scenarios)
     targets = _resolve_oracles(oracles)
     jobs = parse_jobs(jobs)
-    obs.gauge("testkit.scenarios").set(len(specs))
-    if jobs == 1 or not specs or not targets:
-        outcomes: List[OracleOutcome] = []
-        for spec in specs:
-            run = run_scenario(spec)
-            with obs.span("testkit.scenario", scenario=spec.name):
-                for target in targets:
-                    outcomes.append(run_oracle(target, run))
-        return OracleReport(outcomes=tuple(outcomes))
-    _run_for.cache_clear()
-    cells = [(spec, target) for spec in specs for target in targets]
-    parallel = parallel_map(
-        _matrix_cell,
-        cells,
-        jobs=jobs,
-        chunk_sizes=[len(targets)] * len(specs),
-        label="testkit.matrix",
+    rows = []
+    for spec in specs:
+        row = tuple(target for target in targets if target.applies_to(spec))
+        if row:
+            rows.append((spec, row))
+    if not rows:
+        names = ", ".join(repr(spec.name) for spec in specs) or "(none)"
+        raise TestkitError(f"no oracle applies to scenario(s) {names}")
+    obs.gauge("testkit.scenarios").set(len(rows))
+    results = parallel_map(
+        _scenario_row, rows, jobs=jobs, label="testkit.matrix"
     )
-    return OracleReport(outcomes=tuple(parallel))
+    chaos = {
+        spec.name: {"plan": spec.chaos_plan.to_payload(), "ledger": ledger}
+        for (spec, _), (_, ledger) in zip(rows, results)
+        if ledger is not None
+    }
+    return OracleReport(
+        outcomes=tuple(o for outcomes, _ in results for o in outcomes),
+        chaos=chaos,
+    )

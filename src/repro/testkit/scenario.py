@@ -28,16 +28,28 @@ Four scenarios ship by default:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro import figures, obs
-from repro.errors import TestkitError
+from repro.errors import ChaosError, TestkitError
 from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator, EcosystemResult
 from repro.telemetry.faults import FaultInjector, FaultMix
 from repro.telemetry.records import ViewRecord
 from repro.testkit.reference import RowDataset
+
+if TYPE_CHECKING:
+    from repro.chaos.plan import FaultPlan
+    from repro.chaos.runner import ChaosRun
 
 Rows = List[Dict[str, object]]
 
@@ -82,10 +94,10 @@ class ScenarioSpec:
     ingest: Optional[IngestSpec] = None
     #: Figure ids to regenerate; empty means every registered figure.
     figure_ids: Tuple[str, ...] = ()
-    #: Optional :class:`repro.chaos.plan.FaultPlan` driving the chaos
-    #: runner; ``None`` means the scenario declares no fault campaign.
-    #: (Typed loosely to keep testkit importable without the chaos
-    #: package in the import graph.)
+    #: Optional :class:`repro.chaos.plan.FaultPlan` driving the
+    #: scenario's contract oracles; ``None`` means the scenario declares
+    #: no fault campaign.  (Typed loosely to keep testkit importable
+    #: without the chaos package in the import graph.)
     chaos_plan: Optional[object] = None
     #: Optional name of a registered perturbation; when set, the run
     #: offers a "perturbed" build variant for metamorphic contracts.
@@ -132,6 +144,13 @@ class ScenarioSpec:
         """The figure ids this scenario regenerates."""
         return self.figure_ids or tuple(figures.figure_ids())
 
+    def require_plan(self) -> "FaultPlan":
+        """The declared chaos plan, or a :class:`ChaosError` naming the
+        scenario when it declares none."""
+        if self.chaos_plan is None:
+            raise ChaosError(f"scenario {self.name!r} declares no chaos plan")
+        return self.chaos_plan
+
 
 class ScenarioRun:
     """The run artifact: every derived view of one scenario, cached.
@@ -147,6 +166,7 @@ class ScenarioRun:
         self._figure_rows: Dict[Tuple[str, str], Rows] = {}
         self._bytes: Dict[str, bytes] = {}
         self._clean_records: Optional[Tuple[ViewRecord, ...]] = None
+        self._chaos: Optional["ChaosRun"] = None
 
     # -- builds ----------------------------------------------------------
 
@@ -251,6 +271,19 @@ class ScenarioRun:
             return self._clean_records
         return self._clean_records[:limit]
 
+    def chaos(self) -> "ChaosRun":
+        """The spec's fault campaign over this run, built once.
+
+        Every contract oracle and the chaos-recovery oracle share it,
+        so a zoo scenario is synthesized once per matrix.
+        """
+        if self._chaos is None:
+            # Lazy import: repro.chaos imports back into this module.
+            from repro.chaos.runner import ChaosRun
+
+            self._chaos = ChaosRun(self)
+        return self._chaos
+
     def corrupted_events(self) -> Tuple[List[object], FaultInjector]:
         """The ingest stage's corrupted stream plus its injector audit."""
         from repro.telemetry.ingest import events_from_records
@@ -329,6 +362,20 @@ def get_scenario(name: str) -> ScenarioSpec:
         raise TestkitError(
             f"unknown scenario {name!r}; known: {', '.join(scenario_names())}"
         ) from None
+
+
+def chaos_scenarios(
+    names: Optional[Sequence[str]] = None,
+) -> List[ScenarioSpec]:
+    """The named scenarios, each of which must declare a chaos plan;
+    by default every registered scenario that does."""
+    if names is None:
+        specs = [get_scenario(name) for name in scenario_names()]
+        return [spec for spec in specs if spec.chaos_plan is not None]
+    specs = [get_scenario(name) for name in names]
+    for spec in specs:
+        spec.require_plan()
+    return specs
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioRun:

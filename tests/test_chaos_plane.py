@@ -1,18 +1,19 @@
-"""Chaos plane: fault-plan DSL, injector determinism, degradation
-contracts, and the scenario-zoo campaign.
+"""Chaos plane: fault-plan DSL, injector determinism, the contract
+oracles, and the scenario-zoo campaign.
 
-The expensive end-to-end assertions run one zoo scenario
-(``flash-crowd``) twice — once through the Python API and once through
-the CLI — and require the two degradation reports to be identical,
-which is the determinism guarantee CI relies on.  The full five-scenario
-campaign runs in the dedicated CI chaos job, not here.
+The contract cells of all five zoo scenarios, their fault ledgers and
+the chaos-recovery cells run once through ``run_matrix`` and must equal
+``tests/golden/contract_cells.json``, written from the degradation
+report of the last version that had a separate chaos harness.  One zoo
+scenario (``flash-crowd``) also runs through the ``repro chaos`` alias,
+whose report must equal the library's.
 """
 
 import json
 import subprocess
 import sys
 from datetime import date
-from types import SimpleNamespace
+from pathlib import Path
 
 import pytest
 
@@ -25,21 +26,24 @@ from repro.chaos import (
     FaultSpec,
     Layer,
     Window,
-    chaos_scenario_names,
-    contract,
-    contract_names,
-    contracts_for,
     inject_telemetry,
-    run_chaos,
 )
-from repro.chaos.contracts import _CONTRACTS, ContractCheck, run_contract
 from repro.cli import main
 from repro.constants import ContentType
-from repro.errors import ChaosError, ContractViolation, TestkitError
+from repro.errors import ChaosError, TestkitError
 from repro.telemetry.ingest import events_from_records
 from repro.telemetry.records import ViewRecord
-from repro.testkit.oracles import FAIL, PASS, SKIP, Skip
-from repro.testkit.scenario import get_scenario
+from repro.testkit import (
+    chaos_scenarios,
+    get_oracle,
+    oracles_by_kind,
+    run_matrix,
+    run_oracle,
+)
+from repro.testkit.oracles import PASS, Oracle, oracle
+from repro.testkit.scenario import ScenarioRun, get_scenario
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "contract_cells.json"
 
 ZOO = (
     "abr-policy-zoo",
@@ -48,6 +52,10 @@ ZOO = (
     "protocol-migration-wave",
     "regional-cdn-outage",
 )
+
+
+def _contracts():
+    return oracles_by_kind("contract")
 
 
 def _records(n=12):
@@ -194,69 +202,46 @@ class TestTelemetryInjectorDeterminism:
 
 @pytest.mark.chaos
 class TestContractFramework:
-    def _run(self, name, fn, scenarios=("*",)):
-        contract(name, "test contract", scenarios)(fn)
-        try:
-            chaos_run = SimpleNamespace(spec=SimpleNamespace(name="unit"))
-            return run_contract(_CONTRACTS[name], chaos_run)
-        finally:
-            _CONTRACTS.pop(name, None)
-
-    def test_vacuous_pass_is_a_failure(self):
-        outcome = self._run("unit-vacuous", lambda run, check: "no checks")
-        assert outcome.status == FAIL
-        assert "vacuous" in outcome.detail
-        assert outcome.checks == 0
-
-    def test_violation_becomes_failing_outcome(self):
-        def body(run, check):
-            check.that(True, "fine")
-            check.that(False, "the invariant broke")
-            return "unreached"
-
-        outcome = self._run("unit-violation", body)
-        assert outcome.status == FAIL
-        assert outcome.detail == "the invariant broke"
-        assert outcome.checks == 2
-        assert not outcome.passed
-
-    def test_skip_counts_as_vacuously_passed(self):
-        def body(run, check):
-            raise Skip("layer not in plan")
-
-        outcome = self._run("unit-skip", body)
-        assert outcome.status == SKIP
-        assert outcome.passed
-
     def test_passing_contract_reports_summary_and_checks(self):
         def body(run, check):
             check.that(True, "a")
             check.that(True, "b")
             return "verified two things"
 
-        outcome = self._run("unit-pass", body)
+        target = Oracle(
+            name="unit-pass", kind="contract", description="unit", fn=body
+        )
+        # Never built: the body does not touch the scenario.
+        outcome = run_oracle(target, ScenarioRun(get_scenario("flash-crowd")))
         assert outcome.status == PASS
+        assert outcome.kind == "contract"
         assert outcome.checks == 2
         assert outcome.detail == "verified two things"
 
     def test_duplicate_names_and_empty_scopes_rejected(self):
-        existing = contract_names()[0]
-        with pytest.raises(TestkitError):
-            contract(existing, "dup", ("*",))(lambda run, check: "")
-        with pytest.raises(TestkitError):
-            contract("unit-unscoped", "no scope", ())(lambda run, check: "")
+        existing = _contracts()[0].name
+        with pytest.raises(TestkitError, match="duplicate"):
+            oracle("contract", existing, "dup")(lambda run, check: "")
+        with pytest.raises(TestkitError, match="scope"):
+            oracle("contract", "unit-unscoped", "no scope", scenarios=())
 
-    def test_contract_check_raises_typed_violation(self):
-        check = ContractCheck()
-        with pytest.raises(ContractViolation):
-            check.that(False, "typed")
-        assert check.count == 1
+    def test_a_contract_cell_needs_a_plan_and_the_scope(self):
+        scoped = get_oracle("flash-crowd-shares")
+        assert scoped.applies_to(get_scenario("flash-crowd"))
+        assert not scoped.applies_to(get_scenario("regional-cdn-outage"))
+        universal = get_oracle("no-silent-leaks")
+        assert universal.scenarios == ("*",)
+        assert universal.applies_to(get_scenario("regional-cdn-outage"))
+        # "*" still means every *plan-bearing* scenario ...
+        assert not universal.applies_to(get_scenario("tiny"))
+        # ... while the other kinds keep a cell (and skip inside it).
+        assert get_oracle("chaos-recovery").applies_to(get_scenario("tiny"))
 
 
 @pytest.mark.chaos
 class TestScenarioZoo:
     def test_five_scenarios_carry_chaos_plans(self):
-        assert tuple(chaos_scenario_names()) == ZOO
+        assert tuple(spec.name for spec in chaos_scenarios()) == ZOO
 
     def test_every_plan_serializes_and_round_trips(self):
         for name in ZOO:
@@ -265,10 +250,10 @@ class TestScenarioZoo:
             assert plan.specs  # a chaos scenario without faults is a bug
 
     def test_universal_contracts_cover_every_scenario(self):
-        universal = {"recovered-equals-fault-free", "breaker-reclose",
-                     "no-silent-leaks"}
+        universal = {"breaker-reclose", "no-silent-leaks"}
         for name in ZOO:
-            applicable = {c.name for c in contracts_for(name)}
+            spec = get_scenario(name)
+            applicable = {c.name for c in _contracts() if c.applies_to(spec)}
             assert universal <= applicable
             # Each zoo scenario also carries a scenario-specific contract.
             assert len(applicable) > len(universal)
@@ -278,8 +263,9 @@ class TestScenarioZoo:
         # loads first; both orders must agree on the registry contents.
         probe = (
             "import repro.{first}, repro.{second}\n"
-            "from repro.chaos import chaos_scenario_names, contract_names\n"
-            "print(len(chaos_scenario_names()), len(contract_names()))\n"
+            "from repro.testkit import chaos_scenarios, oracles_by_kind\n"
+            "print(len(chaos_scenarios()), "
+            "len(oracles_by_kind('contract')))\n"
         )
         outputs = set()
         for first, second in (("chaos", "testkit"), ("testkit", "chaos")):
@@ -292,41 +278,93 @@ class TestScenarioZoo:
         assert len(outputs) == 1
         scenarios, contracts = outputs.pop().split()
         assert int(scenarios) == len(ZOO)
-        assert int(contracts) >= 8
+        assert int(contracts) == 7
+
+
+@pytest.mark.chaos
+class TestContractCells:
+    """The zoo's contract cells, ledgers and recovery cells, pinned."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        oracles = _contracts() + [get_oracle("chaos-recovery")]
+        return run_matrix(scenarios=list(ZOO), oracles=oracles)
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+    def test_contract_cells_match_golden(self, report, golden):
+        cells = [
+            {
+                "scenario": o.scenario,
+                "contract": o.oracle,
+                "status": o.status,
+                "checks": o.checks,
+                "detail": o.detail,
+            }
+            for o in report.outcomes
+            if o.kind == "contract"
+        ]
+        assert cells == sorted(
+            golden["cells"], key=lambda c: (c["scenario"], c["contract"])
+        )
+
+    def test_ledgers_and_plans_match_golden(self, report, golden):
+        assert sorted(report.chaos) == list(ZOO)
+        for name, entry in report.chaos.items():
+            assert entry["ledger"] == golden["ledgers"][name], name
+            assert entry["plan"] == get_scenario(name).chaos_plan.to_payload()
+
+    def test_recovery_cells_match_golden(self, report, golden):
+        cells = [
+            {
+                "scenario": o.scenario,
+                "oracle": o.oracle,
+                "status": o.status,
+                "checks": o.checks,
+                "detail": o.detail,
+            }
+            for o in report.outcomes
+            if o.oracle == "chaos-recovery"
+        ]
+        assert cells == golden["recovery"]
 
 
 @pytest.mark.chaos
 class TestChaosCampaign:
     @pytest.fixture(scope="class")
     def report(self):
-        return run_chaos(["flash-crowd"])
+        return run_matrix(scenarios=["flash-crowd"], oracles=_contracts())
 
     def test_flash_crowd_degrades_gracefully(self, report):
         assert report.ok
         assert report.failed == 0
         assert report.passed > 0
         assert report.checks > 0
+        assert {o.kind for o in report.outcomes} == {"contract"}
 
     def test_ledger_covers_planned_layers_without_leaks(self, report):
-        (scenario,) = report.reports
+        ledger = report.chaos["flash-crowd"]["ledger"]
         plan = get_scenario("flash-crowd").chaos_plan
-        assert sorted(scenario.ledger) == [l.value for l in plan.layers()]
-        for layer, counts in scenario.ledger.items():
+        assert sorted(ledger) == [l.value for l in plan.layers()]
+        for layer, counts in ledger.items():
             assert counts["leaked"] == 0, layer
-        assert sum(c["injected"] for c in scenario.ledger.values()) > 0
+        assert sum(c["injected"] for c in ledger.values()) > 0
 
-    def test_report_and_cli_run_are_identical(self, report, tmp_path):
-        out = tmp_path / "degradation-report.json"
+    def test_report_and_cli_run_are_identical(self, report, tmp_path, capsys):
+        out = tmp_path / "oracle-report.json"
         code = main(
             ["chaos", "run", "--scenario", "flash-crowd", "--json",
              "--out", str(out)]
         )
         assert code == 0
         assert json.loads(out.read_text()) == report.to_payload()
+        assert "deprecated" in capsys.readouterr().err
 
     def test_unknown_scenario_is_a_typed_error(self):
         with pytest.raises(TestkitError):
-            run_chaos(["not-a-scenario"])
+            run_matrix(scenarios=["not-a-scenario"], oracles=_contracts())
 
     def test_cli_list_and_plan_exit_codes(self, capsys):
         assert main(["chaos", "list"]) == 0
@@ -336,3 +374,61 @@ class TestChaosCampaign:
         assert payload["version"] == PLAN_VERSION
         assert main(["chaos", "plan", "--scenario", "nope"]) == 2
         capsys.readouterr()
+
+
+def _plan_json(name="unit", seed=7, window=(0.0, 1.0)):
+    """A one-spec plan document with raw (possibly invalid) fields."""
+    return json.dumps(
+        {
+            "version": PLAN_VERSION,
+            "name": name,
+            "seed": seed,
+            "specs": [
+                {"kind": "drop", "layer": "telemetry", "window": window}
+            ],
+        }
+    )
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize(
+    "case, needle",
+    [
+        (["chaos", "plan", "--scenario", "tiny"], "scenario 'tiny'"),
+        (["chaos", "run", "--scenario", "tiny"], "scenario 'tiny'"),
+        (["testkit", "run", "--scenario", "tiny", "--oracle",
+          "no-silent-leaks"], "scenario(s) 'tiny'"),
+        (lambda: run_matrix(["tiny"], _contracts()), "scenario(s) 'tiny'"),
+        (_plan_json(window=["a", "b"]), "window"),
+        (_plan_json(window=[None, 1]), "window"),
+        ('{"version": 1, "name": "unit", "seed": Infinity}', "seed"),
+        (_plan_json(seed=1.5), "seed"),
+        (_plan_json(seed=True), "seed"),
+        (_plan_json(name=None), "name"),
+    ],
+    ids=[
+        "cli-plan-without-plan",
+        "cli-run-without-plan",
+        "cli-matrix-without-cell",
+        "matrix-without-cell",
+        "window-strings",
+        "window-null",
+        "seed-infinity",
+        "seed-float",
+        "seed-bool",
+        "name-null",
+    ],
+)
+def test_chaos_boundaries_raise_typed_located_errors(case, needle, capsys):
+    """Each bad input raises ChaosError/TestkitError naming the field or
+    scenario; through the CLI that is exit 2 with the message."""
+    if isinstance(case, list):
+        assert main(case) == 2
+        assert needle in capsys.readouterr().err
+        return
+    with pytest.raises((ChaosError, TestkitError)) as caught:
+        if callable(case):
+            case()
+        else:
+            FaultPlan.from_json(case)
+    assert needle in str(caught.value)

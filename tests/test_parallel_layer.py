@@ -82,12 +82,6 @@ class TestParallelMap:
         with pytest.raises(ParallelError):
             parallel_map(_square, [1], jobs=0)
 
-    def test_bad_chunk_sizes_rejected(self):
-        with pytest.raises(ParallelError):
-            parallel_map(_square, [1, 2, 3], jobs=2, chunk_sizes=[2])
-        with pytest.raises(ParallelError):
-            parallel_map(_square, [1, 2, 3], jobs=2, chunk_sizes=[3, 0])
-
     def test_empty_items(self):
         assert parallel_map(_square, [], jobs=4) == []
 

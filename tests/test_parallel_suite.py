@@ -47,28 +47,40 @@ class TestFigureSuiteParallel:
             figures.run_suite(SMALL, ids=["T1", "F99"], jobs=1)
 
 
+#: Two scenario rows, so ``jobs=2`` really fans out (a one-row matrix
+#: is one unit and runs in-process); flash-crowd's row sends contract
+#: cells and a fault ledger through a worker.
+MATRIX_SLICE = ["tiny", "flash-crowd"]
+
+
 @pytest.mark.testkit
 class TestMatrixParallel:
     def test_matrix_parallel_report_matches_serial(self):
-        serial = run_matrix(scenarios=["tiny"], jobs=1)
-        pooled = run_matrix(scenarios=["tiny"], jobs=2)
+        serial = run_matrix(scenarios=MATRIX_SLICE, jobs=1)
+        pooled = run_matrix(scenarios=MATRIX_SLICE, jobs=2)
         assert pooled.to_json() == serial.to_json()
         assert pooled.ok == serial.ok
+        assert sorted(pooled.chaos) == ["flash-crowd"]
 
     @pytest.mark.obs
     def test_matrix_parallel_counters_match_serial(self):
         obs.configure(enabled=True)
         try:
             obs.metrics().reset()
-            serial = run_matrix(scenarios=["tiny"], jobs=1)
+            serial = run_matrix(scenarios=MATRIX_SLICE, jobs=1)
             serial_snapshot = obs.metrics().snapshot()
             obs.metrics().reset()
-            pooled = run_matrix(scenarios=["tiny"], jobs=2)
+            pooled = run_matrix(scenarios=MATRIX_SLICE, jobs=2)
             pooled_snapshot = obs.metrics().snapshot()
         finally:
             obs.configure(enabled=False)
         assert pooled.to_json() == serial.to_json()
         assert pooled_snapshot["counters"] == serial_snapshot["counters"]
+        # The contract row's chaos counters came back from the worker.
+        assert any(
+            name.startswith("chaos.faults{")
+            for name in pooled_snapshot["counters"]
+        )
 
 
 class TestCliJobsFlag:

@@ -11,13 +11,7 @@ from datetime import date
 import pytest
 
 from repro.constants import ContentType
-from repro.errors import (
-    CircuitOpenError,
-    DatasetError,
-    IngestError,
-    TransportError,
-)
-from repro.resilience import CircuitBreaker, CircuitState, retry_with_backoff
+from repro.errors import DatasetError, IngestError
 from repro.telemetry.events import (
     Heartbeat,
     SessionEnd,
@@ -27,7 +21,6 @@ from repro.telemetry.events import (
 from repro.telemetry.faults import (
     FaultInjector,
     FaultMix,
-    FlakyTransport,
     corrupt_heartbeat,
 )
 from repro.telemetry.ingest import (
@@ -494,40 +487,3 @@ class TestFaultInjectorDeterminism:
             FaultMix(drop=0.8, duplicate=0.5)
         with pytest.raises(DatasetError):
             FaultMix(drop=-0.1)
-
-
-@pytest.mark.robustness
-class TestFlakyTransportResilience:
-    def test_thirty_percent_failure_rate_succeeds_with_retries(self):
-        transport = FlakyTransport(
-            lambda payload: f"stored:{payload}", failure_rate=0.3, seed=11
-        )
-        for i in range(50):
-            result = retry_with_backoff(
-                lambda i=i: transport(i),
-                retry_on=(TransportError,),
-                seed=i,
-            )
-            assert result == f"stored:{i}"
-        assert transport.failures > 0  # the flakiness actually fired
-
-    def test_sustained_failure_trips_circuit_breaker(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(
-            failure_threshold=3, recovery_timeout=60.0,
-            clock=lambda: clock[0],
-        )
-        transport = FlakyTransport(lambda: "ok", failure_rate=1.0, seed=0)
-        outcomes = []
-        for _ in range(10):
-            try:
-                breaker.call(transport)
-            except TransportError:
-                outcomes.append("transport")
-            except CircuitOpenError as exc:
-                outcomes.append(type(exc).__name__)
-        assert breaker.state is CircuitState.OPEN
-        # After 3 real failures the breaker short-circuits the rest.
-        assert outcomes[:3] == ["transport"] * 3
-        assert outcomes[3:] == ["CircuitOpenError"] * 7
-        assert transport.attempts == 3

@@ -1,14 +1,15 @@
 """The scenario x oracle matrix, as a pytest suite (``-m testkit``).
 
-Each (scenario, oracle) cell is its own test so a violated relation
-fails alone with the oracle's message.  Builds are shared per scenario
-through a module-level :class:`ScenarioRun` cache, mirroring what
-``repro testkit run`` does in one process.
+Each (scenario, oracle) cell the matrix would build is its own test,
+so a violated relation fails alone with the oracle's message.  Builds
+are shared per scenario through a module-level :class:`ScenarioRun`
+cache, mirroring what ``repro testkit run`` does in one process.
 
 Tier-1 runs the two fast scenarios (``tiny``, ``fault-heavy`` — the
-pair that exercises every oracle, including the ingest replay).  The
-CI testkit job additionally runs the full four-scenario matrix through
-the CLI and archives the JSON report.
+pair that exercises every differential and metamorphic oracle,
+including the ingest replay).  Neither declares a fault plan, so the
+contract oracles get no cell here.  The CI testkit job additionally
+runs the full matrix through the CLI and archives the JSON report.
 """
 
 import json
@@ -42,11 +43,28 @@ EXPECTED_SKIPS = {
 #: Oracles that no fast scenario can exercise; each names the suite
 #: that runs it non-vacuously instead (chaos scenarios carry plans,
 #: tiny/fault-heavy deliberately do not).
-DELEGATED = {"chaos-recovery": "tests/test_chaos_plane.py"}
+DELEGATED = {
+    "chaos-recovery": "tests/test_chaos_plane.py",
+    **{
+        contract.name: "tests/test_chaos_plane.py"
+        for contract in tk.oracles_by_kind("contract")
+    },
+}
+
+#: The cells the matrix builds for the fast scenarios.
+CELLS = [
+    (scenario, name)
+    for name in tk.oracle_names()
+    for scenario in SCENARIOS
+    if tk.get_oracle(name).applies_to(tk.get_scenario(scenario))
+]
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-@pytest.mark.parametrize("oracle_name", tk.oracle_names())
+@pytest.mark.parametrize(
+    "scenario, oracle_name",
+    CELLS,
+    ids=[f"{name}-{scenario}" for scenario, name in CELLS],
+)
 def test_oracle_cell(scenario, oracle_name):
     outcome = tk.run_oracle(tk.get_oracle(oracle_name), _run_for(scenario))
     assert outcome.status != FAIL, outcome.detail
@@ -57,17 +75,14 @@ def test_oracle_cell(scenario, oracle_name):
 
 
 def test_fast_scenarios_cover_every_oracle():
-    """tiny + fault-heavy leave no oracle permanently skipped,
-    except those explicitly delegated to another suite."""
-    skippable = {o for s, o in EXPECTED_SKIPS}
-    permanently_skipped = {
-        o
-        for o in skippable
-        if all((s, o) in EXPECTED_SKIPS for s in SCENARIOS)
+    """tiny + fault-heavy exercise every oracle non-vacuously, except
+    those explicitly delegated to another suite."""
+    exercised = {
+        name
+        for scenario, name in CELLS
+        if (scenario, name) not in EXPECTED_SKIPS
     }
-    exercised = set(tk.oracle_names()) - permanently_skipped
-    assert permanently_skipped == set(DELEGATED)
-    assert exercised | set(DELEGATED) == set(tk.oracle_names())
+    assert set(tk.oracle_names()) - exercised == set(DELEGATED)
 
 
 def test_cli_testkit_run_emits_machine_readable_report(capsys, tmp_path):

@@ -281,7 +281,8 @@ def test_report_payload_is_deterministic_and_versioned():
         )
     )
     payload = report.to_payload()
-    assert payload["version"] == 1
+    assert payload["version"] == 2
+    assert payload["chaos"] == {}  # no contract ran
     assert payload["scenarios"] == ["a", "b"]
     ordered = [(o["scenario"], o["oracle"]) for o in payload["outcomes"]]
     assert ordered == sorted(ordered)
