@@ -16,7 +16,10 @@ interned column store kept.  That mirrors real usage — the figures
 pipeline builds one dataset and runs ~20 analyses against it, so code
 interning is a one-time cost per store, not per query.  The one-time
 encode cost is measured separately and recorded in the payload
-(``first_call``) so the amortization is visible, not hidden.
+(``first_call``) so the amortization is visible, not hidden: once for a
+stored field (publisher view-hours) and once for a derived column
+(view-hours by protocol, which the store classifies once per distinct
+URL and the reference once per record).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple, Type
 
+from repro.core.dimensions import PROTOCOL_COLUMN
 from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator
 from repro.telemetry.dataset import Dataset
@@ -65,7 +69,12 @@ def _ops() -> Dict[str, Callable[[Dataset], object]]:
         "snapshot_slice_totals": lambda d: [
             d.for_snapshot(s).total_view_hours() for s in d.snapshots()
         ],
+        "protocol_view_hours": lambda d: d.view_hours_by(PROTOCOL_COLUMN),
     }
+
+
+#: Ops whose cold first call on a fresh dataset is timed and gated.
+FIRST_CALL_OPS = ("publisher_view_hours", "protocol_view_hours")
 
 
 def _time_op(
@@ -94,10 +103,11 @@ def _time_op(
 def _first_call_s(
     records: Tuple[ViewRecord, ...],
     dataset_cls: Type[Dataset],
+    op: Callable[[Dataset], object],
     repeats: int,
 ) -> float:
-    """Cold cost of the first aggregation on a fresh dataset (for the
-    column store this includes code interning).
+    """Cold cost of ``op`` on a fresh dataset (for the column store this
+    includes code interning and, for a derived column, classifying).
 
     Best of ``repeats`` fresh datasets: a single cold sample swings
     ~15% with scheduler noise, which is wider than the row-vs-columnar
@@ -107,7 +117,7 @@ def _first_call_s(
     for _ in range(repeats):
         dataset = dataset_cls(records)
         start = time.perf_counter()
-        dataset.publisher_view_hours()
+        op(dataset)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -117,7 +127,8 @@ def run_bench(scale: int, repeats: int) -> Dict[str, object]:
     row = RowDataset(records)
     col = Dataset(records)
     results: Dict[str, Dict[str, float]] = {}
-    for name, op in _ops().items():
+    ops = _ops()
+    for name, op in ops.items():
         row_s = _time_op(row, op, repeats)
         col_s = _time_op(col, op, repeats)
         results[name] = {
@@ -139,12 +150,15 @@ def run_bench(scale: int, repeats: int) -> Dict[str, object]:
             "repeats": repeats,
         },
         "first_call": {
-            "row_s": round(
-                _first_call_s(records, RowDataset, repeats=repeats), 6
-            ),
-            "columnar_s": round(
-                _first_call_s(records, Dataset, repeats=repeats), 6
-            ),
+            name: {
+                "row_s": round(
+                    _first_call_s(records, RowDataset, ops[name], repeats), 6
+                ),
+                "columnar_s": round(
+                    _first_call_s(records, Dataset, ops[name], repeats), 6
+                ),
+            }
+            for name in FIRST_CALL_OPS
         },
         "operations": results,
     }
@@ -189,12 +203,12 @@ def main(argv: List[str] = None) -> int:
         )
         if stats["speedup"] < floor:
             failures.append(f"{name}: {stats['speedup']}x < {floor}x")
-    first = payload["first_call"]
-    if first["columnar_s"] > first["row_s"] * FIRST_CALL_MAX_RATIO:
-        failures.append(
-            f"first_call: columnar {first['columnar_s']}s > "
-            f"{FIRST_CALL_MAX_RATIO}x row {first['row_s']}s"
-        )
+    for name, first in payload["first_call"].items():
+        if first["columnar_s"] > first["row_s"] * FIRST_CALL_MAX_RATIO:
+            failures.append(
+                f"first_call {name}: columnar {first['columnar_s']}s > "
+                f"{FIRST_CALL_MAX_RATIO}x row {first['row_s']}s"
+            )
     if failures:
         print("FAIL: " + "; ".join(failures), file=sys.stderr)
         return 1

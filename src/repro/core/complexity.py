@@ -20,12 +20,18 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Set, Tuple
+from typing import Dict, Mapping, Optional, Set
 
-from repro.core.dimensions import record_protocol
+import numpy as np
+
+from repro.core.dimensions import (
+    HTTP_PROTOCOL_COLUMN,
+    PROTOCOL_COLUMN,
+    CdnDimension,
+)
 from repro.errors import AnalysisError
-from repro.playback.useragent import parse_user_agent
 from repro.stats.regression import LogLogFit, fit_loglog
+from repro.telemetry.columnar import distinct_pair_counts, first_seen
 from repro.telemetry.dataset import Dataset
 
 
@@ -48,51 +54,66 @@ def publisher_complexity(
 
     ``catalogue_sizes`` supplies true title counts per publisher; when
     absent, distinct video IDs observed in telemetry are used (an
-    under-estimate, as §3 notes of the paper's own data).
+    under-estimate, as §3 notes of the paper's own data).  Publishers
+    appear in the order of their first view.
     """
-    combos: Dict[str, Set[Tuple[str, str, str]]] = defaultdict(set)
-    protocols: Dict[str, Set[str]] = defaultdict(set)
-    titles: Dict[str, Set[str]] = defaultdict(set)
+    publishers = dataset.entries("publisher_id")
+    if not len(publishers.rows):
+        raise AnalysisError("dataset has no records")
+    publisher = publishers.codes
+    n = len(publishers.values)
+    view_hours = np.bincount(
+        publisher, weights=dataset.measure("view_hours"), minlength=n
+    )
+    combinations = _combinations(dataset, publisher, n)
+    protocols = dataset.values_per_publisher(HTTP_PROTOCOL_COLUMN)
+    titles = dataset.values_per_publisher("video_id")
+
     sdk_versions: Dict[str, Set[str]] = defaultdict(set)
     browsers: Dict[str, Set[str]] = defaultdict(set)
-    vh: Dict[str, float] = defaultdict(float)
-
     for record in dataset:
-        pid = record.publisher_id
-        vh[pid] += record.view_hours
-        protocol = record_protocol(record)
-        protocol_name = protocol.value if protocol else "unknown"
-        if protocol and protocol.is_http_adaptive:
-            protocols[pid].add(protocol_name)
-        titles[pid].add(record.video_id)
-        for cdn in record.cdn_names:
-            combos[pid].add((cdn, protocol_name, record.device_model))
         if record.sdk_name:
-            sdk_versions[pid].add(
+            sdk_versions[record.publisher_id].add(
                 f"{record.sdk_name}/{record.sdk_version or '?'}"
             )
         elif record.user_agent:
-            info = parse_user_agent(record.user_agent)
-            browsers[pid].add(f"{record.device_model}")
-
-    if not vh:
-        raise AnalysisError("dataset has no records")
+            browsers[record.publisher_id].add(record.device_model)
 
     metrics: Dict[str, ComplexityMetrics] = {}
-    for pid in vh:
-        title_count = (
-            catalogue_sizes.get(pid, len(titles[pid]))
-            if catalogue_sizes is not None
-            else len(titles[pid])
-        )
+    for p in first_seen(publisher).tolist():
+        pid = publishers.values[p]
+        title_count = titles.get(pid, 0)
+        if catalogue_sizes is not None:
+            title_count = catalogue_sizes.get(pid, title_count)
         metrics[pid] = ComplexityMetrics(
             publisher_id=pid,
-            view_hours=vh[pid],
-            combinations=len(combos[pid]),
-            protocol_titles=max(len(protocols[pid]), 1) * title_count,
+            view_hours=float(view_hours[p]),
+            combinations=int(combinations[p]),
+            protocol_titles=max(protocols.get(pid, 0), 1) * title_count,
             unique_sdks=len(sdk_versions[pid]) + len(browsers[pid]),
         )
     return metrics
+
+
+def _combinations(
+    dataset: Dataset, publisher: np.ndarray, n: int
+) -> np.ndarray:
+    """Distinct (CDN, protocol, device model) triples per publisher
+    code; a view whose protocol is undetectable counts as "unknown"."""
+    cdns = dataset.entries(CdnDimension.column_key)
+    protocols = dataset.entries(PROTOCOL_COLUMN)
+    devices = dataset.entries("device_model")
+    unknown = len(protocols.values)
+    protocol = np.full(len(dataset), unknown, dtype=np.int64)
+    protocol[protocols.rows] = protocols.codes
+    n_devices = len(devices.values)
+    triples = (
+        cdns.codes * (unknown + 1) + protocol[cdns.rows]
+    ) * n_devices + devices.codes[cdns.rows]
+    return distinct_pair_counts(
+        publisher[cdns.rows], n,
+        triples, len(cdns.values) * (unknown + 1) * n_devices,
+    )
 
 
 @dataclass(frozen=True)

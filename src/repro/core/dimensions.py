@@ -3,15 +3,20 @@
 §4 characterizes packaging (streaming protocol, inferred from the
 manifest extension in the URL), device playback (platform and
 within-platform family, inferred from the device model), and content
-distribution (CDNs, listed per view).  A :class:`Dimension` maps a
-record onto its value(s) in one of those vocabularies; every prevalence
-and count analysis is generic over a dimension.
+distribution (CDNs, listed per view).  A :class:`Dimension` names the
+derived column of the dataset's store that holds a record's value(s)
+in one of those vocabularies; every prevalence and count analysis is
+generic over a dimension.
+
+Each column classifies one *distinct* source value at a time: a URL is
+parsed once however many views carry it, and a device model is looked
+up once.  The HTTP-only protocol column derives from the all-protocols
+column, so both share one parse.
 """
 
 from __future__ import annotations
 
-import abc
-from operator import attrgetter
+from functools import partial
 from typing import Optional, Tuple
 
 from repro.constants import Platform, Protocol
@@ -20,32 +25,54 @@ from repro.packaging.manifest.detect import detect_protocol_or_none
 from repro.telemetry.columnar import ColumnKey
 from repro.telemetry.records import ViewRecord
 
-#: (value, fraction) pairs: fraction splits the record's view-hours and
-#: views across multiple values (only CDNs are multi-valued).
-WeightedValues = Tuple[Tuple[object, float], ...]
+#: The device universe the platform and family columns classify against.
+_DEVICES = default_registry()
 
 
-class Dimension(abc.ABC):
-    """One management-plane dimension of §4."""
+def _protocol_of(url: str) -> Tuple[Protocol, ...]:
+    protocol = detect_protocol_or_none(url)
+    return () if protocol is None else (protocol,)
+
+
+def _http_adaptive(protocol: Protocol) -> Tuple[Protocol, ...]:
+    return (protocol,) if protocol.is_http_adaptive else ()
+
+
+def _platform_of(model: str) -> Tuple[Platform, ...]:
+    if model not in _DEVICES:
+        return ()
+    return (_DEVICES.platform_of(model),)
+
+
+def _family_of(platform: Platform, model: str) -> Tuple[str, ...]:
+    if model not in _DEVICES:
+        return ()
+    device = _DEVICES.lookup(model)
+    if device.platform is not platform:
+        return ()
+    return (device.family,)
+
+
+#: Named derived column for the detected protocol (RTMP included).
+PROTOCOL_COLUMN = ColumnKey("protocol:all", "url", _protocol_of)
+
+#: HTTP adaptive protocols only (§4.1), derived from
+#: :data:`PROTOCOL_COLUMN` rather than from the URL.
+HTTP_PROTOCOL_COLUMN = ColumnKey(
+    "protocol:http", PROTOCOL_COLUMN, _http_adaptive
+)
+
+
+class Dimension:
+    """One management-plane dimension of §4.
+
+    ``column_key`` is the dimension as a derived column of the
+    dataset's store, which the prevalence, count and diversity analyses
+    group by.
+    """
 
     name: str
-
-    #: The dimension as a derived column of the dataset's store, which
-    #: the prevalence and count analyses group by.  Its function is
-    #: :meth:`values`, or an equivalent one.
     column_key: ColumnKey
-
-    @abc.abstractmethod
-    def values(self, record: ViewRecord) -> Tuple[object, ...]:
-        """The record's value(s); empty when the record is out of scope."""
-
-    def weighted_values(self, record: ViewRecord) -> WeightedValues:
-        """Values with view-hour split fractions (sums to 1 in scope)."""
-        values = self.values(record)
-        if not values:
-            return ()
-        fraction = 1.0 / len(values)
-        return tuple((value, fraction) for value in values)
 
 
 class ProtocolDimension(Dimension):
@@ -59,32 +86,16 @@ class ProtocolDimension(Dimension):
 
     def __init__(self, http_only: bool = True) -> None:
         self.http_only = http_only
-        self.column_key = ColumnKey(
-            "protocol:http" if http_only else "protocol:all", self.values
+        self.column_key = (
+            HTTP_PROTOCOL_COLUMN if http_only else PROTOCOL_COLUMN
         )
-
-    def values(self, record: ViewRecord) -> Tuple[object, ...]:
-        protocol = detect_protocol_or_none(record.url)
-        if protocol is None:
-            return ()
-        if self.http_only and not protocol.is_http_adaptive:
-            return ()
-        return (protocol,)
 
 
 class PlatformDimension(Dimension):
     """Playback platform, classified from the device model (§4.2)."""
 
     name = "platform"
-
-    def __init__(self) -> None:
-        self._registry = default_registry()
-        self.column_key = ColumnKey(self.name, self.values)
-
-    def values(self, record: ViewRecord) -> Tuple[object, ...]:
-        if record.device_model not in self._registry:
-            return ()
-        return (self._registry.platform_of(record.device_model),)
+    column_key = ColumnKey(name, "device_model", _platform_of)
 
 
 class FamilyDimension(Dimension):
@@ -94,16 +105,9 @@ class FamilyDimension(Dimension):
     def __init__(self, platform: Platform) -> None:
         self.platform = platform
         self.name = f"family:{platform.value}"
-        self._registry = default_registry()
-        self.column_key = ColumnKey(self.name, self.values)
-
-    def values(self, record: ViewRecord) -> Tuple[object, ...]:
-        if record.device_model not in self._registry:
-            return ()
-        device = self._registry.lookup(record.device_model)
-        if device.platform is not self.platform:
-            return ()
-        return (device.family,)
+        self.column_key = ColumnKey(
+            self.name, "device_model", partial(_family_of, platform)
+        )
 
 
 class CdnDimension(Dimension):
@@ -114,16 +118,9 @@ class CdnDimension(Dimension):
     """
 
     name = "cdn"
-    column_key = ColumnKey("cdn", attrgetter("cdn_names"))
-
-    def values(self, record: ViewRecord) -> Tuple[object, ...]:
-        return tuple(record.cdn_names)
+    column_key = ColumnKey(name, "cdn_names", tuple)
 
 
 def record_protocol(record: ViewRecord) -> Optional[Protocol]:
     """Protocol of one record, or None when undetectable."""
     return detect_protocol_or_none(record.url)
-
-
-#: Named derived column for the detected protocol (RTMP included).
-PROTOCOL_COLUMN = ProtocolDimension(http_only=False).column_key

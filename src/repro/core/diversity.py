@@ -24,7 +24,6 @@ the §5 combinations metric.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
@@ -36,6 +35,7 @@ from repro.core.dimensions import (
 )
 from repro.errors import AnalysisError
 from repro.stats.regression import LogLogFit, fit_loglog
+from repro.telemetry.columnar import pair_sums
 from repro.telemetry.dataset import Dataset
 
 
@@ -113,14 +113,25 @@ class DiversityProfile:
 def _share_map(
     dataset: Dataset, dimension: Dimension
 ) -> Dict[str, Dict[object, float]]:
-    shares: Dict[str, Dict[object, float]] = defaultdict(
-        lambda: defaultdict(float)
+    """View-hours per publisher per value of ``dimension``.
+
+    A view with k values gives each 1/k of its view-hours.  Each
+    publisher's values appear in the order its views first carry them,
+    and every sum adds record by record.
+    """
+    entries = dataset.entries(dimension.column_key)
+    publishers = dataset.entries("publisher_id")
+    publisher, value, total = pair_sums(
+        publishers.codes[entries.rows],
+        entries.codes,
+        len(entries.values),
+        dataset.measure("view_hours")[entries.rows] * entries.shares,
     )
-    for record in dataset:
-        for value, fraction in dimension.weighted_values(record):
-            shares[record.publisher_id][value] += (
-                record.view_hours * fraction
-            )
+    shares: Dict[str, Dict[object, float]] = {}
+    for p, v, hours in zip(
+        publisher.tolist(), value.tolist(), total.tolist()
+    ):
+        shares.setdefault(publishers.values[p], {})[entries.values[v]] = hours
     return shares
 
 

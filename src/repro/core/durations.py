@@ -14,25 +14,20 @@ from repro.constants import Platform
 from repro.core.dimensions import PlatformDimension
 from repro.errors import AnalysisError
 from repro.stats.cdf import ECDF
+from repro.telemetry.columnar import code_of
 from repro.telemetry.dataset import Dataset
 
 
 def duration_cdfs(dataset: Dataset) -> Dict[Platform, ECDF]:
     """Views-weighted duration CDF per platform for a dataset slice."""
-    dimension = PlatformDimension()
-    samples: Dict[Platform, list] = {p: [] for p in Platform}
-    weights: Dict[Platform, list] = {p: [] for p in Platform}
-    for record in dataset:
-        values = dimension.values(record)
-        if not values:
-            continue
-        platform = values[0]
-        samples[platform].append(record.view_duration_hours)
-        weights[platform].append(record.views)
+    platforms = dataset.entries(PlatformDimension.column_key)
+    durations = dataset.measure("view_duration_hours")[platforms.rows]
+    views = dataset.measure("views")[platforms.rows]
     cdfs: Dict[Platform, ECDF] = {}
     for platform in Platform:
-        if samples[platform]:
-            cdfs[platform] = ECDF(samples[platform], weights[platform])
+        mine = platforms.codes == code_of(platforms.values, platform)
+        if mine.any():
+            cdfs[platform] = ECDF(durations[mine], views[mine])
     if not cdfs:
         raise AnalysisError("no classifiable records for duration CDFs")
     return cdfs

@@ -9,34 +9,40 @@ shallow outside the few large drivers.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List
+from typing import Dict
+
+import numpy as np
 
 from repro.constants import Protocol
-from repro.core.dimensions import ProtocolDimension
+from repro.core.dimensions import HTTP_PROTOCOL_COLUMN
 from repro.errors import AnalysisError
 from repro.stats.cdf import ECDF
+from repro.telemetry.columnar import code_of, first_seen
 from repro.telemetry.dataset import Dataset
 
 
 def per_publisher_protocol_share(
     dataset: Dataset, protocol: Protocol
 ) -> Dict[str, float]:
-    """protocol's % of each supporting publisher's HTTP view-hours."""
-    dimension = ProtocolDimension(http_only=True)
-    by_protocol: Dict[str, float] = defaultdict(float)
-    totals: Dict[str, float] = defaultdict(float)
-    for record in dataset:
-        values = dimension.values(record)
-        if not values:
-            continue
-        totals[record.publisher_id] += record.view_hours
-        if values[0] is protocol:
-            by_protocol[record.publisher_id] += record.view_hours
+    """protocol's % of each supporting publisher's HTTP view-hours.
+
+    Publishers appear in the order their first view over ``protocol``
+    does, and each total adds view-hours record by record.
+    """
+    protocols = dataset.entries(HTTP_PROTOCOL_COLUMN)
+    publishers = dataset.entries("publisher_id")
+    publisher = publishers.codes[protocols.rows]
+    view_hours = dataset.measure("view_hours")[protocols.rows]
+    n = len(publishers.values)
+    totals = np.bincount(publisher, weights=view_hours, minlength=n)
+    mine = protocols.codes == code_of(protocols.values, protocol)
+    by_protocol = np.bincount(
+        publisher[mine], weights=view_hours[mine], minlength=n
+    )
     shares = {
-        publisher: 100.0 * by_protocol[publisher] / totals[publisher]
-        for publisher in by_protocol
-        if totals[publisher] > 0
+        publishers.values[p]: 100.0 * float(by_protocol[p]) / float(totals[p])
+        for p in first_seen(publisher[mine]).tolist()
+        if totals[p] > 0
     }
     if not shares:
         raise AnalysisError(

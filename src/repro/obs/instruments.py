@@ -50,6 +50,10 @@ CATALOG: Tuple[InstrumentSpec, ...] = (
         "dataset.row_fallbacks", "counter",
         "aggregations that fell back to the row-at-a-time path",
     ),
+    InstrumentSpec(
+        "columnar.classified", "counter",
+        "distinct source values a derived column's function classified",
+    ),
     # -- ingestion -------------------------------------------------------
     InstrumentSpec(
         "ingest.events", "counter",

@@ -7,13 +7,17 @@ dataset.  Categorical fields (snapshot, publisher, video id, ...) are
 interned into integer codes so group-bys reduce to ``np.bincount`` over
 codes; numeric measures (view-hours, views) are plain float64 arrays.
 
-Derived columns — values computed from a record rather than stored on
-it, such as the protocol detected from the URL or the CDNs that served
-the view — are registered through :class:`ColumnKey`: a *named* record
-function returning a tuple of values.  The store evaluates the function
-once per record on first use and memoizes the result under the key's
-name, so every analysis that groups by the same derived key shares one
-classification pass.
+Derived columns — values computed from a stored field rather than
+stored on it, such as the protocol detected from the URL or the
+platform classified from the device model — are registered through
+:class:`ColumnKey`: a *named* function of one value of its *source*
+column, returning a tuple of values.  The store interns the source
+first, calls the function once per distinct source value, and expands
+the results to every record with numpy gathers; the column is memoized
+under the key's name, so every analysis that groups by the same derived
+key shares one classification pass.  A source may itself be a derived
+key (HTTP-only protocols derive from all protocols), so a chain of keys
+classifies each distinct URL once.
 
 Group-bys run over :class:`Entries`: one (record, code) entry per value
 in record-major order.  A record with k values has k entries, each
@@ -35,18 +39,23 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    List,
     NamedTuple,
-    Optional,
     Tuple,
     Union,
 )
 
 import numpy as np
 
+from repro import obs
 from repro.telemetry.records import ViewRecord
 
 #: Sentinel code for a stored field whose value is ``None``.
 OUT_OF_SCOPE = -1
+
+#: Float measure columns pulled from a record attribute, by name;
+#: ``view_hours`` is the product of the two.
+_PULLED = {"views": "weight", "view_duration_hours": "view_duration_hours"}
 
 
 @dataclass(frozen=True)
@@ -54,13 +63,15 @@ class ColumnKey:
     """A named derived column.
 
     ``name`` identifies the column in the store's cache (two keys with
-    the same name must compute the same values); ``fn`` maps a record
-    to a tuple of hashable values, empty when the record is out of
-    scope.
+    the same name must compute the same values).  ``source`` is the
+    column it derives from: a stored field name or another key.  ``fn``
+    maps one value of the source to a tuple of hashable values, empty
+    when that value is out of scope.
     """
 
     name: str
-    fn: Callable[[ViewRecord], Tuple[object, ...]]
+    source: ColumnRef
+    fn: Callable[[object], Tuple[object, ...]]
 
     def __repr__(self) -> str:  # fn identity is noise in test output
         return f"ColumnKey({self.name!r})"
@@ -82,15 +93,6 @@ class Entries(NamedTuple):
     values: Tuple[object, ...]
     shares: np.ndarray
 
-    def where(self, mask: Optional[np.ndarray]) -> "Entries":
-        """The entries of the records ``mask`` keeps (all when None)."""
-        if mask is None:
-            return self
-        keep = mask[self.rows]
-        return Entries(
-            self.rows[keep], self.codes[keep], self.values, self.shares[keep]
-        )
-
 
 class ColumnStore:
     """Lazily materialized column arrays over one record tuple."""
@@ -111,20 +113,24 @@ class ColumnStore:
     # ------------------------------------------------------------------
 
     def numeric(self, name: str) -> np.ndarray:
-        """A float64 measure column (``view_hours`` or ``views``)."""
+        """A float64 measure column: ``view_hours``, ``views`` or
+        ``view_duration_hours``."""
         column = self._numeric.get(name)
         if column is None:
-            # map(attrgetter) keeps the extraction loop in C; the
-            # view-hours product is then a vectorized multiply instead
-            # of a per-record Python float multiplication.
-            if name == "view_hours":
-                column = self.numeric("views") * self._pull(
-                    "view_duration_hours"
-                )
-            elif name == "views":
-                column = self._pull("weight")
-            else:
+            if name != "view_hours" and name not in _PULLED:
                 raise KeyError(f"unknown numeric column {name!r}")
+            with obs.span(
+                "columnar.intern", column=name, records=len(self.records)
+            ):
+                # map(attrgetter) keeps the extraction loop in C; the
+                # view-hours product is then a vectorized multiply
+                # instead of a per-record Python float multiplication.
+                if name == "view_hours":
+                    column = self.numeric("views") * self.numeric(
+                        "view_duration_hours"
+                    )
+                else:
+                    column = self._pull(_PULLED[name])
             self._numeric[name] = column
         return column
 
@@ -143,21 +149,31 @@ class ColumnStore:
         records whose value is ``None`` get :data:`OUT_OF_SCOPE`."""
         cached = self._codes.get(field)
         if cached is None:
-            cached = self._intern(map(attrgetter(field), self.records))
+            with obs.span(
+                "columnar.intern", column=field, records=len(self.records)
+            ) as span:
+                cached = _intern(map(attrgetter(field), self.records))
+                span.set(distinct=len(cached[1]))
             self._codes[field] = cached
         return cached
 
     def derived_codes(self, key: ColumnKey) -> Entries:
-        """Interned entries of a derived column, memoized by name."""
+        """Interned entries of a derived column, memoized by name.
+
+        The key's function runs once per distinct value of its source,
+        not once per record.
+        """
         cached = self._codes.get(key.name)
         if cached is None:
-            per_record = list(map(key.fn, self.records))
-            counts = np.fromiter(
-                map(len, per_record), dtype=np.int64, count=len(per_record)
-            )
-            codes, values = self._intern(chain.from_iterable(per_record))
-            rows = np.repeat(np.arange(len(per_record)), counts)
-            cached = Entries(rows, codes, values, 1.0 / counts[rows])
+            with obs.span(
+                "columnar.intern", column=key.name, records=len(self.records)
+            ) as span:
+                source = self.entries(key.source)
+                cached = _expand(
+                    source, list(map(key.fn, source.values)), len(self)
+                )
+                span.set(distinct=len(source.values))
+            obs.counter("columnar.classified").inc(len(source.values))
             self._codes[key.name] = cached
         return cached
 
@@ -174,37 +190,60 @@ class ColumnStore:
             self._field_entries[key] = cached
         return cached
 
-    # ------------------------------------------------------------------
-    # Internal
-    # ------------------------------------------------------------------
 
-    def _intern(
-        self, values: Iterable[object]
-    ) -> Tuple[np.ndarray, Tuple[object, ...]]:
-        """Intern values to first-appearance codes, loops kept in C.
+def _intern(
+    values: Iterable[object],
+) -> Tuple[np.ndarray, Tuple[object, ...]]:
+    """Intern values to first-appearance codes, loops kept in C.
 
-        ``dict.fromkeys`` collects the distinct values in first-
-        appearance order without a Python-level loop; the code lookup
-        then runs as ``map(lookup.__getitem__, ...)`` feeding
-        ``np.fromiter``, so every pass over the values executes inside
-        the interpreter's C machinery.  ``None`` (out of scope) is
-        routed through the lookup table itself rather than a per-value
-        branch.
-        """
-        materialized = list(values)
-        uniques = dict.fromkeys(materialized)
-        uniques.pop(None, None)
-        lookup: Dict[object, int] = {
-            value: code for code, value in enumerate(uniques)
-        }
-        ordered = tuple(lookup)
-        lookup[None] = OUT_OF_SCOPE
-        codes = np.fromiter(
-            map(lookup.__getitem__, materialized),
-            dtype=np.int64,
-            count=len(materialized),
-        )
-        return codes, ordered
+    ``dict.fromkeys`` collects the distinct values in first-appearance
+    order without a Python-level loop; the code lookup then runs as
+    ``map(lookup.__getitem__, ...)`` feeding ``np.fromiter``, so every
+    pass over the values executes inside the interpreter's C machinery.
+    ``None`` (out of scope) is routed through the lookup table itself
+    rather than a per-value branch.
+    """
+    materialized = list(values)
+    uniques = dict.fromkeys(materialized)
+    uniques.pop(None, None)
+    lookup: Dict[object, int] = {
+        value: code for code, value in enumerate(uniques)
+    }
+    ordered = tuple(lookup)
+    lookup[None] = OUT_OF_SCOPE
+    codes = np.fromiter(
+        map(lookup.__getitem__, materialized),
+        dtype=np.int64,
+        count=len(materialized),
+    )
+    return codes, ordered
+
+
+def _expand(
+    source: Entries, derived: List[Tuple[object, ...]], n_records: int
+) -> Entries:
+    """Entries of a column whose source value ``j`` maps to
+    ``derived[j]``: each source entry becomes one entry per derived
+    value, in order, and a record's k entries carry 1/k each.
+
+    Source codes are in first-appearance order, so interning the
+    derived tuples in source-code order gives the derived values in
+    the order they first appear record by record.
+    """
+    lengths = np.fromiter(
+        map(len, derived), dtype=np.int64, count=len(derived)
+    )
+    flat, values = _intern(chain.from_iterable(derived))
+    per_entry = lengths[source.codes]
+    rows = np.repeat(source.rows, per_entry)
+    # Output position q of source entry e reads flat[start(e) + q - P(e)],
+    # where P(e) is e's first output position.
+    starts = np.cumsum(lengths) - lengths
+    first = np.cumsum(per_entry) - per_entry
+    offsets = np.repeat(starts[source.codes] - first, per_entry)
+    codes = flat[offsets + np.arange(len(rows))]
+    counts = np.bincount(rows, minlength=n_records)
+    return Entries(rows, codes, values, 1.0 / counts[rows])
 
 
 def grouped_sum(entries: Entries, measure: np.ndarray) -> Dict[object, float]:
@@ -237,3 +276,33 @@ def distinct_pair_counts(
     stride = np.int64(max(n_b, 1))
     pairs = np.unique(codes_a * stride + codes_b)
     return np.bincount(pairs // stride, minlength=n_a)
+
+
+def pair_sums(
+    codes_a: np.ndarray, codes_b: np.ndarray, n_b: int, weights: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum ``weights`` per distinct ``(a, b)`` code pair.
+
+    Returns each pair's ``a`` code, ``b`` code and sum, pairs in order
+    of first appearance; ``bincount`` adds each pair's weights in entry
+    order.
+    """
+    stride = np.int64(max(n_b, 1))
+    keys, first, inverse = np.unique(
+        codes_a * stride + codes_b, return_index=True, return_inverse=True
+    )
+    sums = np.bincount(inverse, weights=weights, minlength=len(keys))
+    order = np.argsort(first)
+    return keys[order] // stride, keys[order] % stride, sums[order]
+
+
+def first_seen(codes: np.ndarray) -> np.ndarray:
+    """The distinct ``codes`` in order of first appearance."""
+    uniques, first = np.unique(codes, return_index=True)
+    return uniques[np.argsort(first)]
+
+
+def code_of(values: Tuple[object, ...], value: object) -> int:
+    """``value``'s code in an interned value table, or
+    :data:`OUT_OF_SCOPE` when it has none."""
+    return values.index(value) if value in values else OUT_OF_SCOPE

@@ -12,8 +12,10 @@ a boolean mask, so stacking slices never re-materializes record tuples.
 Aggregations whose grouping key is a column (a record field name or a
 :class:`~repro.telemetry.columnar.ColumnKey`) are vectorized
 ``bincount`` group-bys over interned codes, memoized per (view, key) —
-safe because stores are immutable.  Only opaque Python runs row at a
-time: ``filter`` predicates and callable group-by keys.
+safe because stores are immutable.  Analyses that need more than a
+group-by read a view's columns directly: :meth:`Dataset.entries` and
+:meth:`Dataset.measure`.  Only opaque Python runs row at a time:
+``filter`` predicates and callable group-by keys.
 ``dataset.columnar_hits`` / ``dataset.row_fallbacks`` count the two
 kinds of dispatch, and :class:`repro.testkit.reference.RowDataset` is
 the row-at-a-time reference the vectorized code is tested against.
@@ -50,6 +52,7 @@ from repro.telemetry.columnar import (
     ColumnRef,
     ColumnStore,
     Entries,
+    code_of,
     distinct_pair_counts,
     grouped_sum,
 )
@@ -147,11 +150,7 @@ class Dataset:
         if cached is not None:
             return cached
         codes, values = self._store.field_codes("snapshot")
-        try:
-            code = values.index(snapshot)
-        except ValueError:
-            code = -2  # never matches a real code
-        mask = codes == code
+        mask = codes == code_of(values, snapshot)
         if self._mask is not None:
             mask &= self._mask
         if not mask.any():
@@ -252,11 +251,7 @@ class Dataset:
             codes, _ = self._field_codes("video_id")
             if publisher_id is not None:
                 pub_codes, pub_values = self._field_codes("publisher_id")
-                try:
-                    wanted = pub_values.index(publisher_id)
-                except ValueError:
-                    wanted = -2
-                codes = codes[pub_codes == wanted]
+                codes = codes[pub_codes == code_of(pub_values, publisher_id)]
             cached = int(np.unique(codes).size)
             self._agg_cache[cache_key] = cached
         return cached
@@ -271,8 +266,8 @@ class Dataset:
         cached = self._agg_cache.get(cache_key)
         if cached is None:
             obs.counter("dataset.columnar_hits").inc()
-            entries = self._entries(key)
-            p_codes, p_values = self._store.field_codes("publisher_id")
+            entries = self.entries(key)
+            p_codes, p_values = self._field_codes("publisher_id")
             counts = distinct_pair_counts(
                 entries.codes, len(entries.values),
                 p_codes[entries.rows], len(p_values),
@@ -293,8 +288,8 @@ class Dataset:
         cached = self._agg_cache.get(cache_key)
         if cached is None:
             obs.counter("dataset.columnar_hits").inc()
-            entries = self._entries(key)
-            p_codes, p_values = self._store.field_codes("publisher_id")
+            entries = self.entries(key)
+            p_codes, p_values = self._field_codes("publisher_id")
             counts = distinct_pair_counts(
                 p_codes[entries.rows], len(p_values),
                 entries.codes, len(entries.values),
@@ -305,6 +300,33 @@ class Dataset:
             }
             self._agg_cache[cache_key] = cached
         return dict(cached)
+
+    def entries(self, key: ColumnRef) -> Entries:
+        """This view's (record, value) entries of a stored field or
+        derived column, in record order.
+
+        ``rows`` index the view's records, as :meth:`measure` does, and
+        ``codes`` index ``values``.  A stored field that is never
+        ``None`` (publisher, snapshot, URL, device model, ...) has one
+        entry per record, so its ``codes`` align with the records.
+        """
+        entries = self._store.entries(key)
+        if self._mask is None:
+            return entries
+        keep = self._mask[entries.rows]
+        position = np.cumsum(self._mask) - 1
+        return Entries(
+            position[entries.rows[keep]],
+            entries.codes[keep],
+            entries.values,
+            entries.shares[keep],
+        )
+
+    def measure(self, name: str) -> np.ndarray:
+        """A float column of this view, one value per record:
+        ``view_hours``, ``views`` or ``view_duration_hours``."""
+        column = self._store.numeric(name)
+        return column if self._mask is None else column[self._mask]
 
     def explode(self) -> "Dataset":
         """Expand weighted records into unit-weight records.
@@ -426,18 +448,11 @@ class Dataset:
             codes = codes[self._mask]
         return codes, values
 
-    def _entries(self, key: ColumnRef) -> Entries:
-        """This view's entries of a stored field or derived column."""
-        return self._store.entries(key).where(self._mask)
-
     def _total(self, measure: str) -> float:
         cache_key = ("total", measure)
         cached = self._agg_cache.get(cache_key)
         if cached is None:
-            column = self._store.numeric(measure)
-            if self._mask is not None:
-                column = column[self._mask]
-            cached = float(np.sum(column))
+            cached = float(np.sum(self.measure(measure)))
             self._agg_cache[cache_key] = cached
         return cached
 
@@ -457,9 +472,7 @@ class Dataset:
         cached = self._agg_cache.get(cache_key)
         if cached is None:
             obs.counter("dataset.columnar_hits").inc()
-            cached = grouped_sum(
-                self._entries(key), self._store.numeric(measure)
-            )
+            cached = grouped_sum(self.entries(key), self.measure(measure))
             self._agg_cache[cache_key] = cached
         return dict(cached)
 

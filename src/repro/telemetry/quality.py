@@ -11,13 +11,15 @@ and a one-stop :func:`audit` report that analyses can gate on.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional
 
-from repro.core.dimensions import record_protocol
+import numpy as np
+
+from repro.core.dimensions import PROTOCOL_COLUMN
 from repro.entities.device import DeviceRegistry, default_registry
 from repro.errors import DatasetError
+from repro.telemetry.columnar import first_seen
 from repro.telemetry.dataset import Dataset
 
 
@@ -83,39 +85,42 @@ def audit(
         raise DatasetError("cannot audit an empty dataset")
     registry = registry or default_registry()
 
-    unclassifiable = 0
-    unknown_devices: Dict[str, int] = defaultdict(int)
-    app_missing_sdk = 0
-    app_views = 0
-    browser_views = 0
-    browser_missing_ua = 0
-    syndication_dangling = 0
-    publisher_snapshots: Dict[str, Set] = defaultdict(set)
     publisher_ids = dataset.publishers()
+    total = len(dataset)
+    unclassifiable = total - len(dataset.entries(PROTOCOL_COLUMN).rows)
 
-    for record in dataset:
-        publisher_snapshots[record.publisher_id].add(record.snapshot)
-        if record_protocol(record) is None:
-            unclassifiable += 1
-        known = record.device_model in registry
-        if not known:
-            unknown_devices[record.device_model] += 1
-        if known and registry.lookup(record.device_model).platform.is_app_based:
-            app_views += 1
-            if not record.sdk_name:
-                app_missing_sdk += 1
-        elif known:
-            browser_views += 1
-            if not record.user_agent:
-                browser_missing_ua += 1
-        if record.is_syndicated:
-            if record.owner_id is None:
-                syndication_dangling += 1
-            elif record.owner_id not in publisher_ids:
-                syndication_dangling += 1
+    # Each distinct device model is looked up once, not once per view.
+    known = _holds(dataset, "device_model", registry.__contains__)
+    app = _holds(
+        dataset,
+        "device_model",
+        lambda model: model in registry
+        and registry.lookup(model).platform.is_app_based,
+    )
+    browser = known & ~app
+    devices = dataset.entries("device_model")
+    views_per_model = np.bincount(
+        devices.codes, minlength=len(devices.values)
+    )
+    unknown_devices = {
+        devices.values[code]: int(views_per_model[code])
+        for code in first_seen(devices.codes).tolist()
+        if devices.values[code] not in registry
+    }
+    has_sdk = _holds(dataset, "sdk_name", bool)
+    has_user_agent = _holds(dataset, "user_agent", bool)
+    app_views = int(app.sum())
+    app_missing_sdk = int((app & ~has_sdk).sum())
+    browser_views = int(browser.sum())
+    browser_missing_ua = int((browser & ~has_user_agent).sum())
+    syndication_dangling = int(
+        (
+            _holds(dataset, "is_syndicated", bool)
+            & ~_holds(dataset, "owner_id", publisher_ids.__contains__)
+        ).sum()
+    )
 
     issues: List[QualityIssue] = []
-    total = len(dataset)
     classifiable = 1.0 - unclassifiable / total
     if classifiable < min_classifiable:
         issues.append(
@@ -179,7 +184,7 @@ def audit(
 
     snapshots = dataset.snapshots()
     coverage_cells = len(publisher_ids) * len(snapshots)
-    covered = sum(len(s) for s in publisher_snapshots.values())
+    covered = sum(dataset.values_per_publisher("snapshot").values())
     coverage = covered / coverage_cells if coverage_cells else 0.0
     if coverage < 0.9:
         issues.append(
@@ -207,3 +212,15 @@ def audit(
         publisher_snapshot_coverage=coverage,
         issues=issues,
     )
+
+
+def _holds(
+    dataset: Dataset, field_name: str, test: Callable[[object], bool]
+) -> np.ndarray:
+    """Per record: whether ``test`` holds for the field's value (False
+    where the value is ``None``), testing each distinct value once."""
+    entries = dataset.entries(field_name)
+    passes = np.array([bool(test(v)) for v in entries.values], dtype=bool)
+    flags = np.zeros(len(dataset), dtype=bool)
+    flags[entries.rows] = passes[entries.codes]
+    return flags

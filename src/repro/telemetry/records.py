@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import date
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, NoReturn, Optional, Tuple
 
 from repro.constants import ConnectionType, ContentType
 from repro.errors import DatasetError
@@ -112,6 +112,14 @@ class ViewRecord:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "ViewRecord":
+        """A record from one decoded JSON object.
+
+        This is the file boundary, so every field's JSON type is checked
+        here: a string field holding a number, a CDN list given as one
+        string, or a boolean weight raises :class:`DatasetError` instead
+        of loading and failing later inside an analysis.
+        """
+        _check_json_types(data)
         try:
             return cls(
                 snapshot=date.fromisoformat(data["snapshot"]),
@@ -132,7 +140,7 @@ class ViewRecord:
                 user_agent=data.get("user_agent"),
                 sdk_name=data.get("sdk_name"),
                 sdk_version=data.get("sdk_version"),
-                is_syndicated=bool(data.get("is_syndicated", False)),
+                is_syndicated=data.get("is_syndicated", False),
                 owner_id=data.get("owner_id"),
                 isp=data.get("isp"),
                 geo=data.get("geo"),
@@ -152,3 +160,74 @@ class ViewRecord:
                 f"record is not a JSON object: {type(data).__name__}"
             )
         return cls.from_json_dict(data)
+
+
+#: Marks a required field that is absent.
+_ABSENT = object()
+
+_STR = frozenset({str})
+_STR_OR_NULL = frozenset({str, type(None)})
+#: ``type`` is compared exactly, and JSON ``true`` decodes as ``bool``,
+#: so a boolean is not a number here.
+_NUMBER = frozenset({int, float})
+
+#: Every scalar field that is not an enum: its name, the value it takes
+#: when absent (``_ABSENT`` when it is required), the JSON types it may
+#: hold, and how an error says so.
+_SCALAR_FIELDS = (
+    ("snapshot", _ABSENT, _STR, "a string"),
+    ("publisher_id", _ABSENT, _STR, "a string"),
+    ("url", _ABSENT, _STR, "a string"),
+    ("device_model", _ABSENT, _STR, "a string"),
+    ("os_name", _ABSENT, _STR, "a string"),
+    ("video_id", _ABSENT, _STR, "a string"),
+    ("view_duration_hours", _ABSENT, _NUMBER, "a number"),
+    ("avg_bitrate_kbps", _ABSENT, _NUMBER, "a number"),
+    ("rebuffer_ratio", _ABSENT, _NUMBER, "a number"),
+    ("weight", 1.0, _NUMBER, "a number"),
+    ("is_syndicated", False, frozenset({bool}), "a boolean"),
+    ("user_agent", None, _STR_OR_NULL, "a string or null"),
+    ("sdk_name", None, _STR_OR_NULL, "a string or null"),
+    ("sdk_version", None, _STR_OR_NULL, "a string or null"),
+    ("owner_id", None, _STR_OR_NULL, "a string or null"),
+    ("isp", None, _STR_OR_NULL, "a string or null"),
+    ("geo", None, _STR_OR_NULL, "a string or null"),
+)
+_NAMES, _DEFAULTS, _ALLOWED, _EXPECTED = zip(*_SCALAR_FIELDS)
+
+#: Array fields and the JSON types of their items.
+_ARRAY_FIELDS = (
+    ("cdn_names", _STR, "an array of strings"),
+    ("bitrate_ladder_kbps", _NUMBER, "an array of numbers"),
+)
+
+
+def _check_json_types(data: Mapping[str, Any]) -> None:
+    """Raise :class:`DatasetError` naming the first field of a decoded
+    record that is missing or holds the wrong JSON type.
+
+    A well-typed record is checked by ``map`` calls that loop in C;
+    only a record that fails is searched field by field.
+    """
+    values = tuple(map(data.get, _NAMES, _DEFAULTS))
+    if not all(map(frozenset.__contains__, _ALLOWED, map(type, values))):
+        for name, value, allowed, expected in zip(
+            _NAMES, values, _ALLOWED, _EXPECTED
+        ):
+            if type(value) not in allowed:
+                _type_error(name, value, expected)
+    for name, allowed, expected in _ARRAY_FIELDS:
+        items = data.get(name, _ABSENT)
+        if type(items) is not list:
+            _type_error(name, items, expected)
+        if not allowed.issuperset(map(type, items)):
+            bad = next(item for item in items if type(item) not in allowed)
+            _type_error(name, bad, expected)
+
+
+def _type_error(name: str, value: Any, expected: str) -> NoReturn:
+    if value is _ABSENT:
+        raise DatasetError(f"missing field {name!r}")
+    raise DatasetError(
+        f"field {name!r} must be {expected}, got {type(value).__name__}"
+    )

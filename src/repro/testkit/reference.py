@@ -84,7 +84,7 @@ from repro.synthesis.sessions import (
     _PLATFORM_THROUGHPUT_MEDIAN,
     SessionSampler,
 )
-from repro.telemetry.columnar import ColumnKey, ColumnRef
+from repro.telemetry.columnar import ColumnKey, ColumnRef, Entries
 from repro.telemetry.dataset import Dataset, GroupKey
 from repro.telemetry.records import ViewRecord
 
@@ -573,8 +573,9 @@ class RowDataset(Dataset):
 
     Every slice is a new ``RowDataset`` of the matching records, and
     every aggregation is a Python loop over them; nothing is memoized
-    and the column store is never read.  A derived column splits a
-    record with k values into k shares of 1/k, as the store does.
+    and the column store is never read.  A derived column classifies
+    each record by following its chain of sources, and splits a record
+    with k values into k shares of 1/k, as the store does.
     """
 
     def snapshots(self) -> List[date]:
@@ -619,6 +620,29 @@ class RowDataset(Dataset):
                 sets.setdefault(record.publisher_id, set()).add(value)
         return {pub: len(values) for pub, values in sets.items()}
 
+    def entries(self, key: ColumnRef) -> Entries:
+        lookup: Dict[object, int] = {}
+        rows: List[int] = []
+        codes: List[int] = []
+        shares: List[float] = []
+        for row, record in enumerate(self.records):
+            values = _row_values(key, record)
+            for value in values:
+                rows.append(row)
+                codes.append(lookup.setdefault(value, len(lookup)))
+                shares.append(1.0 / len(values))
+        return Entries(
+            np.array(rows, dtype=np.int64),
+            np.array(codes, dtype=np.int64),
+            tuple(lookup),
+            np.array(shares, dtype=np.float64),
+        )
+
+    def measure(self, name: str) -> np.ndarray:
+        return np.array(
+            [getattr(r, name) for r in self.records], dtype=np.float64
+        )
+
     # _total and the field-key loop in _grouped keep the row path's
     # original per-record cost (for a field: a lambda and two getattrs):
     # bench_dataset.py's speedup floors and first-call ceiling are
@@ -633,7 +657,7 @@ class RowDataset(Dataset):
         totals: Dict[object, float] = {}
         if isinstance(key, ColumnKey):
             for record in self.records:
-                values = key.fn(record)
+                values = _row_values(key, record)
                 for value in values:
                     totals[value] = totals.get(value, 0.0) + getattr(
                         record, measure
@@ -651,9 +675,14 @@ class RowDataset(Dataset):
 
 
 def _row_values(key: ColumnRef, record: ViewRecord) -> Tuple[object, ...]:
-    """A column's values for one record; a ``None`` field is out of scope."""
+    """A column's values for one record, following a derived key's chain
+    of sources down to a stored field; a ``None`` field is out of scope."""
     if isinstance(key, ColumnKey):
-        return key.fn(record)
+        return tuple(
+            derived
+            for value in _row_values(key.source, record)
+            for derived in key.fn(value)
+        )
     value = getattr(record, key)
     return () if value is None else (value,)
 

@@ -102,11 +102,16 @@ class TestDatasetRoundtripAtScale:
             ProtocolDimension,
         )
 
-        protocol_dim = ProtocolDimension(http_only=False)
-        platform_dim = PlatformDimension()
-        for record in dataset.records[:2000]:
-            assert protocol_dim.values(record), record.url
-            assert platform_dim.values(record), record.device_model
+        sample = dataset.records[:2000]
+        for dimension, field in (
+            (ProtocolDimension(http_only=False), "url"),
+            (PlatformDimension(), "device_model"),
+        ):
+            classified = Dataset(sample).entries(dimension.column_key).rows
+            missing = set(range(len(sample))) - set(classified.tolist())
+            assert not missing, [
+                getattr(sample[i], field) for i in sorted(missing)[:5]
+            ]
 
     def test_live_records_only_from_live_publishers(self, dataset, eco):
         live_serving = {

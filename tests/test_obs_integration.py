@@ -22,6 +22,7 @@ import pytest
 
 from repro import cli, figures, obs
 from repro.constants import ContentType
+from repro.core.dimensions import PROTOCOL_COLUMN
 from repro.core.report import format_table
 from repro.delivery.multicdn import CdnBroker, ResilientFetcher
 from repro.entities.cdn import CDN, CdnAssignment
@@ -31,6 +32,7 @@ from repro.resilience import BackoffPolicy, CircuitBreaker, retry_with_backoff
 from repro.synthesis.calibration import QOE_COMBOS, EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator
 from repro.telemetry.faults import FaultInjector, FaultMix
+from repro.telemetry.dataset import Dataset
 from repro.telemetry.ingest import IngestPipeline, events_from_records
 
 pytestmark = pytest.mark.obs
@@ -290,6 +292,25 @@ class TestPipelineSpans:
         assert series["F2a"] == 1.0
         assert all(v == 0.0 for k, v in series.items() if k != "F2a")
 
+    def test_column_build_span_classifies_each_url_once(self, eco, global_obs):
+        dataset = Dataset(eco.dataset.records)  # a fresh, empty store
+        dataset.view_hours_by(PROTOCOL_COLUMN)
+        dataset.view_hours_by(PROTOCOL_COLUMN)  # built once, then cached
+        builds = {
+            s.attrs["column"]: s
+            for s in global_obs.tracer.finished
+            if s.name == "columnar.intern"
+        }
+        urls = len({record.url for record in dataset})
+        assert builds["protocol:all"].attrs == {
+            "column": "protocol:all",
+            "records": len(dataset),
+            "distinct": urls,
+        }
+        assert builds["url"].attrs["distinct"] == urls
+        counters = global_obs.registry.snapshot()["counters"]
+        assert counters["columnar.classified"] == urls
+
 
 # ---------------------------------------------------------------------------
 # Obs must be invisible: byte-identical output on vs off
@@ -389,6 +410,18 @@ class TestCliObs:
         assert "synthesis.generate" in err
         assert "  synthesis.snapshot" in err  # indented: nested span
         assert "figure.run" in err
+
+    def test_figures_run_trace_prints_column_builds(self, capsys, global_obs):
+        exit_code = cli.main(
+            [
+                "figures", "--run", "--trace",
+                "--snapshots", "2", "--publishers", "24",
+            ]
+        )
+        assert exit_code == 0
+        err = capsys.readouterr().err
+        assert "columnar.intern" in err
+        assert "column=protocol:all" in err
 
     def test_metrics_subcommand_lists_catalog(self, capsys, global_obs):
         assert cli.main(["metrics"]) == 0

@@ -263,6 +263,29 @@ class TestLoadErrors:
         path.write_text(self._line() + "\n" + self._line(**overrides) + "\n")
         assert f"{path}:2" in self._load_error(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("url", 5),
+            ("device_model", ["x"]),
+            ("cdn_names", "AB"),
+            ("cdn_names", [1]),
+            ("video_id", None),
+            ("publisher_id", 7),
+            ("is_syndicated", "no"),
+            ("weight", True),
+        ],
+        ids=lambda v: v if isinstance(v, str) else json.dumps(v),
+    )
+    def test_mistyped_field(self, tmp_path, field, value):
+        """A field of the wrong JSON type fails at load time, naming the
+        field, rather than loading and breaking an analysis later."""
+        path = tmp_path / "typed.jsonl"
+        path.write_text(self._line(**{field: value}) + "\n")
+        message = self._load_error(path)
+        assert f"{path}:1" in message
+        assert repr(field) in message
+
 
 class TestRepr:
     def test_repr_mentions_shape(self, small_dataset):
