@@ -1,12 +1,11 @@
-"""repgraph: whole-program determinism analysis (``repro analyze``).
+"""repgraph: the whole-program half of ``repro check``.
 
-Where :mod:`repro.lint` proves per-file, per-AST-node invariants,
-this package proves the *cross-module* ones that gate parallelizing
-the pipeline: it parses all analyzed sources once, builds a
-project-wide symbol table and call graph (imports resolved, methods
-bound through a class-hierarchy pass), runs effect/taint fixpoints
-over the graph, and reports through the same findings / pragma /
-baseline machinery as replint under the RPL1xx family:
+Where the per-file rules of :mod:`repro.lint` check one AST at a time,
+this package checks the *cross-module* invariants that gate
+parallelizing the pipeline: it indexes every checked source once,
+builds a project-wide symbol table and call graph, runs effect/taint
+fixpoints over it, and reports the RPL1xx family through the per-file
+rules' reader, registry, config, pragmas, baseline and report:
 
 =========  =======================================================
 RPL101     unseeded RNG origin (whole-program provenance)
@@ -18,43 +17,31 @@ RPL104     impure worker / mutated capture crosses a pool boundary
 
 Public API::
 
-    from repro.analysis import run_analysis
+    from repro.analysis import run_check
 
-    result = run_analysis(["src"])   # AnalysisResult
+    result = run_check(["src"])   # both families, one parse
     print(result.ok, result.stats["call_edges"])
 
-``repro analyze`` exposes the same run on the CLI with ``--format
+``repro check`` exposes the same run on the CLI with ``--format
 json|text``, ``--baseline``, ``--graph-out`` and exit code 1 on any
-non-baselined violation.
+non-baselined error; :func:`run_analysis` runs the RPL1xx family alone.
 """
 
 from __future__ import annotations
 
-from repro.analysis.analyses import ANALYSES
 from repro.analysis.callgraph import CallGraph, build_call_graph
 from repro.analysis.effects import EffectAnalysis, Effects
-from repro.analysis.engine import (
-    ANALYSIS_VERSION,
-    AnalysisResult,
-    collect_findings,
-    run_analysis,
-)
+from repro.analysis.engine import collect_findings, run_analysis, run_check
 from repro.analysis.project import Project, load_project
-from repro.analysis.report import format_json, format_text, graph_json
 
 __all__ = [
-    "ANALYSES",
-    "ANALYSIS_VERSION",
-    "AnalysisResult",
     "CallGraph",
     "EffectAnalysis",
     "Effects",
     "Project",
     "build_call_graph",
     "collect_findings",
-    "format_json",
-    "format_text",
-    "graph_json",
     "load_project",
     "run_analysis",
+    "run_check",
 ]

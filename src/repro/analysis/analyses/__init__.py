@@ -1,39 +1,4 @@
-"""The RPL1xx whole-program analyses.
-
-Each module exposes ``run(project, graph, effects, ctx) -> findings``.
-The family starts at RPL101 so per-file replint rules (RPL001-RPL0xx)
-and whole-program repgraph analyses never collide:
-
-=========  ========================================================
-RPL101     unseeded RNG origin, anywhere in the analyzed tree
-RPL102     RNG stream crosses a parallel fan-out boundary
-RPL103     wall-clock value reaches figure/report/JSON output
-RPL104     impure worker or mutated capture crosses a pool boundary
-=========  ========================================================
-"""
-
-from __future__ import annotations
-
-from typing import Dict, Tuple
-
-#: code -> (one-line description, exempt path globs)
-ANALYSES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    "RPL101": (
-        "unseeded RNG origin (whole-program provenance)",
-        (),
-    ),
-    "RPL102": (
-        "RNG stream shared across a parallel fan-out boundary",
-        (),
-    ),
-    "RPL103": (
-        "wall-clock value flows into figure/report output "
-        "(interprocedural clock taint; subsumes RPL002 across calls)",
-        ("*/obs/clock.py",),
-    ),
-    "RPL104": (
-        "impure function or shared-mutable capture submitted to a "
-        "process pool (static race-to-nondeterminism)",
-        (),
-    ),
-}
+"""The RPL1xx passes: :mod:`rng` (RPL101, RPL102), :mod:`clock` (RPL103)
+and :mod:`purity` (RPL104).  Each has ``run(project, graph, effects)``,
+returning raw findings; their codes are registered in
+:mod:`repro.lint.rules.program`."""

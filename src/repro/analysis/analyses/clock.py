@@ -19,10 +19,8 @@ deterministic shortest witness path from the nearest output root.
 
 from __future__ import annotations
 
-import fnmatch
 from typing import Dict, List, Optional
 
-from repro.analysis.analyses import ANALYSES
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.effects import EffectAnalysis
 from repro.analysis.project import Project
@@ -53,9 +51,8 @@ def sink_roots(project: Project) -> List[str]:
     return roots
 
 
-def run(project: Project, graph: CallGraph, effects: EffectAnalysis, ctx):
+def run(project: Project, graph: CallGraph, effects: EffectAnalysis):
     findings: List = []
-    exempt = ANALYSES["RPL103"][1]
     roots = sink_roots(project)
     reachable = graph.reachable_from(roots)
     # Deterministic nearest-root witness: roots in sorted order, first
@@ -79,10 +76,8 @@ def run(project: Project, graph: CallGraph, effects: EffectAnalysis, ctx):
         direct = effects.direct.get(qualname)
         if direct is None or not direct.clock_sites:
             continue
-        path = ctx.path_of(qualname)
-        if path is None or any(
-            fnmatch.fnmatch(path, pat) for pat in exempt
-        ):
+        path = project.path_of(qualname)
+        if path is None:
             continue
         for _, line, call in sorted(direct.clock_sites):
             key = (path, line)
@@ -92,7 +87,7 @@ def run(project: Project, graph: CallGraph, effects: EffectAnalysis, ctx):
             chain = witness(qualname)
             via = f" (reached via {chain})" if chain else ""
             findings.append(
-                ctx.finding(
+                project.finding(
                     "RPL103",
                     path,
                     line,
@@ -103,17 +98,15 @@ def run(project: Project, graph: CallGraph, effects: EffectAnalysis, ctx):
                 )
             )
     for qualname, line, detail in effects.json_sink_sites:
-        path = ctx.path_of(qualname)
-        if path is None or any(
-            fnmatch.fnmatch(path, pat) for pat in exempt
-        ):
+        path = project.path_of(qualname)
+        if path is None:
             continue
         key = (path, line)
         if key in seen:
             continue
         seen.add(key)
         findings.append(
-            ctx.finding(
+            project.finding(
                 "RPL103",
                 path,
                 line,

@@ -46,7 +46,7 @@ def _lambda_mutations(node: ast.Lambda) -> List[str]:
     return sorted(set(out))
 
 
-def run(project: Project, graph: CallGraph, effects: EffectAnalysis, ctx):
+def run(project: Project, graph: CallGraph, effects: EffectAnalysis):
     findings: List = []
     for site in sorted(
         graph.fanouts, key=lambda s: (s.path, s.line, s.worker or "")
@@ -58,7 +58,7 @@ def run(project: Project, graph: CallGraph, effects: EffectAnalysis, ctx):
                 continue
             for name in _lambda_mutations(site.lambda_node):
                 findings.append(
-                    ctx.finding(
+                    project.finding(
                         "RPL104",
                         site.path,
                         site.line,
@@ -73,7 +73,7 @@ def run(project: Project, graph: CallGraph, effects: EffectAnalysis, ctx):
         for symbol, writer in sorted(summary.writes_global):
             where = f" (in {writer})" if writer != site.worker else ""
             findings.append(
-                ctx.finding(
+                project.finding(
                     "RPL104",
                     site.path,
                     site.line,
@@ -88,7 +88,7 @@ def run(project: Project, graph: CallGraph, effects: EffectAnalysis, ctx):
         for name, writer in sorted(summary.mutates_capture):
             where = f" (in {writer})" if writer != site.worker else ""
             findings.append(
-                ctx.finding(
+                project.finding(
                     "RPL104",
                     site.path,
                     site.line,

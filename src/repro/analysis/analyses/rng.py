@@ -20,19 +20,19 @@ from repro.analysis.effects import EffectAnalysis
 from repro.analysis.project import Project
 
 
-def run(project: Project, graph: CallGraph, effects: EffectAnalysis, ctx):
+def run(project: Project, graph: CallGraph, effects: EffectAnalysis):
     findings: List = []
     # -- RPL101: unseeded origins, whole tree ---------------------------
     for qualname in sorted(effects.direct):
         direct = effects.direct[qualname]
-        path = ctx.path_of(qualname)
+        path = project.path_of(qualname)
         if path is None:
             continue
         for line, ctor, seeded in sorted(direct.rng_origins):
             if seeded:
                 continue
             findings.append(
-                ctx.finding(
+                project.finding(
                     "RPL101",
                     path,
                     line,
@@ -56,7 +56,7 @@ def run(project: Project, graph: CallGraph, effects: EffectAnalysis, ctx):
                 f" via {user}" if user != site.worker else ""
             )
             findings.append(
-                ctx.finding(
+                project.finding(
                     "RPL102",
                     site.path,
                     site.line,

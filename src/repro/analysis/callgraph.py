@@ -28,14 +28,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.project import (
+    MODULE_FN,
     FunctionInfo,
     ModuleInfo,
     Project,
-    dotted_name,
     normalize_dotted,
 )
-
-MODULE_FN = "<module>"
+from repro.lint.rules.common import dotted_name
 
 #: Pool constructors recognized for fan-out tracking.
 POOL_CONSTRUCTORS = frozenset(

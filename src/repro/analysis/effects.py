@@ -47,9 +47,9 @@ from repro.analysis.project import (
     ModuleInfo,
     Project,
     RNG_CONSTRUCTORS,
-    dotted_name,
     normalize_dotted,
 )
+from repro.lint.rules.common import dotted_name
 
 #: Wall-clock reads (monotonic clocks are interval-only and stay legal).
 WALL_CLOCK_CALLS = frozenset(
@@ -109,10 +109,6 @@ class Effects:
             len(self.clock_sites),
             len(self.rng_uses),
         )
-
-    @property
-    def impure(self) -> bool:
-        return bool(self.writes_global or self.mutates_capture)
 
 
 def _bound_names(root: ast.AST, nodes: Sequence[ast.AST]) -> Set[str]:

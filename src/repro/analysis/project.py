@@ -1,8 +1,10 @@
 """Whole-program model: modules, symbols, functions, classes.
 
 This is the first of repgraph's three layers (project -> call graph ->
-effect/taint analyses).  ``Project.load`` parses every ``.py`` file
-under the configured paths exactly once and builds:
+effect/taint analyses).  :func:`load_project` reads and parses every
+``.py`` file under the configured paths exactly once, through the one
+reader the per-file rules share (:func:`repro.lint.engine.read_sources`),
+and builds:
 
 * a **module table** mapping dotted module names to parsed ASTs,
 * a per-module **symbol table** resolving local names through
@@ -18,8 +20,8 @@ under the configured paths exactly once and builds:
 
 Everything downstream keys on *qualnames*: ``repro.figures.fig2a``,
 ``repro.synthesis.sessions.SessionSampler.snapshot_records``.  Files
-that do not parse become structured RPL000 findings rather than
-aborting the run, mirroring the per-file lint engine.
+that cannot be read or parsed become structured RPL000 findings
+rather than aborting the run.
 """
 
 from __future__ import annotations
@@ -28,14 +30,21 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.config import LintConfig
+from repro.lint.engine import (
+    SourceFile, collect_files, parse_source, read_sources,
+)
+from repro.lint.findings import Finding, finding_at
+from repro.lint.registry import get_rule
+from repro.lint.rules.common import dotted_name
 
 #: Path components stripped from the front of a relative file path
 #: before it is turned into a dotted module name (``src/repro/x.py``
 #: -> ``repro.x``).
 DEFAULT_SOURCE_ROOTS: Tuple[str, ...] = ("src",)
 
-PARSE_ERROR_CODE = "RPL000"
+#: The pseudo-function holding each module's import-time code.
+MODULE_FN = "<module>"
 
 
 def module_name_for(path: str, source_roots: Sequence[str]) -> str:
@@ -64,10 +73,6 @@ class FunctionInfo:
     parent: Optional[str] = None  # enclosing function qualname, if nested
     decorators: Tuple[str, ...] = ()
     nodes: List[ast.AST] = field(default_factory=list)  # see scope_nodes
-
-    @property
-    def is_method(self) -> bool:
-        return self.cls is not None
 
 
 @dataclass
@@ -105,7 +110,6 @@ class ModuleInfo:
     global_names: Dict[str, int] = field(default_factory=dict)
     mutable_globals: Dict[str, int] = field(default_factory=dict)
     rng_globals: Dict[str, RngGlobal] = field(default_factory=dict)
-    parse_finding: Optional[Finding] = None
     nodes: List[ast.AST] = field(default_factory=list)  # the <module> scope
 
 
@@ -139,19 +143,6 @@ def scope_nodes(root: ast.AST) -> List[ast.AST]:
             elif isinstance(value, list):
                 nodes.extend(v for v in value if isinstance(v, ast.AST))
     return nodes
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 _MUTABLE_CTORS = frozenset(
@@ -191,10 +182,12 @@ class Project:
 
     def __init__(self, source_roots: Sequence[str] = DEFAULT_SOURCE_ROOTS):
         self.source_roots: Tuple[str, ...] = tuple(source_roots)
+        self.sources: List[SourceFile] = []
         self.modules: Dict[str, ModuleInfo] = {}
         self.modules_by_path: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
+        #: One RPL000 per file that could not be read or parsed.
         self.parse_findings: List[Finding] = []
         self._subclasses: Dict[str, List[str]] = {}
 
@@ -208,47 +201,40 @@ class Project:
     ) -> "Project":
         """Build a project from ``(relative_path, source_text)`` pairs.
 
-        Used directly by tests; :func:`load_project` feeds it from disk.
+        Used directly by tests; :func:`load_project` reads files instead.
         """
+        parsed = [parse_source(path, text) for path, text in sorted(sources)]
+        return cls.from_parsed(
+            [source for source, _ in parsed],
+            [failure for _, failure in parsed if failure is not None],
+            source_roots,
+        )
+
+    @classmethod
+    def from_parsed(
+        cls,
+        sources: Sequence[SourceFile],
+        failures: Sequence[Finding],
+        source_roots: Sequence[str] = DEFAULT_SOURCE_ROOTS,
+    ) -> "Project":
+        """Index sources the one reader has already parsed."""
         project = cls(source_roots)
-        for path, text in sorted(sources):
-            project._add_file(path, text)
+        project.sources = list(sources)
+        project.parse_findings = list(failures)
+        for source in project.sources:
+            name = module_name_for(source.path, project.source_roots)
+            module = ModuleInfo(
+                name=name, path=source.path, tree=source.tree,
+                lines=source.lines,
+            )
+            project.modules[name] = module
+            project.modules_by_path[source.path] = module
         for module in project.modules.values():
             if module.tree is not None:
                 project._index_module(module)
         project._bind_class_methods()
         project._index_subclasses()
         return project
-
-    def _add_file(self, path: str, text: str) -> None:
-        norm = path.replace("\\", "/")
-        name = module_name_for(norm, self.source_roots)
-        lines = text.splitlines()
-        try:
-            tree: Optional[ast.Module] = ast.parse(text, filename=norm)
-            finding = None
-        except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
-            tree = None
-            lineno = getattr(exc, "lineno", None) or 1
-            offset = getattr(exc, "offset", None) or 1
-            msg = getattr(exc, "msg", None) or str(exc) or type(exc).__name__
-            finding = Finding(
-                path=norm,
-                line=lineno,
-                col=offset - 1,
-                code=PARSE_ERROR_CODE,
-                severity=Severity.ERROR,
-                message=f"file does not parse: {msg}",
-                source_line=(lines[lineno - 1].strip()
-                             if 0 < lineno <= len(lines) else ""),
-            )
-            self.parse_findings.append(finding)
-        module = ModuleInfo(
-            name=name, path=norm, tree=tree, lines=lines,
-            parse_finding=finding,
-        )
-        self.modules[name] = module
-        self.modules_by_path[norm] = module
 
     # -- per-module indexing --------------------------------------------
 
@@ -467,6 +453,27 @@ class Project:
             return None
         return info.methods.get(method)
 
+    def path_of(self, qualname: str) -> Optional[str]:
+        """The file defining a function, a module or its ``<module>``."""
+        if qualname.endswith(f".{MODULE_FN}"):
+            module = self.modules.get(qualname[: -len(f".{MODULE_FN}")])
+        else:
+            info = self.functions.get(qualname)
+            if info is not None:
+                return info.path
+            module = self.modules.get(qualname)
+        return module.path if module else None
+
+    def finding(
+        self, code: str, path: str, line: int, message: str
+    ) -> Finding:
+        """A whole-program finding at ``path:line``, graded as registered."""
+        module = self.modules_by_path.get(path)
+        return finding_at(
+            path, module.lines if module else (), line, 0, code,
+            get_rule(code).severity, message,
+        )
+
     def rng_symbols(self) -> Dict[str, RngGlobal]:
         """Every module-global RNG stream, keyed by qualified symbol."""
         out: Dict[str, RngGlobal] = {}
@@ -482,19 +489,10 @@ def load_project(
     exclude: Sequence[str] = (),
     source_roots: Sequence[str] = DEFAULT_SOURCE_ROOTS,
 ) -> Project:
-    """Parse every ``.py`` file under ``paths`` (relative to ``root``)."""
-    import os
+    """Read, parse and index every ``.py`` file under ``paths`` once.
 
-    from repro.lint.config import LintConfig
-    from repro.lint.engine import collect_files
-
-    cfg = LintConfig(root=root, paths=list(paths), exclude=list(exclude))
-    sources: List[Tuple[str, str]] = []
-    for rel in collect_files(list(paths), cfg):
-        abs_path = os.path.join(os.path.abspath(root), rel)
-        try:
-            with open(abs_path, "r", encoding="utf-8") as fh:
-                sources.append((rel, fh.read()))
-        except (OSError, UnicodeDecodeError):
-            continue
-    return Project.from_sources(sources, source_roots=source_roots)
+    ``paths`` are relative to ``root``.
+    """
+    config = LintConfig(root=root, exclude=list(exclude))
+    sources, failures = read_sources(root, collect_files(list(paths), config))
+    return Project.from_parsed(sources, failures, source_roots)

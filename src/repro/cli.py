@@ -8,8 +8,7 @@
     repro summary [--seed N]     # §4.4 roll-up
     repro ingest --policy quarantine --fault-rate 0.2   # robustness demo
     repro metrics                # instrument taxonomy + snapshot
-    repro lint [paths...]        # per-file replint rules (RPL00x)
-    repro analyze [paths...]     # whole-program repgraph pass (RPL1xx)
+    repro check [paths...]       # static checker: RPL00x + RPL1xx rules
 
 Figures that need generator ground truth (catalogue sizes, the case
 study) regenerate the ecosystem from the seed; pure-dataset figures can
@@ -64,6 +63,14 @@ def _add_jobs_arg(
         metavar="N",
         help=help_text,
     )
+
+
+#: The static checker and its two deprecated one-family aliases.
+_CHECKERS = {
+    "check": "per-file (RPL00x) and whole-program (RPL1xx) rules, one parse",
+    "analyze": "deprecated: runs only the whole-program rules (RPL1xx)",
+    "lint": "deprecated: runs only the per-file rules (RPL00x)",
+}
 
 
 def _obs_parent() -> argparse.ArgumentParser:
@@ -271,86 +278,50 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the JSON oracle report to PATH",
     )
 
-    analyze = sub.add_parser(
-        "analyze",
-        help=(
-            "repgraph whole-program analysis: call graph + RNG/clock/"
-            "purity dataflow (RPL1xx)"
-        ),
-        parents=[obs_parent],
-    )
-    analyze.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories (default: [tool.replint] analysis_paths)",
-    )
-    analyze.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        dest="output_format",
-        help="finding output format (default: text)",
-    )
-    analyze.add_argument(
-        "--baseline",
-        action="store_true",
-        help="snapshot current findings into the analysis baseline, exit 0",
-    )
-    analyze.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the analysis baseline file",
-    )
-    analyze.add_argument(
-        "--graph-out",
-        default=None,
-        metavar="PATH",
-        help="also write the resolved call graph as JSON to PATH",
-    )
-    analyze.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="also write the report (in the chosen format) to PATH",
-    )
-    analyze.add_argument(
-        "--root",
-        default=".",
-        help="project root containing pyproject.toml (default: cwd)",
-    )
-
-    lint = sub.add_parser(
-        "lint",
-        help="replint static analysis: determinism/units/error hygiene",
-        parents=[obs_parent],
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories (default: [tool.replint] paths)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        dest="output_format",
-        help="finding output format (default: text)",
-    )
-    lint.add_argument(
-        "--baseline",
-        action="store_true",
-        help="snapshot current findings into the baseline file and exit 0",
-    )
-    lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline file",
-    )
-    lint.add_argument(
-        "--root",
-        default=".",
-        help="project root containing pyproject.toml (default: cwd)",
-    )
+    for name, help_text in _CHECKERS.items():
+        checker = sub.add_parser(name, help=help_text, parents=[obs_parent])
+        checker.add_argument(
+            "paths",
+            nargs="*",
+            help="files or directories (default: [tool.replint] paths)",
+        )
+        checker.add_argument(
+            "--format",
+            choices=["text", "json"],
+            default="text",
+            dest="output_format",
+            help="finding output format (default: text)",
+        )
+        checker.add_argument(
+            "--baseline",
+            action="store_true",
+            help="snapshot current findings into the baseline file, exit 0",
+        )
+        checker.add_argument(
+            "--no-baseline",
+            action="store_true",
+            help="report every finding, ignoring the baseline file",
+        )
+        checker.add_argument(
+            "--root",
+            default=".",
+            help="project root containing pyproject.toml (default: cwd)",
+        )
+        if name == "lint":
+            checker.set_defaults(out=None, graph_out=None)
+            continue
+        checker.add_argument(
+            "--graph-out",
+            default=None,
+            metavar="PATH",
+            help="also write the resolved call graph as JSON to PATH",
+        )
+        checker.add_argument(
+            "--out",
+            default=None,
+            metavar="PATH",
+            help="also write the report (in the chosen format) to PATH",
+        )
 
     return parser
 
@@ -491,11 +462,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "chaos":
         return _chaos(args)
 
-    if args.command == "analyze":
-        return _analyze(args)
-
-    if args.command == "lint":
-        return _lint(args)
+    if args.command in _CHECKERS:
+        return _check(args)
 
     raise AssertionError(f"unhandled command {args.command!r}")
 
@@ -637,67 +605,31 @@ def _metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analyze(args: argparse.Namespace) -> int:
-    """Run repgraph; see repro.analysis for the RPL1xx analyses."""
+def _check(args: argparse.Namespace) -> int:
+    """Run the static checker; see repro.lint and repro.analysis for
+    the rule codes.  ``lint`` and ``analyze`` run one family each."""
     import os
     from pathlib import Path
 
-    from repro.analysis import (
-        format_json,
-        format_text,
-        graph_json,
-        run_analysis,
-    )
-    from repro.lint import LintConfig, write_baseline
-    from repro.lint.registry import LintRuleError
-
-    try:
-        config = LintConfig.load(args.root)
-        result = run_analysis(
-            args.paths or None,
-            config=config,
-            use_baseline=not args.no_baseline,
-        )
-        if args.baseline:
-            baseline_path = os.path.join(
-                args.root, config.analysis_baseline_path
-            )
-            count = write_baseline(
-                baseline_path, result.findings + result.baselined
-            )
-            print(f"wrote {count} suppression(s) to {baseline_path}")
-            return 0
-    except LintRuleError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return 2
-    report = (
-        format_json(result)
-        if args.output_format == "json"
-        else format_text(result)
-    )
-    if args.out:
-        Path(args.out).write_text(report + "\n", encoding="utf-8")
-        print(f"wrote analysis report to {args.out}", file=sys.stderr)
-    if args.graph_out:
-        Path(args.graph_out).write_text(
-            graph_json(result) + "\n", encoding="utf-8"
-        )
-        print(f"wrote call graph to {args.graph_out}", file=sys.stderr)
-    print(report)
-    return result.exit_code
-
-
-def _lint(args: argparse.Namespace) -> int:
-    """Run the replint rule pack; see repro.lint for the rule codes."""
-    import os
-
+    from repro.analysis import run_analysis, run_check
     from repro.lint import LintConfig, run_lint, write_baseline
     from repro.lint.registry import LintRuleError
-    from repro.lint.report import format_json, format_text
+    from repro.lint.report import format_json, format_text, graph_json
 
+    name = args.command
+    if name != "check":
+        print(f"{name}: {_CHECKERS[name]}; use 'repro check'", file=sys.stderr)
+        if args.baseline:
+            print(
+                f"{name}: the baseline file is shared by both families; "
+                "write it with 'repro check --baseline'",
+                file=sys.stderr,
+            )
+            return 2
+    run = {"check": run_check, "lint": run_lint, "analyze": run_analysis}[name]
     try:
         config = LintConfig.load(args.root)
-        result = run_lint(
+        result = run(
             args.paths or None,
             config=config,
             use_baseline=not args.no_baseline,
@@ -710,12 +642,22 @@ def _lint(args: argparse.Namespace) -> int:
             print(f"wrote {count} suppression(s) to {baseline_path}")
             return 0
     except LintRuleError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
+        print(f"{name}: {exc}", file=sys.stderr)
         return 2
-    if args.output_format == "json":
-        print(format_json(result))
-    else:
-        print(format_text(result))
+    report = (
+        format_json(result)
+        if args.output_format == "json"
+        else format_text(result)
+    )
+    if args.out:
+        Path(args.out).write_text(report + "\n", encoding="utf-8")
+        print(f"wrote check report to {args.out}", file=sys.stderr)
+    if args.graph_out:
+        Path(args.graph_out).write_text(
+            graph_json(result) + "\n", encoding="utf-8"
+        )
+        print(f"wrote call graph to {args.graph_out}", file=sys.stderr)
+    print(report)
     return result.exit_code
 
 

@@ -5,7 +5,7 @@ habits keep this reproduction honest — every figure derives from an
 explicit seed, quantities never silently change units, and failures
 surface through the :mod:`repro.errors` taxonomy rather than vanishing
 into broad handlers.  ``replint`` walks the AST of every source file
-and enforces those habits at commit time with eight rules:
+and enforces those habits at commit time with eight per-file rules:
 
 ========  ==========================================================
 RPL001    unseeded randomness in synthesis/fault/playback paths
@@ -21,9 +21,10 @@ RPL007    clock read or ``print()`` bypassing :mod:`repro.obs` in
 RPL008    bare ``print()`` anywhere in shipped library code
 ========  ==========================================================
 
-The whole-program RPL1xx family (call-graph + dataflow analyses)
-lives in :mod:`repro.analysis` and reports through the same findings,
-pragma, and baseline machinery.
+This package is also the shared core of ``repro check``: the one
+reader and parser, the registry of every code (the whole-program
+RPL1xx rules of :mod:`repro.analysis` register here too), the config,
+the finishing step, the baseline, the result type and the report.
 
 Public API::
 
@@ -35,14 +36,14 @@ Public API::
 
 Configuration lives in ``pyproject.toml`` under ``[tool.replint]``;
 pre-existing findings can be frozen into a baseline file so CI fails
-only on *new* violations (``repro lint --baseline`` writes it).
+only on *new* violations (``repro check --baseline`` writes it).
 """
 
 from __future__ import annotations
 
 from repro.lint.baseline import load_baseline, write_baseline
 from repro.lint.config import LintConfig
-from repro.lint.engine import LintResult, lint_source, run_lint
+from repro.lint.engine import CheckResult, lint_source, run_lint
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import all_rules, get_rule, rule
 
@@ -50,9 +51,9 @@ from repro.lint.registry import all_rules, get_rule, rule
 from repro.lint import rules as _rules  # noqa: F401  (import for side effect)
 
 __all__ = [
+    "CheckResult",
     "Finding",
     "LintConfig",
-    "LintResult",
     "Severity",
     "all_rules",
     "get_rule",

@@ -8,15 +8,17 @@ number — so edits elsewhere in a file do not invalidate the baseline,
 while *touching the offending line itself* does (which is the point:
 if you edit the line, fix it).
 
-The repo policy set by this PR is an **empty** baseline — every
-finding in the initial rule pack was fixed at the source — but the
-mechanism ships so future rules can land without a flag-day cleanup.
+One baseline file (``[tool.replint] baseline``) serves both rule
+families.  The repo's policy is an **empty** baseline — every finding
+was fixed at the source — but the mechanism ships so future rules can
+land without a flag-day cleanup.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from typing import Dict, Iterable, List, Tuple
 
 from repro.lint.findings import Finding
@@ -38,18 +40,7 @@ def assign_occurrences(findings: Iterable[Finding]) -> List[Finding]:
         key = (f.path, f.code, f.source_line)
         index = counters.get(key, 0)
         counters[key] = index + 1
-        if f.occurrence != index:
-            f = Finding(
-                path=f.path,
-                line=f.line,
-                col=f.col,
-                code=f.code,
-                severity=f.severity,
-                message=f.message,
-                source_line=f.source_line,
-                occurrence=index,
-            )
-        out.append(f)
+        out.append(replace(f, occurrence=index))
     return out
 
 
@@ -88,7 +79,7 @@ def write_baseline(path: str, findings: Iterable[Finding]) -> int:
         "version": BASELINE_VERSION,
         "comment": (
             "replint baseline: pre-existing findings suppressed from CI. "
-            "Regenerate with `repro lint --baseline`; prefer fixing over "
+            "Regenerate with `repro check --baseline`; prefer fixing over "
             "baselining."
         ),
         "suppressions": suppressions,

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional
+from typing import Dict, Sequence
+
+#: The code of a file that cannot be read or parsed.  It belongs to no
+#: rule: every family reports it, and no config turns it off.
+PARSE_ERROR_CODE = "RPL000"
 
 
 class Severity(Enum):
@@ -71,13 +75,11 @@ class Finding:
         return (self.path, self.line, self.col, self.code)
 
 
-@dataclass
-class FileFindings:
-    """Mutable per-file accumulator used while rules run."""
-
-    path: str
-    findings: list = field(default_factory=list)
-    parse_error: Optional[str] = None
-
-    def add(self, finding: Finding) -> None:
-        self.findings.append(finding)
+def finding_at(
+    path: str, lines: Sequence[str], line: int, col: int, code: str,
+    severity: Severity, message: str,
+) -> Finding:
+    """A finding at ``path:line:col`` quoting that line of ``lines``;
+    every rule family builds its findings here."""
+    text = lines[line - 1].strip() if 1 <= line <= len(lines) else ""
+    return Finding(path, line, col, code, severity, message, text)

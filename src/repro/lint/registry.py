@@ -1,11 +1,14 @@
 """Rule base class and registry.
 
 A rule is a class with a unique ``code`` (``RPLnnn``), a default
-severity, a one-line description, and optional path scoping.  Rules
-declare interest in AST node types by defining ``visit_<NodeType>``
-methods — the visitor framework discovers them by introspection, so a
-rule never subclasses :class:`ast.NodeVisitor` and the whole rule pack
-runs in a single pass over each file's tree.
+severity, a one-line description, and optional path scoping.  Both
+families register here, the per-file rules (RPL00x) and the
+whole-program ones (RPL1xx), so config, reports and scoping know every
+code from one table.  Per-file rules declare interest in AST node
+types by defining ``visit_<NodeType>`` methods — the visitor framework
+discovers them by introspection, so a rule never subclasses
+:class:`ast.NodeVisitor` and the whole rule pack runs in a single pass
+over each file's tree.
 
 Registering is one decorator::
 
@@ -22,11 +25,10 @@ Registering is one decorator::
 from __future__ import annotations
 
 import ast
-import fnmatch
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Sequence, Tuple, Type
 
 from repro.errors import ReproError
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding, Severity, finding_at
 
 
 class LintRuleError(ReproError):
@@ -34,18 +36,22 @@ class LintRuleError(ReproError):
 
 
 class BaseRule:
-    """Base class for all lint rules.
+    """Base class for all rules.
 
     Subclasses set the class attributes and implement ``visit_*``
-    methods.  One instance is created per linted file; ``self.path``,
-    ``self.lines`` and ``self.tree`` describe the file being visited
-    and :meth:`report` records a finding at a node's location.
+    methods.  One instance is created per checked file, with the file's
+    ``path`` and ``lines``; :meth:`report` sends a finding at a node's
+    location to ``sink``.
 
     ``scope`` is a tuple of ``fnmatch`` glob patterns; empty means the
     rule applies to every file.  ``exempt`` patterns carve files out of
     an otherwise matching scope (e.g. CLI entry points for the
     wall-clock rule).  Both can be overridden per-rule from
-    ``pyproject.toml``.
+    ``pyproject.toml`` (see :meth:`repro.lint.config.LintConfig.applies`).
+
+    A ``whole_program`` rule (RPL1xx) registers only its metadata: it
+    has no ``visit_*`` methods, and :mod:`repro.analysis` finds its
+    violations over the whole project instead of one tree at a time.
     """
 
     code: str = ""
@@ -53,76 +59,23 @@ class BaseRule:
     severity: Severity = Severity.ERROR
     scope: Tuple[str, ...] = ()
     exempt: Tuple[str, ...] = ()
+    whole_program: bool = False
 
-    def __init__(self) -> None:
-        self.path: str = "<unknown>"
-        self.lines: Sequence[str] = ()
-        self.tree: Optional[ast.AST] = None
-        self._sink: Optional[Callable[[Finding], None]] = None
-
-    # -- lifecycle ------------------------------------------------------
-
-    def bind(
-        self,
-        path: str,
-        lines: Sequence[str],
-        tree: ast.AST,
-        sink: Callable[[Finding], None],
+    def __init__(
+        self, path: str, lines: Sequence[str], sink: Callable[[Finding], None]
     ) -> None:
-        """Attach this instance to one file before visiting starts."""
         self.path = path
         self.lines = lines
-        self.tree = tree
         self._sink = sink
 
-    def enter_file(self) -> None:
-        """Hook called before the walk; override for per-file setup."""
-
-    def leave_file(self) -> None:
-        """Hook called after the walk; override for whole-file checks."""
-
-    # -- reporting ------------------------------------------------------
-
     def report(self, node: ast.AST, message: str) -> None:
-        if self._sink is None:
-            raise LintRuleError(f"{self.code} reported outside a lint run")
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
-        text = ""
-        if 1 <= line <= len(self.lines):
-            text = self.lines[line - 1].strip()
         self._sink(
-            Finding(
-                path=self.path,
-                line=line,
-                col=col,
-                code=self.code,
-                severity=self.severity,
-                message=message,
-                source_line=text,
+            finding_at(
+                self.path, self.lines, line, col, self.code, self.severity,
+                message,
             )
-        )
-
-    # -- scoping --------------------------------------------------------
-
-    @classmethod
-    def applies_to(
-        cls,
-        path: str,
-        scope: Optional[Sequence[str]] = None,
-        exempt: Optional[Sequence[str]] = None,
-    ) -> bool:
-        """Whether this rule runs on ``path`` (posix-style, relative)."""
-        effective_scope = tuple(scope) if scope is not None else cls.scope
-        effective_exempt = tuple(exempt) if exempt is not None else cls.exempt
-        norm = path.replace("\\", "/")
-        for pattern in effective_exempt:
-            if fnmatch.fnmatch(norm, pattern):
-                return False
-        if not effective_scope:
-            return True
-        return any(
-            fnmatch.fnmatch(norm, pattern) for pattern in effective_scope
         )
 
 

@@ -10,6 +10,8 @@ module per invariant family:
 - :mod:`ordering` — RPL006 set-iteration order dependence
 - :mod:`obs_hygiene` — RPL007 obs-layer bypass in instrumented modules
 - :mod:`prints` — RPL008 bare ``print()`` in shipped library code
+- :mod:`program` — RPL101-RPL104, the whole-program rules, whose
+  passes live in :mod:`repro.analysis.analyses`
 """
 
 from __future__ import annotations
@@ -21,5 +23,6 @@ from repro.lint.rules import (  # noqa: F401  (imports register the rules)
     obs_hygiene,
     ordering,
     prints,
+    program,
     unit_suffixes,
 )

@@ -14,12 +14,9 @@ needs a node's parent and the visitor keeps no parent map.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
-from repro.lint.findings import Finding
 from repro.lint.registry import BaseRule
-
-_VisitHandler = Tuple[BaseRule, Callable[[ast.AST], None]]
 
 
 class MultiRuleVisitor:
@@ -33,36 +30,19 @@ class MultiRuleVisitor:
     """
 
     def __init__(self, rules: Sequence[BaseRule]) -> None:
-        self.rules = list(rules)
-        self._handlers: Dict[str, List[_VisitHandler]] = {}
-        for r in self.rules:
+        self._handlers: Dict[str, List[Callable[[ast.AST], None]]] = {}
+        for r in rules:
             for name in dir(r):
                 if not name.startswith("visit_"):
                     continue
                 handler = getattr(r, name)
-                if not callable(handler):
-                    continue
-                node_name = name[len("visit_"):]
-                self._handlers.setdefault(node_name, []).append((r, handler))
+                if callable(handler):
+                    node_name = name[len("visit_"):]
+                    self._handlers.setdefault(node_name, []).append(handler)
 
-    def run(
-        self,
-        tree: ast.AST,
-        path: str,
-        lines: Sequence[str],
-        sink: Callable[[Finding], None],
-    ) -> None:
-        """Visit ``tree`` once, reporting findings through ``sink``."""
-        for r in self.rules:
-            r.bind(path, lines, tree, sink)
-        for r in self.rules:
-            r.enter_file()
-        self._dispatch(tree)
-        for r in self.rules:
-            r.leave_file()
-
-    def _dispatch(self, node: ast.AST) -> None:
-        for _, handler in self._handlers.get(type(node).__name__, ()):
+    def run(self, node: ast.AST) -> None:
+        """Visit ``node`` and every node under it, once."""
+        for handler in self._handlers.get(type(node).__name__, ()):
             handler(node)
         for child in ast.iter_child_nodes(node):
-            self._dispatch(child)
+            self.run(child)

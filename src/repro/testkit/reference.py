@@ -55,12 +55,7 @@ from repro.analysis.effects import (
     Effects,
     _bound_names,
 )
-from repro.analysis.project import (
-    ModuleInfo,
-    Project,
-    dotted_name,
-    normalize_dotted,
-)
+from repro.analysis.project import ModuleInfo, Project, normalize_dotted
 from repro.constants import (
     ConnectionType,
     ContentType,
@@ -73,6 +68,7 @@ from repro.entities.device import Device
 from repro.entities.ladder import BitrateLadder
 from repro.entities.publisher import Publisher, PublisherProfile
 from repro.errors import DatasetError, DeliveryError
+from repro.lint.rules.common import dotted_name
 from repro.packaging.manifest.detect import sample_manifest_url
 from repro.playback.abr import AbrAlgorithm, AbrState, ThroughputAbr
 from repro.playback.session import SessionConfig, SessionResult

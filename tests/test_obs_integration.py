@@ -453,10 +453,10 @@ class TestCliObs:
     def test_analyze_trace_prints_stage_spans(self, capsys, global_obs):
         demo = Path(__file__).parent / "fixtures" / "repgraph_demo"
         code = cli.main(
-            ["analyze", "demo", "--root", str(demo), "--no-baseline",
+            ["check", "demo", "--root", str(demo), "--no-baseline",
              "--trace"]
         )
         assert code == 1  # the fixture plants one hazard per RPL1xx code
         err = capsys.readouterr().err
-        for stage in ("analysis.run", "  analysis.effects"):
+        for stage in ("check.run", "  lint.rules", "  analysis.effects"):
             assert stage in err
