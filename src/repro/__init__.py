@@ -36,7 +36,7 @@ from repro.synthesis import (
 )
 from repro.telemetry import Dataset, ViewRecord
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "ConnectionType",

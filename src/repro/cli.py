@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro import figures, obs
 from repro.core.report import format_table
-from repro.errors import DatasetError, ParallelError
+from repro.errors import CalibrationError, DatasetError, ParallelError
 from repro.parallel import parse_jobs
 from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator, EcosystemResult
@@ -63,14 +63,6 @@ def _add_jobs_arg(
         metavar="N",
         help=help_text,
     )
-
-
-#: The static checker and its two deprecated one-family aliases.
-_CHECKERS = {
-    "check": "per-file (RPL00x) and whole-program (RPL1xx) rules, one parse",
-    "analyze": "deprecated: runs only the whole-program rules (RPL1xx)",
-    "lint": "deprecated: runs only the per-file rules (RPL00x)",
-}
 
 
 def _obs_parent() -> argparse.ArgumentParser:
@@ -236,92 +228,50 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: serial)",
     )
 
-    chaos = sub.add_parser(
-        "chaos",
-        help=(
-            "deprecated alias: the contract oracles of 'repro testkit' "
-            "over the plan-bearing scenarios"
-        ),
+    check = sub.add_parser(
+        "check",
+        help="per-file (RPL00x) and whole-program (RPL1xx) rules, one parse",
         parents=[obs_parent],
     )
-    chaos.add_argument(
-        "action",
-        choices=["run", "list", "plan"],
-        help=(
-            "run the contract oracles, list the scenario zoo, or "
-            "print a scenario's fault plan as JSON"
-        ),
+    check.add_argument(
+        "paths",
+        nargs="*",
+        help="files or directories (default: [tool.replint] paths)",
     )
-    chaos.add_argument(
-        "--scenario",
-        action="append",
-        dest="scenarios",
-        metavar="NAME",
-        help="chaos scenario to run (repeatable; implies a subset)",
+    check.add_argument(
+        "--format",
+        choices=["text", "json"],
+        default="text",
+        dest="output_format",
+        help="finding output format (default: text)",
     )
-    chaos.add_argument(
-        "--all",
+    check.add_argument(
+        "--baseline",
         action="store_true",
-        dest="run_all",
-        help="run every scenario that declares a fault plan (default)",
+        help="snapshot current findings into the baseline file, exit 0",
     )
-    chaos.add_argument(
-        "--json",
+    check.add_argument(
+        "--no-baseline",
         action="store_true",
-        dest="as_json",
-        help="emit the machine-readable oracle report on stdout",
+        help="report every finding, ignoring the baseline file",
     )
-    chaos.add_argument(
+    check.add_argument(
+        "--root",
+        default=".",
+        help="project root containing pyproject.toml (default: cwd)",
+    )
+    check.add_argument(
+        "--graph-out",
+        default=None,
+        metavar="PATH",
+        help="also write the resolved call graph as JSON to PATH",
+    )
+    check.add_argument(
         "--out",
         default=None,
         metavar="PATH",
-        help="also write the JSON oracle report to PATH",
+        help="also write the report (in the chosen format) to PATH",
     )
-
-    for name, help_text in _CHECKERS.items():
-        checker = sub.add_parser(name, help=help_text, parents=[obs_parent])
-        checker.add_argument(
-            "paths",
-            nargs="*",
-            help="files or directories (default: [tool.replint] paths)",
-        )
-        checker.add_argument(
-            "--format",
-            choices=["text", "json"],
-            default="text",
-            dest="output_format",
-            help="finding output format (default: text)",
-        )
-        checker.add_argument(
-            "--baseline",
-            action="store_true",
-            help="snapshot current findings into the baseline file, exit 0",
-        )
-        checker.add_argument(
-            "--no-baseline",
-            action="store_true",
-            help="report every finding, ignoring the baseline file",
-        )
-        checker.add_argument(
-            "--root",
-            default=".",
-            help="project root containing pyproject.toml (default: cwd)",
-        )
-        if name == "lint":
-            checker.set_defaults(out=None, graph_out=None)
-            continue
-        checker.add_argument(
-            "--graph-out",
-            default=None,
-            metavar="PATH",
-            help="also write the resolved call graph as JSON to PATH",
-        )
-        checker.add_argument(
-            "--out",
-            default=None,
-            metavar="PATH",
-            help="also write the report (in the chosen format) to PATH",
-        )
 
     return parser
 
@@ -347,12 +297,7 @@ def _add_generator_args(
 
 
 def _generate(args: argparse.Namespace) -> EcosystemResult:
-    config = EcosystemConfig(
-        seed=args.seed,
-        snapshot_limit=args.snapshots,
-        n_publishers=args.publishers,
-    )
-    return EcosystemGenerator(config).generate(jobs=args.jobs)
+    return EcosystemGenerator(args.config).generate(jobs=args.jobs)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -393,25 +338,30 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "figures":
-        # A --jobs value implies --run: listing ids needs no workers.
-        if args.run or args.jobs is not None:
-            config = EcosystemConfig(
+    # A --jobs value implies --run: listing ids needs no build.
+    if args.command == "figures" and not args.run and args.jobs is None:
+        for figure_id in figures.figure_ids():
+            print(f"{figure_id:6s} {figures.describe(figure_id)}")
+        return 0
+
+    if hasattr(args, "seed"):  # every subcommand that builds the ecosystem
+        try:
+            args.config = EcosystemConfig(
                 seed=args.seed,
                 snapshot_limit=args.snapshots,
                 n_publishers=args.publishers,
             )
-            suite = figures.run_suite(
-                config, jobs=args.jobs if args.jobs is not None else 1
-            )
-            for figure_id, rows in suite.items():
-                print(
-                    f"== {figure_id}: {figures.describe(figure_id)} =="
-                )
-                print(format_table(rows))
-            return 0
-        for figure_id in figures.figure_ids():
-            print(f"{figure_id:6s} {figures.describe(figure_id)}")
+        except CalibrationError as error:
+            print(f"{args.command}: {error}", file=sys.stderr)
+            return 2
+
+    if args.command == "figures":
+        suite = figures.run_suite(
+            args.config, jobs=args.jobs if args.jobs is not None else 1
+        )
+        for figure_id, rows in suite.items():
+            print(f"== {figure_id}: {figures.describe(figure_id)} ==")
+            print(format_table(rows))
         return 0
 
     if args.command == "generate":
@@ -459,21 +409,23 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "testkit":
         return _testkit(args)
 
-    if args.command == "chaos":
-        return _chaos(args)
-
-    if args.command in _CHECKERS:
+    if args.command == "check":
         return _check(args)
 
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def _testkit(args: argparse.Namespace) -> int:
-    """Run (or list) the scenario x oracle matrix; exit 1 on failure."""
+    """Run (or list) the scenario x oracle matrix; exit 1 on failure,
+    2 on misconfiguration."""
+    from pathlib import Path
+
+    from repro.errors import ChaosError, TestkitError
     from repro.testkit import (
         get_oracle,
         get_scenario,
         oracle_names,
+        run_matrix,
         scenario_names,
     )
 
@@ -497,74 +449,18 @@ def _testkit(args: argparse.Namespace) -> int:
         print()
         print(format_table(oracle_rows))
         return 0
-    return _run_matrix(
-        "testkit", args, args.scenarios, args.oracle_names, args.jobs
-    )
-
-
-def _run_matrix(
-    prog: str,
-    args: argparse.Namespace,
-    scenarios: Optional[Sequence[object]],
-    oracles: Optional[Sequence[object]],
-    jobs: int,
-) -> int:
-    """Run one matrix and print its report; exit 2 on misconfiguration."""
-    from pathlib import Path
-
-    from repro.errors import ChaosError, TestkitError
-    from repro.testkit import run_matrix
-
     try:
-        report = run_matrix(scenarios=scenarios, oracles=oracles, jobs=jobs)
+        report = run_matrix(
+            scenarios=args.scenarios, oracles=args.oracle_names, jobs=args.jobs
+        )
     except (ChaosError, TestkitError) as error:
-        print(f"{prog}: {error}", file=sys.stderr)
+        print(f"testkit: {error}", file=sys.stderr)
         return 2
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
         print(f"wrote oracle report to {args.out}", file=sys.stderr)
     print(report.to_json() if args.as_json else report.format_text())
     return 0 if report.ok else 1
-
-
-def _chaos(args: argparse.Namespace) -> int:
-    """Deprecated alias: the contract oracles over the plan-bearing
-    scenarios, reported like ``repro testkit run``."""
-    from repro.errors import ChaosError, TestkitError
-    from repro.testkit import chaos_scenarios, oracles_by_kind
-
-    print(
-        "chaos: deprecated; runs only the contract oracles, use "
-        "'repro testkit run|list' (which also runs chaos-recovery)",
-        file=sys.stderr,
-    )
-    contracts = oracles_by_kind("contract")
-    try:
-        specs = chaos_scenarios(None if args.run_all else args.scenarios)
-    except (ChaosError, TestkitError) as error:
-        print(f"chaos: {error}", file=sys.stderr)
-        return 2
-
-    if args.action == "list":
-        rows = [
-            {
-                "scenario": spec.name,
-                "specs": len(spec.chaos_plan.specs),
-                "layers": ",".join(
-                    layer.value for layer in spec.chaos_plan.layers()
-                ),
-                "contracts": sum(o.applies_to(spec) for o in contracts),
-                "perturbation": spec.perturb or "-",
-            }
-            for spec in specs
-        ]
-        print(format_table(rows))
-        return 0
-    if args.action == "plan":
-        for spec in specs:
-            print(spec.chaos_plan.to_json())
-        return 0
-    return _run_matrix("chaos", args, specs, contracts, jobs=1)
 
 
 def _metrics(args: argparse.Namespace) -> int:
@@ -607,29 +503,18 @@ def _metrics(args: argparse.Namespace) -> int:
 
 def _check(args: argparse.Namespace) -> int:
     """Run the static checker; see repro.lint and repro.analysis for
-    the rule codes.  ``lint`` and ``analyze`` run one family each."""
+    the rule codes."""
     import os
     from pathlib import Path
 
-    from repro.analysis import run_analysis, run_check
-    from repro.lint import LintConfig, run_lint, write_baseline
+    from repro.analysis import run_check
+    from repro.lint import LintConfig, write_baseline
     from repro.lint.registry import LintRuleError
     from repro.lint.report import format_json, format_text, graph_json
 
-    name = args.command
-    if name != "check":
-        print(f"{name}: {_CHECKERS[name]}; use 'repro check'", file=sys.stderr)
-        if args.baseline:
-            print(
-                f"{name}: the baseline file is shared by both families; "
-                "write it with 'repro check --baseline'",
-                file=sys.stderr,
-            )
-            return 2
-    run = {"check": run_check, "lint": run_lint, "analyze": run_analysis}[name]
     try:
         config = LintConfig.load(args.root)
-        result = run(
+        result = run_check(
             args.paths or None,
             config=config,
             use_baseline=not args.no_baseline,
@@ -642,7 +527,7 @@ def _check(args: argparse.Namespace) -> int:
             print(f"wrote {count} suppression(s) to {baseline_path}")
             return 0
     except LintRuleError as exc:
-        print(f"{name}: {exc}", file=sys.stderr)
+        print(f"check: {exc}", file=sys.stderr)
         return 2
     report = (
         format_json(result)

@@ -16,7 +16,6 @@ from repro.core.prevalence import (
     publisher_support_series,
     view_hour_share_series,
     first_last,
-    share_at,
 )
 from repro.core.counts import (
     CountRow,
@@ -25,11 +24,10 @@ from repro.core.counts import (
     share_with_count_above,
 )
 from repro.core.buckets import bucketed_counts, bucket_table
-from repro.core.trends import TrendPoint, count_trend, trend_growth
+from repro.core.trends import TrendPoint, count_trend
 from repro.core.durations import (
     duration_cdfs,
     long_view_fractions,
-    median_durations,
 )
 from repro.core.protocol_share import (
     per_publisher_protocol_share,
@@ -44,9 +42,7 @@ from repro.core.complexity import (
     publisher_complexity,
 )
 from repro.core.syndication import (
-    LadderDivergence,
     QoeComparison,
-    ladder_divergence,
     ladders_for_video,
     prevalence_summary,
     qoe_comparison,
@@ -74,7 +70,6 @@ from repro.core.diversity import (
     DiversityProfile,
     effective_choices,
     fit_diversity,
-    herfindahl,
     mean_evenness,
     publisher_diversity,
     shannon_entropy,
@@ -87,7 +82,7 @@ from repro.core.integrated import (
     owner_share_of_cdn,
     project_all_syndicators,
 )
-from repro.core.report import format_table, format_comparison
+from repro.core.report import format_table
 
 __all__ = [
     "CdnDimension",
@@ -99,7 +94,6 @@ __all__ = [
     "publisher_support_series",
     "view_hour_share_series",
     "first_last",
-    "share_at",
     "CountRow",
     "count_distribution",
     "publisher_counts",
@@ -108,10 +102,8 @@ __all__ = [
     "bucket_table",
     "TrendPoint",
     "count_trend",
-    "trend_growth",
     "duration_cdfs",
     "long_view_fractions",
-    "median_durations",
     "per_publisher_protocol_share",
     "share_cdf",
     "supporter_medians",
@@ -120,9 +112,7 @@ __all__ = [
     "fit_complexity",
     "max_unique_sdks",
     "publisher_complexity",
-    "LadderDivergence",
     "QoeComparison",
-    "ladder_divergence",
     "ladders_for_video",
     "prevalence_summary",
     "qoe_comparison",
@@ -141,12 +131,10 @@ __all__ = [
     "summarize_dimension",
     "top_cdn_concentration",
     "format_table",
-    "format_comparison",
     "DiversityFits",
     "DiversityProfile",
     "effective_choices",
     "fit_diversity",
-    "herfindahl",
     "mean_evenness",
     "publisher_diversity",
     "shannon_entropy",

@@ -64,14 +64,6 @@ def effective_choices(shares: Mapping[object, float]) -> float:
     return math.exp(shannon_entropy(shares))
 
 
-def herfindahl(shares: Mapping[object, float]) -> float:
-    """Herfindahl-Hirschman concentration index in (0, 1]."""
-    total = sum(shares.values())
-    if total <= 0:
-        raise AnalysisError("shares must have positive total")
-    return sum((value / total) ** 2 for value in shares.values())
-
-
 @dataclass(frozen=True)
 class DiversityProfile:
     """Evenness-aware diversity of one publisher's management plane."""

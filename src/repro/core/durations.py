@@ -43,11 +43,3 @@ def long_view_fractions(
         platform: cdf.survival(threshold_hours)
         for platform, cdf in duration_cdfs(dataset).items()
     }
-
-
-def median_durations(dataset: Dataset) -> Dict[Platform, float]:
-    """Median individual view duration per platform, in hours."""
-    return {
-        platform: cdf.median()
-        for platform, cdf in duration_cdfs(dataset).items()
-    }

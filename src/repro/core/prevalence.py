@@ -13,7 +13,7 @@ Two generic time series per dimension:
 from __future__ import annotations
 
 from datetime import date
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import AnalysisError
 from repro.core.dimensions import Dimension
@@ -71,15 +71,6 @@ def view_hour_share_series(
     return series
 
 
-def share_at(
-    series: SeriesByValue, snapshot: date, value: object
-) -> float:
-    """Share of one value at one snapshot (0 when absent)."""
-    if snapshot not in series:
-        raise AnalysisError(f"no snapshot {snapshot} in series")
-    return series[snapshot].get(value, 0.0)
-
-
 def first_last(
     series: SeriesByValue, value: object
 ) -> Tuple[float, float]:
@@ -91,17 +82,6 @@ def first_last(
         series[snapshots[0]].get(value, 0.0),
         series[snapshots[-1]].get(value, 0.0),
     )
-
-
-def top_values(
-    series: SeriesByValue, snapshot: Optional[date] = None, n: int = 5
-) -> List[object]:
-    """Values ranked by share at one snapshot (default: the latest)."""
-    if not series:
-        raise AnalysisError("empty series")
-    snapshot = snapshot if snapshot is not None else sorted(series)[-1]
-    shares = series[snapshot]
-    return sorted(shares, key=lambda v: shares[v], reverse=True)[:n]
 
 
 def series_rows(

@@ -6,7 +6,7 @@ them the way the paper's tables read, without any plotting dependency.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 def format_table(
@@ -36,27 +36,3 @@ def format_table(
         for r in rendered
     )
     return f"{header}\n{rule}\n{body}"
-
-
-def format_comparison(
-    title: str, pairs: Mapping[str, Sequence[float]]
-) -> str:
-    """Render 'metric: paper vs measured' lines for EXPERIMENTS-style
-    output.  Each value is a (paper, measured) pair."""
-    lines = [title]
-    width = max((len(k) for k in pairs), default=0)
-    for key, (paper_value, measured) in pairs.items():
-        lines.append(
-            f"  {key.ljust(width)}  paper={paper_value:<10.3f}"
-            f" measured={measured:.3f}"
-        )
-    return "\n".join(lines)
-
-
-def cdf_rows(
-    xs: Iterable[float], fs: Iterable[float], x_label: str = "x"
-) -> List[Dict[str, object]]:
-    """Turn CDF (x, F) series into printable rows."""
-    return [
-        {x_label: float(x), "cdf": float(f)} for x, f in zip(xs, fs)
-    ]

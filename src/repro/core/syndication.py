@@ -27,13 +27,6 @@ def observed_syndicators(dataset: Dataset) -> Set[str]:
     return {r.publisher_id for r in dataset if r.is_syndicated}
 
 
-def observed_owners(dataset: Dataset) -> Set[str]:
-    """Owners: publishers serving owned content that also appears
-    syndicated elsewhere, plus any publisher named as an owner."""
-    named = {r.owner_id for r in dataset if r.owner_id is not None}
-    return named
-
-
 def syndicator_fraction_per_owner(dataset: Dataset) -> Dict[str, float]:
     """Per owner, % of all observed full syndicators carrying it (Fig 14).
 
@@ -109,44 +102,6 @@ def ladders_for_video(
             f"no views of {video_id!r} on {device_model}/{connection_value}"
         )
     return ladders
-
-
-@dataclass(frozen=True)
-class LadderDivergence:
-    """Fig 17 summary statistics."""
-
-    ladder_sizes: Dict[str, int]
-    max_bitrates: Dict[str, float]
-    owner_id: str
-
-    @property
-    def size_range(self) -> Tuple[int, int]:
-        return min(self.ladder_sizes.values()), max(self.ladder_sizes.values())
-
-    def owner_to_weakest_ratio(self) -> float:
-        """Owner's top rung over the weakest syndicator's top rung
-        (the paper's '7x lower' comparison with S1)."""
-        others = [
-            rate
-            for pid, rate in self.max_bitrates.items()
-            if pid != self.owner_id
-        ]
-        if not others:
-            raise AnalysisError("no syndicator ladders present")
-        return self.max_bitrates[self.owner_id] / min(others)
-
-
-def ladder_divergence(
-    dataset: Dataset, video_id: str, owner_id: str, **filters
-) -> LadderDivergence:
-    ladders = ladders_for_video(dataset, video_id, **filters)
-    if owner_id not in ladders:
-        raise AnalysisError(f"owner {owner_id!r} has no views of the video")
-    return LadderDivergence(
-        ladder_sizes={pid: len(l) for pid, l in ladders.items()},
-        max_bitrates={pid: max(l) for pid, l in ladders.items()},
-        owner_id=owner_id,
-    )
 
 
 # ---------------------------------------------------------------------------

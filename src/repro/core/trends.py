@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from typing import Dict, List
+from typing import List
 
 from repro.core.counts import publisher_counts
 from repro.core.dimensions import Dimension
@@ -52,21 +52,3 @@ def count_trend(
             )
         )
     return points
-
-
-def trend_growth(points: List[TrendPoint]) -> Dict[str, float]:
-    """Relative growth of both curves, first snapshot to last.
-
-    §4.2 reports platform-count averages grew 48% (plain) and 37%
-    (weighted) over the study.
-    """
-    if len(points) < 2:
-        raise AnalysisError("need at least two snapshots for growth")
-    first, last = points[0], points[-1]
-    if first.average <= 0 or first.weighted_average <= 0:
-        raise AnalysisError("zero initial average")
-    return {
-        "average_growth_pct": 100.0 * (last.average / first.average - 1.0),
-        "weighted_growth_pct": 100.0
-        * (last.weighted_average / first.weighted_average - 1.0),
-    }

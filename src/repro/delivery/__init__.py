@@ -11,12 +11,8 @@ from repro.delivery.origin import OriginServer, StoredRendition
 from repro.delivery.edge import EdgeCache
 from repro.delivery.multicdn import (
     CdnBroker,
-    CdnSelectionPolicy,
     FailoverOutcome,
     ResilientFetcher,
-    RoundRobinPolicy,
-    WeightedPolicy,
-    ContentTypeSplitPolicy,
 )
 from repro.delivery.anycast import AnycastRouteModel
 from repro.delivery.network import NetworkPath, IspProfile, default_isp_profiles
@@ -27,12 +23,8 @@ __all__ = [
     "StoredRendition",
     "EdgeCache",
     "CdnBroker",
-    "CdnSelectionPolicy",
     "FailoverOutcome",
     "ResilientFetcher",
-    "RoundRobinPolicy",
-    "WeightedPolicy",
-    "ContentTypeSplitPolicy",
     "AnycastRouteModel",
     "NetworkPath",
     "IspProfile",

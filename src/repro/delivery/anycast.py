@@ -11,20 +11,8 @@ a given duration would suffer a route change at realistic change rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List
-
-import numpy as np
 
 from repro.errors import DeliveryError
-
-
-@dataclass(frozen=True)
-class RouteChangeEvent:
-    """A BGP route change hitting an ongoing session."""
-
-    at_seconds: float
-    reconnect_delay_seconds: float
 
 
 class AnycastRouteModel:
@@ -35,17 +23,10 @@ class AnycastRouteModel:
     place this well under one per day for most clients.
     """
 
-    def __init__(
-        self,
-        daily_change_rate: float = 0.2,
-        reconnect_delay_seconds: float = 2.0,
-    ) -> None:
+    def __init__(self, daily_change_rate: float = 0.2) -> None:
         if daily_change_rate < 0:
             raise DeliveryError("change rate must be non-negative")
-        if reconnect_delay_seconds < 0:
-            raise DeliveryError("reconnect delay must be non-negative")
         self.daily_change_rate = daily_change_rate
-        self.reconnect_delay_seconds = reconnect_delay_seconds
 
     @property
     def per_second_rate(self) -> float:
@@ -56,34 +37,3 @@ class AnycastRouteModel:
         if view_seconds < 0:
             raise DeliveryError("view duration must be non-negative")
         return 1.0 - math.exp(-self.per_second_rate * view_seconds)
-
-    def sample_events(
-        self, view_seconds: float, rng: np.random.Generator
-    ) -> List[RouteChangeEvent]:
-        """Sample the route-change times within one view."""
-        if view_seconds < 0:
-            raise DeliveryError("view duration must be non-negative")
-        events: List[RouteChangeEvent] = []
-        t = 0.0
-        rate = self.per_second_rate
-        if rate <= 0:
-            return events
-        while True:
-            t += float(rng.exponential(1.0 / rate))
-            if t >= view_seconds:
-                break
-            events.append(
-                RouteChangeEvent(
-                    at_seconds=t,
-                    reconnect_delay_seconds=self.reconnect_delay_seconds,
-                )
-            )
-        return events
-
-    def expected_stall_seconds(self, view_seconds: float) -> float:
-        """Expected rebuffering added by route changes during a view."""
-        return (
-            self.per_second_rate
-            * view_seconds
-            * self.reconnect_delay_seconds
-        )

@@ -1,4 +1,4 @@
-"""Multi-CDN selection policies and the CDN broker.
+"""The CDN broker and the resilient multi-CDN fetcher.
 
 §2/§4.3: publishers use multiple CDNs for performance and availability;
 some route through a broker that picks the best CDN per view and offers
@@ -8,10 +8,9 @@ publishers segregate live and VoD traffic by CDN.
 
 from __future__ import annotations
 
-import abc
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,102 +26,16 @@ from repro.errors import (
 from repro.resilience import BackoffPolicy, CircuitBreaker, retry_with_backoff
 
 
-class CdnSelectionPolicy(abc.ABC):
-    """Chooses a CDN name for one view."""
-
-    @abc.abstractmethod
-    def select(
-        self,
-        assignments: Sequence[CdnAssignment],
-        content_type: ContentType,
-        rng: np.random.Generator,
-    ) -> str:
-        """Return the chosen CDN's name."""
-
-    @staticmethod
-    def eligible(
-        assignments: Sequence[CdnAssignment], content_type: ContentType
-    ) -> Tuple[CdnAssignment, ...]:
-        chosen = tuple(a for a in assignments if a.serves(content_type))
-        if not chosen:
-            raise DeliveryError(
-                f"no CDN assignment serves {content_type.value} content"
-            )
-        return chosen
-
-
-class RoundRobinPolicy(CdnSelectionPolicy):
-    """Cycles through eligible CDNs, view by view."""
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def select(
-        self,
-        assignments: Sequence[CdnAssignment],
-        content_type: ContentType,
-        rng: np.random.Generator,
-    ) -> str:
-        eligible = self.eligible(assignments, content_type)
-        choice = eligible[self._next % len(eligible)]
-        self._next += 1
-        return choice.cdn.name
-
-
-class WeightedPolicy(CdnSelectionPolicy):
-    """Samples CDNs with fixed weights (traffic-split contracts)."""
-
-    def __init__(self, weights: Mapping[str, float]) -> None:
-        if not weights:
-            raise DeliveryError("weighted policy needs weights")
-        if any(w < 0 for w in weights.values()):
-            raise DeliveryError("weights must be non-negative")
-        if sum(weights.values()) <= 0:
-            raise DeliveryError("some weight must be positive")
-        self.weights = dict(weights)
-
-    def select(
-        self,
-        assignments: Sequence[CdnAssignment],
-        content_type: ContentType,
-        rng: np.random.Generator,
-    ) -> str:
-        eligible = self.eligible(assignments, content_type)
-        names = [a.cdn.name for a in eligible]
-        raw = np.array(
-            [self.weights.get(name, 0.0) for name in names], dtype=float
+def eligible(
+    assignments: Sequence[CdnAssignment], content_type: ContentType
+) -> Tuple[CdnAssignment, ...]:
+    """The assignments that serve ``content_type``; at least one."""
+    chosen = tuple(a for a in assignments if a.serves(content_type))
+    if not chosen:
+        raise DeliveryError(
+            f"no CDN assignment serves {content_type.value} content"
         )
-        if raw.sum() <= 0:
-            raise DeliveryError(
-                f"no positive weight among eligible CDNs {names}"
-            )
-        probs = raw / raw.sum()
-        return str(rng.choice(names, p=probs))
-
-
-class ContentTypeSplitPolicy(CdnSelectionPolicy):
-    """Routes live and VoD to disjoint CDN subsets where possible.
-
-    Models the §4.3 observation that 30% of multi-CDN publishers keep at
-    least one CDN VoD-only and 19% keep one live-only; within the
-    eligible subset selection is uniform.
-    """
-
-    def select(
-        self,
-        assignments: Sequence[CdnAssignment],
-        content_type: ContentType,
-        rng: np.random.Generator,
-    ) -> str:
-        eligible = self.eligible(assignments, content_type)
-        exclusive = [
-            a
-            for a in eligible
-            if a.content_types == frozenset({content_type})
-        ]
-        pool = exclusive or list(eligible)
-        idx = int(rng.integers(len(pool)))
-        return pool[idx].cdn.name
+    return chosen
 
 
 @dataclass
@@ -172,8 +85,7 @@ class CdnBroker:
         content_type: ContentType,
         rng: np.random.Generator,
     ) -> BrokerDecision:
-        eligible = CdnSelectionPolicy.eligible(assignments, content_type)
-        names = [a.cdn.name for a in eligible]
+        names = [a.cdn.name for a in eligible(assignments, content_type)]
         scores = {
             name: self._ewma_kbps.get(name, float("inf")) for name in names
         }
@@ -196,8 +108,7 @@ class CdnBroker:
     ) -> List[str]:
         """Eligible CDNs, best estimated throughput first (unmeasured
         CDNs rank first so each gets probed)."""
-        eligible = CdnSelectionPolicy.eligible(assignments, content_type)
-        names = [a.cdn.name for a in eligible]
+        names = [a.cdn.name for a in eligible(assignments, content_type)]
         return sorted(
             names,
             key=lambda name: self._ewma_kbps.get(name, float("inf")),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import LadderError
 
@@ -184,23 +184,3 @@ class BitrateLadder:
         if self.min_bitrate_kbps > low_rung_kbps:
             return False
         return all(ratio <= max_step + 1e-9 for ratio in self.step_ratios())
-
-    def matches_within_tolerance(
-        self, bitrate_kbps: float, tolerance: float
-    ) -> Optional[Rendition]:
-        """Rung whose bitrate is within ±tolerance (fractional) of a target.
-
-        Used by the §6 storage dedup model: a CDN can drop a stored
-        rendition when another publisher already stores the same video at
-        a bitrate within the tolerance factor.
-        """
-        if tolerance < 0:
-            raise LadderError("tolerance must be non-negative")
-        best: Optional[Rendition] = None
-        best_gap = float("inf")
-        for rung in self._rungs:
-            gap = abs(rung.bitrate_kbps - bitrate_kbps)
-            if gap <= tolerance * bitrate_kbps and gap < best_gap:
-                best = rung
-                best_gap = gap
-        return best

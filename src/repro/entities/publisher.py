@@ -74,61 +74,3 @@ class PublisherProfile:
         names = [a.cdn.name for a in self.cdn_assignments]
         if len(names) != len(set(names)):
             raise ValueError("duplicate CDN assignment")
-
-    @property
-    def cdn_names(self) -> Tuple[str, ...]:
-        return tuple(a.cdn.name for a in self.cdn_assignments)
-
-    @property
-    def protocol_count(self) -> int:
-        return len(self.protocols)
-
-    @property
-    def platform_count(self) -> int:
-        return len(self.platforms)
-
-    @property
-    def cdn_count(self) -> int:
-        return len(self.cdn_assignments)
-
-    def cdns_for(self, content_type: ContentType) -> Tuple[str, ...]:
-        """Names of CDNs this publisher routes ``content_type`` to."""
-        return tuple(
-            a.cdn.name for a in self.cdn_assignments if a.serves(content_type)
-        )
-
-    def has_content_type_exclusive_cdn(
-        self, content_type: ContentType
-    ) -> bool:
-        """True if some CDN is used *only* for ``content_type`` (§4.3)."""
-        for assignment in self.cdn_assignments:
-            if assignment.content_types == frozenset({content_type}):
-                return True
-        return False
-
-    def management_plane_combinations(self) -> int:
-        """The §5 combinations metric for this profile.
-
-        Number of unique (CDN, protocol, device model) triples the
-        publisher must potentially examine when triaging a failure.
-        """
-        device_count = max(len(self.device_models), 1)
-        return self.cdn_count * self.protocol_count * device_count
-
-    def protocol_titles(self) -> int:
-        """The §5 protocol-titles metric: protocols x distinct video IDs."""
-        return self.protocol_count * self.publisher.catalogue_size
-
-    def unique_sdk_count(self) -> int:
-        """The §5 unique-SDKs metric: distinct SDK versions + browsers.
-
-        Browser players do not use device SDKs; each distinct browser
-        player model the publisher supports counts once, matching the
-        paper's "unique versions of SDKs and browsers".
-        """
-        browser_models = sum(
-            1 for model in self.device_models if model.startswith(
-                ("chrome", "firefox", "safari", "edge", "ie")
-            )
-        )
-        return len(self.sdks) + browser_models

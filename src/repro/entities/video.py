@@ -72,14 +72,6 @@ class Catalogue:
     def __contains__(self, video_id: str) -> bool:
         return video_id in self._videos
 
-    def get(self, video_id: str) -> Video:
-        try:
-            return self._videos[video_id]
-        except KeyError:
-            raise KeyError(
-                f"video {video_id!r} not in catalogue {self.name!r}"
-            ) from None
-
     @property
     def video_ids(self) -> List[str]:
         return list(self._videos)
@@ -93,11 +85,3 @@ class Catalogue:
         if len(self._videos) == 0:
             raise LadderError("cannot size an empty catalogue")
         return sum(v.storage_bytes(ladder) for v in self._videos.values())
-
-    def filter(self, content_type: ContentType) -> "Catalogue":
-        """Sub-catalogue restricted to one content type."""
-        subset = Catalogue(f"{self.name}:{content_type.value}")
-        for video in self._videos.values():
-            if video.content_type is content_type:
-                subset.add(video)
-        return subset

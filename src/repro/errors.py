@@ -116,7 +116,3 @@ class AllCdnsFailedError(DeliveryError):
     def __init__(self, message: str, attribution: "tuple" = ()) -> None:
         super().__init__(message)
         self.attribution = tuple(attribution)
-
-
-class DeadlineExceededError(ResilienceError):
-    """An operation ran past its deadline."""

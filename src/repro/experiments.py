@@ -426,11 +426,6 @@ def build_report(result: EcosystemResult) -> List[Comparison]:
     return comparisons
 
 
-def report_rows(result: EcosystemResult) -> List[dict]:
-    """The report as printable rows."""
-    return [comparison.row() for comparison in build_report(result)]
-
-
 def fraction_within_band(comparisons: List[Comparison]) -> float:
     """Fraction of comparisons inside their acceptance band."""
     if not comparisons:

@@ -8,11 +8,9 @@ CLI exposes them via ``repro figure <id>``.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro import obs
-from repro.parallel import parallel_map
 from repro.constants import (
     HTTP_ADAPTIVE_PROTOCOLS,
     Platform,
@@ -84,24 +82,6 @@ def run_figure(figure_id: str, result: EcosystemResult) -> Rows:
     return rows
 
 
-@lru_cache(maxsize=1)
-def _result_for(config: EcosystemConfig) -> EcosystemResult:
-    """Per-process build memo: a pure function of the (frozen) config.
-
-    The suite runner warms this in the parent before any pool exists,
-    so under ``fork`` every worker inherits the finished build and a
-    figure task costs only the figure itself (the same sanctioned
-    ``lru_cache``-over-pure-builder pattern as synthesis's
-    ``_plan_for``).
-    """
-    return EcosystemGenerator(config).generate()
-
-
-def _figure_task(config: EcosystemConfig, figure_id: str) -> Rows:
-    """Worker entry point: one figure's rows off the shared build."""
-    return run_figure(figure_id, _result_for(config))
-
-
 def run_suite(
     config: EcosystemConfig,
     ids: Optional[Sequence[str]] = None,
@@ -109,10 +89,9 @@ def run_suite(
 ) -> Dict[str, Rows]:
     """Regenerate a set of figures (default: all) against one build.
 
-    ``jobs > 1`` fans one task per figure onto a process pool; because
-    every task is a pure function of ``(config, figure_id)`` the rows
-    are byte-identical to the serial run, and per-worker obs captures
-    merge back so ``figure.runs`` totals match too.  Returns
+    ``jobs > 1`` synthesizes the snapshots on a process pool; the build,
+    and so every figure's rows, is byte-identical to the serial one.
+    The figures then run in order in this process.  Returns
     ``{figure_id: rows}`` in the requested order.
     """
     targets = list(ids) if ids is not None else figure_ids()
@@ -122,17 +101,10 @@ def run_suite(
             f"unknown figures {unknown}; known: {', '.join(figure_ids())}"
         )
     with obs.span("figures.suite", figures=len(targets), jobs=jobs):
-        # Parent builds (or rebuilds) so its spans/counters are live
-        # in this process; forked workers inherit the warm memo.
-        _result_for.cache_clear()
-        _result_for(config)
-        rows = parallel_map(
-            partial(_figure_task, config),
-            targets,
-            jobs=jobs,
-            label="figures.map",
-        )
-    return dict(zip(targets, rows))
+        result = EcosystemGenerator(config).generate(jobs=jobs)
+        return {
+            figure_id: run_figure(figure_id, result) for figure_id in targets
+        }
 
 
 # ---------------------------------------------------------------------------

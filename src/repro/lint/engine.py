@@ -32,7 +32,7 @@ from repro import obs
 from repro.lint.baseline import load_baseline, split_by_baseline
 from repro.lint.config import LintConfig
 from repro.lint.findings import PARSE_ERROR_CODE, Finding, Severity, finding_at
-from repro.lint.registry import all_rules
+from repro.lint.registry import LintRuleError, all_rules
 from repro.lint.visitor import MultiRuleVisitor
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -253,7 +253,8 @@ def collect_files(
     Every path is canonicalized (``realpath``) before deduplication,
     so overlapping arguments (``src src/repro``), ``..`` detours, and
     symlinked aliases of the same tree each lint a file exactly once
-    instead of emitting duplicate findings.
+    instead of emitting duplicate findings.  A path that does not exist
+    raises :class:`LintRuleError` naming it.
     """
     root = os.path.realpath(os.path.abspath(config.root))
     seen: Set[str] = set()
@@ -277,6 +278,8 @@ def collect_files(
         if os.path.isfile(abs_path):
             add(abs_path)
             continue
+        if not os.path.isdir(abs_path):
+            raise LintRuleError(f"no such file or directory: {path}")
         for dirpath, dirnames, filenames in os.walk(abs_path):
             dirnames[:] = sorted(
                 d

@@ -33,7 +33,6 @@ from typing import IO, Optional
 
 from repro.obs.clock import CallableClock, Clock, FakeClock, MonotonicClock
 from repro.obs.export import (
-    bench_payload,
     snapshot_payload,
     to_json,
     write_snapshot,
@@ -72,7 +71,6 @@ __all__ = [
     "ObsContext",
     "Span",
     "Tracer",
-    "bench_payload",
     "configure",
     "counter",
     "current_span_id",

@@ -1,9 +1,7 @@
-"""Snapshot and benchmark exporters.
+"""Snapshot exporter.
 
 ``snapshot_payload`` renders the obs state (metrics + finished spans)
-as one JSON-able dict; ``write_snapshot`` persists it.  The benchmark
-harness uses :func:`bench_payload` to turn span timings into the
-``BENCH_obs.json`` perf-trajectory artifact.
+as one JSON-able dict; ``write_snapshot`` persists it.
 """
 
 from __future__ import annotations
@@ -63,35 +61,4 @@ def write_snapshot(
     payload = snapshot_payload(registry, spans=spans, meta=meta)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_json(payload))
-    return payload
-
-
-def bench_payload(
-    spans: List[Span],
-    registry: Optional[MetricsRegistry] = None,
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """The ``BENCH_obs.json`` shape: per-stage wall times + rollups.
-
-    Top-level stage totals aggregate spans by name so the perf
-    trajectory across PRs can diff like-for-like stages even when the
-    span count changes.
-    """
-    totals: Dict[str, Dict[str, float]] = {}
-    for span in spans:
-        stage = totals.setdefault(
-            span.name, {"calls": 0, "total_s": 0.0, "max_s": 0.0}
-        )
-        stage["calls"] += 1
-        stage["total_s"] += span.duration
-        stage["max_s"] = max(stage["max_s"], span.duration)
-    payload: Dict[str, object] = {
-        "schema": SCHEMA_VERSION,
-        "stages": {name: totals[name] for name in sorted(totals)},
-        "spans": span_rows(spans),
-    }
-    if registry is not None:
-        payload["metrics"] = registry.snapshot()
-    if meta:
-        payload["meta"] = dict(meta)
     return payload

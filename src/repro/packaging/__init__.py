@@ -8,7 +8,7 @@ protocol detector that the paper's methodology relies on.
 """
 
 from repro.packaging.encoder import Encoder, EncodeJob, EncodeResult
-from repro.packaging.chunker import Chunker, Chunk, ByteRangeIndex
+from repro.packaging.chunker import Chunker, Chunk
 from repro.packaging.drm import DrmScheme, DrmWrapper
 from repro.packaging.pipeline import PackagingPipeline, PackagedAsset
 from repro.packaging.manifest import (
@@ -23,7 +23,6 @@ __all__ = [
     "EncodeResult",
     "Chunker",
     "Chunk",
-    "ByteRangeIndex",
     "DrmScheme",
     "DrmWrapper",
     "PackagingPipeline",

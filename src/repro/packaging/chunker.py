@@ -2,16 +2,14 @@
 
 §2: "each encoded bitrate of the video is then broken into chunks (a
 chunk is a fixed playback-duration portion of the video) for adaptive
-streaming"; some publishers instead expose byte-range addressing where
-clients request arbitrary byte ranges of a rendition.  Both schemes are
-modeled here.
+streaming".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 from repro.entities.ladder import Rendition
 from repro.entities.video import Video
@@ -82,46 +80,3 @@ class Chunker:
     def total_bytes(self, video: Video, rendition: Rendition) -> float:
         """Sum of chunk sizes; equals bitrate x full duration."""
         return sum(c.size_bytes for c in self.chunks(video, rendition))
-
-
-class ByteRangeIndex:
-    """Byte-range addressing over a single-file rendition.
-
-    Publishers that support byte-range requests (§2) store one file per
-    rendition; the index maps playback time to byte offsets so a client
-    can fetch an arbitrary interval.
-    """
-
-    def __init__(self, video: Video, rendition: Rendition) -> None:
-        self.video = video
-        self.rendition = rendition
-        self._bytes_per_second = kbps_to_bytes_per_second(
-            rendition.bitrate_kbps
-        )
-
-    @property
-    def total_bytes(self) -> float:
-        return self._bytes_per_second * self.video.duration_seconds
-
-    def byte_range(
-        self, start_seconds: float, end_seconds: float
-    ) -> Tuple[int, int]:
-        """Inclusive-exclusive byte range covering a playback interval."""
-        if not 0 <= start_seconds < end_seconds:
-            raise PackagingError(
-                f"bad interval [{start_seconds}, {end_seconds})"
-            )
-        if end_seconds > self.video.duration_seconds + 1e-9:
-            raise PackagingError(
-                f"interval end {end_seconds}s exceeds video duration "
-                f"{self.video.duration_seconds}s"
-            )
-        start_byte = int(start_seconds * self._bytes_per_second)
-        end_byte = int(math.ceil(end_seconds * self._bytes_per_second))
-        return start_byte, end_byte
-
-    def time_of_byte(self, offset: int) -> float:
-        """Playback time corresponding to a byte offset."""
-        if offset < 0 or offset > self.total_bytes:
-            raise PackagingError(f"byte offset {offset} out of range")
-        return offset / self._bytes_per_second

@@ -54,15 +54,6 @@ class EncodeResult:
     cpu_seconds: float
     per_rendition_bytes: Tuple[float, ...]
 
-    @property
-    def realtime_factor(self) -> float:
-        """CPU-seconds spent per second of source content.
-
-        >1 means the job cannot keep up with a live stream on one core;
-        live packaging then needs parallelism or adds latency (§4.1).
-        """
-        return self.cpu_seconds / self.job.video.duration_seconds
-
 
 class Encoder:
     """Deterministic cost/size model of a transcoding farm.

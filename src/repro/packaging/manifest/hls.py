@@ -2,14 +2,14 @@
 
 HLS splits metadata across a *master playlist* (one ``EXT-X-STREAM-INF``
 entry per rendition) and per-rendition *media playlists* (``EXTINF``
-per segment).  The writer renders both; the parser round-trips either
-and can merge a full bundle into one :class:`ManifestInfo`.
+per segment).  The writer renders both; the parser reads the master
+playlist, which carries the ladder.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from repro.constants import Protocol
 from repro.entities.ladder import BitrateLadder, Rendition
@@ -24,7 +24,6 @@ from repro.packaging.manifest.base import (
 )
 
 _STREAM_INF_RE = re.compile(r"^#EXT-X-STREAM-INF:(?P<attrs>.+)$")
-_EXTINF_RE = re.compile(r"^#EXTINF:(?P<duration>[0-9.]+),?.*$")
 _ATTR_RE = re.compile(r'([A-Z0-9-]+)=("[^"]*"|[^,]*)')
 
 
@@ -91,37 +90,13 @@ class HLSWriter(ManifestWriter):
 
 
 class HLSParser(ManifestParser):
-    """Parses HLS master and media playlists."""
+    """Parses HLS master playlists."""
 
     protocol = Protocol.HLS
 
     def parse(self, text: str) -> ManifestInfo:
-        """Parse either playlist flavor, auto-detected by its tags."""
         require_prefix(text, "#EXTM3U", "an HLS playlist")
-        if "#EXT-X-STREAM-INF" in text:
-            return self._parse_master(text)
-        return self._parse_media(text)
-
-    def parse_bundle(
-        self, master_text: str, media_texts: Sequence[str]
-    ) -> ManifestInfo:
-        """Merge a master playlist and its media playlists."""
-        master = self._parse_master(master_text)
-        chunk_urls: List[str] = []
-        duration: Optional[float] = None
-        for media_text in media_texts:
-            media = self._parse_media(media_text)
-            chunk_urls.extend(media.chunk_urls)
-            if duration is None:
-                duration = media.chunk_duration_seconds
-        return ManifestInfo(
-            protocol=Protocol.HLS,
-            video_id=master.video_id,
-            bitrates_kbps=master.bitrates_kbps,
-            audio_bitrates_kbps=master.audio_bitrates_kbps,
-            chunk_duration_seconds=duration,
-            chunk_urls=tuple(chunk_urls),
-        )
+        return self._parse_master(text)
 
     def _parse_master(self, text: str) -> ManifestInfo:
         bitrates: List[float] = []
@@ -158,37 +133,6 @@ class HLSParser(ManifestParser):
             bitrates_kbps=tuple(sorted(bitrates)),
         )
 
-    def _parse_media(self, text: str) -> ManifestInfo:
-        urls: List[str] = []
-        durations: List[float] = []
-        target: Optional[float] = None
-        expecting_uri = False
-        for raw_line in text.splitlines():
-            line = raw_line.strip()
-            if not line:
-                continue
-            if line.startswith("#EXT-X-TARGETDURATION:"):
-                target = float(line.split(":", 1)[1])
-            match = _EXTINF_RE.match(line)
-            if match:
-                durations.append(float(match.group("duration")))
-                expecting_uri = True
-            elif expecting_uri and not line.startswith("#"):
-                urls.append(line)
-                expecting_uri = False
-        if not urls:
-            raise ManifestParseError("media playlist contains no segments")
-        if len(urls) != len(durations):
-            raise ManifestParseError("EXTINF count does not match URI count")
-        chunk_duration = target if target is not None else max(durations)
-        return ManifestInfo(
-            protocol=Protocol.HLS,
-            video_id=_video_id_from_uri(urls[0]),
-            bitrates_kbps=(_bitrate_from_uri(urls[0]),),
-            chunk_duration_seconds=chunk_duration,
-            chunk_urls=tuple(urls),
-        )
-
 
 def _video_id_from_uri(uri: str) -> str:
     """Recover the video ID from our URL layout; 'unknown' otherwise."""
@@ -196,12 +140,3 @@ def _video_id_from_uri(uri: str) -> str:
     if len(parts) >= 3:
         return parts[-3]
     return "unknown"
-
-
-def _bitrate_from_uri(uri: str) -> float:
-    """Recover the rendition bitrate from the '<kbps>k' path component."""
-    parts = [p for p in uri.split("/") if p]
-    for part in reversed(parts):
-        if part.endswith("k") and part[:-1].isdigit():
-            return float(part[:-1])
-    return 0.001  # unknown, but ManifestInfo requires a positive bitrate

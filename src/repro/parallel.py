@@ -1,8 +1,8 @@
 """Shared process-pool execution layer for every ``--jobs`` fan-out.
 
-The pipeline's hot paths — snapshot synthesis, the figure suite, the
-testkit oracle matrix, per-session playback — are all embarrassingly
-parallel *if* three disciplines hold (DESIGN.md §14):
+The pipeline's hot paths — snapshot synthesis, the testkit oracle
+matrix, per-session playback — are all embarrassingly parallel *if*
+three disciplines hold (DESIGN.md §14):
 
 1. **Worker purity.**  A unit function must be a pure function of its
    pickled arguments; per-process memo caches are expressed as

@@ -17,11 +17,7 @@ from repro.playback.session import (
     simulate_session,
     simulate_sessions,
 )
-from repro.playback.useragent import (
-    build_user_agent,
-    parse_user_agent,
-    UserAgentInfo,
-)
+from repro.playback.useragent import build_user_agent
 
 __all__ = [
     "AbrAlgorithm",
@@ -32,6 +28,4 @@ __all__ = [
     "simulate_session",
     "simulate_sessions",
     "build_user_agent",
-    "parse_user_agent",
-    "UserAgentInfo",
 ]

@@ -2,15 +2,10 @@
 
 §3: the dataset carries an HTTP user-agent for browser views (app views
 carry an SDK and version instead).  The generator mints realistic UA
-strings and the analysis side parses them back to a browser family —
-so browser classification in the pipeline is exercised end to end.
+strings from these per-family templates.
 """
 
 from __future__ import annotations
-
-import re
-from dataclasses import dataclass
-from typing import Optional
 
 _UA_TEMPLATES = {
     "chrome": (
@@ -38,56 +33,9 @@ _UA_TEMPLATES = {
 }
 
 
-@dataclass(frozen=True)
-class UserAgentInfo:
-    """Parsed browser identity."""
-
-    browser: str
-    major_version: Optional[int]
-
-    def __str__(self) -> str:
-        if self.major_version is None:
-            return self.browser
-        return f"{self.browser}/{self.major_version}"
-
-
 def build_user_agent(browser: str, major_version: int = 60) -> str:
     """Mint a UA string for a browser family."""
     template = _UA_TEMPLATES.get(browser)
     if template is None:
         raise ValueError(f"unknown browser family {browser!r}")
     return template.format(version=major_version)
-
-
-_EDGE_RE = re.compile(r"Edg(?:e|A|iOS)?/(\d+)")
-_CHROME_RE = re.compile(r"Chrome/(\d+)")
-_FIREFOX_RE = re.compile(r"Firefox/(\d+)")
-_SAFARI_VERSION_RE = re.compile(r"Version/(\d+)[.\d]* Safari/")
-_TRIDENT_RE = re.compile(r"Trident/\d+.*rv:(\d+)")
-
-
-def parse_user_agent(ua: str) -> UserAgentInfo:
-    """Classify a UA string into a browser family.
-
-    Order matters: Edge embeds a Chrome token, Chrome embeds a Safari
-    token, so detection runs most-specific first.  Unknown strings map
-    to family 'other'.
-    """
-    if not ua:
-        return UserAgentInfo(browser="other", major_version=None)
-    match = _EDGE_RE.search(ua)
-    if match:
-        return UserAgentInfo("edge", int(match.group(1)))
-    match = _TRIDENT_RE.search(ua)
-    if match:
-        return UserAgentInfo("ie11", int(match.group(1)))
-    match = _CHROME_RE.search(ua)
-    if match:
-        return UserAgentInfo("chrome", int(match.group(1)))
-    match = _FIREFOX_RE.search(ua)
-    if match:
-        return UserAgentInfo("firefox", int(match.group(1)))
-    match = _SAFARI_VERSION_RE.search(ua)
-    if match:
-        return UserAgentInfo("safari", int(match.group(1)))
-    return UserAgentInfo(browser="other", major_version=None)

@@ -1,13 +1,13 @@
-"""Reusable resilience primitives: retry/backoff, circuit breaker, deadline.
+"""Reusable resilience primitives: retry/backoff and a circuit breaker.
 
 A production management-plane backend ingests telemetry from millions of
 player SDKs over unreliable transports, so every remote hop needs the
-same three guards: bounded retries with exponential backoff and jitter,
-a circuit breaker that stops hammering a failing dependency, and a
-deadline so no call blocks forever.  These primitives are deterministic
-by construction — jitter comes from a seeded RNG and both the sleeper
-and the clock are injectable — which keeps simulations and tests
-reproducible while remaining drop-in usable against wall-clock time.
+same two guards: bounded retries with exponential backoff and jitter,
+and a circuit breaker that stops hammering a failing dependency.  These
+primitives are deterministic by construction — jitter comes from a
+seeded RNG and both the sleeper and the clock are injectable — which
+keeps simulations and tests reproducible while remaining drop-in usable
+against wall-clock time.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Callable, List, Optional, Tuple, Type, TypeVar
 from repro import obs
 from repro.errors import (
     CircuitOpenError,
-    DeadlineExceededError,
     ReproError,
     ResilienceError,
     RetryExhaustedError,
@@ -81,7 +80,6 @@ def retry_with_backoff(
     retry_on: Tuple[Type[BaseException], ...] = (ResilienceError,),
     seed: int = 0,
     sleep: Optional[Callable[[float], None]] = None,
-    deadline: Optional["Deadline"] = None,
     on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
 ) -> T:
     """Call ``fn`` until it succeeds or the policy's retries run out.
@@ -90,8 +88,7 @@ def retry_with_backoff(
     propagates immediately.  ``sleep`` defaults to ``None`` (no actual
     sleeping — the schedule is still computed and reported), which keeps
     simulated workloads fast; pass ``time.sleep`` for wall-clock waits.
-    A ``deadline`` is checked before every attempt and aborts with
-    :class:`DeadlineExceededError`.  On exhaustion raises
+    On exhaustion raises
     :class:`RetryExhaustedError` chained to the last failure.
     """
     pol = policy or BackoffPolicy()
@@ -99,8 +96,6 @@ def retry_with_backoff(
     last: Optional[BaseException] = None
     attempts = 0
     for attempt in range(pol.retries + 1):
-        if deadline is not None:
-            deadline.check("retry_with_backoff")
         attempts += 1
         try:
             result = fn()
@@ -265,37 +260,3 @@ class CircuitBreaker:
             raise
         self.record_success()
         return result
-
-
-# ----------------------------------------------------------------------
-# Deadline
-# ----------------------------------------------------------------------
-
-
-class Deadline:
-    """A time budget checked cooperatively via :meth:`check`."""
-
-    def __init__(
-        self,
-        seconds: float,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if seconds < 0:
-            raise ResilienceError("deadline must be >= 0 seconds")
-        self.seconds = seconds
-        self._clock = clock
-        self._started = clock()
-
-    def remaining(self) -> float:
-        return self.seconds - (self._clock() - self._started)
-
-    @property
-    def expired(self) -> bool:
-        return self.remaining() <= 0
-
-    def check(self, label: str = "operation") -> None:
-        """Raise :class:`DeadlineExceededError` if the budget is spent."""
-        if self.expired:
-            raise DeadlineExceededError(
-                f"{label} exceeded its {self.seconds:.3f}s deadline"
-            )

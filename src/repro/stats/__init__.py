@@ -8,19 +8,13 @@ time (Figs 3c, 9c, 12c), decade bucketing by view-hours (Figs 3b, 9b,
 """
 
 from repro.stats.cdf import ECDF
-from repro.stats.weighted import (
-    weighted_mean,
-    weighted_percentile,
-    weighted_share,
-)
+from repro.stats.weighted import weighted_mean
 from repro.stats.regression import LogLogFit, fit_loglog
 from repro.stats.bucketing import DecadeBuckets
 
 __all__ = [
     "ECDF",
     "weighted_mean",
-    "weighted_percentile",
-    "weighted_share",
     "LogLogFit",
     "fit_loglog",
     "DecadeBuckets",

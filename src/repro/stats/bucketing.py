@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 
 @dataclass
@@ -88,13 +88,6 @@ class DecadeBuckets:
             hist[count] = hist.get(count, 0) + 1
         return dict(sorted(hist.items()))
 
-    def count_range(self, idx: int) -> Tuple[int, int]:
-        """(min, max) dimension count in bucket ``idx``; (0, 0) if empty."""
-        counts = [count for _, count, _ in self._members[idx]]
-        if not counts:
-            return (0, 0)
-        return (min(counts), max(counts))
-
     def stacked_rows(self) -> List[Dict[str, object]]:
         """One row per bucket: label, % publishers, count breakdown.
 
@@ -112,28 +105,3 @@ class DecadeBuckets:
                 }
             )
         return rows
-
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: Iterable[Tuple[str, int, float]],
-        base: float,
-        n_buckets: int = 6,
-    ) -> "DecadeBuckets":
-        """Build buckets from (publisher_id, count, view_hours) triples."""
-        buckets = cls(base=base, n_buckets=n_buckets)
-        for publisher_id, count, view_hours in pairs:
-            buckets.add(publisher_id, count, view_hours)
-        return buckets
-
-
-def modal_bucket(shares: Sequence[float]) -> int:
-    """Index of the bucket holding the most publishers.
-
-    §4.1 observes the tallest bar is the 100X-1000X bucket with over 35%
-    of publishers; this helper lets tests and benches assert that.
-    """
-    if not shares:
-        raise ValueError("no bucket shares provided")
-    best = max(range(len(shares)), key=lambda i: shares[i])
-    return best

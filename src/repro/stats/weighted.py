@@ -38,49 +38,3 @@ def weighted_mean(
     """Weighted arithmetic mean; unweighted when ``weights`` is None."""
     vals, wts = _as_arrays(values, weights)
     return float(np.sum(vals * wts) / np.sum(wts))
-
-
-def weighted_percentile(
-    values: Iterable[float],
-    q: float,
-    weights: Optional[Iterable[float]] = None,
-) -> float:
-    """Weighted percentile ``q`` in [0, 100] using the inverse-CDF rule."""
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    vals, wts = _as_arrays(values, weights)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    cum = np.cumsum(wts[order])
-    target = q / 100.0 * cum[-1]
-    idx = int(np.searchsorted(cum, target, side="left"))
-    idx = min(idx, vals.size - 1)
-    return float(vals[idx])
-
-
-def weighted_share(
-    flags: Iterable[bool], weights: Optional[Iterable[float]] = None
-) -> float:
-    """Fraction of total weight whose flag is true.
-
-    This is the work-horse behind statements like "more than 90% of
-    view-hours can be attributed to publishers who support more than one
-    protocol" (§4.4): ``flags`` marks the qualifying publishers and
-    ``weights`` carries their view-hours.
-    """
-    flag_list = [bool(f) for f in flags]
-    vals = np.asarray(flag_list, dtype=float)
-    if vals.size == 0:
-        raise ValueError("need at least one flag")
-    if weights is None:
-        wts = np.ones_like(vals)
-    else:
-        wts = np.asarray(list(weights), dtype=float)
-        if wts.shape != vals.shape:
-            raise ValueError("flags and weights must have equal length")
-        if np.any(wts < 0):
-            raise ValueError("weights must be non-negative")
-    total = float(np.sum(wts))
-    if total <= 0:
-        raise ValueError("total weight must be positive")
-    return float(np.sum(vals * wts) / total)

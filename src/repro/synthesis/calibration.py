@@ -388,8 +388,12 @@ class EcosystemConfig:
             raise CalibrationError(
                 "need at least 20 publishers for stable statistics"
             )
-        if self.snapshot_limit < 0:
-            raise CalibrationError("snapshot_limit must be >= 0")
+        if self.seed < 0:
+            raise CalibrationError(f"seed must be >= 0, got {self.seed}")
+        if self.snapshot_limit < 0 or self.snapshot_limit == 1:
+            raise CalibrationError(
+                f"snapshot_limit must be 0 or >= 2, got {self.snapshot_limit}"
+            )
         if self.records_scale <= 0:
             raise CalibrationError("records_scale must be positive")
         if self.qoe_sessions < 10:

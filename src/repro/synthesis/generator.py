@@ -167,8 +167,6 @@ def _select_snapshots(
     limit = config.snapshot_limit
     if limit == 0 or limit >= len(dates):
         return tuple(dates)
-    if limit < 2:
-        raise CalibrationError("snapshot_limit must be 0 or >= 2")
     positions = np.linspace(0, len(dates) - 1, limit)
     return tuple(dates[int(round(p))] for p in positions)
 

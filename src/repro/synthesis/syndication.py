@@ -105,15 +105,6 @@ class CaseStudy:
     def ladder(self, label: str) -> BitrateLadder:
         return self.ladders[label]
 
-    def storage_participants(self) -> Tuple[Tuple[str, str], ...]:
-        """(label, publisher_id) for the Fig 18 storage study."""
-        participants = [("O", self.owner_id)]
-        participants.extend(
-            (label, self.labels[label])
-            for label in cal.STORAGE_STUDY_SYNDICATORS
-        )
-        return tuple(participants)
-
 
 def assign_case_study(
     rng: np.random.Generator,

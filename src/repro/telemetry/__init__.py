@@ -1,9 +1,9 @@
 """Streaming-TV measurement platform (the Conviva substitute, §3).
 
 Player-side monitoring events, sessionization into per-view records,
-anonymization, a backend with operational rollups, bi-weekly snapshot
-scheduling, and the queryable :class:`Dataset` container that every
-analysis consumes.
+a backend with operational rollups, bi-weekly snapshot scheduling,
+and the queryable :class:`Dataset` container that every analysis
+consumes.
 """
 
 from repro.telemetry.records import ViewRecord
@@ -36,7 +36,6 @@ from repro.telemetry.snapshots import (
     STUDY_START,
     STUDY_END,
 )
-from repro.telemetry.anonymize import Anonymizer, looks_anonymized
 from repro.telemetry.quality import QualityIssue, QualityReport, audit
 
 __all__ = [
@@ -52,8 +51,6 @@ __all__ = [
     "default_schedule",
     "STUDY_START",
     "STUDY_END",
-    "Anonymizer",
-    "looks_anonymized",
     "QualityIssue",
     "QualityReport",
     "audit",

@@ -23,7 +23,6 @@ the row-at-a-time reference the vectorized code is tested against.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import gzip
 import io
@@ -369,31 +368,6 @@ class Dataset:
             if batch:
                 handle.write("\n".join(batch))
                 handle.write("\n")
-
-    def to_csv(self, path: Union[str, Path]) -> None:
-        """Export the dataset as CSV for external tooling.
-
-        Multi-valued fields (CDNs, ladder) are pipe-joined; enums are
-        written as their wire values.  CSV is an export format only —
-        round-tripping uses :meth:`save`/:meth:`load`.
-        """
-        fieldnames = [
-            "snapshot", "publisher_id", "url", "device_model", "os_name",
-            "cdn_names", "bitrate_ladder_kbps", "view_duration_hours",
-            "avg_bitrate_kbps", "rebuffer_ratio", "content_type",
-            "video_id", "weight", "user_agent", "sdk_name", "sdk_version",
-            "is_syndicated", "owner_id", "isp", "geo", "connection",
-        ]
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fieldnames)
-            writer.writeheader()
-            for record in self.records:
-                row = record.to_json_dict()
-                row["cdn_names"] = "|".join(record.cdn_names)
-                row["bitrate_ladder_kbps"] = "|".join(
-                    f"{b:g}" for b in record.bitrate_ladder_kbps
-                )
-                writer.writerow(row)
 
     @classmethod
     def load(

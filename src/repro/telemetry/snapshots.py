@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import DatasetError
 from repro.units import biweekly_snapshot_dates
@@ -41,31 +41,8 @@ class SnapshotSchedule:
     def __len__(self) -> int:
         return len(self.dates())
 
-    def index_of(self, snapshot: date) -> int:
-        """Position of a snapshot in the schedule."""
-        dates = self.dates()
-        try:
-            return dates.index(snapshot)
-        except ValueError:
-            raise DatasetError(
-                f"{snapshot} is not a scheduled snapshot"
-            ) from None
-
-    def months_elapsed(self, snapshot: date) -> float:
-        """Months since study start, the x-axis of the trend figures."""
-        if snapshot < self.start:
-            raise DatasetError(f"{snapshot} precedes the study window")
-        return (snapshot - self.start).days / 30.4375
-
     def latest(self) -> date:
         return self.dates()[-1]
-
-    def window_of(self, snapshot: date) -> Tuple[date, date]:
-        """(first day, last day) of one snapshot's two-day window."""
-        self.index_of(snapshot)
-        from datetime import timedelta
-
-        return snapshot, snapshot + timedelta(days=self.window_days - 1)
 
 
 def default_schedule() -> SnapshotSchedule:

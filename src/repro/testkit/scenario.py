@@ -29,15 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro import figures, obs
 from repro.errors import ChaosError, TestkitError
@@ -209,14 +201,6 @@ class ScenarioRun:
         self._results[which] = built
         return built
 
-    def parallel_result(self) -> EcosystemResult:
-        """The same config built on a ``jobs=N`` process pool."""
-        return self._build("parallel")
-
-    def alt_result(self) -> EcosystemResult:
-        """The same config under the alternate seed."""
-        return self._build("alt-seed")
-
     def row_result(self) -> EcosystemResult:
         """The base build with its dataset on the row-at-a-time
         reference (:class:`~repro.testkit.reference.RowDataset`)."""
@@ -236,12 +220,6 @@ class ScenarioRun:
             cached = figures.run_figure(figure_id, self._build(variant))
             self._figure_rows[key] = cached
         return cached
-
-    def all_figure_rows(self, variant: str = "base") -> Dict[str, Rows]:
-        return {
-            figure_id: self.figure_rows(figure_id, variant)
-            for figure_id in self.spec.figures()
-        }
 
     # -- serialized dataset ----------------------------------------------
 
@@ -322,17 +300,13 @@ def register_perturbation(name: str, fn: Perturbation) -> Perturbation:
     return fn
 
 
-def perturbation_names() -> List[str]:
-    return sorted(_PERTURBATIONS)
-
-
 def get_perturbation(name: str) -> Perturbation:
     try:
         return _PERTURBATIONS[name]
     except KeyError:
         raise TestkitError(
             f"unknown perturbation {name!r}; known: "
-            f"{', '.join(perturbation_names())}"
+            f"{', '.join(sorted(_PERTURBATIONS))}"
         ) from None
 
 
@@ -364,18 +338,10 @@ def get_scenario(name: str) -> ScenarioSpec:
         ) from None
 
 
-def chaos_scenarios(
-    names: Optional[Sequence[str]] = None,
-) -> List[ScenarioSpec]:
-    """The named scenarios, each of which must declare a chaos plan;
-    by default every registered scenario that does."""
-    if names is None:
-        specs = [get_scenario(name) for name in scenario_names()]
-        return [spec for spec in specs if spec.chaos_plan is not None]
-    specs = [get_scenario(name) for name in names]
-    for spec in specs:
-        spec.require_plan()
-    return specs
+def chaos_scenarios() -> List[ScenarioSpec]:
+    """Every registered scenario that declares a chaos plan."""
+    specs = [get_scenario(name) for name in scenario_names()]
+    return [spec for spec in specs if spec.chaos_plan is not None]
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioRun:

@@ -38,10 +38,6 @@ def bytes_to_tb(n_bytes: float) -> float:
     return n_bytes / BYTES_PER_TB
 
 
-def tb_to_bytes(tb: float) -> float:
-    return tb * BYTES_PER_TB
-
-
 def hours_to_seconds(hours: float) -> float:
     return hours * SECONDS_PER_HOUR
 
@@ -64,8 +60,3 @@ def biweekly_snapshot_dates(start: date, end: date) -> Iterator[date]:
     while current <= end:
         yield current
         current += step
-
-
-def months_between(start: date, end: date) -> float:
-    """Approximate month count between two dates (for trend axes)."""
-    return (end - start).days / 30.4375

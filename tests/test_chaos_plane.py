@@ -5,8 +5,8 @@ The contract cells of all five zoo scenarios, their fault ledgers and
 the chaos-recovery cells run once through ``run_matrix`` and must equal
 ``tests/golden/contract_cells.json``, written from the degradation
 report of the last version that had a separate chaos harness.  One zoo
-scenario (``flash-crowd``) also runs through the ``repro chaos`` alias,
-whose report must equal the library's.
+scenario (``flash-crowd``) also runs through ``repro testkit run``, whose
+report must equal the library's.
 """
 
 import json
@@ -354,26 +354,20 @@ class TestChaosCampaign:
 
     def test_report_and_cli_run_are_identical(self, report, tmp_path, capsys):
         out = tmp_path / "oracle-report.json"
+        oracle_args = []
+        for contract in _contracts():
+            oracle_args += ["--oracle", contract.name]
         code = main(
-            ["chaos", "run", "--scenario", "flash-crowd", "--json",
-             "--out", str(out)]
+            ["testkit", "run", "--scenario", "flash-crowd", *oracle_args,
+             "--json", "--out", str(out)]
         )
         assert code == 0
         assert json.loads(out.read_text()) == report.to_payload()
-        assert "deprecated" in capsys.readouterr().err
+        assert json.loads(capsys.readouterr().out) == report.to_payload()
 
     def test_unknown_scenario_is_a_typed_error(self):
         with pytest.raises(TestkitError):
             run_matrix(scenarios=["not-a-scenario"], oracles=_contracts())
-
-    def test_cli_list_and_plan_exit_codes(self, capsys):
-        assert main(["chaos", "list"]) == 0
-        assert "flash-crowd" in capsys.readouterr().out
-        assert main(["chaos", "plan", "--scenario", "flash-crowd"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == PLAN_VERSION
-        assert main(["chaos", "plan", "--scenario", "nope"]) == 2
-        capsys.readouterr()
 
 
 def _plan_json(name="unit", seed=7, window=(0.0, 1.0)):
@@ -394,8 +388,6 @@ def _plan_json(name="unit", seed=7, window=(0.0, 1.0)):
 @pytest.mark.parametrize(
     "case, needle",
     [
-        (["chaos", "plan", "--scenario", "tiny"], "scenario 'tiny'"),
-        (["chaos", "run", "--scenario", "tiny"], "scenario 'tiny'"),
         (["testkit", "run", "--scenario", "tiny", "--oracle",
           "no-silent-leaks"], "scenario(s) 'tiny'"),
         (lambda: run_matrix(["tiny"], _contracts()), "scenario(s) 'tiny'"),
@@ -407,8 +399,6 @@ def _plan_json(name="unit", seed=7, window=(0.0, 1.0)):
         (_plan_json(name=None), "name"),
     ],
     ids=[
-        "cli-plan-without-plan",
-        "cli-run-without-plan",
         "cli-matrix-without-cell",
         "matrix-without-cell",
         "window-strings",

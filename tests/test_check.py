@@ -311,8 +311,35 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     assert "analysis_paths" in capsys.readouterr().err
 
 
+MISSING_PATHS = {
+    "missing-dir": (["nowhere"], None, "nowhere"),
+    "typo-beside-a-real-file": (
+        ["pkg/typo.py", "pkg/stats/guard.py"], None, "pkg/typo.py"
+    ),
+    "missing-configured-path": (
+        None, '[tool.replint]\npaths = ["pkg", "lib"]\n', "lib"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_PATHS))
+def test_missing_path_is_an_error(case, tmp_path, capsys):
+    """A path that does not exist is named and fails; it is not a
+    clean run over zero files, nor dropped beside a real one."""
+    paths, pyproject, named = MISSING_PATHS[case]
+    write_tree(tmp_path, HAZARDS)
+    if pyproject is not None:
+        (tmp_path / "pyproject.toml").write_text(pyproject)
+    with pytest.raises(LintRuleError) as raised:
+        run_check(paths, config=LintConfig.load(str(tmp_path)))
+    assert named in str(raised.value)
+    assert cli.main(["check", *(paths or []), "--root", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("check: ") and named in err
+
+
 # ---------------------------------------------------------------------------
-# One CLI: `repro check`, and the two deprecated aliases
+# One CLI: `repro check`
 # ---------------------------------------------------------------------------
 
 
@@ -328,31 +355,11 @@ class TestCli:
         assert summary["new_errors"] == 5
         assert summary["call_edges"] == 4
 
-    @pytest.mark.parametrize("alias", ["lint", "analyze"])
-    def test_alias_prints_one_deprecation_line(self, alias, capsys):
-        args = [alias, "demo", "--root", str(DEMO_ROOT), "--format", "json"]
-        assert cli.main(args) == (0 if alias == "lint" else 1)
-        captured = capsys.readouterr()
-        assert captured.err.count("\n") == 1
-        assert "deprecated" in captured.err and "repro check" in captured.err
-        assert json.loads(captured.out)["version"] == 2
-
-    @pytest.mark.parametrize("alias", ["lint", "analyze"])
-    def test_alias_refuses_to_write_the_shared_baseline(
-        self, alias, tmp_path, capsys
-    ):
-        write_tree(tmp_path, HAZARDS)
-        args = [alias, "pkg", "--root", str(tmp_path), "--baseline"]
-        assert cli.main(args) == 2
-        assert "repro check --baseline" in capsys.readouterr().err
-        assert not (tmp_path / ".replint-baseline.json").exists()
-
     def test_one_baseline_serves_both_families(self, tmp_path, capsys):
         write_tree(tmp_path, HAZARDS)
         root = ["--root", str(tmp_path)]
         assert cli.main(["check", "pkg", *root, "--baseline"]) == 0
-        for command in ("check", "lint", "analyze"):
-            assert cli.main([command, "pkg", *root]) == 0
+        assert cli.main(["check", "pkg", *root]) == 0
         assert cli.main(["check", "pkg", *root, "--no-baseline"]) == 1
         out = capsys.readouterr().out
         assert "RPL004" in out and "RPL101" in out

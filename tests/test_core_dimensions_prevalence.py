@@ -16,8 +16,6 @@ from repro.core.prevalence import (
     first_last,
     publisher_support_series,
     series_rows,
-    share_at,
-    top_values,
     view_hour_share_series,
 )
 from repro.errors import AnalysisError
@@ -185,23 +183,10 @@ class TestSeriesHelpers:
         series = view_hour_share_series(
             _two_snapshot_dataset(), ProtocolDimension()
         )
-        assert share_at(series, date(2016, 1, 4), Protocol.DASH) == 75.0
+        assert series[date(2016, 1, 4)][Protocol.DASH] == 75.0
         first, last = first_last(series, Protocol.DASH)
         assert first == 75.0
         assert last == 0.0  # both latest-snapshot records are HLS
-
-    def test_share_at_missing_snapshot(self):
-        series = view_hour_share_series(
-            _two_snapshot_dataset(), ProtocolDimension()
-        )
-        with pytest.raises(AnalysisError):
-            share_at(series, date(2017, 6, 1), Protocol.HLS)
-
-    def test_top_values(self):
-        series = view_hour_share_series(
-            _two_snapshot_dataset(), ProtocolDimension()
-        )
-        assert top_values(series, date(2016, 1, 4), n=1) == [Protocol.DASH]
 
     def test_series_rows_printable(self):
         series = view_hour_share_series(

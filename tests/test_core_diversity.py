@@ -7,7 +7,6 @@ import pytest
 from repro.core.diversity import (
     effective_choices,
     fit_diversity,
-    herfindahl,
     mean_evenness,
     publisher_diversity,
     shannon_entropy,
@@ -43,20 +42,6 @@ class TestEntropy:
             shannon_entropy({"a": -1.0, "b": 2.0})
         with pytest.raises(AnalysisError):
             shannon_entropy({"a": 0.0})
-
-
-class TestHerfindahl:
-    def test_uniform(self):
-        assert herfindahl({"a": 1, "b": 1}) == pytest.approx(0.5)
-
-    def test_monopoly(self):
-        assert herfindahl({"a": 7.0}) == 1.0
-
-    def test_inverse_matches_effective_for_uniform(self):
-        shares = {str(i): 1.0 for i in range(5)}
-        assert 1.0 / herfindahl(shares) == pytest.approx(
-            effective_choices(shares)
-        )
 
 
 class TestPublisherDiversity:

@@ -10,11 +10,7 @@ from repro.core.complexity import (
     max_unique_sdks,
     publisher_complexity,
 )
-from repro.core.durations import (
-    duration_cdfs,
-    long_view_fractions,
-    median_durations,
-)
+from repro.core.durations import duration_cdfs, long_view_fractions
 from repro.core.protocol_share import (
     per_publisher_protocol_share,
     share_cdf,
@@ -41,8 +37,8 @@ class TestDurations:
             assert 0.0 <= fraction <= 1.0
 
     def test_median_ordering(self, latest):
-        medians = median_durations(latest)
-        assert medians[Platform.SET_TOP] > medians[Platform.MOBILE]
+        cdfs = duration_cdfs(latest)
+        assert cdfs[Platform.SET_TOP].median() > cdfs[Platform.MOBILE].median()
 
     def test_negative_threshold_rejected(self, latest):
         with pytest.raises(AnalysisError):

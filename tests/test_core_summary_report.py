@@ -5,7 +5,7 @@ from datetime import date
 import pytest
 
 from repro.constants import ContentType, Protocol
-from repro.core.report import cdf_rows, format_comparison, format_table
+from repro.core.report import format_table
 from repro.core.summary import (
     headline_summary,
     live_vod_cdn_segregation,
@@ -142,17 +142,3 @@ class TestReport:
         rows = [{"a": 1, "b": 2}]
         text = format_table(rows, columns=["b"])
         assert "a" not in text.splitlines()[0]
-
-    def test_format_comparison(self):
-        text = format_comparison(
-            "Fig 18", {"savings_pct": (16.5, 16.36)}
-        )
-        assert "paper=16.500" in text
-        assert "measured=16.360" in text
-
-    def test_cdf_rows(self):
-        rows = cdf_rows([1, 2], [0.5, 1.0], x_label="hours")
-        assert rows == [
-            {"hours": 1.0, "cdf": 0.5},
-            {"hours": 2.0, "cdf": 1.0},
-        ]

@@ -4,6 +4,7 @@ from datetime import date
 
 import pytest
 
+from repro import figures
 from repro.core.storage import (
     build_case_origins,
     figure18,
@@ -11,7 +12,6 @@ from repro.core.storage import (
     tolerance_sweep,
 )
 from repro.core.syndication import (
-    ladder_divergence,
     ladders_for_video,
     prevalence_summary,
     qoe_comparison,
@@ -85,21 +85,20 @@ class TestLadderDivergence:
         ladders = ladders_for_video(dataset, case_video_id())
         assert len(ladders) == 11  # owner + 10 syndicators
 
-    def test_divergence_stats(self, dataset, eco):
-        divergence = ladder_divergence(
-            dataset, case_video_id(), eco.case_study.owner_id
+    def test_divergence_stats(self, eco):
+        rows = {row["label"]: row for row in figures.run_figure("F17", eco)}
+        rungs = [row["rungs"] for row in rows.values()]
+        assert min(rungs) == 3 and max(rungs) == 14  # S2 vs S9 (Fig 17)
+        # The owner's top rung is ~7x the weakest syndicator's (S1).
+        weakest = min(
+            row["max_kbps"] for label, row in rows.items() if label != "O"
         )
-        low, high = divergence.size_range
-        assert low == 3 and high == 14  # S2 vs S9 (Fig 17)
-        assert 6.5 < divergence.owner_to_weakest_ratio() < 8.5
+        assert weakest == rows["S1"]["max_kbps"]
+        assert 6.5 < rows["O"]["max_kbps"] / weakest < 8.5
 
     def test_missing_video_rejected(self, dataset):
         with pytest.raises(AnalysisError):
             ladders_for_video(dataset, "vid_none")
-
-    def test_missing_owner_rejected(self, dataset):
-        with pytest.raises(AnalysisError):
-            ladder_divergence(dataset, case_video_id(), "ghost")
 
 
 class TestQoeComparison:

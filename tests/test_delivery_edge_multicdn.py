@@ -1,4 +1,4 @@
-"""Edge caches, multi-CDN policies, broker, anycast (repro.delivery)."""
+"""Edge caches, the multi-CDN broker and fetcher, anycast (repro.delivery)."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,7 @@ import pytest
 from repro.constants import ContentType
 from repro.delivery.anycast import AnycastRouteModel
 from repro.delivery.edge import EdgeCache
-from repro.delivery.multicdn import (
-    CdnBroker,
-    ContentTypeSplitPolicy,
-    ResilientFetcher,
-    RoundRobinPolicy,
-    WeightedPolicy,
-)
+from repro.delivery.multicdn import CdnBroker, ResilientFetcher
 from repro.entities.cdn import CDN, CdnAssignment
 from repro.errors import AllCdnsFailedError, DeliveryError, TransportError
 
@@ -93,86 +87,6 @@ class TestEdgeCache:
             cache.request("a", -1)
 
 
-class TestRoundRobin:
-    def test_cycles_through_cdns(self, rng):
-        policy = RoundRobinPolicy()
-        assignments = _assignments("A", "B", "C")
-        picks = [
-            policy.select(assignments, ContentType.VOD, rng)
-            for _ in range(6)
-        ]
-        assert picks == ["A", "B", "C", "A", "B", "C"]
-
-    def test_respects_content_type(self, rng):
-        policy = RoundRobinPolicy()
-        assignments = _assignments("A", "B", live_only=("B",))
-        picks = {
-            policy.select(assignments, ContentType.VOD, rng)
-            for _ in range(4)
-        }
-        assert picks == {"A"}
-
-    def test_no_eligible_cdn_raises(self, rng):
-        assignments = _assignments("A", vod_only=("A",))
-        with pytest.raises(DeliveryError):
-            RoundRobinPolicy().select(assignments, ContentType.LIVE, rng)
-
-
-class TestWeighted:
-    def test_weights_respected_statistically(self, rng):
-        policy = WeightedPolicy({"A": 0.9, "B": 0.1})
-        assignments = _assignments("A", "B")
-        picks = [
-            policy.select(assignments, ContentType.VOD, rng)
-            for _ in range(500)
-        ]
-        share_a = picks.count("A") / len(picks)
-        assert 0.82 < share_a < 0.97
-
-    def test_zero_weight_never_chosen(self, rng):
-        policy = WeightedPolicy({"A": 1.0, "B": 0.0})
-        assignments = _assignments("A", "B")
-        picks = {
-            policy.select(assignments, ContentType.VOD, rng)
-            for _ in range(50)
-        }
-        assert picks == {"A"}
-
-    def test_validation(self):
-        with pytest.raises(DeliveryError):
-            WeightedPolicy({})
-        with pytest.raises(DeliveryError):
-            WeightedPolicy({"A": -1})
-        with pytest.raises(DeliveryError):
-            WeightedPolicy({"A": 0.0})
-
-    def test_no_positive_weight_among_eligible(self, rng):
-        policy = WeightedPolicy({"A": 1.0})
-        assignments = _assignments("B")
-        with pytest.raises(DeliveryError):
-            policy.select(assignments, ContentType.VOD, rng)
-
-
-class TestContentSplit:
-    def test_prefers_exclusive_cdn(self, rng):
-        policy = ContentTypeSplitPolicy()
-        assignments = _assignments("A", "B", "C", live_only=("C",))
-        picks = {
-            policy.select(assignments, ContentType.LIVE, rng)
-            for _ in range(20)
-        }
-        assert picks == {"C"}
-
-    def test_falls_back_to_shared(self, rng):
-        policy = ContentTypeSplitPolicy()
-        assignments = _assignments("A", "B")
-        picks = {
-            policy.select(assignments, ContentType.VOD, rng)
-            for _ in range(50)
-        }
-        assert picks == {"A", "B"}
-
-
 class TestBroker:
     def test_probes_unmeasured_cdns_first(self, rng):
         broker = CdnBroker(explore=0.0)
@@ -210,6 +124,22 @@ class TestBroker:
         }
         assert picks == {"A", "B"}
 
+    def test_respects_content_type(self, rng):
+        broker = CdnBroker(explore=0.5)
+        assignments = _assignments("A", "B", live_only=("B",))
+        picks = {
+            broker.select(assignments, ContentType.VOD, rng).cdn_name
+            for _ in range(20)
+        }
+        assert picks == {"A"}
+
+    def test_no_eligible_cdn_raises(self, rng):
+        assignments = _assignments("A", vod_only=("A",))
+        with pytest.raises(DeliveryError):
+            CdnBroker().select(assignments, ContentType.LIVE, rng)
+        with pytest.raises(DeliveryError):
+            CdnBroker().ranked(assignments, ContentType.LIVE)
+
     def test_validation(self):
         with pytest.raises(DeliveryError):
             CdnBroker(explore=1.0)
@@ -226,26 +156,9 @@ class TestAnycast:
             3600
         )
 
-    def test_zero_rate_never_disrupts(self, rng):
+    def test_zero_rate_never_disrupts(self):
         model = AnycastRouteModel(daily_change_rate=0.0)
         assert model.disruption_probability(86_400) == 0.0
-        assert model.sample_events(86_400, rng) == []
-
-    def test_event_sampling_rate(self, rng):
-        model = AnycastRouteModel(daily_change_rate=86_400.0)  # 1/s
-        events = model.sample_events(1000, rng)
-        assert 850 < len(events) < 1150  # Poisson(1000)
-
-    def test_events_within_view(self, rng):
-        model = AnycastRouteModel(daily_change_rate=86_400.0)
-        for event in model.sample_events(100, rng):
-            assert 0 <= event.at_seconds < 100
-
-    def test_expected_stall(self):
-        model = AnycastRouteModel(
-            daily_change_rate=86_400.0, reconnect_delay_seconds=2.0
-        )
-        assert model.expected_stall_seconds(10) == pytest.approx(20.0)
 
     def test_long_video_views_rarely_disrupted_at_realistic_rates(self):
         # §4.3: anycast instability is not blocking for video.

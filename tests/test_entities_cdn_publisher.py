@@ -97,35 +97,6 @@ def _profile(**overrides):
 
 
 class TestPublisherProfile:
-    def test_counts(self):
-        profile = _profile()
-        assert profile.protocol_count == 2
-        assert profile.platform_count == 2
-        assert profile.cdn_count == 2
-
-    def test_cdns_for_content_type(self):
-        profile = _profile()
-        assert profile.cdns_for(ContentType.LIVE) == ("A",)
-        assert set(profile.cdns_for(ContentType.VOD)) == {"A", "B"}
-
-    def test_exclusive_cdn_detection(self):
-        profile = _profile()
-        assert profile.has_content_type_exclusive_cdn(ContentType.VOD)
-        assert not profile.has_content_type_exclusive_cdn(ContentType.LIVE)
-
-    def test_combinations_metric(self):
-        profile = _profile()
-        # 2 CDNs x 2 protocols x 3 device models
-        assert profile.management_plane_combinations() == 12
-
-    def test_protocol_titles_metric(self):
-        assert _profile().protocol_titles() == 2 * 100
-
-    def test_unique_sdks_counts_browsers(self):
-        profile = _profile()
-        # 2 SDK versions + 1 browser model (chrome-html5).
-        assert profile.unique_sdk_count() == 3
-
     def test_requires_nonempty_dimensions(self):
         with pytest.raises(ValueError):
             _profile(protocols=frozenset())

@@ -114,23 +114,3 @@ class TestHlsGuidelines:
     def test_excessive_step(self):
         ladder = BitrateLadder.from_bitrates((150, 600))  # 4x jump
         assert not ladder.follows_hls_guidelines()
-
-
-class TestToleranceMatching:
-    def test_match_within_tolerance(self, ladder):
-        match = ladder.matches_within_tolerance(310, 0.05)
-        assert match is not None
-        assert match.bitrate_kbps == 300
-
-    def test_no_match_outside_tolerance(self, ladder):
-        assert ladder.matches_within_tolerance(400, 0.05) is None
-
-    def test_closest_of_several(self):
-        ladder = BitrateLadder.from_bitrates((95, 100, 106))
-        match = ladder.matches_within_tolerance(101, 0.10)
-        assert match is not None
-        assert match.bitrate_kbps == 100
-
-    def test_negative_tolerance_rejected(self, ladder):
-        with pytest.raises(LadderError):
-            ladder.matches_within_tolerance(100, -0.1)

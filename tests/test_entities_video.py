@@ -39,13 +39,6 @@ class TestCatalogue:
         assert "vid_test_00001" in catalogue
         assert "vid_missing" not in catalogue
 
-    def test_get(self, catalogue):
-        assert catalogue.get("vid_test_00002").duration_seconds == 1200.0
-
-    def test_get_missing_raises_keyerror(self, catalogue):
-        with pytest.raises(KeyError):
-            catalogue.get("nope")
-
     def test_duplicate_rejected(self, catalogue, video):
         with pytest.raises(ValueError):
             catalogue.add(video)
@@ -64,16 +57,3 @@ class TestCatalogue:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             Catalogue("")
-
-    def test_filter_by_content_type(self):
-        catalogue = Catalogue(
-            "mix",
-            [
-                Video("v1", 10, ContentType.LIVE),
-                Video("v2", 10, ContentType.VOD),
-                Video("v3", 10, ContentType.LIVE),
-            ],
-        )
-        live = catalogue.filter(ContentType.LIVE)
-        assert sorted(live.video_ids) == ["v1", "v3"]
-        assert len(catalogue.filter(ContentType.VOD)) == 1

@@ -100,3 +100,29 @@ class TestCli:
     def test_unknown_figure_id_errors(self):
         with pytest.raises(AnalysisError):
             main(["figure", "F99", "--snapshots", "2", "--publishers", "30"])
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["generate", "--seed", "-5", "--snapshots", "2", "--publishers",
+          "20", "--out", "x.jsonl"], "seed"),
+        (["generate", "--publishers", "0", "--out", "x.jsonl"], "publishers"),
+        (["summary", "--snapshots", "-1"], "snapshot_limit"),
+        (["figures", "--run", "--snapshots", "1"], "snapshot_limit"),
+    ],
+    ids=["negative-seed", "no-publishers", "negative-snapshots",
+         "one-snapshot"],
+)
+def test_bad_generator_flags_exit_2_with_one_line(
+    argv, named, tmp_path, monkeypatch, capsys
+):
+    """The config rejects the flags before anything is built: one
+    ``<command>: <message>`` line on stderr and exit 2, no traceback."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"{argv[0]}: ") and named in captured.err
+    assert not (tmp_path / "x.jsonl").exists()

@@ -580,7 +580,7 @@ class TestCli:
 
     def test_lint_reports_finding_and_fails(self, tmp_path, capsys):
         root = self._seed_project(tmp_path)
-        exit_code = cli.main(["lint", "--root", str(root)])
+        exit_code = cli.main(["check", "--root", str(root)])
         out = capsys.readouterr().out
         assert exit_code == 1
         assert "RPL004" in out
@@ -588,7 +588,7 @@ class TestCli:
     def test_json_format_is_machine_readable(self, tmp_path, capsys):
         root = self._seed_project(tmp_path)
         exit_code = cli.main(
-            ["lint", "--root", str(root), "--format", "json"]
+            ["check", "--root", str(root), "--format", "json"]
         )
         payload = json.loads(capsys.readouterr().out)
         assert exit_code == 1
@@ -600,13 +600,13 @@ class TestCli:
         assert cli.main(["check", "--root", str(root), "--baseline"]) == 0
         assert (root / ".replint-baseline.json").is_file()
         capsys.readouterr()
-        assert cli.main(["lint", "--root", str(root)]) == 0
+        assert cli.main(["check", "--root", str(root)]) == 0
         assert "1 baselined" in capsys.readouterr().out
 
     def test_no_baseline_overrides_suppressions(self, tmp_path):
         root = self._seed_project(tmp_path)
         assert cli.main(["check", "--root", str(root), "--baseline"]) == 0
-        assert cli.main(["lint", "--root", str(root), "--no-baseline"]) == 1
+        assert cli.main(["check", "--root", str(root), "--no-baseline"]) == 1
 
 
 class TestAcceptance:
@@ -624,7 +624,7 @@ class TestAcceptance:
 
     def test_cli_src_tree_clean(self, capsys):
         exit_code = cli.main(
-            ["lint", str(ROOT / "src"), "--root", str(ROOT)]
+            ["check", str(ROOT / "src"), "--root", str(ROOT)]
         )
         assert exit_code == 0
         assert "0 error(s)" in capsys.readouterr().out

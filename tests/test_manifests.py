@@ -39,10 +39,9 @@ class TestHLS:
 
     def test_media_playlist_segment_count(self, writer, video, ladder):
         media = writer.render_media(video, ladder[0], BASE_URL)
-        info = HLSParser().parse(media)
         # 600 s at 6 s chunks = 100 segments.
-        assert len(info.chunk_urls) == 100
-        assert info.chunk_duration_seconds == pytest.approx(6.0)
+        assert media.count("#EXTINF:") == 100
+        assert "#EXT-X-TARGETDURATION:6\n" in media
 
     def test_media_playlist_has_endlist(self, writer, video, ladder):
         media = writer.render_media(video, ladder[0], BASE_URL)
@@ -52,16 +51,6 @@ class TestHLS:
         video = Video(video_id="v", duration_seconds=9.0)
         media = writer.render_media(video, ladder[0], BASE_URL)
         assert "#EXTINF:3.000," in media
-
-    def test_bundle_merges_master_and_media(self, writer, video, ladder):
-        master = writer.render(video, ladder, BASE_URL)
-        medias = [
-            writer.render_media(video, rendition, BASE_URL)
-            for rendition in ladder
-        ]
-        info = HLSParser().parse_bundle(master, medias)
-        assert len(info.chunk_urls) == 100 * len(ladder)
-        assert len(info.bitrates_kbps) == len(ladder)
 
     def test_parse_rejects_non_playlist(self):
         with pytest.raises(ManifestParseError):

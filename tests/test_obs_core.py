@@ -23,7 +23,6 @@ from repro.obs import (
     NULL_SPAN_CONTEXT,
     ObsContext,
     Tracer,
-    bench_payload,
     log_buckets,
     render_tree,
     snapshot_payload,
@@ -462,17 +461,6 @@ class TestExport:
         rows = snapshot_payload(ctx.registry, spans=ctx.tracer.finished)
         assert rows["spans"][2]["attrs"] == {"rows": 2}
         assert rows["spans"][2]["duration_s"] == 0.5
-
-    def test_bench_payload_aggregates_stages(self):
-        ctx = _traced_context()
-        payload = bench_payload(ctx.tracer.finished, registry=ctx.registry)
-        assert payload["stages"]["stage.a"] == {
-            "calls": 2,
-            "total_s": 4.0,
-            "max_s": 3.0,
-        }
-        assert payload["stages"]["stage.b"]["calls"] == 1
-        assert list(payload["stages"]) == ["stage.a", "stage.b"]
 
     def test_write_snapshot_roundtrips(self, tmp_path):
         ctx = _traced_context()

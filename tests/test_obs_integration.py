@@ -445,9 +445,9 @@ class TestCliObs:
     ):
         for name in ("a.py", "b.py"):
             (tmp_path / name).write_text("VALUE = 1\n", encoding="utf-8")
-        args = ["lint", str(tmp_path), "--root", str(tmp_path), "--trace"]
+        args = ["check", str(tmp_path), "--root", str(tmp_path), "--trace"]
         assert cli.main(args) == 0
-        assert "lint.run" in capsys.readouterr().err
+        assert "lint.rules" in capsys.readouterr().err
         assert global_obs.registry.counter("lint.files").value == 2
 
     def test_analyze_trace_prints_stage_spans(self, capsys, global_obs):

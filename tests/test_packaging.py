@@ -6,7 +6,7 @@ from repro.constants import Protocol
 from repro.entities.ladder import BitrateLadder, Rendition
 from repro.entities.video import Video
 from repro.errors import PackagingError
-from repro.packaging.chunker import ByteRangeIndex, Chunker
+from repro.packaging.chunker import Chunker
 from repro.packaging.drm import DrmScheme, DrmWrapper
 from repro.packaging.encoder import EncodeJob, Encoder
 from repro.packaging.pipeline import PackagingPipeline
@@ -103,31 +103,6 @@ class TestChunker:
     def test_invalid_duration(self):
         with pytest.raises(PackagingError):
             Chunker(0)
-
-
-class TestByteRange:
-    def test_full_range(self, video, ladder):
-        index = ByteRangeIndex(video, ladder[0])
-        start, end = index.byte_range(0, video.duration_seconds)
-        assert start == 0
-        assert end == pytest.approx(index.total_bytes, abs=1)
-
-    def test_time_byte_roundtrip(self, video, ladder):
-        index = ByteRangeIndex(video, ladder[0])
-        start, _ = index.byte_range(30, 60)
-        assert index.time_of_byte(start) == pytest.approx(30.0, abs=1e-3)
-
-    def test_interval_validation(self, video, ladder):
-        index = ByteRangeIndex(video, ladder[0])
-        with pytest.raises(PackagingError):
-            index.byte_range(10, 5)
-        with pytest.raises(PackagingError):
-            index.byte_range(0, video.duration_seconds + 1)
-
-    def test_offset_validation(self, video, ladder):
-        index = ByteRangeIndex(video, ladder[0])
-        with pytest.raises(PackagingError):
-            index.time_of_byte(-1)
 
 
 class TestDrm:

@@ -8,7 +8,7 @@ from repro.entities.ladder import BitrateLadder
 from repro.errors import DeliveryError, LadderError, PlaybackError
 from repro.playback.abr import AbrState, BufferBasedAbr, ThroughputAbr
 from repro.playback.session import SessionConfig, simulate_session
-from repro.playback.useragent import build_user_agent, parse_user_agent
+from repro.playback.useragent import build_user_agent
 
 
 def _state(buffer_seconds=10.0, ewma=2000.0):
@@ -209,37 +209,11 @@ class TestSimulation:
 
 
 class TestUserAgents:
-    @pytest.mark.parametrize(
-        "browser", ["chrome", "firefox", "safari", "edge", "ie11"]
-    )
-    def test_roundtrip(self, browser):
-        ua = build_user_agent(browser, major_version=70)
-        assert parse_user_agent(ua).browser == browser
-
-    def test_edge_not_misdetected_as_chrome(self):
-        ua = build_user_agent("edge", 100)
-        assert parse_user_agent(ua).browser == "edge"
-
-    def test_chrome_not_misdetected_as_safari(self):
-        ua = build_user_agent("chrome", 90)
-        assert parse_user_agent(ua).browser == "chrome"
-
-    def test_version_extracted(self):
-        info = parse_user_agent(build_user_agent("firefox", 61))
-        assert info.major_version == 61
-
-    def test_unknown_string(self):
-        info = parse_user_agent("curl/7.68.0")
-        assert info.browser == "other"
-        assert info.major_version is None
-
-    def test_empty_string(self):
-        assert parse_user_agent("").browser == "other"
+    def test_version_filled_into_template(self):
+        ua = build_user_agent("firefox", 61)
+        assert "Firefox/61.0" in ua
+        assert build_user_agent("edge", 100).endswith("Edg/100.0.0.0")
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             build_user_agent("netscape")
-
-    def test_str_format(self):
-        info = parse_user_agent(build_user_agent("chrome", 80))
-        assert str(info) == "chrome/80"

@@ -51,14 +51,6 @@ class TestLadderProperties:
         if choice.bitrate_kbps > throughput:
             assert choice.bitrate_kbps == ladder.min_bitrate_kbps
 
-    @given(ladders, st.floats(min_value=0.0, max_value=0.3))
-    def test_tolerance_match_is_within_tolerance(self, rates, tolerance):
-        ladder = BitrateLadder.from_bitrates(rates)
-        target = rates[len(rates) // 2] * 1.02
-        match = ladder.matches_within_tolerance(target, tolerance)
-        if match is not None:
-            assert abs(match.bitrate_kbps - target) <= tolerance * target
-
 
 class TestManifestProperties:
     @settings(max_examples=30, deadline=None)

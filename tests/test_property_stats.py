@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.stats.bucketing import DecadeBuckets
 from repro.stats.cdf import ECDF
 from repro.stats.regression import fit_loglog
-from repro.stats.weighted import weighted_mean, weighted_percentile
+from repro.stats.weighted import weighted_mean
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -77,12 +77,6 @@ class TestWeightedProperties:
         assert weighted_mean(values, wts) == pytest.approx(
             weighted_mean(values, scaled), rel=1e-9, abs=1e-6
         )
-
-    @given(st.lists(finite_floats, min_size=1, max_size=50))
-    def test_percentiles_monotone(self, values):
-        qs = [0, 25, 50, 75, 100]
-        results = [weighted_percentile(values, q) for q in qs]
-        assert results == sorted(results)
 
 
 class TestRegressionProperties:

@@ -6,12 +6,7 @@ from datetime import date
 import pytest
 
 from repro.errors import DatasetError
-from repro.experiments import (
-    Comparison,
-    build_report,
-    fraction_within_band,
-    report_rows,
-)
+from repro.experiments import Comparison, build_report, fraction_within_band
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.quality import audit
 from tests.test_telemetry_records import make_record
@@ -114,7 +109,7 @@ class TestReport:
         assert fraction_within_band(comparisons) > 0.85
 
     def test_rows_printable(self, eco):
-        rows = report_rows(eco)
+        rows = [comparison.row() for comparison in build_report(eco)]
         assert all(
             set(row) == {
                 "experiment", "quantity", "paper", "measured",

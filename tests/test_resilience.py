@@ -1,10 +1,9 @@
-"""Resilience primitives: retry/backoff, circuit breaker, deadline."""
+"""Resilience primitives: retry/backoff and the circuit breaker."""
 
 import pytest
 
 from repro.errors import (
     CircuitOpenError,
-    DeadlineExceededError,
     ResilienceError,
     RetryExhaustedError,
     TransportError,
@@ -13,7 +12,6 @@ from repro.resilience import (
     BackoffPolicy,
     CircuitBreaker,
     CircuitState,
-    Deadline,
     retry_with_backoff,
 )
 
@@ -123,22 +121,6 @@ class TestRetryWithBackoff:
         assert waits == [1.0, 2.0, 4.0]
         assert len(attempts) == 4
 
-    def test_deadline_aborts_retry_loop(self):
-        clock = FakeClock()
-        deadline = Deadline(10.0, clock=clock)
-
-        def fails_and_burns_time():
-            clock.advance(6.0)
-            raise TransportError("slow failure")
-
-        with pytest.raises(DeadlineExceededError):
-            retry_with_backoff(
-                fails_and_burns_time,
-                policy=BackoffPolicy(retries=10, jitter=0.0),
-                retry_on=(TransportError,),
-                deadline=deadline,
-            )
-
 
 class TestCircuitBreaker:
     def test_opens_after_consecutive_failures(self):
@@ -228,19 +210,3 @@ class TestCircuitBreaker:
         # Closed again: allow() is unrestricted.
         assert breaker.allow()
         assert breaker.allow()
-
-
-class TestDeadline:
-    def test_remaining_and_expiry(self):
-        clock = FakeClock()
-        deadline = Deadline(5.0, clock=clock)
-        assert deadline.remaining() == pytest.approx(5.0)
-        assert not deadline.expired
-        clock.advance(5.1)
-        assert deadline.expired
-        with pytest.raises(DeadlineExceededError):
-            deadline.check("unit test")
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ResilienceError):
-            Deadline(-1.0)

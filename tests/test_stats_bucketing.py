@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.stats.bucketing import DecadeBuckets, modal_bucket
+from repro.stats.bucketing import DecadeBuckets
 
 
 class TestBucketIndex:
@@ -65,13 +65,6 @@ class TestMembership:
         assert buckets.count_histogram(0) == {2: 2, 3: 1}
         assert buckets.count_histogram(1) == {}
 
-    def test_count_range(self):
-        buckets = DecadeBuckets(base=10.0, n_buckets=2)
-        buckets.add("a", 1, 50.0)
-        buckets.add("b", 5, 50.0)
-        assert buckets.count_range(1) == (1, 5)
-        assert buckets.count_range(0) == (0, 0)
-
     def test_negative_count_rejected(self):
         buckets = DecadeBuckets(base=10.0)
         with pytest.raises(ValueError):
@@ -82,19 +75,10 @@ class TestMembership:
             DecadeBuckets(base=10.0).publisher_share()
 
     def test_stacked_rows_shape(self):
-        buckets = DecadeBuckets.from_pairs(
-            [("a", 1, 5.0), ("b", 2, 500.0)], base=10.0, n_buckets=3
-        )
+        buckets = DecadeBuckets(base=10.0, n_buckets=3)
+        buckets.add("a", 1, 5.0)
+        buckets.add("b", 2, 500.0)
         rows = buckets.stacked_rows()
         assert len(rows) == 3
         assert rows[0]["count_histogram"] == {1: 1}
         assert rows[2]["count_histogram"] == {2: 1}
-
-
-class TestModalBucket:
-    def test_modal(self):
-        assert modal_bucket([10.0, 40.0, 30.0]) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            modal_bucket([])

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.stats.weighted import (
-    weighted_mean,
-    weighted_percentile,
-    weighted_share,
-)
+from repro.stats.weighted import weighted_mean
 
 
 class TestWeightedMean:
@@ -34,44 +30,3 @@ class TestWeightedMean:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError):
             weighted_mean([1, 2], weights=[0, 0])
-
-
-class TestWeightedPercentile:
-    def test_median_unweighted(self):
-        assert weighted_percentile([1, 2, 3], 50) == 2.0
-
-    def test_weight_as_repetition(self):
-        # [1,1,1,10] -> median 1
-        assert weighted_percentile([1, 10], 50, weights=[3, 1]) == 1.0
-
-    def test_extremes(self):
-        values = [5, 1, 9]
-        assert weighted_percentile(values, 100) == 9.0
-        assert weighted_percentile(values, 0) == 1.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_percentile([1], 101)
-
-
-class TestWeightedShare:
-    def test_unweighted_share(self):
-        assert weighted_share([True, False, False, True]) == 0.5
-
-    def test_view_hour_weighting(self):
-        # The §4.4 pattern: two small single-protocol publishers, one
-        # giant multi-protocol publisher.
-        flags = [False, False, True]
-        weights = [5.0, 5.0, 90.0]
-        assert weighted_share(flags, weights) == 0.9
-
-    def test_all_true(self):
-        assert weighted_share([True, True], weights=[1, 2]) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_share([])
-
-    def test_zero_total_weight_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_share([True], weights=[0])

@@ -152,11 +152,6 @@ class TestCaseStudy:
         for label in case.syndicator_labels:
             assert case.publisher_id(label) in graph[case.owner_id]
 
-    def test_storage_participants(self, study):
-        case, _ = study
-        labels = [label for label, _ in case.storage_participants()]
-        assert labels == ["O", "S4", "S9"]
-
     def test_unknown_label_rejected(self, study):
         case, _ = study
         with pytest.raises(CalibrationError):

@@ -293,26 +293,3 @@ class TestRepr:
         assert "3 records" in text
         assert "2 snapshots" in text
         assert "2 publishers" in text
-
-
-class TestCsvExport:
-    def test_csv_written_with_header(self, small_dataset, tmp_path):
-        path = tmp_path / "data.csv"
-        small_dataset.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1 + len(small_dataset)
-        assert lines[0].startswith("snapshot,publisher_id,url")
-
-    def test_multivalue_fields_pipe_joined(self, tmp_path):
-        record = make_record(cdn_names=("A", "B"))
-        path = tmp_path / "data.csv"
-        Dataset([record]).to_csv(path)
-        body = path.read_text().splitlines()[1]
-        assert "A|B" in body
-        assert "150|600|2400" in body
-
-    def test_enum_values_serialized(self, small_dataset, tmp_path):
-        path = tmp_path / "data.csv"
-        small_dataset.to_csv(path)
-        text = path.read_text()
-        assert "vod" in text and "wifi" in text

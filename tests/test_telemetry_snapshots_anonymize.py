@@ -1,11 +1,10 @@
-"""Snapshot scheduling and anonymization (repro.telemetry)."""
+"""Snapshot scheduling (repro.telemetry)."""
 
 from datetime import date
 
 import pytest
 
 from repro.errors import DatasetError
-from repro.telemetry.anonymize import Anonymizer, looks_anonymized
 from repro.telemetry.snapshots import (
     STUDY_END,
     STUDY_START,
@@ -25,26 +24,22 @@ class TestSchedule:
 
     def test_index_of(self):
         schedule = default_schedule()
-        assert schedule.index_of(STUDY_START) == 0
-        assert schedule.index_of(schedule.latest()) == 58
-
-    def test_index_of_unscheduled_date(self):
-        with pytest.raises(DatasetError):
-            default_schedule().index_of(date(2016, 1, 5))
+        dates = schedule.dates()
+        assert dates.index(STUDY_START) == 0
+        assert dates.index(schedule.latest()) == 58
 
     def test_months_elapsed(self):
+        # §4: a 27-month study, January 2016 through March 2018.
         schedule = default_schedule()
-        assert schedule.months_elapsed(STUDY_START) == 0.0
-        assert 26 < schedule.months_elapsed(schedule.latest()) < 28
-
-    def test_months_elapsed_before_start(self):
-        with pytest.raises(DatasetError):
-            default_schedule().months_elapsed(date(2015, 1, 1))
+        months = (schedule.latest() - STUDY_START).days / 30.4375
+        assert 26 < months < 28
 
     def test_window_of(self):
+        # "a sequence of two-day snapshots taken bi-weekly" (§4).
         schedule = default_schedule()
-        first, last = schedule.window_of(STUDY_START)
-        assert (last - first).days == 1  # two-day window
+        dates = schedule.dates()
+        assert schedule.window_days == 2
+        assert {(b - a).days for a, b in zip(dates, dates[1:])} == {14}
 
     def test_validation(self):
         with pytest.raises(DatasetError):
@@ -53,48 +48,3 @@ class TestSchedule:
             )
         with pytest.raises(DatasetError):
             SnapshotSchedule(window_days=0)
-
-
-class TestAnonymizer:
-    def test_deterministic_within_key(self):
-        anonymizer = Anonymizer(key="k1")
-        assert anonymizer.publisher("ESPN") == anonymizer.publisher("ESPN")
-
-    def test_differs_across_keys(self):
-        assert (
-            Anonymizer(key="k1").publisher("ESPN")
-            != Anonymizer(key="k2").publisher("ESPN")
-        )
-
-    def test_kind_namespacing(self):
-        anonymizer = Anonymizer()
-        assert anonymizer.publisher("X") != anonymizer.video("X")
-
-    def test_distinct_inputs_distinct_tokens(self):
-        anonymizer = Anonymizer()
-        tokens = {anonymizer.video(f"title-{i}") for i in range(100)}
-        assert len(tokens) == 100
-
-    def test_token_shape(self):
-        token = Anonymizer().publisher("ESPN")
-        assert looks_anonymized(token)
-        assert not looks_anonymized("ESPN")
-
-    def test_url_anonymization_keeps_extension(self):
-        anonymizer = Anonymizer()
-        url = "http://cdn/raw-title/master.m3u8"
-        out = anonymizer.anonymize_url(url, "raw-title")
-        assert out.endswith(".m3u8")
-        assert "raw-title" not in out
-
-    def test_url_without_video_id_rejected(self):
-        with pytest.raises(ValueError):
-            Anonymizer().anonymize_url("http://cdn/x.m3u8", "missing")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Anonymizer(key="")
-        with pytest.raises(ValueError):
-            Anonymizer().token("PUB", "x")
-        with pytest.raises(ValueError):
-            Anonymizer().token("pub", "")
