@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec, Layer
 from repro.constants import ContentType, Protocol
@@ -36,7 +36,6 @@ from repro.errors import (
     ChaosError,
     ManifestError,
     ProtocolDetectionError,
-    ReproError,
     TransportError,
 )
 from repro.resilience import BackoffPolicy, CircuitState

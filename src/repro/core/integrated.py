@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.delivery.network import NetworkPath, default_isp_profiles
-from repro.entities.ladder import BitrateLadder
 from repro.errors import AnalysisError
 from repro.playback.abr import AbrAlgorithm, ThroughputAbr
 # simulate_session stays bound here: traced runs wrap it at this name.

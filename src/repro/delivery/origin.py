@@ -12,10 +12,10 @@ syndication).  This module implements that exact arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.entities.ladder import BitrateLadder
-from repro.entities.video import Catalogue, Video
+from repro.entities.video import Catalogue
 from repro.errors import DeliveryError
 from repro.units import rendition_bytes
 

@@ -9,8 +9,8 @@ metric of §5 counts distinct (SDK, version) pairs plus browsers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional
 
 from repro.constants import (
     BROWSER_PLAYERS,

@@ -10,8 +10,8 @@ plane during one snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Tuple
 
 from repro.constants import ContentType, Platform, Protocol, SyndicationRole
 from repro.entities.cdn import CdnAssignment

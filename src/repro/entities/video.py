@@ -9,7 +9,7 @@ aggregation directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.constants import ContentType

@@ -9,7 +9,7 @@ This is the programmatic form of EXPERIMENTS.md: the CLI's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.constants import Platform, Protocol
 from repro.core.complexity import (
@@ -37,7 +37,6 @@ from repro.core.summary import (
     top_cdn_concentration,
 )
 from repro.core.syndication import prevalence_summary, qoe_comparison
-from repro.core.trends import count_trend
 from repro.errors import AnalysisError
 from repro.synthesis.calibration import PAPER
 from repro.synthesis.catalogues import case_video_id

@@ -8,7 +8,7 @@ CLI exposes them via ``repro figure <id>``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.constants import (

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator
 
 from repro.entities.ladder import Rendition
 from repro.entities.video import Video

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.constants import Protocol
 from repro.entities.ladder import BitrateLadder, Rendition

@@ -10,10 +10,10 @@ renditions declare.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import List, Tuple
+from typing import List
 
 from repro.constants import Protocol
-from repro.entities.ladder import BitrateLadder, Rendition
+from repro.entities.ladder import BitrateLadder
 from repro.entities.video import Video
 from repro.errors import ManifestParseError
 from repro.packaging.manifest.base import (

@@ -8,7 +8,7 @@ duplication the §5 protocol-titles complexity metric counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import Protocol
@@ -16,7 +16,7 @@ from repro.entities.ladder import BitrateLadder
 from repro.entities.video import Video
 from repro.errors import PackagingError
 from repro.packaging.chunker import Chunk, Chunker
-from repro.packaging.drm import DrmScheme, DrmWrapper
+from repro.packaging.drm import DrmScheme
 from repro.packaging.encoder import EncodeJob, EncodeResult, Encoder
 from repro.packaging.manifest import manifest_writer_for
 

@@ -18,19 +18,18 @@ equality of the saved JSONL and of every figure's rows).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache, partial
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.parallel import parallel_map, spawn_streams
+from repro.parallel import parallel_map, parse_jobs, spawn_streams
 from repro.constants import Protocol
-from repro.entities.device import DeviceRegistry, default_registry
-from repro.entities.publisher import Publisher, PublisherProfile
-from repro.errors import CalibrationError
+from repro.entities.device import default_registry
+from repro.entities.publisher import Publisher
 from repro.synthesis import calibration as cal
 from repro.synthesis.population import generate_publishers
 from repro.synthesis.portfolios import PortfolioAssigner
@@ -219,8 +218,11 @@ class EcosystemGenerator:
         """Generate the dataset and ground truth for this config.
 
         ``jobs`` > 1 synthesizes snapshots on a process pool; the
-        output is byte-identical to the serial build.
+        output is byte-identical to the serial build.  ``jobs`` goes
+        through :func:`~repro.parallel.parse_jobs`, so a bad count
+        raises :class:`~repro.errors.ParallelError`.
         """
+        jobs = parse_jobs(jobs)
         with obs.span(
             "synthesis.generate", seed=self.config.seed, jobs=jobs
         ) as span:
@@ -234,8 +236,6 @@ class EcosystemGenerator:
 
     def _generate(self, jobs: int = 1) -> EcosystemResult:
         config = self.config
-        if jobs < 1:
-            raise CalibrationError("jobs must be >= 1")
         # The parent always builds fresh (each build re-emits the
         # synthesis.* spans) and leaves the memo warm for the pool.
         _plan_for.cache_clear()

@@ -8,7 +8,7 @@ storage-redundancy (Fig 18) analyses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 import numpy as np

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from datetime import date
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import DatasetError
 from repro.packaging.manifest.detect import detect_protocol_or_none
 from repro.telemetry.dataset import Dataset
-from repro.telemetry.events import Heartbeat, SessionEnd, SessionStart, Sessionizer
+from repro.telemetry.events import Sessionizer
 from repro.telemetry.ingest import ErrorPolicy, IngestPipeline, IngestReport
 from repro.telemetry.records import ViewRecord
 

@@ -27,6 +27,7 @@ import dataclasses
 import gzip
 import io
 import zlib
+from contextlib import nullcontext
 from datetime import date
 from pathlib import Path
 from typing import (
@@ -37,6 +38,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
@@ -352,22 +354,29 @@ class Dataset:
     def save(self, path: Union[str, Path]) -> None:
         """Write the dataset as JSONL (.gz for gzip compression).
 
-        Lines are joined in batches so the hot path is one buffered
-        write per :data:`_SAVE_BATCH` records, not two per record.
+        Lines are encoded and written :data:`_SAVE_BATCH` records at a
+        time.  A ``.gz`` file is gzip level 9 with an empty name and a
+        zero timestamp in its header, so one dataset always saves to
+        the same bytes, whatever the file is called and whenever it is
+        written.
         """
         path = Path(path)
-        opener = gzip.open if path.suffix == ".gz" else io.open
-        with opener(path, "wt", encoding="utf-8") as handle:
-            batch: List[str] = []
-            for record in self.records:
-                batch.append(record.to_json())
-                if len(batch) >= _SAVE_BATCH:
-                    handle.write("\n".join(batch))
-                    handle.write("\n")
-                    batch.clear()
-            if batch:
-                handle.write("\n".join(batch))
-                handle.write("\n")
+        records = self.records
+        with obs.span("dataset.save", records=len(records)) as span:
+            with open(path, "wb") as raw:
+                with (
+                    gzip.GzipFile(
+                        filename="", mode="wb", compresslevel=9,
+                        fileobj=raw, mtime=0,
+                    )
+                    if path.suffix == ".gz"
+                    else nullcontext(raw)
+                ) as handle:
+                    for start in range(0, len(records), _SAVE_BATCH):
+                        handle.write(
+                            encode_lines(records[start:start + _SAVE_BATCH])
+                        )
+                span.set(bytes=raw.tell())
 
     @classmethod
     def load(
@@ -387,27 +396,29 @@ class Dataset:
             raise DatasetError(f"dataset file not found: {path}")
         opener = gzip.open if path.suffix == ".gz" else io.open
         records: List[ViewRecord] = []
-        try:
-            with opener(path, "rt", encoding="utf-8") as handle:
-                for line_number, line in enumerate(handle, start=1):
-                    if limit is not None and len(records) >= limit:
-                        break
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        records.append(ViewRecord.from_json(line))
-                    except DatasetError as exc:
-                        raise DatasetError(
-                            f"{path}:{line_number}: {exc}"
-                        ) from exc
-        # A directory, a truncated or corrupt gzip stream, or bytes
-        # that are not UTF-8.
-        except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
-            raise DatasetError(
-                f"{path}: unreadable dataset file: {exc}"
-            ) from exc
-        return cls(records)
+        with obs.span("dataset.load") as span:
+            try:
+                with opener(path, "rt", encoding="utf-8") as handle:
+                    for line_number, line in enumerate(handle, start=1):
+                        if limit is not None and len(records) >= limit:
+                            break
+                        line = line.strip()
+                        if not line:
+                            continue
+                        try:
+                            records.append(ViewRecord.from_json(line))
+                        except DatasetError as exc:
+                            raise DatasetError(
+                                f"{path}:{line_number}: {exc}"
+                            ) from exc
+            # A directory, a truncated or corrupt gzip stream, or bytes
+            # that are not UTF-8.
+            except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
+                raise DatasetError(
+                    f"{path}: unreadable dataset file: {exc}"
+                ) from exc
+            span.set(records=len(records), bytes=path.stat().st_size)
+            return cls(records)
 
     # ------------------------------------------------------------------
     # Internal
@@ -449,6 +460,14 @@ class Dataset:
             cached = grouped_sum(self.entries(key), self.measure(measure))
             self._agg_cache[cache_key] = cached
         return dict(cached)
+
+
+def encode_lines(records: Sequence[ViewRecord]) -> bytes:
+    """The bytes :meth:`Dataset.save` writes for ``records`` before
+    compression: one JSON object per line, each line ending in ``\n``."""
+    if not records:
+        return b""
+    return ("\n".join(map(ViewRecord.to_json, records)) + "\n").encode("utf-8")
 
 
 def _cache_token(key: ColumnRef) -> object:

@@ -11,7 +11,7 @@ ingestion path (events -> record) is a real, tested code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from typing import Dict, List, Optional, Sequence, Tuple
 

@@ -108,12 +108,18 @@ class IngestCounters:
             "ingest.parked_events", specs["ingest.parked_events"].description
         )
         self._quarantine_desc = specs["ingest.quarantined"].description
+        self._quarantined: Dict[RejectReason, Counter] = {}
 
     def quarantined(self, reason: RejectReason) -> Counter:
         """The per-reason dead-letter counter (created on first use)."""
-        return self.registry.counter(
-            "ingest.quarantined", self._quarantine_desc, reason=reason.value
-        )
+        counter = self._quarantined.get(reason)
+        if counter is None:
+            counter = self.registry.counter(
+                "ingest.quarantined", self._quarantine_desc,
+                reason=reason.value,
+            )
+            self._quarantined[reason] = counter
+        return counter
 
     @property
     def quarantined_total(self) -> int:
@@ -249,31 +255,49 @@ class RobustSessionizer:
 
     def ingest(self, event: object) -> Optional[ViewRecord]:
         """Process one event; may emit a folded record."""
-        if self._finalized:
-            raise IngestError("pipeline already finalized")
-        self._clock += 1
-        self._counters.events.inc()
-        if self.policy is ErrorPolicy.STRICT:
-            record = self._strict.ingest(event)
-            self._counters.accepted.inc()
-            if record is not None:
-                self._counters.records.inc()
-                self.report.records.append(record)
-            self._counters.open_sessions.set(self._strict.open_sessions)
-            return record
-        record = self._ingest_lenient(event)
-        if self.max_idle_events is not None:
-            self._reap_stale()
-        self._counters.open_sessions.set(len(self._open))
-        self._counters.parked_events.set(self._parked_total)
-        return record
+        records = self.ingest_many((event,))
+        return records[0] if records else None
 
     def ingest_many(self, events: Iterable[object]) -> List[ViewRecord]:
-        out = []
-        for event in events:
-            record = self.ingest(event)
-            if record is not None:
-                out.append(record)
+        """Process events in order; returns the records their ends fold.
+
+        Counts and gauges are exact at every return, also when a strict
+        abort raises: ``ingest.events`` advances by the logical clock's
+        step over the call, and the two gauges are set once.
+        """
+        if self._finalized:
+            # Raise on the first event, not on an empty batch.
+            for _ in events:
+                raise IngestError("pipeline already finalized")
+            return []
+        counters = self._counters
+        start = self._clock
+        out: List[ViewRecord] = []
+        try:
+            if self.policy is ErrorPolicy.STRICT:
+                for event in events:
+                    self._clock += 1
+                    record = self._strict.ingest(event)
+                    counters.accepted.inc()
+                    if record is not None:
+                        counters.records.inc()
+                        self.report.records.append(record)
+                        out.append(record)
+            else:
+                reap = self.max_idle_events is not None
+                for event in events:
+                    self._clock += 1
+                    record = self._ingest_lenient(event)
+                    if reap:
+                        self._reap_stale()
+                    if record is not None:
+                        out.append(record)
+        finally:
+            if self._clock != start:
+                counters.events.inc(self._clock - start)
+                counters.open_sessions.set(self.open_sessions)
+                if self.policy is not ErrorPolicy.STRICT:
+                    counters.parked_events.set(self._parked_total)
         return out
 
     def finalize(self) -> IngestReport:
@@ -327,10 +351,10 @@ class RobustSessionizer:
 
     def _ingest_lenient(self, event: object) -> Optional[ViewRecord]:
         sequence = self._clock - 1
-        if isinstance(event, SessionStart):
-            return self._on_start(event, sequence)
         if isinstance(event, Heartbeat):
             return self._on_beat(event, sequence)
+        if isinstance(event, SessionStart):
+            return self._on_start(event, sequence)
         if isinstance(event, SessionEnd):
             return self._on_end(event, sequence)
         self._quarantine(
@@ -480,7 +504,36 @@ class RobustSessionizer:
         Heartbeats normally validate at construction, but events that
         crossed a real transport — or a fault injector — may bypass
         that, so the pipeline re-checks every field it folds on.
+
+        A heartbeat of four finite in-range floats whose components fit
+        its interval is accepted at once; everything else takes
+        :meth:`_check_beat_fully`, the reference the fast accept is
+        tested against.
         """
+        playing = event.playing_seconds
+        rebuffering = event.rebuffering_seconds
+        interval = event.interval_seconds
+        bitrate = event.bitrate_kbps
+        if (
+            type(playing) is float
+            and type(rebuffering) is float
+            and type(interval) is float
+            and type(bitrate) is float
+            and 0.0 <= playing
+            and 0.0 <= rebuffering
+            and 0.0 < interval < math.inf
+            and 0.0 <= bitrate < math.inf
+            # Two non-negative components summing to at most a finite
+            # interval are finite too.
+            and playing + rebuffering <= interval + 1e-6
+        ):
+            return event
+        return self._check_beat_fully(event, sequence)
+
+    def _check_beat_fully(
+        self, event: Heartbeat, sequence: Optional[int] = None
+    ) -> Optional[Heartbeat]:
+        """Every check :meth:`_check_beat` makes, on any field types."""
         seq_no = self._clock - 1 if sequence is None else sequence
         problems: List[str] = []
         fixed: Dict[str, float] = {}

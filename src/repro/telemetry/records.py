@@ -16,9 +16,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, Field, dataclass, fields
 from datetime import date
-from typing import Any, Dict, Mapping, NoReturn, Optional, Tuple
+from operator import attrgetter, methodcaller
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    NoReturn,
+    Optional,
+    Tuple,
+)
 
 from repro.constants import ConnectionType, ContentType
 from repro.errors import DatasetError
@@ -98,17 +109,18 @@ class ViewRecord:
         return self.sdk_name is not None
 
     def to_json_dict(self) -> Dict[str, Any]:
-        """Serialize to plain JSON-compatible types."""
-        data = asdict(self)
-        data["snapshot"] = self.snapshot.isoformat()
-        data["content_type"] = self.content_type.value
-        data["connection"] = self.connection.value
-        data["cdn_names"] = list(self.cdn_names)
-        data["bitrate_ladder_kbps"] = list(self.bitrate_ladder_kbps)
+        """Serialize to plain JSON-compatible types, in field order.
+
+        The build is shallow: every field holds an immutable value, so
+        only dates, enums and tuples need a JSON form (:data:`_FIELDS`).
+        """
+        data = dict(zip(_NAMES, _VALUES(self)))
+        for name, encode in _ENCODERS:
+            data[name] = encode(data[name])
         return data
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        return _JSON_ENCODE(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "ViewRecord":
@@ -119,33 +131,11 @@ class ViewRecord:
         string, or a boolean weight raises :class:`DatasetError` instead
         of loading and failing later inside an analysis.
         """
-        _check_json_types(data)
+        values = _checked_values(data)
         try:
-            return cls(
-                snapshot=date.fromisoformat(data["snapshot"]),
-                publisher_id=data["publisher_id"],
-                url=data["url"],
-                device_model=data["device_model"],
-                os_name=data["os_name"],
-                cdn_names=tuple(data["cdn_names"]),
-                bitrate_ladder_kbps=tuple(
-                    float(b) for b in data["bitrate_ladder_kbps"]
-                ),
-                view_duration_hours=float(data["view_duration_hours"]),
-                avg_bitrate_kbps=float(data["avg_bitrate_kbps"]),
-                rebuffer_ratio=float(data["rebuffer_ratio"]),
-                content_type=ContentType(data["content_type"]),
-                video_id=data["video_id"],
-                weight=float(data.get("weight", 1.0)),
-                user_agent=data.get("user_agent"),
-                sdk_name=data.get("sdk_name"),
-                sdk_version=data.get("sdk_version"),
-                is_syndicated=data.get("is_syndicated", False),
-                owner_id=data.get("owner_id"),
-                isp=data.get("isp"),
-                geo=data.get("geo"),
-                connection=ConnectionType(data.get("connection", "wifi")),
-            )
+            for index, decode in _DECODERS:
+                values[index] = decode(values[index])
+            return cls(*values)
         except (KeyError, ValueError, TypeError) as exc:
             raise DatasetError(f"malformed view record: {exc}") from exc
 
@@ -167,62 +157,102 @@ _ABSENT = object()
 
 _STR = frozenset({str})
 _STR_OR_NULL = frozenset({str, type(None)})
+_LIST = frozenset({list})
 #: ``type`` is compared exactly, and JSON ``true`` decodes as ``bool``,
 #: so a boolean is not a number here.
 _NUMBER = frozenset({int, float})
 
-#: Every scalar field that is not an enum: its name, the value it takes
-#: when absent (``_ABSENT`` when it is required), the JSON types it may
-#: hold, and how an error says so.
-_SCALAR_FIELDS = (
-    ("snapshot", _ABSENT, _STR, "a string"),
-    ("publisher_id", _ABSENT, _STR, "a string"),
-    ("url", _ABSENT, _STR, "a string"),
-    ("device_model", _ABSENT, _STR, "a string"),
-    ("os_name", _ABSENT, _STR, "a string"),
-    ("video_id", _ABSENT, _STR, "a string"),
-    ("view_duration_hours", _ABSENT, _NUMBER, "a number"),
-    ("avg_bitrate_kbps", _ABSENT, _NUMBER, "a number"),
-    ("rebuffer_ratio", _ABSENT, _NUMBER, "a number"),
-    ("weight", 1.0, _NUMBER, "a number"),
-    ("is_syndicated", False, frozenset({bool}), "a boolean"),
-    ("user_agent", None, _STR_OR_NULL, "a string or null"),
-    ("sdk_name", None, _STR_OR_NULL, "a string or null"),
-    ("sdk_version", None, _STR_OR_NULL, "a string or null"),
-    ("owner_id", None, _STR_OR_NULL, "a string or null"),
-    ("isp", None, _STR_OR_NULL, "a string or null"),
-    ("geo", None, _STR_OR_NULL, "a string or null"),
+
+@dataclass(frozen=True)
+class _Codec:
+    """How a field of one declared type crosses the JSON boundary: the
+    JSON types its value may hold (and each item, for an array), how an
+    error names them, and the encode and decode steps (``None`` where
+    the value is its own JSON form)."""
+
+    allowed: FrozenSet[type]
+    expected: str
+    encode: Optional[Callable[[Any], Any]] = None
+    decode: Optional[Callable[[Any], Any]] = None
+    items: Optional[FrozenSet[type]] = None
+
+
+#: An enum member's value, read as a plain attribute; ``.value`` is a
+#: Python-level property and several times slower.
+_ENUM_VALUE = attrgetter("_value_")
+
+#: Codecs by the declared type of a :class:`ViewRecord` field.
+_CODECS = {
+    "date": _Codec(
+        _STR, "a string", methodcaller("isoformat"), date.fromisoformat
+    ),
+    "str": _Codec(_STR, "a string"),
+    "Optional[str]": _Codec(_STR_OR_NULL, "a string or null"),
+    "float": _Codec(_NUMBER, "a number", decode=float),
+    "bool": _Codec(frozenset({bool}), "a boolean"),
+    "ContentType": _Codec(_STR, "a string", _ENUM_VALUE, ContentType),
+    "ConnectionType": _Codec(_STR, "a string", _ENUM_VALUE, ConnectionType),
+    "Tuple[str, ...]": _Codec(
+        _LIST, "an array of strings", list, tuple, items=_STR
+    ),
+    "Tuple[float, ...]": _Codec(
+        _LIST, "an array of numbers", list,
+        lambda items: tuple(map(float, items)), items=_NUMBER,
+    ),
+}
+
+
+def _json_default(spec: Field) -> Any:
+    """The JSON value a field takes when absent (``_ABSENT`` if required)."""
+    if spec.default is MISSING:
+        return _ABSENT
+    encode = _CODECS[spec.type].encode
+    return encode(spec.default) if encode else spec.default
+
+
+#: The field table, in declaration order: each field's name, codec and
+#: JSON default.  It drives encode, decode and the load-side type checks.
+_FIELDS: Tuple[Tuple[str, _Codec, Any], ...] = tuple(
+    (spec.name, _CODECS[spec.type], _json_default(spec))
+    for spec in fields(ViewRecord)
 )
-_NAMES, _DEFAULTS, _ALLOWED, _EXPECTED = zip(*_SCALAR_FIELDS)
-
-#: Array fields and the JSON types of their items.
-_ARRAY_FIELDS = (
-    ("cdn_names", _STR, "an array of strings"),
-    ("bitrate_ladder_kbps", _NUMBER, "an array of numbers"),
+_NAMES = tuple(name for name, _, _ in _FIELDS)
+_VALUES = attrgetter(*_NAMES)
+_DEFAULTS = tuple(default for _, _, default in _FIELDS)
+_ALLOWED = tuple(codec.allowed for _, codec, _ in _FIELDS)
+_ENCODERS = tuple(
+    (name, codec.encode) for name, codec, _ in _FIELDS if codec.encode
 )
+_DECODERS = tuple(
+    (index, codec.decode)
+    for index, (_, codec, _) in enumerate(_FIELDS) if codec.decode
+)
+_ARRAYS = tuple(
+    (index, name, codec.items, codec.expected)
+    for index, (name, codec, _) in enumerate(_FIELDS) if codec.items
+)
+_JSON_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _check_json_types(data: Mapping[str, Any]) -> None:
-    """Raise :class:`DatasetError` naming the first field of a decoded
-    record that is missing or holds the wrong JSON type.
+def _checked_values(data: Mapping[str, Any]) -> List[Any]:
+    """A decoded record's JSON values in field order, or
+    :class:`DatasetError` naming the first field that is missing or
+    holds the wrong JSON type.
 
     A well-typed record is checked by ``map`` calls that loop in C;
     only a record that fails is searched field by field.
     """
-    values = tuple(map(data.get, _NAMES, _DEFAULTS))
+    values = list(map(data.get, _NAMES, _DEFAULTS))
     if not all(map(frozenset.__contains__, _ALLOWED, map(type, values))):
-        for name, value, allowed, expected in zip(
-            _NAMES, values, _ALLOWED, _EXPECTED
-        ):
-            if type(value) not in allowed:
-                _type_error(name, value, expected)
-    for name, allowed, expected in _ARRAY_FIELDS:
-        items = data.get(name, _ABSENT)
-        if type(items) is not list:
-            _type_error(name, items, expected)
+        for (name, codec, _), value in zip(_FIELDS, values):
+            if type(value) not in codec.allowed:
+                _type_error(name, value, codec.expected)
+    for index, name, allowed, expected in _ARRAYS:
+        items = values[index]
         if not allowed.issuperset(map(type, items)):
             bad = next(item for item in items if type(item) not in allowed)
             _type_error(name, bad, expected)
+    return values
 
 
 def _type_error(name: str, value: Any, expected: str) -> NoReturn:

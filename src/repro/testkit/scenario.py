@@ -35,6 +35,7 @@ from repro import figures, obs
 from repro.errors import ChaosError, TestkitError
 from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator, EcosystemResult
+from repro.telemetry.dataset import encode_lines
 from repro.telemetry.faults import FaultInjector, FaultMix
 from repro.telemetry.records import ViewRecord
 from repro.testkit.reference import RowDataset
@@ -225,12 +226,10 @@ class ScenarioRun:
 
     def dataset_bytes(self, variant: str = "base") -> bytes:
         """The exact uncompressed JSONL payload :meth:`Dataset.save`
-        writes for this variant's dataset (joined save batches)."""
+        writes for this variant's dataset."""
         cached = self._bytes.get(variant)
         if cached is None:
-            records = self._build(variant).dataset.records
-            payload = "\n".join(r.to_json() for r in records)
-            cached = (payload + "\n").encode("utf-8") if records else b""
+            cached = encode_lines(self._build(variant).dataset.records)
             self._bytes[variant] = cached
         return cached
 

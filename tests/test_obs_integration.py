@@ -312,6 +312,31 @@ class TestPipelineSpans:
         assert counters["columnar.classified"] == urls
 
 
+    def test_save_and_load_spans_count_records_and_bytes(
+        self, eco, global_obs, tmp_path
+    ):
+        dataset = Dataset(eco.dataset.records[:50])
+        path = tmp_path / "spans.jsonl.gz"
+        dataset.save(path)
+        assert len(Dataset.load(path)) == 50
+        spans = {
+            s.name: s
+            for s in global_obs.tracer.finished
+            if s.name in ("dataset.save", "dataset.load")
+        }
+        written = {"records": 50, "bytes": path.stat().st_size}
+        assert spans["dataset.save"].attrs == written
+        assert spans["dataset.load"].attrs == written
+
+    def test_save_and_load_record_nothing_when_disabled(self, eco, tmp_path):
+        assert not obs.enabled()
+        before = len(obs.tracer().finished)
+        path = tmp_path / "quiet.jsonl"
+        Dataset(eco.dataset.records[:50]).save(path)
+        Dataset.load(path)
+        assert len(obs.tracer().finished) == before
+
+
 # ---------------------------------------------------------------------------
 # Obs must be invisible: byte-identical output on vs off
 # ---------------------------------------------------------------------------
@@ -410,6 +435,20 @@ class TestCliObs:
         assert "synthesis.generate" in err
         assert "  synthesis.snapshot" in err  # indented: nested span
         assert "figure.run" in err
+
+    def test_generate_trace_prints_the_save(self, capsys, global_obs, tmp_path):
+        path = tmp_path / "traced.jsonl.gz"
+        exit_code = cli.main(
+            [
+                "generate", "--out", str(path), "--trace",
+                "--snapshots", "2", "--publishers", "24",
+            ]
+        )
+        assert exit_code == 0
+        err = capsys.readouterr().err
+        assert "synthesis.generate" in err
+        assert f"bytes={path.stat().st_size}" in err
+        assert "dataset.save" in err
 
     def test_figures_run_trace_prints_column_builds(self, capsys, global_obs):
         exit_code = cli.main(

@@ -18,6 +18,8 @@ from repro.parallel import (
     parse_jobs,
     spawn_streams,
 )
+from repro.synthesis.calibration import EcosystemConfig
+from repro.synthesis.generator import EcosystemGenerator
 
 pytestmark = pytest.mark.perf
 
@@ -119,3 +121,20 @@ class TestSpawnStreams:
     def test_negative_count_rejected(self):
         with pytest.raises(ParallelError):
             spawn_streams(7, -1)
+
+
+class TestGeneratorJobs:
+    """``EcosystemGenerator.generate`` checks ``jobs`` through
+    :func:`parse_jobs`, like every other fan-out entry point."""
+
+    CONFIG = EcosystemConfig(seed=2018, snapshot_limit=2, n_publishers=20)
+
+    @pytest.mark.parametrize("bad", [0, -2, True, 1.5, "two"])
+    def test_bad_jobs_raise_parallel_error(self, bad):
+        with pytest.raises(ParallelError):
+            EcosystemGenerator(self.CONFIG).generate(jobs=bad)
+
+    def test_integer_string_is_accepted(self):
+        by_string = EcosystemGenerator(self.CONFIG).generate(jobs=" 1 ")
+        by_int = EcosystemGenerator(self.CONFIG).generate(jobs=1)
+        assert by_string.dataset.records == by_int.dataset.records

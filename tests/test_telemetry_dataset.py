@@ -1,5 +1,6 @@
 """The Dataset container (repro.telemetry.dataset)."""
 
+import gzip
 import json
 import math
 from datetime import date
@@ -8,7 +9,7 @@ import pytest
 
 from repro.constants import ContentType
 from repro.errors import DatasetError
-from repro.telemetry.dataset import Dataset
+from repro.telemetry.dataset import Dataset, encode_lines
 from tests.test_telemetry_records import make_record
 
 
@@ -142,6 +143,19 @@ class TestPersistence:
         small_dataset.save(plain)
         small_dataset.save(compressed)
         assert compressed.stat().st_size < plain.stat().st_size
+
+    def test_gzip_bytes_do_not_depend_on_name_or_time(
+        self, small_dataset, tmp_path
+    ):
+        first = tmp_path / "first.jsonl.gz"
+        second = tmp_path / "renamed-copy.jsonl.gz"
+        small_dataset.save(first)
+        small_dataset.save(second)
+        data = first.read_bytes()
+        assert second.read_bytes() == data
+        # Header: magic, deflate, no FNAME flag, MTIME zero.
+        assert data[:8] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00"
+        assert gzip.decompress(data) == encode_lines(small_dataset.records)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError):

@@ -8,10 +8,14 @@ not touch fold to exactly the records a clean run produces.
 
 from datetime import date
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.constants import ContentType
 from repro.errors import DatasetError, IngestError
+from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.events import (
     Heartbeat,
     SessionEnd,
@@ -487,3 +491,121 @@ class TestFaultInjectorDeterminism:
             FaultMix(drop=0.8, duplicate=0.5)
         with pytest.raises(DatasetError):
             FaultMix(drop=-0.1)
+
+
+def _state(pipeline, registry):
+    """Everything a caller can observe of a pipeline between calls."""
+    report = pipeline.report
+    return (
+        report.summary(),
+        [
+            (letter.reason, letter.detail, letter.sequence, letter.event)
+            for letter in report.dead_letters
+        ],
+        list(report.records),
+        registry.snapshot(),
+    )
+
+
+@pytest.mark.robustness
+class TestBatchInvariance:
+    """Counts, gauges, dead letters and records are exact at every call
+    boundary, so they cannot depend on how a stream is split into calls."""
+
+    CHUNK = 37
+
+    @staticmethod
+    def _pipeline(policy):
+        registry = MetricsRegistry()
+        pipeline = RobustSessionizer(
+            policy, reorder_buffer=8, max_idle_events=6, metrics=registry
+        )
+        return pipeline, registry
+
+    @pytest.mark.parametrize(
+        "policy", [ErrorPolicy.QUARANTINE, ErrorPolicy.REPAIR]
+    )
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_single_chunked_and_run_agree(self, clean_events, policy, seed):
+        events = FaultInjector(FaultMix.uniform(0.3), seed=seed).apply(
+            clean_events
+        )
+        single, single_registry = self._pipeline(policy)
+        chunked, chunked_registry = self._pipeline(policy)
+        for start in range(0, len(events), self.CHUNK):
+            chunk = events[start:start + self.CHUNK]
+            folded = [r for r in map(single.ingest, chunk) if r is not None]
+            assert chunked.ingest_many(chunk) == folded
+            assert _state(chunked, chunked_registry) == _state(
+                single, single_registry
+            )
+        whole, whole_registry = self._pipeline(policy)
+        whole.run(events)
+        single.finalize()
+        chunked.finalize()
+        expected = _state(whole, whole_registry)
+        assert _state(single, single_registry) == expected
+        assert _state(chunked, chunked_registry) == expected
+        # The stream reached the lenient paths and the reaper.
+        assert whole.report.dead_letters and whole.report.reaped
+
+    def test_strict_abort_keeps_counts_of_the_failing_call(self):
+        registry = MetricsRegistry()
+        pipeline = RobustSessionizer(ErrorPolicy.STRICT, metrics=registry)
+        pipeline.ingest_many([_start("a"), _beat("a")])
+        with pytest.raises(DatasetError):
+            pipeline.ingest_many([_beat("a"), _beat("ghost"), _beat("a")])
+        snapshot = registry.snapshot()
+        assert snapshot["counters"]["ingest.events"] == 4.0
+        assert snapshot["counters"]["ingest.accepted"] == 3.0
+        assert snapshot["gauges"]["ingest.open_sessions"] == 1.0
+
+
+#: Heartbeat field values of every type a transport might deliver.
+_TIMINGS = st.one_of(
+    st.floats(min_value=0.0, max_value=40.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-5, max_value=10**6),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+
+
+@pytest.mark.robustness
+class TestFastAccept:
+    """``_check_beat``'s fast accept takes only heartbeats the full check
+    accepts unchanged; on everything else the two are the same check."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.tuples(_TIMINGS, _TIMINGS, _TIMINGS, _TIMINGS),
+        st.sampled_from([ErrorPolicy.QUARANTINE, ErrorPolicy.REPAIR]),
+    )
+    @example((10.0, 10.0, 20.0 - 5e-7, 600.0), ErrorPolicy.QUARANTINE)
+    @example((10.0, 10.0, 20.0 - 2e-6, 600.0), ErrorPolicy.QUARANTINE)
+    @example((-0.0, 0.0, 5e-324, 0.0), ErrorPolicy.REPAIR)
+    @example((1e308, 1e308, 1.5e308, 1.0), ErrorPolicy.REPAIR)
+    @example((18.0, 2.0, 20.0, True), ErrorPolicy.QUARANTINE)
+    @example((np.float64(18.0), 2.0, 20.0, 600.0), ErrorPolicy.QUARANTINE)
+    def test_matches_the_full_check(self, timings, policy):
+        playing, rebuffering, interval, bitrate = timings
+        beat = corrupt_heartbeat(
+            _beat(),
+            playing_seconds=playing,
+            rebuffering_seconds=rebuffering,
+            interval_seconds=interval,
+            bitrate_kbps=bitrate,
+        )
+        fast, full = RobustSessionizer(policy), RobustSessionizer(policy)
+        got = fast._check_beat(beat, 0)
+        want = full._check_beat_fully(beat, 0)
+        if got is beat:
+            assert want is beat
+        assert got == want
+        assert fast.report.dead_letters == full.report.dead_letters
+        assert (
+            fast.report.counters.registry.snapshot()
+            == full.report.counters.registry.snapshot()
+        )

@@ -1,9 +1,13 @@
 """View records and their serialization (repro.telemetry.records)."""
 
+import dataclasses
+import json
 import math
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constants import ConnectionType, ContentType
 from repro.errors import DatasetError
@@ -142,3 +146,70 @@ class TestSerialization:
         data = make_record().to_json_dict()
         record = ViewRecord.from_json_dict(data)
         assert record.bitrate_ladder_kbps == (150.0, 600.0, 2400.0)
+
+
+def reference_json(record):
+    """The line encoding through ``dataclasses.asdict``: a deep copy of
+    every field, then the JSON form of dates, enums and tuples."""
+    data = dataclasses.asdict(record)
+    data["snapshot"] = record.snapshot.isoformat()
+    data["content_type"] = record.content_type.value
+    data["connection"] = record.connection.value
+    data["cdn_names"] = list(record.cdn_names)
+    data["bitrate_ladder_kbps"] = list(record.bitrate_ladder_kbps)
+    return json.dumps(data, separators=(",", ":"))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_optional_text = st.none() | st.text(max_size=8)
+_records = st.builds(
+    ViewRecord,
+    snapshot=st.dates(),
+    publisher_id=st.text(min_size=1, max_size=8),
+    url=st.text(min_size=1, max_size=12),
+    device_model=st.text(max_size=8),
+    os_name=st.text(max_size=8),
+    cdn_names=st.lists(
+        st.text(min_size=1, max_size=3), min_size=1, max_size=4
+    ).map(tuple),
+    bitrate_ladder_kbps=st.lists(_finite, max_size=5).map(tuple),
+    view_duration_hours=st.floats(min_value=0.0, max_value=1e6),
+    avg_bitrate_kbps=st.floats(min_value=0.0, max_value=1e6),
+    rebuffer_ratio=st.floats(min_value=0.0, max_value=1.0),
+    content_type=st.sampled_from(ContentType),
+    video_id=st.text(max_size=8),
+    weight=st.integers(min_value=1, max_value=500)
+    | st.floats(min_value=1e-9, max_value=1e9),
+    user_agent=_optional_text,
+    sdk_name=_optional_text,
+    sdk_version=_optional_text,
+    is_syndicated=st.booleans(),
+    owner_id=_optional_text,
+    isp=_optional_text,
+    geo=_optional_text,
+    connection=st.sampled_from(ConnectionType),
+)
+
+
+@pytest.mark.robustness
+class TestCodecReference:
+    """The field-table codec writes the lines ``asdict`` wrote."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_records)
+    def test_to_json_matches_the_asdict_reference(self, record):
+        assert record.to_json() == reference_json(record)
+        assert ViewRecord.from_json(record.to_json()) == record
+
+    def test_edge_shapes(self):
+        for record in (
+            make_record(bitrate_ladder_kbps=()),
+            make_record(cdn_names=("A", "B", "C")),
+            make_record(sdk_name=None, sdk_version=None, user_agent=None),
+            make_record(owner_id="pub_000", isp="X", geo="CA", weight=7),
+        ):
+            assert record.to_json() == reference_json(record)
+
+    def test_synthesized_records(self, dataset):
+        for record in dataset.records[::97]:
+            assert record.to_json() == reference_json(record)
