@@ -10,13 +10,18 @@ owner's copies).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 from repro.delivery.origin import OriginServer
 from repro.errors import AnalysisError
 from repro.synthesis import calibration as cal
 from repro.synthesis.syndication import CaseStudy
 from repro.units import bytes_to_tb
+
+#: Dedup tolerances of the Fig 18 ablation, around the paper's 5% and 10%.
+SWEEP_TOLERANCES = (0.0, 0.02, 0.05, 0.08, 0.10, 0.15, 0.20)
+
+Server = TypeVar("Server")
 
 
 @dataclass(frozen=True)
@@ -33,19 +38,23 @@ class StorageSavings:
     saved_pct_integrated: float
 
 
-def build_case_origins(case_study: CaseStudy) -> Dict[str, OriginServer]:
+def build_case_origins(
+    case_study: CaseStudy,
+    server: Callable[[str], Server] = OriginServer,
+) -> Dict[str, Server]:
     """Push the case-study catalogue to every CDN its publishers use.
 
     The owner pushes to the common CDNs; each storage-study syndicator
     pushes to the common CDNs plus its own extra CDN, mirroring the
     paper's placement (owner on A+B; one syndicator also on C, the
-    other also on D).
+    other also on D).  ``server`` makes each origin from its CDN name;
+    the ``origin-vs-reference`` oracle passes the reference server.
     """
-    origins: Dict[str, OriginServer] = {}
+    origins: Dict[str, Server] = {}
 
-    def origin(cdn_name: str) -> OriginServer:
+    def origin(cdn_name: str) -> Server:
         if cdn_name not in origins:
-            origins[cdn_name] = OriginServer(cdn_name)
+            origins[cdn_name] = server(cdn_name)
         return origins[cdn_name]
 
     owner_ladder = case_study.ladder("O")
@@ -97,7 +106,7 @@ def figure18(case_study: CaseStudy) -> List[StorageSavings]:
 
 def tolerance_sweep(
     case_study: CaseStudy,
-    tolerances: Sequence[float] = (0.0, 0.02, 0.05, 0.08, 0.10, 0.15, 0.20),
+    tolerances: Sequence[float] = SWEEP_TOLERANCES,
 ) -> List[Tuple[float, float]]:
     """Ablation: savings percentage as a function of dedup tolerance.
 

@@ -7,7 +7,7 @@ CDN uses anycast.  §6's storage-redundancy study runs against the
 origin model here.
 """
 
-from repro.delivery.origin import OriginServer, StoredRendition
+from repro.delivery.origin import OriginServer
 from repro.delivery.edge import EdgeCache
 from repro.delivery.multicdn import (
     CdnBroker,
@@ -20,7 +20,6 @@ from repro.delivery.edgesim import EdgeSyndicationStudy, EdgeStudyResult
 
 __all__ = [
     "OriginServer",
-    "StoredRendition",
     "EdgeCache",
     "CdnBroker",
     "FailoverOutcome",

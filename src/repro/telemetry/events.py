@@ -125,7 +125,10 @@ class Sessionizer:
                 )
             # Fold BEFORE popping: a fold failure (e.g. no heartbeats)
             # must leave the session recoverable, not destroy it.
-            record = self._fold(start, self._beats.get(event.session_id, ()))
+            beats = self._beats.get(event.session_id, ())
+            record = self._fold(
+                start, beats, sum(b.playing_seconds for b in beats)
+            )
             del self._open[event.session_id]
             self._beats.pop(event.session_id, None)
             if self._retain_records:
@@ -149,13 +152,18 @@ class Sessionizer:
 
     @staticmethod
     def _fold(
-        start: SessionStart, beats: Sequence[Heartbeat]
+        start: SessionStart, beats: Sequence[Heartbeat], playing: float
     ) -> ViewRecord:
+        """One record from a session's beats.
+
+        ``playing`` is ``sum(b.playing_seconds for b in beats)``.  The
+        lenient callers need it first to vet the session, so each
+        caller sums it once and passes it in.
+        """
         if not beats:
             raise DatasetError(
                 f"session {start.session_id!r} ended without heartbeats"
             )
-        playing = sum(b.playing_seconds for b in beats)
         rebuffering = sum(b.rebuffering_seconds for b in beats)
         if playing <= 0:
             raise DatasetError(

@@ -433,7 +433,8 @@ class RobustSessionizer:
             return None
         record = self._try_fold(sid, end=event, sequence=sequence)
         if record is not None:
-            self._accept(sid)
+            # The fold closed the session: count the end, track nothing.
+            self._counters.accepted.inc()
             self._counters.records.inc()
             self.report.records.append(record)
         return record
@@ -443,8 +444,15 @@ class RobustSessionizer:
     # ------------------------------------------------------------------
 
     def _accept(self, sid: Optional[str]) -> None:
+        """Count an accepted event of an open session.
+
+        Only the reaper reads ``_last_seen``, so it is kept only when
+        the reaper runs, and in last-seen order: a session seen again
+        moves to the end, and the reaper reads the stalest first.
+        """
         self._counters.accepted.inc()
-        if sid is not None:
+        if sid is not None and self.max_idle_events is not None:
+            self._last_seen.pop(sid, None)
             self._last_seen[sid] = self._clock
 
     def _quarantine(
@@ -600,7 +608,8 @@ class RobustSessionizer:
                 sequence=sequence,
             )
             return None
-        if sum(b.playing_seconds for b in beats) <= 0:
+        playing = sum(b.playing_seconds for b in beats)
+        if playing <= 0:
             self._close(sid)
             self._quarantine(
                 end, RejectReason.NO_PLAYBACK,
@@ -609,7 +618,7 @@ class RobustSessionizer:
             )
             return None
         try:
-            record = Sessionizer._fold(start, beats)
+            record = Sessionizer._fold(start, beats, playing)
         except DatasetError as exc:
             self._close(sid)
             self._quarantine(
@@ -634,11 +643,12 @@ class RobustSessionizer:
 
     def _reap_stale(self) -> None:
         assert self.max_idle_events is not None
-        stale = [
-            sid
-            for sid, last in self._last_seen.items()
-            if sid in self._open and self._clock - last > self.max_idle_events
-        ]
+        # ``_last_seen`` holds the open sessions, stalest first.
+        stale = []
+        for sid, last in self._last_seen.items():
+            if self._clock - last <= self.max_idle_events:
+                break
+            stale.append(sid)
         for sid in sorted(stale):
             self._reap_session(
                 sid, f"idle for more than {self.max_idle_events} events"
@@ -656,13 +666,14 @@ class RobustSessionizer:
             policy=self.policy.value,
             heartbeats=len(beats),
         )
-        if (
-            self.policy is ErrorPolicy.REPAIR
-            and beats
-            and sum(b.playing_seconds for b in beats) > 0
-        ):
+        playing = (
+            sum(b.playing_seconds for b in beats)
+            if self.policy is ErrorPolicy.REPAIR and beats
+            else 0.0
+        )
+        if playing > 0:
             try:
-                record = Sessionizer._fold(start, beats)
+                record = Sessionizer._fold(start, beats, playing)
             except DatasetError as exc:
                 self._close(sid)
                 self._quarantine(

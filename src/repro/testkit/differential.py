@@ -17,6 +17,7 @@ from typing import List
 import numpy as np
 
 from repro.constants import HTTP_ADAPTIVE_PROTOCOLS, ContentType, Protocol
+from repro.core.storage import SWEEP_TOLERANCES, build_case_origins
 from repro.delivery.network import default_isp_profiles
 from repro.entities.ladder import BitrateLadder
 from repro.entities.video import Video
@@ -37,6 +38,7 @@ from repro.telemetry.ingest import (
 )
 from repro.testkit.oracles import Check, Skip, oracle
 from repro.testkit.reference import (
+    ReferenceOriginServer,
     RowDataset,
     ScalarSessionSampler,
     simulate_session_scalar,
@@ -357,6 +359,41 @@ def synthesis_vs_scalar(run: ScenarioRun, check: Check) -> str:
     return (
         f"{total} records over {n_snapshots} snapshots equal the "
         "per-record loop, generator state included"
+    )
+
+
+@oracle(
+    "differential",
+    "origin-vs-reference",
+    "Fig 18's origin accounting equals the per-rendition reference exactly",
+)
+def origin_vs_reference(run: ScenarioRun, check: Check) -> str:
+    """The case-study origins, built by both servers, on every CDN.
+
+    Savings at each tolerance of the Fig 18 sweep and under integrated
+    syndication must be the same floats, not merely close ones.
+    """
+    case_study = run.result.case_study
+    check.that(case_study is not None, "scenario built no case study")
+    fast = build_case_origins(case_study)
+    reference = build_case_origins(case_study, ReferenceOriginServer)
+    check.equal(sorted(fast), sorted(reference), "CDN set")
+    for cdn_name, origin in sorted(fast.items()):
+        expected = reference[cdn_name]
+        for tolerance in SWEEP_TOLERANCES:
+            check.equal(
+                origin.savings(tolerance),
+                expected.savings(tolerance),
+                f"CDN {cdn_name} savings at tolerance {tolerance}",
+            )
+        check.equal(
+            origin.integrated_savings(case_study.owner_id),
+            expected.integrated_savings(case_study.owner_id),
+            f"CDN {cdn_name} integrated savings",
+        )
+    return (
+        f"{len(fast)} case-study origins save the same bytes at "
+        f"{len(SWEEP_TOLERANCES)} tolerances and under integration"
     )
 
 

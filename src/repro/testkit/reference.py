@@ -27,15 +27,24 @@ rounds run a program compiled once per scope.
 :class:`ReferenceEffectAnalysis` and :func:`reference_call_graph`
 re-walk the trees in every pass instead, and the analysis suite's
 differential test requires equal effects, graphs and findings.
+
+:class:`~repro.delivery.origin.OriginServer` keeps one size matrix per
+push and groups near-duplicate renditions once per shared ladder;
+:class:`ReferenceOriginServer` stores one :class:`StoredRendition` per
+(title, rung) and groups each video's renditions on its own.  The
+``origin-vs-reference`` oracle and the Hypothesis differential in
+``tests/test_delivery_origin.py`` compare every figure with ``==``.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+from dataclasses import dataclass
 from datetime import date
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+    Tuple,
 )
 
 import numpy as np
@@ -67,6 +76,7 @@ from repro.delivery.network import NetworkPath
 from repro.entities.device import Device
 from repro.entities.ladder import BitrateLadder
 from repro.entities.publisher import Publisher, PublisherProfile
+from repro.entities.video import Catalogue
 from repro.errors import DatasetError, DeliveryError
 from repro.lint.rules.common import dotted_name
 from repro.packaging.manifest.detect import sample_manifest_url
@@ -83,6 +93,7 @@ from repro.synthesis.sessions import (
 from repro.telemetry.columnar import ColumnKey, ColumnRef, Entries
 from repro.telemetry.dataset import Dataset, GroupKey
 from repro.telemetry.records import ViewRecord
+from repro.units import rendition_bytes
 
 
 def chunk_throughputs_per_chunk(
@@ -921,10 +932,153 @@ class ReferenceEffectAnalysis(EffectAnalysis):
         return returns, sinks
 
 
+@dataclass(frozen=True)
+class StoredRendition:
+    """One rendition of one video pushed by one publisher."""
+
+    publisher_id: str
+    video_id: str
+    bitrate_kbps: float
+    size_bytes: float
+
+    def __post_init__(self) -> None:
+        if self.bitrate_kbps <= 0:
+            raise DeliveryError("stored bitrate must be positive")
+        if self.size_bytes < 0:
+            raise DeliveryError("stored size must be non-negative")
+
+
+class ReferenceOriginServer:
+    """The per-rendition reference for
+    :class:`~repro.delivery.origin.OriginServer`.
+
+    Every push checks its keys against a set rebuilt from every stored
+    rendition, and every figure regroups the renditions by video and
+    sorts each video's own.
+    """
+
+    def __init__(self, cdn_name: str) -> None:
+        if not cdn_name:
+            raise DeliveryError("origin needs a CDN name")
+        self.cdn_name = cdn_name
+        self._stored: List[StoredRendition] = []
+
+    def push_catalogue(
+        self,
+        publisher_id: str,
+        catalogue: Catalogue,
+        ladder: BitrateLadder,
+    ) -> float:
+        existing = {
+            (s.publisher_id, s.video_id, s.bitrate_kbps)
+            for s in self._stored
+        }
+        added = 0.0
+        new_items: List[StoredRendition] = []
+        for video in catalogue:
+            for rendition in ladder:
+                key = (publisher_id, video.video_id, rendition.bitrate_kbps)
+                if key in existing:
+                    raise DeliveryError(
+                        f"{publisher_id} already pushed {video.video_id} "
+                        f"@ {rendition.bitrate_kbps} kbps to {self.cdn_name}"
+                    )
+                size = rendition_bytes(
+                    rendition.bitrate_kbps, video.duration_seconds
+                )
+                new_items.append(
+                    StoredRendition(
+                        publisher_id=publisher_id,
+                        video_id=video.video_id,
+                        bitrate_kbps=rendition.bitrate_kbps,
+                        size_bytes=size,
+                    )
+                )
+                added += size
+        self._stored.extend(new_items)
+        return added
+
+    @property
+    def publishers(self) -> Set[str]:
+        return {s.publisher_id for s in self._stored}
+
+    def total_bytes(self) -> float:
+        return sum(s.size_bytes for s in self._stored)
+
+    def deduplicated_bytes(self, tolerance: float) -> float:
+        if tolerance < 0:
+            raise DeliveryError("tolerance must be non-negative")
+        kept = 0.0
+        for renditions in self._by_video().values():
+            kept += _kept_bytes_after_dedup(renditions, tolerance)
+        return kept
+
+    def savings(self, tolerance: float) -> Tuple[float, float]:
+        total = self.total_bytes()
+        if total <= 0:
+            raise DeliveryError("origin is empty")
+        deduped = self.deduplicated_bytes(tolerance)
+        saved = total - deduped
+        return saved, 100.0 * saved / total
+
+    def integrated_bytes(self, owner_id: str) -> float:
+        kept = 0.0
+        for renditions in self._by_video().values():
+            owner_copies = [
+                s for s in renditions if s.publisher_id == owner_id
+            ]
+            if owner_copies:
+                kept += sum(s.size_bytes for s in owner_copies)
+            else:
+                kept += _kept_bytes_after_dedup(renditions, 0.0)
+        return kept
+
+    def integrated_savings(self, owner_id: str) -> Tuple[float, float]:
+        total = self.total_bytes()
+        if total <= 0:
+            raise DeliveryError("origin is empty")
+        kept = self.integrated_bytes(owner_id)
+        saved = total - kept
+        return saved, 100.0 * saved / total
+
+    def _by_video(self) -> Dict[str, List[StoredRendition]]:
+        groups: Dict[str, List[StoredRendition]] = {}
+        for stored in self._stored:
+            groups.setdefault(stored.video_id, []).append(stored)
+        return groups
+
+
+def _kept_bytes_after_dedup(
+    renditions: Sequence[StoredRendition], tolerance: float
+) -> float:
+    """Greedy near-duplicate grouping for one video's renditions."""
+    ordered = sorted(renditions, key=lambda s: s.bitrate_kbps)
+    kept = 0.0
+    group_rep: Optional[float] = None
+    group_max_bytes = 0.0
+    for stored in ordered:
+        if group_rep is None:
+            group_rep = stored.bitrate_kbps
+            group_max_bytes = stored.size_bytes
+            continue
+        gap = abs(stored.bitrate_kbps - group_rep)
+        if gap <= tolerance * group_rep:
+            group_max_bytes = max(group_max_bytes, stored.size_bytes)
+        else:
+            kept += group_max_bytes
+            group_rep = stored.bitrate_kbps
+            group_max_bytes = stored.size_bytes
+    if group_rep is not None:
+        kept += group_max_bytes
+    return kept
+
+
 __all__ = [
     "ReferenceEffectAnalysis",
+    "ReferenceOriginServer",
     "RowDataset",
     "ScalarSessionSampler",
+    "StoredRendition",
     "chunk_throughputs_per_chunk",
     "reference_call_graph",
     "sample_video_index_searchsorted",

@@ -1,11 +1,16 @@
 """Origin storage and dedup (repro.delivery.origin) — the Fig 18 engine."""
 
-import pytest
+from itertools import combinations
 
-from repro.delivery.origin import OriginServer, StoredRendition
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.delivery.origin import OriginServer
 from repro.entities.ladder import BitrateLadder
 from repro.entities.video import Catalogue, Video
 from repro.errors import DeliveryError
+from repro.testkit.reference import ReferenceOriginServer, StoredRendition
 
 
 @pytest.fixture
@@ -168,3 +173,77 @@ class TestStoredRendition:
             StoredRendition("p", "v", 0, 10)
         with pytest.raises(DeliveryError):
             StoredRendition("p", "v", 100, -1)
+
+
+# Bitrates on a 100 kbps grid meet exactly and sit on 5% and 10% group
+# boundaries; off-grid ones fall between them.
+_RATES = st.one_of(
+    st.integers(min_value=1, max_value=40).map(lambda k: 100.0 * k),
+    st.floats(min_value=50.0, max_value=4_000.0),
+)
+_LADDERS = st.lists(_RATES, min_size=1, max_size=5, unique=True).map(
+    BitrateLadder.from_bitrates
+)
+# Each publisher's catalogue holds some of six titles, at its own
+# durations: catalogues overlap in part, and a shared title's copies
+# differ in size.
+_CATALOGUES = st.lists(
+    st.tuples(
+        st.sampled_from([f"v{i}" for i in range(6)]),
+        st.floats(min_value=1.0, max_value=10_000.0),
+    ),
+    max_size=6,
+    unique_by=lambda pair: pair[0],
+).map(lambda pairs: Catalogue("c", [Video(v, d) for v, d in pairs]))
+_PUSHES = st.lists(
+    st.tuples(st.sampled_from(("owner", "s1", "s2")), _CATALOGUES, _LADDERS),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _push_both(fast, reference, push):
+    """Push to both servers: equal bytes added, or the same error."""
+    try:
+        expected = reference.push_catalogue(*push)
+    except DeliveryError as exc:
+        with pytest.raises(DeliveryError) as raised:
+            fast.push_catalogue(*push)
+        assert str(raised.value) == str(exc)
+        return False
+    assert fast.push_catalogue(*push) == expected
+    return True
+
+
+class TestReferenceDifferential:
+    """The matrix server returns the per-rendition reference's floats."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_PUSHES)
+    def test_every_figure_equals_the_reference(self, pushes):
+        fast, reference = OriginServer("A"), ReferenceOriginServer("A")
+        stored = []
+        for push in pushes:
+            if _push_both(fast, reference, push) and len(push[1]):
+                stored.append(push)
+            assert fast.total_bytes() == reference.total_bytes()
+        assert fast.publishers == reference.publishers
+        if stored:
+            before = (fast.total_bytes(), fast.deduplicated_bytes(0.05))
+            assert not _push_both(fast, reference, stored[0])
+            assert (
+                fast.total_bytes(), fast.deduplicated_bytes(0.05)
+            ) == before
+        rates = sorted(
+            {kbps for _, _, ladder in pushes for kbps in ladder.bitrates_kbps}
+        )
+        # (b - a) / a puts b on the boundary of a group that a starts.
+        boundaries = {(b - a) / a for a, b in combinations(rates, 2)}
+        for tolerance in sorted({0.0, 0.05, 0.10} | boundaries):
+            assert fast.deduplicated_bytes(
+                tolerance
+            ) == reference.deduplicated_bytes(tolerance), tolerance
+        for owner_id in ("owner", "nobody"):
+            assert fast.integrated_bytes(
+                owner_id
+            ) == reference.integrated_bytes(owner_id), owner_id

@@ -58,7 +58,7 @@ QOE_GOLDEN_PATH = Path(__file__).parent / "golden" / "qoe_seed2018_s6.json"
 #: cells (NaN is not valid JSON).
 GOLDEN_FIGURES = (
     "T1", "F2a", "F2b", "F2c", "F3a", "F3c", "F6a", "F7",
-    "F9a", "F11a", "F11b", "F12a", "S41R",
+    "F9a", "F11a", "F11b", "F12a", "F18", "S41R",
 )
 
 #: Playback-simulated figures, pinned bit-exact: the batched session

@@ -609,3 +609,80 @@ class TestFastAccept:
             fast.report.counters.registry.snapshot()
             == full.report.counters.registry.snapshot()
         )
+
+
+def _interleaved(events, width=5):
+    """The stream's sessions round-robined ``width`` at a time, so that
+    each waits on the others and several go idle together."""
+    sessions = {}
+    for event in events:
+        sessions.setdefault(event.session_id, []).append(event)
+    queues = list(sessions.values())
+    out = []
+    for first in range(0, len(queues), width):
+        group = [list(queue) for queue in queues[first:first + width]]
+        while any(group):
+            for queue in group:
+                if queue:
+                    out.append(queue.pop(0))
+    return out
+
+
+class _ScanningReaper(RobustSessionizer):
+    """The reaper as first written: after every event, scan every
+    tracked session and reap the idle ones that are still open."""
+
+    def _reap_stale(self):
+        stale = [
+            sid
+            for sid, last in self._last_seen.items()
+            if sid in self._open and self._clock - last > self.max_idle_events
+        ]
+        for sid in sorted(stale):
+            self._reap_session(
+                sid, f"idle for more than {self.max_idle_events} events"
+            )
+
+
+@pytest.mark.robustness
+class TestReaper:
+    """``_last_seen`` holds the open sessions, stalest first, so the
+    reaper stops at the first session that is not yet idle."""
+
+    @pytest.mark.parametrize(
+        "policy", [ErrorPolicy.QUARANTINE, ErrorPolicy.REPAIR]
+    )
+    @pytest.mark.parametrize("max_idle", [1, 3, 6, 40])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_reaps_what_a_full_scan_reaps(
+        self, clean_events, policy, max_idle, seed
+    ):
+        events = FaultInjector(FaultMix.uniform(0.3), seed=seed).apply(
+            _interleaved(clean_events)
+        )
+        states = []
+        for kind in (RobustSessionizer, _ScanningReaper):
+            registry = MetricsRegistry()
+            pipeline = kind(
+                policy, reorder_buffer=8, max_idle_events=max_idle,
+                metrics=registry,
+            )
+            pipeline.run(events)
+            states.append(_state(pipeline, registry))
+        assert states[0] == states[1]
+        if max_idle < 6:
+            assert pipeline.report.reaped
+
+    def test_last_seen_holds_only_open_sessions(
+        self, clean_records, clean_events
+    ):
+        pipeline = RobustSessionizer(
+            ErrorPolicy.QUARANTINE, max_idle_events=10**9
+        )
+        events = _interleaved(clean_events)
+        for start in range(0, len(events), 25):
+            pipeline.ingest_many(events[start:start + 25])
+            assert set(pipeline._last_seen) == set(pipeline._open)
+        pipeline.run(())
+        assert pipeline._last_seen == {}
+        assert len(pipeline.report.records) == len(clean_records)
