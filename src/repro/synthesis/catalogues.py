@@ -79,7 +79,9 @@ def sample_video_index(rng: np.random.Generator, cdf: Sequence[float]) -> int:
     ``cdf`` is the catalogue's :func:`zipf_cdf`.  One ``rng.random()``
     (the double ``rng.uniform()`` returns) located with ``bisect_left``,
     the search ``np.searchsorted(cdf, u, side="left")`` makes; a
-    one-title catalogue draws nothing.
+    one-title catalogue draws nothing.  The snapshot sampler makes the
+    same search over one vector of doubles per publisher; its
+    per-record reference calls this function.
     """
     if len(cdf) <= 1:
         return 0

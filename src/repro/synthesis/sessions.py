@@ -7,9 +7,11 @@ calibrated time-varying weights, and emits weighted view records with
 realistic URLs, devices, SDK versions, CDNs, durations and QoE.
 
 The sequence of draws a snapshot makes from its generator is the
-dataset's identity: DESIGN.md §16 lists it record by record, and
+dataset's identity: DESIGN.md §16 lists it, one vector draw per
+attribute per publisher, and
 ``repro.testkit.reference.ScalarSessionSampler`` keeps the plain
-per-record loop the sampler is checked against.
+per-record loop in the same order that the sampler is checked
+against.
 
 The §6 case-study records (Figs 15-17) are generated separately via the
 playback simulator so that owner/syndicator QoE differences *emerge*
@@ -19,7 +21,7 @@ from their ladder choices rather than being painted on.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
@@ -51,7 +53,6 @@ from repro.synthesis import calibration as cal
 from repro.synthesis.catalogues import (
     case_video_id,
     publisher_ladder,
-    sample_video_index,
     video_id_for,
     zipf_cdf,
 )
@@ -80,7 +81,7 @@ _PLATFORM_THROUGHPUT_MEDIAN = {
 
 _APPLE_FAMILIES = frozenset({"ios", "appletv"})
 
-#: Number of strata for duration sampling (see ``_stratified_duration``).
+#: Number of strata for duration sampling (see ``_durations``).
 _DURATION_STRATA = 8
 
 #: Share of views that download chunks from two CDNs (§3).
@@ -152,13 +153,51 @@ _Family = Tuple[List[Device], float, int]
 _CdnTable = Tuple[Tuple[str, ...], Tuple[str, ...], List[float]]
 
 
-def _stratified_duration(
+def _pick_cdns(
+    rng: np.random.Generator, tables: Sequence[_CdnTable]
+) -> Tuple[List[Tuple[str, ...]], List[str]]:
+    """Each slot's CDNs and its first CDN's hostname.
+
+    One double per slot picks the first CDN from its content type's
+    cdf, then one double per slot runs the 6% multi-CDN test, which
+    only slots with two or more CDNs can pass; one bounded integer per
+    passing slot picks the second CDN among the others.
+    """
+    n = len(tables)
+    first_u = rng.random(n).tolist()
+    multi_u = rng.random(n).tolist()
+    firsts = [bisect_right(cdf, u) for (_, _, cdf), u in zip(tables, first_u)]
+    cdns = [(names[i],) for (names, _, _), i in zip(tables, firsts)]
+    multi = [
+        j
+        for j, ((names, _, _), u) in enumerate(zip(tables, multi_u))
+        if len(names) > 1 and u < _MULTI_CDN_SHARE
+    ]
+    if multi:
+        highs = [len(tables[j][0]) - 1 for j in multi]
+        for j, k in zip(multi, rng.integers(highs).tolist()):
+            names, i = tables[j][0], firsts[j]
+            cdns[j] = (names[i], (names[:i] + names[i + 1 :])[k])
+    hosts = [names[i] for (_, names, _), i in zip(tables, firsts)]
+    return cdns, hosts
+
+
+#: One record of a publisher's snapshot before its draws: device,
+#: protocol, content type, that type's CDN table, view-hours, duration
+#: stratum, and the platform's tilted log-median duration, duration
+#: sigma and log throughput median.
+_Slot = Tuple[
+    Device, Protocol, ContentType, _CdnTable, float, int, float, float, float
+]
+
+
+def _durations(
     rng: np.random.Generator,
-    pool: List[int],
-    tilted_log_median: float,
-    sigma: float,
-) -> float:
-    """Length-biased lognormal duration draw, stratified.
+    strata: Sequence[int],
+    tilted_log_medians: Sequence[float],
+    sigmas: Sequence[float],
+) -> List[float]:
+    """Length-biased lognormal durations, stratified, one per slot.
 
     Records carry ``weight = view_hours / duration`` so that the
     calibrated view-hour splits are *exact*.  Weighting by 1/d tilts the
@@ -167,36 +206,14 @@ def _stratified_duration(
     log(median) + sigma^2); after 1/d weighting the views-weighted
     duration distribution is exactly the target lognormal of Fig 8.
 
-    Draws cycle through shuffled quantile strata per (publisher,
-    platform, family), which tempers the view-count noise of families
-    with few records (Fig 6c).  An empty ``pool`` is refilled in place
-    with ``range(8)`` shuffled by ``rng.shuffle``, the swaps
-    ``rng.permutation(8)`` makes: consecutive draws cover every stratum,
-    in an order that never aligns with the record-generation order.
+    One double per slot lands inside the slot's stratum (cycling
+    through strata tempers the view-count noise of families with few
+    records, Fig 6c); then one ``ndtri`` and one ``np.exp`` run over
+    the array.
     """
-    if not pool:
-        pool.extend(range(_DURATION_STRATA))
-        rng.shuffle(pool)
-    u = (pool.pop() + rng.random()) / _DURATION_STRATA
-    u = min(max(u, 1e-9), 1.0 - 1e-9)
-    return float(np.exp(tilted_log_median + sigma * ndtri(u)))
-
-
-def _pick_cdns(
-    rng: np.random.Generator, table: _CdnTable
-) -> Tuple[Tuple[str, ...], str]:
-    """The view's CDNs and the first one's hostname.
-
-    ``((), "")``, without a draw, when no CDN serves the content type.
-    """
-    names, hosts, cdf = table
-    if not names:
-        return (), ""
-    i = bisect_right(cdf, rng.random())
-    if len(names) > 1 and rng.random() < _MULTI_CDN_SHARE:
-        others = names[:i] + names[i + 1 :]
-        return (names[i], others[rng.integers(len(others))]), hosts[i]
-    return (names[i],), hosts[i]
+    u = (np.array(strata) + rng.random(len(strata))) / _DURATION_STRATA
+    z = ndtri(np.clip(u, 1e-9, 1.0 - 1e-9))
+    return np.exp(np.array(tilted_log_medians) + np.array(sigmas) * z).tolist()
 
 
 @dataclass
@@ -204,9 +221,10 @@ class _PublisherDraws:
     """One publisher's sampling tables and state for one snapshot.
 
     The tables (CDN cdfs, title cdfs, ladder, SDK versions) are constant
-    across the publisher's cells; the duration strata pools and SDK
-    round-robin cursors start empty every snapshot, so a snapshot is a
-    pure function of the construction-time state and its stream.
+    across the publisher's cells; the SDK round-robin cursors, like the
+    duration strata pools of :meth:`SessionSampler._slots`, start empty
+    every snapshot, so a snapshot is a pure function of the
+    construction-time state and its stream.
     """
 
     publisher_id: str
@@ -218,20 +236,70 @@ class _PublisherDraws:
     rungs: Tuple[float, ...]
     top_kbps: float
     sdk_versions: Dict[str, Tuple[str, ...]]
-    strata: Dict[Tuple[Platform, str], List[int]] = field(default_factory=dict)
     sdk_cursor: Dict[Optional[str], int] = field(default_factory=dict)
 
-    def video(
-        self, rng: np.random.Generator
-    ) -> Tuple[str, bool, Optional[str]]:
-        """Video ID, syndicated flag and owner of one view."""
+    def videos(
+        self, rng: np.random.Generator, n: int
+    ) -> Tuple[List[str], List[bool], List[Optional[str]]]:
+        """Video IDs, syndicated flags and owners of ``n`` views.
+
+        A syndicator draws one double per view against the syndicated
+        share, then one bounded integer per syndicated view for its
+        owner; every view then draws one double for its Zipf title.
+        """
         owners = self.owners
-        if owners and rng.random() < cal.SYNDICATED_VIEW_SHARE:
-            k = rng.integers(len(owners))
-            index = sample_video_index(rng, self.owner_cdfs[k])
-            return video_id_for(owners[k], index), True, owners[k]
-        index = sample_video_index(rng, self.title_cdf)
-        return video_id_for(self.publisher_id, index), False, self.owner_ref
+        syndicated = [False] * n
+        picks: List[int] = []
+        if owners:
+            syndicated = [
+                u < cal.SYNDICATED_VIEW_SHARE for u in rng.random(n).tolist()
+            ]
+            picks = rng.integers(len(owners), size=sum(syndicated)).tolist()
+        owner_picks = iter(picks)
+        video_ids: List[str] = []
+        owner_ids: List[Optional[str]] = []
+        for is_syndicated, u in zip(syndicated, rng.random(n).tolist()):
+            if is_syndicated:
+                k = next(owner_picks)
+                index = bisect_left(self.owner_cdfs[k], u)
+                video_ids.append(video_id_for(owners[k], index))
+                owner_ids.append(owners[k])
+            else:
+                index = bisect_left(self.title_cdf, u)
+                video_ids.append(video_id_for(self.publisher_id, index))
+                owner_ids.append(self.owner_ref)
+        return video_ids, syndicated, owner_ids
+
+    def clients(
+        self, devices: Sequence[Device], majors: Sequence[int]
+    ) -> Tuple[
+        List[Optional[str]], List[Optional[str]], List[Optional[str]]
+    ]:
+        """User agent, SDK name and SDK version of each view.
+
+        Browser views carry a user agent with the next drawn major
+        version (55 + ``majors[i]``); app views carry their device's
+        SDK and the next version of it round-robin.
+        """
+        browser_majors = iter(majors)
+        agents: List[Optional[str]] = []
+        names: List[Optional[str]] = []
+        versions: List[Optional[str]] = []
+        for device in devices:
+            if device.platform is Platform.BROWSER:
+                agents.append(
+                    build_user_agent(
+                        device.model.split("-")[0],
+                        major_version=55 + next(browser_majors),
+                    )
+                )
+                names.append(None)
+                versions.append(None)
+            else:
+                agents.append(None)
+                names.append(device.sdk_name)
+                versions.append(self.sdk_version(device.sdk_name))
+        return agents, names, versions
 
     def sdk_version(self, sdk_name: Optional[str]) -> str:
         """Round-robin through the publisher's versions of one SDK.
@@ -316,33 +384,163 @@ class SessionSampler:
         t: float,
         scale: float,
     ) -> List[ViewRecord]:
+        """One publisher's records of one snapshot, in three phases.
+
+        The cell walk lays out one slot per record (:meth:`_slots`);
+        then each attribute takes one vector draw over all of the
+        publisher's slots, in the order DESIGN.md §16 lists; then one
+        loop builds the records from the drawn columns.  A publisher
+        holds about 48 records per snapshot, enough to amortize numpy's
+        per-call cost; a cell, at about 8, is not.
+        """
         publisher = self._publishers[publisher_id]
         profile = self._assigner.profile_at(publisher_id, t)
+        draws = self._publisher_draws(publisher, profile, t)
+        slots = self._slots(rng, draws, publisher, profile, t, scale)
+        if not slots:
+            return []
+        n = len(slots)
+        (
+            devices, protocols, content_types, cdn_tables, view_hours,
+            strata, tilted_log_medians, sigmas, log_throughputs,
+        ) = zip(*slots)
+        durations = _durations(rng, strata, tilted_log_medians, sigmas)
+        cdns, hosts = _pick_cdns(rng, cdn_tables)
+        video_ids, syndicated, owner_ids = draws.videos(rng, n)
+        browser_views = sum(d.platform is Platform.BROWSER for d in devices)
+        majors = rng.integers(30, size=browser_views).tolist()
+        throughputs = np.exp(
+            np.array(log_throughputs)
+            + _THROUGHPUT_SIGMA * rng.standard_normal(n)
+        ).tolist()
+        factors = rng.random(n).tolist()
+        rebuffers = rng.beta(1.2, 60.0, size=n).tolist()
+        isps = rng.integers(len(_ISPS), size=n).tolist()
+        geos = rng.integers(len(_GEOS), size=n).tolist()
+        connections = rng.random(n).tolist()
+        user_agents, sdk_names, sdk_versions = draws.clients(devices, majors)
+        top_kbps = draws.top_kbps
+        # One column per ViewRecord field, in declaration order.  weight
+        # x duration == the slot's exact view-hours, so every share
+        # analysis sees the calibrated splits without sampling noise;
+        # the tilted duration draw keeps the views-weighted
+        # distribution on target.
+        return list(
+            map(
+                ViewRecord,
+                itertools.repeat(snapshot, n),
+                itertools.repeat(publisher_id, n),
+                map(sample_manifest_url, protocols, video_ids, hosts),
+                [device.model for device in devices],
+                [device.os_name for device in devices],
+                cdns,
+                itertools.repeat(draws.rungs, n),
+                durations,
+                [
+                    min(top_kbps, throughput)
+                    * (_BITRATE_FACTOR_LOW + _BITRATE_FACTOR_SPAN * factor)
+                    for throughput, factor in zip(throughputs, factors)
+                ],
+                rebuffers,
+                content_types,
+                video_ids,
+                [vh / duration for vh, duration in zip(view_hours, durations)],
+                user_agents,
+                sdk_names,
+                sdk_versions,
+                syndicated,
+                owner_ids,
+                [_ISPS[i] for i in isps],
+                [_GEOS[i] for i in geos],
+                [
+                    _CONNECTIONS[bisect_right(_CONNECTION_CDF, u)]
+                    for u in connections
+                ],
+            )
+        )
+
+    def _slots(
+        self,
+        rng: np.random.Generator,
+        draws: _PublisherDraws,
+        publisher: Publisher,
+        profile: PublisherProfile,
+        t: float,
+        scale: float,
+    ) -> List[_Slot]:
+        """Walk the publisher's (platform, protocol) cells into slots.
+
+        A cell first picks ``k`` of each family's ``n`` eligible models
+        without replacement, in sorted family order.  Then each device
+        × content type × duration split adds one slot and pops its
+        duration stratum from the device's (platform, family) pool.  An
+        empty pool is refilled in place with ``range(8)`` shuffled by
+        ``rng.shuffle``, the swaps ``rng.permutation(8)`` makes:
+        consecutive slots cover every stratum, in an order that never
+        aligns with the walk.  A content type that no CDN serves adds
+        no slot.
+        """
+        publisher_id = publisher.publisher_id
         window_vh = publisher.daily_view_hours * 2.0 * scale
         platform_weights = self._platform_weights(publisher_id, profile, t)
         protocol_weights = self._protocol_weights(publisher_id, profile, t)
-        draws = self._publisher_draws(publisher, profile, t)
-        records: List[ViewRecord] = []
+        served = [
+            (content_type, share, table)
+            for content_type, share, table in draws.content_split
+            if table[0]  # names: a content type no CDN serves
+        ]
+        slots: List[_Slot] = []
         for platform, w_platform in platform_weights.items():
             families = self._device_families(publisher, profile, platform, t)
+            # Duration strata pools by device family; platforms are the
+            # outer loop, so each pool lives for one platform's cells.
+            pools: Dict[str, List[int]] = {}
+            median, sigma = cal.VIEW_DURATION_LOGNORMAL[platform]
+            tilted_log_median = float(np.log(median) + sigma**2)
+            log_throughput = float(
+                np.log(_PLATFORM_THROUGHPUT_MEDIAN[platform])
+            )
             for protocol, w_protocol in protocol_weights.items():
                 if not self._compatible(platform, protocol):
                     continue
                 cell_vh = window_vh * w_platform * w_protocol
                 if cell_vh <= 0:
                     continue
-                records.extend(
-                    self._cell_records(
-                        rng,
-                        draws,
-                        families,
-                        platform,
-                        protocol,
-                        cell_vh,
-                        snapshot,
-                    )
-                )
-        return records
+                devices: List[Device] = []
+                device_share: List[float] = []
+                for models, family_share, take in families:
+                    picks = sample_without_replacement(rng, len(models), take)
+                    for i in picks:
+                        devices.append(models[i])
+                        device_share.append(family_share / take)
+                for device, share in zip(devices, device_share):
+                    pool = pools.setdefault(device.family, [])
+                    for content_type, ct_share, cdn_table in served:
+                        vh = cell_vh * share * ct_share
+                        # Split heavy cells into several duration draws:
+                        # the views-weighted duration CDF (Fig 8) is a
+                        # self-normalized estimator whose bias shrinks
+                        # with the effective number of draws behind the
+                        # big publishers.
+                        splits = min(max(int(round(vh / 3e5)), 1), 6)
+                        for _ in range(splits):
+                            if not pool:
+                                pool.extend(range(_DURATION_STRATA))
+                                rng.shuffle(pool)
+                            slots.append(
+                                (
+                                    device,
+                                    protocol,
+                                    content_type,
+                                    cdn_table,
+                                    vh / splits,
+                                    pool.pop(),
+                                    tilted_log_median,
+                                    sigma,
+                                    log_throughput,
+                                )
+                            )
+        return slots
 
     def _publisher_draws(
         self, publisher: Publisher, profile: PublisherProfile, t: float
@@ -411,113 +609,6 @@ class SessionSampler:
             )
             for family in sorted(by_family)
         ]
-
-    def _cell_records(
-        self,
-        rng: np.random.Generator,
-        draws: _PublisherDraws,
-        families: List[_Family],
-        platform: Platform,
-        protocol: Protocol,
-        cell_vh: float,
-        snapshot: date,
-    ) -> List[ViewRecord]:
-        """The records of one (publisher, platform, protocol) cell.
-
-        Each record draws, in this order: its duration (a stratum pool
-        refill, then one double), its CDNs, its video, a browser major
-        version (browser views only), its throughput, its bitrate
-        factor, its rebuffer ratio, its ISP, its geo and its connection.
-        DESIGN.md §16 gives each draw's numpy call.
-        """
-        devices: List[Device] = []
-        device_share: List[float] = []
-        for models, family_share, take in families:
-            for i in sample_without_replacement(rng, len(models), take):
-                devices.append(models[i])
-                device_share.append(family_share / take)
-        median, sigma = cal.VIEW_DURATION_LOGNORMAL[platform]
-        tilted_log_median = float(np.log(median) + sigma**2)
-        log_throughput = float(np.log(_PLATFORM_THROUGHPUT_MEDIAN[platform]))
-        is_browser = platform is Platform.BROWSER
-        publisher_id = draws.publisher_id
-        records: List[ViewRecord] = []
-        for device, share in zip(devices, device_share):
-            pool = draws.strata.setdefault((platform, device.family), [])
-            browser = device.model.split("-")[0]
-            for content_type, ct_share, cdn_table in draws.content_split:
-                vh = cell_vh * share * ct_share
-                # Split heavy cells into several duration draws: the
-                # views-weighted duration CDF (Fig 8) is a
-                # self-normalized estimator whose bias shrinks with the
-                # effective number of draws behind the big publishers.
-                splits = min(max(int(round(vh / 3e5)), 1), 6)
-                for _ in range(splits):
-                    duration = _stratified_duration(
-                        rng, pool, tilted_log_median, sigma
-                    )
-                    cdns, host = _pick_cdns(rng, cdn_table)
-                    if not cdns:
-                        continue
-                    video_id, is_syndicated, owner_id = draws.video(rng)
-                    if is_browser:
-                        user_agent = build_user_agent(
-                            browser,
-                            major_version=55 + int(rng.integers(30)),
-                        )
-                        sdk_name = sdk_version = None
-                    else:
-                        user_agent = None
-                        sdk_name = device.sdk_name
-                        sdk_version = draws.sdk_version(sdk_name)
-                    throughput = float(
-                        np.exp(
-                            log_throughput
-                            + _THROUGHPUT_SIGMA * rng.standard_normal()
-                        )
-                    )
-                    avg_bitrate = min(draws.top_kbps, throughput) * (
-                        _BITRATE_FACTOR_LOW
-                        + _BITRATE_FACTOR_SPAN * rng.random()
-                    )
-                    rebuffer = rng.beta(1.2, 60.0)
-                    isp = _ISPS[rng.integers(len(_ISPS))]
-                    geo = _GEOS[rng.integers(len(_GEOS))]
-                    connection = _CONNECTIONS[
-                        bisect_right(_CONNECTION_CDF, rng.random())
-                    ]
-                    # weight x duration == the cell's exact view-hours,
-                    # so every share analysis sees the calibrated splits
-                    # without sampling noise; the tilted duration draw
-                    # keeps the views-weighted distribution on target.
-                    records.append(
-                        ViewRecord(
-                            snapshot=snapshot,
-                            publisher_id=publisher_id,
-                            url=sample_manifest_url(
-                                protocol, video_id, host
-                            ),
-                            device_model=device.model,
-                            os_name=device.os_name,
-                            cdn_names=cdns,
-                            bitrate_ladder_kbps=draws.rungs,
-                            view_duration_hours=duration,
-                            avg_bitrate_kbps=avg_bitrate,
-                            rebuffer_ratio=rebuffer,
-                            content_type=content_type,
-                            video_id=video_id,
-                            weight=vh / splits / duration,
-                            user_agent=user_agent,
-                            sdk_name=sdk_name,
-                            sdk_version=sdk_version,
-                            is_syndicated=is_syndicated,
-                            owner_id=owner_id,
-                            isp=isp,
-                            geo=geo,
-                            connection=connection,
-                        )
-                    )
-        return records
 
     def _cdn_table(
         self, profile: PublisherProfile, content_type: ContentType, t: float

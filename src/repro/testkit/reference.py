@@ -84,7 +84,7 @@ from repro.playback.abr import AbrAlgorithm, AbrState, ThroughputAbr
 from repro.playback.session import SessionConfig, SessionResult
 from repro.playback.useragent import build_user_agent
 from repro.synthesis import calibration as cal
-from repro.synthesis.catalogues import video_id_for
+from repro.synthesis.catalogues import sample_video_index, video_id_for
 from repro.synthesis.population import size_decade
 from repro.synthesis.sessions import (
     _PLATFORM_THROUGHPUT_MEDIAN,
@@ -225,37 +225,34 @@ _SAMPLER_STATE = (
 )
 
 
-def sample_video_index_searchsorted(
-    rng: np.random.Generator,
-    catalogue_size: int,
-    cdfs: Dict[Tuple[int, float], np.ndarray],
-    zipf_s: float = 1.1,
-) -> int:
-    """Zipf title index via ``np.searchsorted`` over an array cdf."""
-    if catalogue_size <= 1:
-        return 0
-    key = (catalogue_size, zipf_s)
-    cdf = cdfs.get(key)
-    if cdf is None:
-        ranks = np.arange(1, catalogue_size + 1, dtype=float)
-        weights = ranks**-zipf_s
-        cdf = np.cumsum(weights / weights.sum())
-        cdfs[key] = cdf
-    return int(np.searchsorted(cdf, rng.uniform(), side="left"))
+@dataclass(frozen=True)
+class _Slot:
+    """One record of the reference walk before its attribute draws."""
+
+    platform: Platform
+    protocol: Protocol
+    device: Device
+    content_type: ContentType
+    view_hours: float
+    stratum: int
 
 
 class ScalarSessionSampler(SessionSampler):
     """The per-record reference for :class:`SessionSampler`'s record loop.
 
-    Every draw goes through the numpy call the loop was written with
-    (``choice`` with and without ``p``, ``uniform``, ``normal``,
-    ``permutation``, ``searchsorted``), and every table is rebuilt per
-    record.  Built from a sampler, it shares that sampler's
-    construction-time state (publishers, portfolios, ladders, live
-    shares) and inherits its weight helpers, so both must draw the same
-    records from the same snapshot stream and leave it in the same
-    state.  ``geo`` goes through ``str()``, as ``choice`` returns a
-    numpy string.
+    A publisher's snapshot is drawn in the sampler's order: the cell
+    walk lays out one slot per record, popping duration strata; then
+    each attribute is drawn slot by slot, one scalar call per slot,
+    through the numpy call the loop was first written with (``choice``
+    with and without ``p``, ``uniform``, ``normal``, ``beta``,
+    ``integers``, ``permutation``; the Zipf title through
+    :func:`~repro.synthesis.catalogues.sample_video_index`), and every
+    table but the title cdfs is rebuilt per slot.  Built from a
+    sampler, it shares that sampler's construction-time state
+    (publishers, portfolios, ladders, live shares) and inherits its
+    weight helpers, so both must draw the same records from the same
+    snapshot stream and leave it in the same state.  ``geo`` goes
+    through ``str()``, as ``choice`` returns a numpy string.
     """
 
     def __init__(self, sampler: SessionSampler) -> None:
@@ -266,7 +263,7 @@ class ScalarSessionSampler(SessionSampler):
         self._duration_strata_pool: Dict[
             Tuple[str, Platform, str], List[int]
         ] = {}
-        self._zipf_cdfs: Dict[Tuple[int, float], np.ndarray] = {}
+        self._title_cdfs: Dict[int, List[float]] = {}
 
     def snapshot_records(
         self,
@@ -294,7 +291,7 @@ class ScalarSessionSampler(SessionSampler):
         window_vh = publisher.daily_view_hours * 2.0 * scale
         platform_weights = self._platform_weights(publisher_id, profile, t)
         protocol_weights = self._protocol_weights(publisher_id, profile, t)
-        records: List[ViewRecord] = []
+        slots: List[_Slot] = []
         for platform, w_platform in platform_weights.items():
             for protocol, w_protocol in protocol_weights.items():
                 if not self._compatible(platform, protocol):
@@ -302,29 +299,22 @@ class ScalarSessionSampler(SessionSampler):
                 cell_vh = window_vh * w_platform * w_protocol
                 if cell_vh <= 0:
                     continue
-                records.extend(
-                    self._cell_records(
-                        publisher,
-                        profile,
-                        platform,
-                        protocol,
-                        cell_vh,
-                        snapshot,
-                        t,
+                slots.extend(
+                    self._cell_slots(
+                        publisher, profile, platform, protocol, cell_vh, t
                     )
                 )
-        return records
+        return self._draw_records(publisher, profile, slots, snapshot, t)
 
-    def _cell_records(
+    def _cell_slots(
         self,
         publisher: Publisher,
         profile: PublisherProfile,
         platform: Platform,
         protocol: Protocol,
         cell_vh: float,
-        snapshot: date,
         t: float,
-    ) -> List[ViewRecord]:
+    ) -> List[_Slot]:
         # Allocate the cell's view-hours to device families by the
         # calibrated family weights, then spread each family's share
         # over a rotating sample of its device models.  Splitting at
@@ -353,9 +343,11 @@ class ScalarSessionSampler(SessionSampler):
             for i in picked:
                 devices.append(models[int(i)])
                 device_share.append(family_share / take)
-        records: List[ViewRecord] = []
+        slots: List[_Slot] = []
         for device, share in zip(devices, device_share):
             for content_type, ct_share in self._content_split(publisher):
+                if not self._cdn_names(profile, content_type):
+                    continue
                 vh = cell_vh * float(share) * ct_share
                 # Split heavy cells into several duration draws: the
                 # views-weighted duration CDF (Fig 8) is a
@@ -363,126 +355,144 @@ class ScalarSessionSampler(SessionSampler):
                 # effective number of draws behind the big publishers.
                 splits = min(max(int(round(vh / 3e5)), 1), 6)
                 for _ in range(splits):
-                    record = self._make_record(
-                        publisher,
-                        profile,
-                        platform,
-                        protocol,
-                        device,
-                        content_type,
-                        vh / splits,
-                        snapshot,
-                        t,
+                    stratum = self._next_stratum(
+                        publisher.publisher_id, platform, device.family
                     )
-                    if record is not None:
-                        records.append(record)
-        return records
+                    slots.append(
+                        _Slot(
+                            platform,
+                            protocol,
+                            device,
+                            content_type,
+                            vh / splits,
+                            stratum,
+                        )
+                    )
+        return slots
 
-    def _make_record(
+    def _draw_records(
         self,
         publisher: Publisher,
         profile: PublisherProfile,
-        platform: Platform,
-        protocol: Protocol,
-        device: Device,
-        content_type: ContentType,
-        vh: float,
+        slots: Sequence[_Slot],
         snapshot: date,
         t: float,
-    ) -> Optional[ViewRecord]:
+    ) -> List[ViewRecord]:
+        """Each attribute over all slots, then one record per slot."""
         rng = self._rng
-        median, sigma = cal.VIEW_DURATION_LOGNORMAL[platform]
-        duration = self._stratified_duration(
-            publisher.publisher_id, platform, device.family, median, sigma
-        )
-        # weight x duration == the cell's exact view-hours, so every
-        # share analysis sees the calibrated splits without sampling
-        # noise; the tilted draw (see _stratified_duration) keeps the
-        # views-weighted duration distribution on target.
-        views = vh / duration
-        cdns = self._pick_cdns(profile, content_type, t)
-        if not cdns:
-            return None
-        video_id, is_syndicated, owner_id = self._pick_video(publisher)
-        url = sample_manifest_url(
-            protocol, video_id, f"{cdns[0].lower()}.cdn.example.net"
-        )
-        ladder = self._ladders[publisher.publisher_id]
-        user_agent = None
-        sdk_name = None
-        sdk_version = None
-        if platform is Platform.BROWSER:
-            browser = device.model.split("-")[0]
-            user_agent = build_user_agent(
-                browser if browser != "ie11" else "ie11",
-                major_version=55 + int(rng.integers(0, 30)),
-            )
-        else:
-            sdk_name = device.sdk_name
-            sdk_version = self._next_sdk_version(
-                publisher.publisher_id, profile, sdk_name
-            )
-        throughput = float(
-            np.exp(
-                rng.normal(
-                    np.log(_PLATFORM_THROUGHPUT_MEDIAN[platform]), 0.6
+        durations = [
+            self._duration(slot, float(rng.uniform())) for slot in slots
+        ]
+        firsts = [
+            self._first_cdn(profile, slot.content_type, t) for slot in slots
+        ]
+        multi = [float(rng.uniform()) for _ in slots]
+        cdns: List[Tuple[str, ...]] = []
+        for slot, first, u in zip(slots, firsts, multi):
+            names = self._cdn_names(profile, slot.content_type)
+            # A small fraction of views download chunks from two CDNs (§3).
+            if len(names) > 1 and u < 0.06:
+                others = [n for n in names if n != first]
+                cdns.append((first, others[int(rng.integers(len(others)))]))
+            else:
+                cdns.append((first,))
+        videos = self._pick_videos(publisher, len(slots))
+        majors = [
+            55 + int(rng.integers(0, 30))
+            for slot in slots
+            if slot.platform is Platform.BROWSER
+        ]
+        throughputs = [
+            float(
+                np.exp(
+                    rng.normal(
+                        np.log(_PLATFORM_THROUGHPUT_MEDIAN[slot.platform]),
+                        0.6,
+                    )
                 )
             )
-        )
-        avg_bitrate = min(ladder.max_bitrate_kbps, throughput) * float(
-            rng.uniform(0.72, 0.95)
-        )
-        rebuffer = float(rng.beta(1.2, 60.0))
-        return ViewRecord(
-            snapshot=snapshot,
-            publisher_id=publisher.publisher_id,
-            url=url,
-            device_model=device.model,
-            os_name=device.os_name,
-            cdn_names=cdns,
-            bitrate_ladder_kbps=ladder.bitrates_kbps,
-            view_duration_hours=duration,
-            avg_bitrate_kbps=avg_bitrate,
-            rebuffer_ratio=rebuffer,
-            content_type=content_type,
-            video_id=video_id,
-            weight=float(views),
-            user_agent=user_agent,
-            sdk_name=sdk_name,
-            sdk_version=sdk_version,
-            is_syndicated=is_syndicated,
-            owner_id=owner_id,
-            isp=f"isp_{int(rng.integers(0, 12)):02d}",
-            geo=str(rng.choice(("CA", "NY", "TX", "UK", "DE", "IN", "BR"))),
-            connection=ConnectionType(
+            for slot in slots
+        ]
+        factors = [float(rng.uniform(0.72, 0.95)) for _ in slots]
+        rebuffers = [float(rng.beta(1.2, 60.0)) for _ in slots]
+        isps = [f"isp_{int(rng.integers(0, 12)):02d}" for _ in slots]
+        geos = [
+            str(rng.choice(("CA", "NY", "TX", "UK", "DE", "IN", "BR")))
+            for _ in slots
+        ]
+        connections = [
+            ConnectionType(
                 rng.choice(("wifi", "4g", "wired"), p=(0.55, 0.25, 0.20))
-            ),
-        )
+            )
+            for _ in slots
+        ]
+        ladder = self._ladders[publisher.publisher_id]
+        browser_majors = iter(majors)
+        records: List[ViewRecord] = []
+        for i, slot in enumerate(slots):
+            device = slot.device
+            video_id, is_syndicated, owner_id = videos[i]
+            user_agent = None
+            sdk_name = None
+            sdk_version = None
+            if slot.platform is Platform.BROWSER:
+                browser = device.model.split("-")[0]
+                user_agent = build_user_agent(
+                    browser, major_version=next(browser_majors)
+                )
+            else:
+                sdk_name = device.sdk_name
+                sdk_version = self._next_sdk_version(
+                    publisher.publisher_id, profile, sdk_name
+                )
+            # weight x duration == the slot's exact view-hours, so every
+            # share analysis sees the calibrated splits without sampling
+            # noise; the tilted draw (see _duration) keeps the
+            # views-weighted duration distribution on target.
+            records.append(
+                ViewRecord(
+                    snapshot=snapshot,
+                    publisher_id=publisher.publisher_id,
+                    url=sample_manifest_url(
+                        slot.protocol,
+                        video_id,
+                        f"{cdns[i][0].lower()}.cdn.example.net",
+                    ),
+                    device_model=device.model,
+                    os_name=device.os_name,
+                    cdn_names=cdns[i],
+                    bitrate_ladder_kbps=ladder.bitrates_kbps,
+                    view_duration_hours=durations[i],
+                    avg_bitrate_kbps=min(
+                        ladder.max_bitrate_kbps, throughputs[i]
+                    )
+                    * factors[i],
+                    rebuffer_ratio=rebuffers[i],
+                    content_type=slot.content_type,
+                    video_id=video_id,
+                    weight=float(slot.view_hours / durations[i]),
+                    user_agent=user_agent,
+                    sdk_name=sdk_name,
+                    sdk_version=sdk_version,
+                    is_syndicated=is_syndicated,
+                    owner_id=owner_id,
+                    isp=isps[i],
+                    geo=geos[i],
+                    connection=connections[i],
+                )
+            )
+        return records
 
     #: Number of strata for duration sampling (see below).
     _DURATION_STRATA = 8
 
-    def _stratified_duration(
-        self,
-        publisher_id: str,
-        platform: Platform,
-        family: str,
-        median: float,
-        sigma: float,
-    ) -> float:
-        """Length-biased lognormal duration draw, stratified.
+    def _next_stratum(
+        self, publisher_id: str, platform: Platform, family: str
+    ) -> int:
+        """The next duration stratum of a (publisher, platform, family).
 
-        Records carry ``weight = view_hours / duration`` so that the
-        calibrated view-hour splits are *exact*.  Weighting by 1/d
-        tilts the observed duration distribution by a factor 1/d, so
-        the draw itself is taken from the length-biased lognormal
-        (median scaled by e^(sigma^2)); after 1/d weighting the
-        views-weighted duration distribution is exactly the target
-        lognormal of Fig 8.
-
-        Draws cycle through shuffled quantile strata per (publisher,
-        platform, family), which tempers the view-count noise of
-        families with few records (Fig 6c).
+        Draws cycle through shuffled quantile strata, which tempers the
+        view-count noise of families with few records (Fig 6c).
         """
         key = (publisher_id, platform, family)
         pool = self._duration_strata_pool.get(key)
@@ -494,21 +504,39 @@ class ScalarSessionSampler(SessionSampler):
                 self._rng.permutation(self._DURATION_STRATA)
             )
             self._duration_strata_pool[key] = pool
-        stratum = int(pool.pop())
-        u = (stratum + float(self._rng.uniform())) / self._DURATION_STRATA
+        return int(pool.pop())
+
+    def _duration(self, slot: _Slot, u: float) -> float:
+        """Length-biased lognormal duration inside the slot's stratum.
+
+        Records carry ``weight = view_hours / duration`` so that the
+        calibrated view-hour splits are *exact*.  Weighting by 1/d
+        tilts the observed duration distribution by a factor 1/d, so
+        the draw itself is taken from the length-biased lognormal
+        (median scaled by e^(sigma^2)); after 1/d weighting the
+        views-weighted duration distribution is exactly the target
+        lognormal of Fig 8.
+        """
+        median, sigma = cal.VIEW_DURATION_LOGNORMAL[slot.platform]
+        u = (slot.stratum + u) / self._DURATION_STRATA
         u = min(max(u, 1e-9), 1.0 - 1e-9)
         tilted_log_median = np.log(median) + sigma**2
         return float(np.exp(tilted_log_median + sigma * ndtri(u)))
 
-    def _pick_cdns(
-        self, profile: PublisherProfile, content_type: ContentType, t: float
-    ) -> Tuple[str, ...]:
-        eligible = [
-            a for a in profile.cdn_assignments if a.serves(content_type)
+    @staticmethod
+    def _cdn_names(
+        profile: PublisherProfile, content_type: ContentType
+    ) -> List[str]:
+        return [
+            a.cdn.name
+            for a in profile.cdn_assignments
+            if a.serves(content_type)
         ]
-        if not eligible:
-            return ()
-        names = [a.cdn.name for a in eligible]
+
+    def _first_cdn(
+        self, profile: PublisherProfile, content_type: ContentType, t: float
+    ) -> str:
+        names = self._cdn_names(profile, content_type)
         weights = np.array(
             [
                 cal.CDN_WEIGHT[name].level(t)
@@ -518,28 +546,22 @@ class ScalarSessionSampler(SessionSampler):
             ]
         )
         probs = weights / weights.sum()
-        first = str(self._rng.choice(names, p=probs))
-        # A small fraction of views download chunks from two CDNs (§3).
-        if len(names) > 1 and self._rng.uniform() < 0.06:
-            others = [n for n in names if n != first]
-            second = others[int(self._rng.integers(len(others)))]
-            return (first, second)
-        return (first,)
+        return str(self._rng.choice(names, p=probs))
 
-    def _pick_video(
-        self, publisher: Publisher
-    ) -> Tuple[str, bool, Optional[str]]:
+    def _pick_videos(
+        self, publisher: Publisher, n: int
+    ) -> List[Tuple[str, bool, Optional[str]]]:
+        """Syndicated tests, then owners, then titles, slot by slot."""
         owners = self._syndicator_owners.get(publisher.publisher_id, ())
-        if owners and self._rng.uniform() < cal.SYNDICATED_VIEW_SHARE:
-            owner_id = owners[int(self._rng.integers(len(owners)))]
-            owner = self._publishers[owner_id]
-            index = sample_video_index_searchsorted(
-                self._rng, owner.catalogue_size, self._zipf_cdfs
-            )
-            return video_id_for(owner_id, index), True, owner_id
-        index = sample_video_index_searchsorted(
-            self._rng, publisher.catalogue_size, self._zipf_cdfs
-        )
+        syndicated = [
+            bool(owners) and self._rng.uniform() < cal.SYNDICATED_VIEW_SHARE
+            for _ in range(n)
+        ]
+        picked_owners = [
+            owners[int(self._rng.integers(len(owners)))]
+            for flag in syndicated
+            if flag
+        ]
         # Owned content carries the owned/syndicated flag of §6: owner-
         # role publishers reference themselves, so owners whose content
         # is never syndicated still appear in the Fig 14 population.
@@ -548,7 +570,28 @@ class ScalarSessionSampler(SessionSampler):
             if publisher.role is SyndicationRole.OWNER
             else None
         )
-        return video_id_for(publisher.publisher_id, index), False, owner_ref
+        owner_iter = iter(picked_owners)
+        videos: List[Tuple[str, bool, Optional[str]]] = []
+        for flag in syndicated:
+            if flag:
+                owner_id = next(owner_iter)
+                index = sample_video_index(
+                    self._rng,
+                    self._title_cdf(self._publishers[owner_id].catalogue_size),
+                )
+                videos.append((video_id_for(owner_id, index), True, owner_id))
+            else:
+                index = sample_video_index(
+                    self._rng, self._title_cdf(publisher.catalogue_size)
+                )
+                videos.append(
+                    (
+                        video_id_for(publisher.publisher_id, index),
+                        False,
+                        owner_ref,
+                    )
+                )
+        return videos
 
     def _next_sdk_version(
         self, publisher_id: str, profile: PublisherProfile, sdk_name: str
@@ -1081,7 +1124,6 @@ __all__ = [
     "StoredRendition",
     "chunk_throughputs_per_chunk",
     "reference_call_graph",
-    "sample_video_index_searchsorted",
     "scope_walk",
     "simulate_session_scalar",
     "subclasses_by_mro",

@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from repro.parallel import spawn_streams
 from repro.synthesis.calibration import EcosystemConfig
@@ -220,9 +221,109 @@ def _twin_generators(seed: int, burn: int):
     return pair
 
 
+def _assert_vector_draw(seed, burn, vector, scalars):
+    """``vector(rng)`` equals the ``scalars`` calls made in turn on a
+    twin generator: values, and generator state afterwards."""
+    vector_rng, scalar_rng = _twin_generators(seed, burn)
+    drawn = vector(vector_rng).tolist()
+    assert drawn == [call(scalar_rng) for call in scalars]
+    assert vector_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+_SIZES = st.integers(min_value=0, max_value=80)
+
+
 @pytest.mark.perf
 class TestDrawEquivalences:
-    """Each replacement call against the numpy call it stands for."""
+    """Each replacement call against the numpy call it stands for.
+
+    The vector draws run with and without a spare 32-bit half cached
+    in the generator (``burn`` 1 and 0), since the bounded-integer
+    draws consume 32-bit halves.
+    """
+
+    @pytest.mark.parametrize("burn", [0, 1])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=_SEEDS, n=_SIZES)
+    def test_random_vector_is_scalar_doubles(self, burn, seed, n):
+        _assert_vector_draw(
+            seed,
+            burn,
+            lambda rng: rng.random(n),
+            [lambda rng: rng.random()] * n,
+        )
+
+    @pytest.mark.parametrize("burn", [0, 1])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=_SEEDS, n=_SIZES)
+    def test_standard_normal_vector_is_scalar_normals(self, burn, seed, n):
+        _assert_vector_draw(
+            seed,
+            burn,
+            lambda rng: rng.standard_normal(n),
+            [lambda rng: rng.standard_normal()] * n,
+        )
+
+    @pytest.mark.parametrize("burn", [0, 1])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=_SEEDS, n=_SIZES)
+    def test_beta_vector_is_scalar_betas(self, burn, seed, n):
+        _assert_vector_draw(
+            seed,
+            burn,
+            lambda rng: rng.beta(1.2, 60.0, size=n),
+            [lambda rng: rng.beta(1.2, 60.0)] * n,
+        )
+
+    @pytest.mark.parametrize("burn", [0, 1])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=_SEEDS, n=_SIZES, k=st.integers(min_value=1, max_value=40))
+    def test_integers_vector_is_scalar_integers(self, burn, seed, n, k):
+        _assert_vector_draw(
+            seed,
+            burn,
+            lambda rng: rng.integers(k, size=n),
+            [lambda rng: rng.integers(k)] * n,
+        )
+
+    @pytest.mark.parametrize("burn", [0, 1])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=_SEEDS,
+        highs=st.lists(
+            st.integers(min_value=1, max_value=40), min_size=1, max_size=60
+        ),
+    )
+    def test_integers_over_highs_is_scalar_integers(self, burn, seed, highs):
+        _assert_vector_draw(
+            seed,
+            burn,
+            lambda rng: rng.integers(highs),
+            [lambda rng, high=high: rng.integers(high) for high in highs],
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(min_value=-30.0, max_value=30.0), max_size=70
+        )
+    )
+    def test_exp_over_an_array_is_exp_per_element(self, values):
+        assert np.exp(np.array(values, dtype=float)).tolist() == [
+            float(np.exp(v)) for v in values
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(min_value=1e-9, max_value=1.0 - 1e-9), max_size=70
+        )
+    )
+    def test_ndtri_over_an_array_is_ndtri_per_element(self, values):
+        assert ndtri(np.array(values, dtype=float)).tolist() == [
+            float(ndtri(v)) for v in values
+        ]
 
     @settings(max_examples=200, deadline=None)
     @given(
