@@ -23,7 +23,7 @@ the wall clock.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec, Layer
@@ -40,7 +40,9 @@ from repro.errors import (
 )
 from repro.resilience import BackoffPolicy, CircuitState
 from repro.telemetry.events import Heartbeat, SessionEnd, SessionStart
-from repro.telemetry.faults import FaultEvent, corrupt_heartbeat
+
+#: How far (in events) a REORDER fault may delay any event.
+REORDER_SPAN = 3
 
 #: How far (in events) a REORDER_START fault may delay a SessionStart.
 #: Capped at the session's own heartbeat count so the start never slips
@@ -54,9 +56,37 @@ REORDER_START_SPAN = 3
 # ----------------------------------------------------------------------
 
 
+def corrupt_heartbeat(beat: Heartbeat, **overrides: object) -> Heartbeat:
+    """A copy of ``beat`` with fields overridden, validation skipped.
+
+    Real transports deliver payloads that ``Heartbeat.__post_init__``
+    refuses to build; this materializes one the way deserialization
+    effectively would.
+    """
+    corrupted = object.__new__(Heartbeat)
+    for f in fields(Heartbeat):
+        value = overrides.get(f.name, getattr(beat, f.name))
+        object.__setattr__(corrupted, f.name, value)
+    return corrupted
+
+
+@dataclass(frozen=True)
+class FaultEvent:
+    """One applied corruption, for audit: (kind, stream index, session)."""
+
+    kind: str
+    index: int
+    session_id: str
+
+
 @dataclass
 class TelemetryInjection:
-    """A faulted event stream plus the audit of what was done to it."""
+    """A faulted event stream plus the audit of what was done to it.
+
+    ``corrupted_sessions`` names every session a fault touched,
+    including the partner of an interleave, so every session outside it
+    must fold exactly as in the clean stream.
+    """
 
     events: List[object]
     injected: Dict[str, int] = field(default_factory=dict)
@@ -98,52 +128,85 @@ def _count(out: TelemetryInjection, spec: FaultSpec, index: int,
 def _pointwise(
     out: TelemetryInjection, spec: FaultSpec, rng: random.Random
 ) -> None:
-    """Drop / duplicate / corrupt: independent per-event faults."""
-    events = out.events
-    n = len(events)
-    i0, i1 = spec.window.indices(n)
+    """The per-event kinds: one draw per event in the window, and a hit
+    with probability ``intensity``."""
+    kind = spec.kind
+    i0, i1 = spec.window.indices(len(out.events))
     result: List[object] = []
-    for index, event in enumerate(events):
+    # Events a REORDER hit holds back: (position released after, event).
+    delayed: List[Tuple[int, object]] = []
+    # Session ids in first-seen order, the partners INTERLEAVE picks from.
+    seen: Dict[str, None] = {}
+    for index, event in enumerate(out.events):
+        sid = str(getattr(event, "session_id", ""))
+        if sid:
+            seen.setdefault(sid)
         if not (i0 <= index < i1) or rng.random() >= spec.intensity:
             result.append(event)
-            continue
-        sid = str(getattr(event, "session_id", ""))
-        if spec.kind is FaultKind.DROP:
+        elif kind is FaultKind.DROP:
             _count(out, spec, index, sid)
-        elif spec.kind is FaultKind.DUPLICATE:
-            result.append(event)
-            result.append(event)
+        elif kind is FaultKind.DUPLICATE:
+            result += (event, event)
             _count(out, spec, index, sid)
-        elif spec.kind is FaultKind.CORRUPT:
-            result.append(_corrupt(out, spec, event, rng, index, sid))
-        else:  # pragma: no cover - enum is closed
-            raise ChaosError(f"unhandled telemetry kind {spec.kind!r}")
+        elif kind is FaultKind.REORDER:
+            delayed.append((index + 1 + rng.randrange(REORDER_SPAN), event))
+            _count(out, spec, index, sid)
+        elif kind is FaultKind.INTERLEAVE:
+            result.append(_interleave(out, spec, event, rng, index, sid, seen))
+        else:
+            result.append(_mangle(out, spec, event, rng, index, sid))
+        if delayed:
+            result += [e for at, e in delayed if at <= index]
+            delayed = [(at, e) for at, e in delayed if at > index]
+    result += [e for _, e in sorted(delayed, key=lambda d: d[0])]
     out.events = result
 
 
-def _corrupt(
-    out: TelemetryInjection,
-    spec: FaultSpec,
-    event: object,
-    rng: random.Random,
-    index: int,
-    sid: str,
-) -> object:
-    """Mangle one event the way a cut-off or buggy SDK payload would."""
+def _mangle(out: TelemetryInjection, spec: FaultSpec, event: object,
+            rng: random.Random, index: int, sid: str) -> object:
+    """TRUNCATE blanks a required field, as a cut-off payload would;
+    NEGATIVE_TIMING makes a heartbeat timing negative.  An event that
+    has no such field passes through unfaulted."""
+    if spec.kind is FaultKind.TRUNCATE:
+        if isinstance(event, SessionStart):
+            name = rng.choice(("publisher_id", "url"))
+            mangled: object = replace(event, **{name: ""})
+        elif isinstance(event, Heartbeat):
+            # inf rather than nan: nan != nan would make two replays of
+            # one faulted stream compare unequal.
+            mangled = corrupt_heartbeat(event, playing_seconds=float("inf"))
+        elif isinstance(event, SessionEnd):
+            mangled = SessionEnd(session_id="")
+        else:
+            return event
+    elif not isinstance(event, Heartbeat):
+        return event
+    elif rng.random() < 0.5:
+        mangled = corrupt_heartbeat(
+            event, playing_seconds=-abs(event.playing_seconds) - 1.0
+        )
+    else:
+        mangled = corrupt_heartbeat(
+            event, rebuffering_seconds=-abs(event.rebuffering_seconds) - 1.0
+        )
+    _count(out, spec, index, sid)
+    return mangled
+
+
+def _interleave(out: TelemetryInjection, spec: FaultSpec, event: object,
+                rng: random.Random, index: int, sid: str,
+                seen: Mapping[str, None]) -> object:
+    """Re-address an event to another session seen so far; both
+    sessions count as corrupted."""
+    others = [s for s in seen if s != sid]
+    if not sid or not others:
+        return event
+    other = others[rng.randrange(len(others))]
+    _count(out, spec, index, sid)
+    out.corrupted_sessions.add(other)
     if isinstance(event, Heartbeat):
-        _count(out, spec, index, sid)
-        if rng.random() < 0.5:
-            return corrupt_heartbeat(
-                event, playing_seconds=-abs(event.playing_seconds) - 1.0
-            )
-        return corrupt_heartbeat(event, playing_seconds=float("inf"))
-    if isinstance(event, SessionEnd):
-        _count(out, spec, index, sid)
-        return SessionEnd(session_id="")
-    if isinstance(event, SessionStart):
-        _count(out, spec, index, sid)
-        return replace(event, url="")
-    return event
+        return corrupt_heartbeat(event, session_id=other)
+    return replace(event, session_id=other)
 
 
 def _delay_starts(

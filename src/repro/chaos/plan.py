@@ -45,12 +45,14 @@ class FaultKind(str, Enum):
     # -- telemetry transport ------------------------------------------
     DROP = "drop"  # events silently lost
     DUPLICATE = "duplicate"  # events delivered twice
+    REORDER = "reorder"  # any event delayed by 1-3 places
+    NEGATIVE_TIMING = "negative-timing"  # a heartbeat timing made < 0
+    INTERLEAVE = "interleave"  # an event re-addressed to another session
     REORDER_START = "reorder-start"  # SessionStart delayed past beats
-    CORRUPT = "corrupt"  # truncated/negative/crossed payloads
     # -- CDN delivery --------------------------------------------------
     OUTAGE = "outage"  # target CDN fails every fetch
     LATENCY = "latency"  # target CDN throughput degrades
-    # -- manifest fetch ------------------------------------------------
+    # -- manifest fetch (and telemetry: a required field blanked) -------
     TRUNCATE = "truncate"  # payload cut off mid-document
     MALFORM = "malform"  # payload characters mangled
     # -- ingest tier ---------------------------------------------------
@@ -64,8 +66,11 @@ LAYER_KINDS: Mapping[Layer, FrozenSet[FaultKind]] = {
         {
             FaultKind.DROP,
             FaultKind.DUPLICATE,
+            FaultKind.REORDER,
+            FaultKind.TRUNCATE,
+            FaultKind.NEGATIVE_TIMING,
+            FaultKind.INTERLEAVE,
             FaultKind.REORDER_START,
-            FaultKind.CORRUPT,
         }
     ),
     Layer.DELIVERY: frozenset({FaultKind.OUTAGE, FaultKind.LATENCY}),
@@ -87,6 +92,17 @@ RECOVERABLE_KINDS: FrozenSet[FaultKind] = frozenset(
         FaultKind.OUTAGE,
         FaultKind.LATENCY,
     }
+)
+
+#: The per-event telemetry kinds, in the order :meth:`FaultPlan.uniform`
+#: applies them.
+PER_EVENT_KINDS: Tuple[FaultKind, ...] = (
+    FaultKind.DROP,
+    FaultKind.DUPLICATE,
+    FaultKind.REORDER,
+    FaultKind.TRUNCATE,
+    FaultKind.NEGATIVE_TIMING,
+    FaultKind.INTERLEAVE,
 )
 
 
@@ -117,18 +133,16 @@ class Window:
         i0, i1 = self.indices(n)
         return i0 <= index < i1
 
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class FaultSpec:
     """One fault campaign entry: kind x layer x window x intensity.
 
-    ``intensity`` is the per-tick probability (or severity fraction for
-    :attr:`FaultKind.TRUNCATE`/:attr:`FaultKind.LATENCY`) inside the
-    window.  ``target`` names the victim where the layer needs one (the
-    CDN for delivery faults); other layers leave it ``None``.
+    ``intensity`` is the per-tick probability inside the window (and
+    also the severity fraction of a manifest :attr:`FaultKind.TRUNCATE`
+    or a :attr:`FaultKind.LATENCY`).  ``target`` names the victim where
+    the layer needs one (the CDN for delivery faults); other layers
+    leave it ``None``.
     """
 
     kind: FaultKind
@@ -174,12 +188,12 @@ class FaultSpec:
             kind = FaultKind(str(payload["kind"]))
             layer = Layer(str(payload["layer"]))
             intensity = float(payload.get("intensity", 0.5))  # type: ignore[arg-type]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ChaosError(f"malformed fault spec payload: {exc}") from exc
         window = payload.get("window", [0.0, 1.0])
         try:
             start, end = (float(bound) for bound in window)  # type: ignore[union-attr]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ChaosError(
                 f"fault spec window must be two numbers, got {window!r}"
             ) from None
@@ -213,6 +227,20 @@ class FaultPlan:
             )
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ChaosError(f"plan seed must be an integer, got {self.seed!r}")
+
+    @classmethod
+    def uniform(cls, rate: float, seed: int) -> "FaultPlan":
+        """One whole-stream telemetry spec per per-event kind, each at
+        ``rate / 6``.  Rate 0 gives no specs; outside [0, 1] raises."""
+        if not 0.0 <= rate <= 1.0:
+            raise ChaosError(f"fault rate must be in [0, 1], got {rate}")
+        share = rate / len(PER_EVENT_KINDS)
+        specs = tuple(
+            FaultSpec(kind, Layer.TELEMETRY, intensity=share)
+            for kind in PER_EVENT_KINDS
+            if share > 0.0
+        )
+        return cls(name="uniform", seed=seed, specs=specs)
 
     # -- queries --------------------------------------------------------
 
@@ -291,7 +319,9 @@ class FaultPlan:
     def from_json(cls, text: str) -> "FaultPlan":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # ValueError also covers an integer past the interpreter's digit
+        # limit; RecursionError, nesting past the decoder's depth.
+        except (ValueError, RecursionError) as exc:
             raise ChaosError(f"fault plan is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ChaosError("fault plan JSON must be an object")

@@ -32,7 +32,6 @@ from repro.parallel import parse_jobs
 from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator, EcosystemResult
 from repro.telemetry.backend import TelemetryBackend
-from repro.telemetry.faults import FaultInjector, FaultMix
 from repro.telemetry.ingest import ErrorPolicy, events_from_records
 
 
@@ -166,7 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fault-rate",
         type=float,
         default=0.2,
-        help="fraction of events corrupted by the injector (default: 0.2)",
+        help="fraction of events corrupted, split evenly over six fault "
+        "kinds (default: 0.2)",
     )
     ingest.add_argument(
         "--sessions",
@@ -178,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fault-seed",
         type=int,
         default=7,
-        help="seed for the fault injector RNG (default: 7)",
+        help="seed for the fault plan's RNGs (default: 7)",
     )
     # The demo only needs a couple of snapshots' worth of sessions.
     ingest.set_defaults(snapshots=2)
@@ -551,9 +551,13 @@ def _ingest(args: argparse.Namespace) -> int:
     if args.sessions < 1:
         print("ingest: --sessions must be >= 1", file=sys.stderr)
         return 2
+    # Lazy: importing repro.chaos also loads the testkit.
+    from repro.chaos import FaultPlan, inject_telemetry
+    from repro.errors import ChaosError
+
     try:
-        mix = FaultMix.uniform(args.fault_rate)
-    except DatasetError as exc:
+        plan = FaultPlan.uniform(args.fault_rate, args.fault_seed)
+    except ChaosError as exc:
         print(f"ingest: {exc}", file=sys.stderr)
         return 2
     result = _generate(args)
@@ -563,8 +567,7 @@ def _ingest(args: argparse.Namespace) -> int:
         if r.view_duration_hours > 0 and r.rebuffer_ratio < 1.0
     ][: args.sessions]
     events = list(events_from_records(records))
-    injector = FaultInjector(mix, seed=args.fault_seed)
-    corrupted = injector.apply(events)
+    injection = inject_telemetry(events, plan)
     backend = TelemetryBackend()
     # When observability is on, the pipeline counts into the global
     # registry so a --metrics-out snapshot and the printed report are
@@ -572,7 +575,7 @@ def _ingest(args: argparse.Namespace) -> int:
     metrics = obs.metrics() if obs.enabled() else None
     try:
         report = backend.ingest_events(
-            corrupted, policy=args.policy, metrics=metrics
+            injection.events, policy=args.policy, metrics=metrics
         )
     except DatasetError as exc:
         print(f"strict ingestion aborted: {exc}", file=sys.stderr)
@@ -580,8 +583,8 @@ def _ingest(args: argparse.Namespace) -> int:
     print(
         f"replayed {len(records)} sessions as {len(events)} events; "
         f"fault rate {args.fault_rate:.0%} corrupted "
-        f"{len(injector.corrupted_sessions)} sessions "
-        f"({len(injector.log)} faults applied)"
+        f"{len(injection.corrupted_sessions)} sessions "
+        f"({len(injection.log)} faults applied)"
     )
     print(report.summary())
     if report.dead_letters:

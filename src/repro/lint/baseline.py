@@ -51,7 +51,10 @@ def load_baseline(path: str) -> Dict[str, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bytes that are not UTF-8, invalid JSON and an
+    # integer past the interpreter's digit limit; RecursionError,
+    # nesting past the decoder's depth.
+    except (OSError, ValueError, RecursionError) as exc:
         raise LintRuleError(f"cannot read baseline {path}: {exc}") from exc
     if not isinstance(data, dict) or "suppressions" not in data:
         raise LintRuleError(

@@ -94,7 +94,7 @@ class UnseededRandomness(BaseRule):
     description = "unseeded or global-state randomness in a seeded path"
     scope = (
         "*/synthesis/*",
-        "*/telemetry/faults.py",
+        "*/chaos/injectors.py",
         "*/playback/*",
     )
 

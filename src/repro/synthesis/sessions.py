@@ -136,7 +136,9 @@ def sample_without_replacement(
     """
     picks: List[int] = []
     for j in range(n - k, n):
-        drawn = int(rng.integers(j + 1))
+        # integers(1) is always 0 and consumes no state (j == 0 only
+        # when n == k, the common case): skip the call.
+        drawn = int(rng.integers(j + 1)) if j else 0
         picks.append(j if drawn in picks else drawn)
     for i in range(k - 1, 0, -1):
         swap = int(rng.integers(i + 1))

@@ -25,11 +25,6 @@ from repro.telemetry.ingest import (
     events_from_record,
     events_from_records,
 )
-from repro.telemetry.faults import (
-    FaultInjector,
-    FaultMix,
-    corrupt_heartbeat,
-)
 from repro.telemetry.snapshots import (
     SnapshotSchedule,
     default_schedule,
@@ -62,7 +57,4 @@ __all__ = [
     "RobustSessionizer",
     "events_from_record",
     "events_from_records",
-    "FaultInjector",
-    "FaultMix",
-    "corrupt_heartbeat",
 ]

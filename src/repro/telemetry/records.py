@@ -143,7 +143,9 @@ class ViewRecord:
     def from_json(cls, text: str) -> "ViewRecord":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # ValueError also covers an integer past the interpreter's digit
+        # limit; RecursionError, nesting past the decoder's depth.
+        except (ValueError, RecursionError) as exc:
             raise DatasetError(f"record is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise DatasetError(

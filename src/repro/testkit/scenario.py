@@ -17,8 +17,8 @@ Four scenarios ship by default:
     The tier-1 fixture shape (seed 2018, 6 snapshots, 110 publishers):
     what the golden figure rows are captured from.
 ``fault-heavy``
-    A small build whose event replay runs through the
-    :class:`~repro.telemetry.faults.FaultInjector` at a high corruption
+    A small build whose event replay runs through
+    :func:`~repro.chaos.injectors.inject_telemetry` at a high corruption
     rate, exercising the quarantine/repair policies.
 ``syndication-heavy``
     A mid-size build with an enlarged §6 QoE study, weighting the
@@ -36,11 +36,11 @@ from repro.errors import ChaosError, TestkitError
 from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator, EcosystemResult
 from repro.telemetry.dataset import encode_lines
-from repro.telemetry.faults import FaultInjector, FaultMix
 from repro.telemetry.records import ViewRecord
 from repro.testkit.reference import RowDataset
 
 if TYPE_CHECKING:
+    from repro.chaos.injectors import TelemetryInjection
     from repro.chaos.plan import FaultPlan
     from repro.chaos.runner import ChaosRun
 
@@ -51,10 +51,11 @@ Rows = List[Dict[str, object]]
 class IngestSpec:
     """The optional fault-injected ingest stage of a scenario.
 
-    ``sessions`` view records are replayed as raw event streams, the
-    injector corrupts them at ``fault_rate`` under ``fault_seed``, and
-    the stream is ingested under both lenient policies so the run
-    artifact carries a quarantine and a repair report to compare.
+    ``sessions`` view records are replayed as raw event streams,
+    :meth:`~repro.chaos.plan.FaultPlan.uniform` corrupts them at
+    ``fault_rate`` under ``fault_seed``, and the stream is ingested
+    under both lenient policies so the run artifact carries a
+    quarantine and a repair report to compare.
     """
 
     sessions: int = 200
@@ -66,9 +67,6 @@ class IngestSpec:
             raise TestkitError("ingest sessions must be >= 1")
         if not 0.0 <= self.fault_rate <= 1.0:
             raise TestkitError("fault rate must be in [0, 1]")
-
-    def mix(self) -> FaultMix:
-        return FaultMix.uniform(self.fault_rate)
 
 
 @dataclass(frozen=True)
@@ -261,8 +259,11 @@ class ScenarioRun:
             self._chaos = ChaosRun(self)
         return self._chaos
 
-    def corrupted_events(self) -> Tuple[List[object], FaultInjector]:
-        """The ingest stage's corrupted stream plus its injector audit."""
+    def corrupted_events(self) -> "TelemetryInjection":
+        """The ingest stage's corrupted stream with its fault audit."""
+        # Lazy imports: repro.chaos imports back into this module.
+        from repro.chaos.injectors import inject_telemetry
+        from repro.chaos.plan import FaultPlan
         from repro.telemetry.ingest import events_from_records
 
         spec = self.spec.ingest
@@ -272,8 +273,8 @@ class ScenarioRun:
             )
         records = self.clean_records(spec.sessions)
         events = list(events_from_records(records))
-        injector = FaultInjector(spec.mix(), seed=spec.fault_seed)
-        return injector.apply(events), injector
+        plan = FaultPlan.uniform(spec.fault_rate, spec.fault_seed)
+        return inject_telemetry(events, plan)
 
 
 # ---------------------------------------------------------------------------

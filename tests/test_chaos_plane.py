@@ -16,6 +16,8 @@ from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import (
     LAYER_KINDS,
@@ -127,6 +129,10 @@ class TestFaultPlanDsl:
             FaultSpec(FaultKind.OUTAGE, Layer.TELEMETRY)
         with pytest.raises(ChaosError):
             FaultSpec(FaultKind.DROP, Layer.MANIFEST)
+        with pytest.raises(ChaosError):
+            FaultSpec(FaultKind.MALFORM, Layer.TELEMETRY)
+        with pytest.raises(ChaosError):
+            FaultSpec(FaultKind.INTERLEAVE, Layer.MANIFEST)
         for layer, kinds in LAYER_KINDS.items():
             for kind in kinds:
                 target = "A" if layer is Layer.DELIVERY else None
@@ -150,14 +156,15 @@ class TestFaultPlanDsl:
         seeds = [plan.spec_seed(s) for s in plan.specs]
         assert len(set(seeds)) == len(seeds)
         assert seeds == [plan.spec_seed(s) for s in plan.specs]
-        foreign = FaultSpec(FaultKind.CORRUPT, Layer.TELEMETRY)
+        foreign = FaultSpec(FaultKind.TRUNCATE, Layer.TELEMETRY)
         with pytest.raises(ChaosError):
             plan.spec_seed(foreign)
 
     def test_projections(self):
         plan = _plan(
             FaultSpec(FaultKind.DUPLICATE, Layer.TELEMETRY, intensity=0.1),
-            FaultSpec(FaultKind.CORRUPT, Layer.TELEMETRY, intensity=0.1),
+            FaultSpec(FaultKind.NEGATIVE_TIMING, Layer.TELEMETRY,
+                      intensity=0.1),
             FaultSpec(FaultKind.OUTAGE, Layer.DELIVERY, target="A"),
         )
         recoverable = plan.recoverable()
@@ -279,6 +286,20 @@ class TestScenarioZoo:
         scenarios, contracts = outputs.pop().split()
         assert int(scenarios) == len(ZOO)
         assert int(contracts) == 7
+
+
+def test_cli_import_loads_neither_chaos_nor_testkit():
+    # `repro ingest` imports the chaos plane inside its handler.
+    probe = (
+        "import sys, repro.cli\n"
+        "print([m for m in ('repro.chaos', 'repro.testkit') "
+        "if m in sys.modules])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.chaos
@@ -422,3 +443,67 @@ def test_chaos_boundaries_raise_typed_located_errors(case, needle, capsys):
         else:
             FaultPlan.from_json(case)
     assert needle in str(caught.value)
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, "1" * 5_000], ids=["deep", "long-int"]
+)
+def test_plan_json_the_decoder_cannot_hold_is_a_chaos_error(text):
+    with pytest.raises(ChaosError, match="not valid JSON"):
+        FaultPlan.from_json(text)
+
+
+#: Any JSON value, numbers past float range included.
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=10**308, max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+#: Spec payloads whose kind and layer are real names in any pairing,
+#: wrong layers included; each other field is valid or any JSON value.
+_SPECS = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from([kind.value for kind in FaultKind]),
+        "layer": st.sampled_from([layer.value for layer in Layer]),
+    },
+    optional={
+        "window": st.one_of(st.lists(st.floats(0.0, 1.0), max_size=3), _JSON),
+        "intensity": st.one_of(st.floats(0.0, 1.0), _JSON),
+        "target": st.one_of(st.just("A"), _JSON),
+    },
+)
+_PLANS = st.fixed_dictionaries(
+    {
+        "version": st.one_of(st.just(PLAN_VERSION), _JSON),
+        "name": st.one_of(st.just("fuzz"), _JSON),
+        "seed": st.one_of(st.integers(), _JSON),
+        "specs": st.one_of(st.lists(_SPECS, max_size=4), _JSON),
+    }
+)
+
+
+@pytest.mark.chaos
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        _PLANS.map(json.dumps), _JSON.map(json.dumps), st.text(max_size=30)
+    )
+)
+def test_plan_json_fuzz_only_chaos_error_escapes(text):
+    try:
+        plan = FaultPlan.from_json(text)
+    except ChaosError:
+        return
+    assert FaultPlan.from_json(plan.to_json()) == plan

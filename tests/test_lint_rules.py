@@ -253,6 +253,13 @@ class TestRuleDetails:
         _, bad, _ = FIXTURES["RPL001"]
         assert codes(bad, "src/repro/core/counts.py") == []
 
+    def test_rpl001_covers_the_telemetry_fault_driver(self):
+        src = """
+        import random
+        rng = random.Random()
+        """
+        assert codes(src, "src/repro/chaos/injectors.py") == ["RPL001"]
+
     def test_rpl001_seeded_constructor_keyword(self):
         src = """
         import random
@@ -481,6 +488,15 @@ class TestEngine:
         with pytest.raises(LintRuleError):
             load_baseline(str(bad))
 
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, "1" * 5_000], ids=["deep", "long-int"]
+    )
+    def test_baseline_the_json_decoder_cannot_hold(self, tmp_path, text):
+        bad = tmp_path / "baseline.json"
+        bad.write_text(text)
+        with pytest.raises(LintRuleError, match="baseline.json"):
+            load_baseline(str(bad))
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -607,6 +623,12 @@ class TestCli:
         root = self._seed_project(tmp_path)
         assert cli.main(["check", "--root", str(root), "--baseline"]) == 0
         assert cli.main(["check", "--root", str(root), "--no-baseline"]) == 1
+
+    def test_non_utf8_baseline_exits_2_naming_it(self, tmp_path, capsys):
+        root = self._seed_project(tmp_path)
+        (root / ".replint-baseline.json").write_bytes(b"\xff\xfe{}")
+        assert cli.main(["check", "--root", str(root)]) == 2
+        assert ".replint-baseline.json" in capsys.readouterr().err
 
 
 class TestAcceptance:

@@ -27,11 +27,11 @@ from repro.core.report import format_table
 from repro.delivery.multicdn import CdnBroker, ResilientFetcher
 from repro.entities.cdn import CDN, CdnAssignment
 from repro.errors import CircuitOpenError, DeliveryError, RetryExhaustedError
+from repro.chaos import FaultPlan, inject_telemetry
 from repro.obs import FakeClock, MetricsRegistry
 from repro.resilience import BackoffPolicy, CircuitBreaker, retry_with_backoff
 from repro.synthesis.calibration import QOE_COMBOS, EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator
-from repro.telemetry.faults import FaultInjector, FaultMix
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.ingest import IngestPipeline, events_from_records
 
@@ -64,8 +64,7 @@ def _faulted_events(eco, rate: float = 0.3, sessions: int = 40):
         if r.view_duration_hours > 0 and r.rebuffer_ratio < 1.0
     ][:sessions]
     events = list(events_from_records(records))
-    injector = FaultInjector(FaultMix.uniform(rate), seed=5)
-    return injector.apply(events)
+    return inject_telemetry(events, FaultPlan.uniform(rate, 5)).events
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,14 @@ class TestLoadErrors:
         path.write_text(self._line() + "\n" + line + "\n")
         assert f"{path}:2" in self._load_error(path)
 
+    @pytest.mark.parametrize(
+        "line", ["[" * 100_000, "1" * 5_000], ids=["deep", "long-int"]
+    )
+    def test_line_the_json_decoder_cannot_hold(self, tmp_path, line):
+        path = tmp_path / "deep.jsonl"
+        path.write_text(self._line() + "\n" + line + "\n")
+        assert f"{path}:2" in self._load_error(path)
+
     def test_cdn_names_not_a_list(self, tmp_path):
         path = tmp_path / "cdn.jsonl"
         path.write_text(self._line(cdn_names=5) + "\n")

@@ -13,19 +13,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import (
+    LAYER_KINDS,
+    FaultKind,
+    FaultPlan,
+    FaultSpec,
+    Layer,
+    inject_telemetry,
+)
+from repro.chaos.injectors import corrupt_heartbeat
 from repro.constants import ContentType
-from repro.errors import DatasetError, IngestError
+from repro.errors import ChaosError, DatasetError, IngestError
 from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.events import (
     Heartbeat,
     SessionEnd,
     SessionStart,
     Sessionizer,
-)
-from repro.telemetry.faults import (
-    FaultInjector,
-    FaultMix,
-    corrupt_heartbeat,
 )
 from repro.telemetry.ingest import (
     ErrorPolicy,
@@ -85,6 +89,11 @@ def _beat(session_id="s1", playing=18.0, rebuffering=2.0, seq=None):
     )
 
 
+def _faulted(events, rate, seed):
+    """``events`` under the six per-event kinds at ``rate`` in all."""
+    return inject_telemetry(events, FaultPlan.uniform(rate, seed))
+
+
 @pytest.fixture(scope="module")
 def clean_records():
     return [make_record(i) for i in range(40)]
@@ -136,8 +145,7 @@ class TestQuarantineFuzz:
     def test_quarantine_never_raises_and_accounts_for_every_event(
         self, clean_events, seed
     ):
-        injector = FaultInjector(FaultMix.uniform(0.25), seed=seed)
-        corrupted = injector.apply(clean_events)
+        corrupted = _faulted(clean_events, 0.25, seed).events
         pipeline = IngestPipeline(ErrorPolicy.QUARANTINE)
         report = pipeline.run(corrupted)  # must not raise
         assert (
@@ -155,15 +163,14 @@ class TestQuarantineFuzz:
     def test_uncorrupted_sessions_match_clean_run(
         self, clean_records, clean_events, clean_report, seed
     ):
-        injector = FaultInjector(FaultMix.uniform(0.25), seed=seed)
-        corrupted = injector.apply(clean_events)
-        report = IngestPipeline(ErrorPolicy.QUARANTINE).run(corrupted)
+        injection = _faulted(clean_events, 0.25, seed)
+        report = IngestPipeline(ErrorPolicy.QUARANTINE).run(injection.events)
         clean_by_vid = {r.video_id: r for r in clean_report.records}
         faulty_by_vid = {r.video_id: r for r in report.records}
         untouched = 0
         for index, record in enumerate(clean_records):
             sid = f"sess_{index:06d}"
-            if sid in injector.corrupted_sessions:
+            if sid in injection.corrupted_sessions:
                 continue
             untouched += 1
             assert faulty_by_vid[record.video_id] == clean_by_vid[
@@ -175,8 +182,7 @@ class TestQuarantineFuzz:
     def test_repair_mode_never_raises_and_keeps_at_least_quarantine_yield(
         self, clean_events, seed
     ):
-        injector = FaultInjector(FaultMix.uniform(0.25), seed=seed)
-        corrupted = injector.apply(clean_events)
+        corrupted = _faulted(clean_events, 0.25, seed).events
         quarantine = IngestPipeline(ErrorPolicy.QUARANTINE).run(
             list(corrupted)
         )
@@ -188,9 +194,8 @@ class TestQuarantineFuzz:
         )
 
     def test_heavy_corruption_still_completes(self, clean_events):
-        injector = FaultInjector(FaultMix.uniform(0.6), seed=99)
         report = IngestPipeline(ErrorPolicy.QUARANTINE).run(
-            injector.apply(clean_events)
+            _faulted(clean_events, 0.6, 99).events
         )
         assert report.total_events > 0
         assert (
@@ -369,10 +374,10 @@ class TestIngestEdgeCases:
         return IngestPipeline(ErrorPolicy.QUARANTINE, **kwargs).run(events)
 
     def test_zero_length_stream_through_injector_and_pipeline(self):
-        injector = FaultInjector(FaultMix.uniform(0.5), seed=1)
-        assert injector.apply([]) == []
-        assert injector.log == []
-        assert injector.corrupted_sessions == set()
+        injection = _faulted([], 0.5, 1)
+        assert injection.events == []
+        assert injection.log == []
+        assert injection.corrupted_sessions == set()
         report = self.run([])
         assert report.total_events == 0
         assert report.records == []
@@ -468,29 +473,74 @@ class TestIngestEdgeCases:
             assert record.view_duration_hours == pytest.approx(18.0 / 3600)
 
 
-class TestFaultInjectorDeterminism:
+class TestUniformPlanDeterminism:
     def test_same_seed_same_stream(self, clean_events):
-        mix = FaultMix.uniform(0.3)
-        first = FaultInjector(mix, seed=5).apply(clean_events)
-        second = FaultInjector(mix, seed=5).apply(clean_events)
-        assert first == second
+        first = _faulted(clean_events, 0.3, 5)
+        second = _faulted(clean_events, 0.3, 5)
+        assert first.events == second.events
+        assert first.log == second.log
 
     def test_different_seed_different_stream(self, clean_events):
-        mix = FaultMix.uniform(0.3)
-        first = FaultInjector(mix, seed=5).apply(clean_events)
-        second = FaultInjector(mix, seed=6).apply(clean_events)
-        assert first != second
+        first = _faulted(clean_events, 0.3, 5)
+        second = _faulted(clean_events, 0.3, 6)
+        assert first.events != second.events
 
     def test_zero_rate_is_identity(self, clean_events):
-        injector = FaultInjector(FaultMix(), seed=5)
-        assert injector.apply(clean_events) == list(clean_events)
-        assert injector.corrupted_sessions == set()
+        assert FaultPlan.uniform(0.0, 5).specs == ()
+        injection = _faulted(clean_events, 0.0, 5)
+        assert injection.events == list(clean_events)
+        assert injection.corrupted_sessions == set()
 
     def test_rates_validated(self):
-        with pytest.raises(DatasetError):
-            FaultMix(drop=0.8, duplicate=0.5)
-        with pytest.raises(DatasetError):
-            FaultMix(drop=-0.1)
+        for rate in (1.5, -0.1, float("nan")):
+            with pytest.raises(ChaosError, match="fault rate"):
+                FaultPlan.uniform(rate, 5)
+        plan = FaultPlan.uniform(0.3, 5)
+        assert [s.kind for s in plan.specs] == [
+            FaultKind.DROP,
+            FaultKind.DUPLICATE,
+            FaultKind.REORDER,
+            FaultKind.TRUNCATE,
+            FaultKind.NEGATIVE_TIMING,
+            FaultKind.INTERLEAVE,
+        ]
+        assert {s.intensity for s in plan.specs} == {0.3 / 6}
+
+
+#: Every telemetry kind, in a stable order for test ids.
+_TELEMETRY_KINDS = sorted(LAYER_KINDS[Layer.TELEMETRY], key=lambda k: k.value)
+
+
+@pytest.mark.robustness
+class TestPerKindAudit:
+    """Each telemetry kind alone: quarantine absorbs it, accounts for
+    every event, and leaves every session it did not touch as the clean
+    run folds it; the recoverable kinds leave every record as it was."""
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("kind", _TELEMETRY_KINDS, ids=lambda k: k.value)
+    def test_kind_alone_is_accounted_and_contained(
+        self, clean_records, clean_events, clean_report, kind, seed
+    ):
+        spec = FaultSpec(kind, Layer.TELEMETRY, intensity=0.3)
+        injection = inject_telemetry(
+            clean_events, FaultPlan(name="one-kind", seed=seed, specs=(spec,))
+        )
+        assert injection.total_injected > 0
+        report = IngestPipeline(ErrorPolicy.QUARANTINE).run(injection.events)
+        assert (
+            report.accepted + report.deduped + report.event_quarantined
+            == report.total_events
+        )
+        clean_by_vid = {r.video_id: r for r in clean_report.records}
+        faulted_by_vid = {r.video_id: r for r in report.records}
+        for index, record in enumerate(clean_records):
+            if f"sess_{index:06d}" not in injection.corrupted_sessions:
+                assert faulted_by_vid[record.video_id] == clean_by_vid[
+                    record.video_id
+                ]
+        if spec.recoverable:
+            assert report.records == clean_report.records
 
 
 def _state(pipeline, registry):
@@ -527,9 +577,7 @@ class TestBatchInvariance:
     )
     @pytest.mark.parametrize("seed", [3, 11])
     def test_single_chunked_and_run_agree(self, clean_events, policy, seed):
-        events = FaultInjector(FaultMix.uniform(0.3), seed=seed).apply(
-            clean_events
-        )
+        events = _faulted(clean_events, 0.3, seed).events
         single, single_registry = self._pipeline(policy)
         chunked, chunked_registry = self._pipeline(policy)
         for start in range(0, len(events), self.CHUNK):
@@ -657,9 +705,7 @@ class TestReaper:
     def test_reaps_what_a_full_scan_reaps(
         self, clean_events, policy, max_idle, seed
     ):
-        events = FaultInjector(FaultMix.uniform(0.3), seed=seed).apply(
-            _interleaved(clean_events)
-        )
+        events = _faulted(_interleaved(clean_events), 0.3, seed).events
         states = []
         for kind in (RobustSessionizer, _ScanningReaper):
             registry = MetricsRegistry()

@@ -72,7 +72,8 @@ def test_ingest_spec_validation():
         IngestSpec(sessions=0)
     with pytest.raises(TestkitError, match="fault rate"):
         IngestSpec(fault_rate=1.5)
-    assert IngestSpec(fault_rate=0.25).mix() is not None
+    assert IngestSpec(fault_rate=0.0).fault_rate == 0.0
+    assert IngestSpec(fault_rate=1.0).fault_rate == 1.0
 
 
 # -- registry --------------------------------------------------------------
