@@ -11,8 +11,12 @@ Run with::
     python examples/complexity_audit.py
 """
 
-from repro import generate_default_dataset
-from repro.core import fit_complexity, max_unique_sdks, publisher_complexity
+from repro.core.complexity import (
+    fit_complexity,
+    max_unique_sdks,
+    publisher_complexity,
+)
+from repro.synthesis.generator import generate_default_dataset
 from repro.telemetry.backend import TelemetryBackend
 
 

@@ -12,18 +12,17 @@ Run with::
 
 import numpy as np
 
-from repro import generate_default_dataset
-from repro.core import (
+from repro.core.diversity import (
     fit_diversity,
     mean_evenness,
-    owner_share_of_cdn,
-    project_all_syndicators,
     publisher_diversity,
 )
+from repro.core.integrated import owner_share_of_cdn, project_all_syndicators
 from repro.delivery.edgesim import EdgeSyndicationStudy
 from repro.entities.ladder import BitrateLadder
 from repro.synthesis import calibration as cal
 from repro.synthesis.catalogues import build_case_catalogue
+from repro.synthesis.generator import generate_default_dataset
 from repro.telemetry.quality import audit
 
 

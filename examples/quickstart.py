@@ -10,17 +10,20 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import Platform, Protocol, generate_default_dataset
-from repro.core import (
+from repro.constants import Platform, Protocol
+from repro.core.counts import count_distribution
+from repro.core.dimensions import (
     CdnDimension,
     PlatformDimension,
     ProtocolDimension,
-    count_distribution,
-    format_table,
-    headline_summary,
+)
+from repro.core.prevalence import (
     publisher_support_series,
     view_hour_share_series,
 )
+from repro.core.report import format_table
+from repro.core.summary import headline_summary
+from repro.synthesis.generator import generate_default_dataset
 
 
 def main() -> None:

@@ -11,16 +11,15 @@ Run with::
     python examples/syndication_study.py
 """
 
-from repro import generate_default_dataset
-from repro.core import (
-    figure18,
-    format_table,
+from repro.core.report import format_table
+from repro.core.storage import figure18, tolerance_sweep
+from repro.core.syndication import (
     ladders_for_video,
     prevalence_summary,
     qoe_comparison,
-    tolerance_sweep,
 )
 from repro.synthesis.catalogues import case_video_id
+from repro.synthesis.generator import generate_default_dataset
 
 
 def main() -> None:

@@ -12,43 +12,17 @@ The package has three layers:
 * **Core** — ``core``: the paper's analyses; every table and figure has
   a regenerating function, indexed in ``repro.figures``.
 
+No package re-exports its modules' names: import each name from the
+module that defines it, so a command loads only the layers it uses.
+
 Quickstart::
 
-    from repro import generate_default_dataset
-    from repro.core import prevalence
+    from repro.core.dimensions import ProtocolDimension
+    from repro.core.prevalence import view_hour_share_series
+    from repro.synthesis.generator import generate_default_dataset
 
     result = generate_default_dataset(snapshot_limit=12)
-    shares = prevalence.protocol_view_hour_shares(result.dataset)
+    shares = view_hour_share_series(result.dataset, ProtocolDimension())
 """
 
-from repro.constants import (
-    ConnectionType,
-    ContentType,
-    Platform,
-    Protocol,
-    SyndicationRole,
-)
-from repro.synthesis import (
-    EcosystemConfig,
-    EcosystemGenerator,
-    EcosystemResult,
-    generate_default_dataset,
-)
-from repro.telemetry import Dataset, ViewRecord
-
-__version__ = "1.1.0"
-
-__all__ = [
-    "ConnectionType",
-    "ContentType",
-    "Platform",
-    "Protocol",
-    "SyndicationRole",
-    "EcosystemConfig",
-    "EcosystemGenerator",
-    "EcosystemResult",
-    "generate_default_dataset",
-    "Dataset",
-    "ViewRecord",
-    "__version__",
-]
+__version__ = "1.2.0"

@@ -17,31 +17,13 @@ RPL104     impure worker / mutated capture crosses a pool boundary
 
 Public API::
 
-    from repro.analysis import run_check
+    from repro.analysis.engine import run_check
 
     result = run_check(["src"])   # both families, one parse
     print(result.ok, result.stats["call_edges"])
 
 ``repro check`` exposes the same run on the CLI with ``--format
 json|text``, ``--baseline``, ``--graph-out`` and exit code 1 on any
-non-baselined error; :func:`run_analysis` runs the RPL1xx family alone.
+non-baselined error; :func:`~repro.analysis.engine.run_analysis` runs
+the RPL1xx family alone.
 """
-
-from __future__ import annotations
-
-from repro.analysis.callgraph import CallGraph, build_call_graph
-from repro.analysis.effects import EffectAnalysis, Effects
-from repro.analysis.engine import collect_findings, run_analysis, run_check
-from repro.analysis.project import Project, load_project
-
-__all__ = [
-    "CallGraph",
-    "EffectAnalysis",
-    "Effects",
-    "Project",
-    "build_call_graph",
-    "collect_findings",
-    "load_project",
-    "run_analysis",
-    "run_check",
-]

@@ -17,22 +17,27 @@ run against a saved dataset file.
 Every subcommand accepts ``--trace`` (print the span tree of the run)
 and ``--metrics-out PATH`` (write the metrics snapshot as JSON); either
 flag switches the :mod:`repro.obs` layer on for the process.
+
+Each handler imports the layers it runs, so ``repro check`` loads
+neither numpy nor the generator.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro import figures, obs
+from repro import obs
 from repro.core.report import format_table
 from repro.errors import CalibrationError, DatasetError, ParallelError
-from repro.parallel import parse_jobs
+from repro.obs.export import write_snapshot
+from repro.obs.tracing import render_tree
 from repro.synthesis.calibration import EcosystemConfig
-from repro.synthesis.generator import EcosystemGenerator, EcosystemResult
-from repro.telemetry.backend import TelemetryBackend
 from repro.telemetry.ingest import ErrorPolicy, events_from_records
+
+if TYPE_CHECKING:
+    from repro.synthesis.generator import EcosystemResult
 
 
 def _jobs_flag(value: str) -> int:
@@ -41,8 +46,11 @@ def _jobs_flag(value: str) -> int:
     :func:`repro.parallel.parse_jobs` is the one typed gate for worker
     counts; argparse only renders :class:`argparse.ArgumentTypeError`
     messages nicely, so the :class:`~repro.errors.ParallelError` is
-    re-raised in that shape (same message, exit code 2).
+    re-raised in that shape (same message, exit code 2).  It imports
+    numpy, so it loads only when a ``--jobs`` value is parsed.
     """
+    from repro.parallel import parse_jobs
+
     try:
         return parse_jobs(value)
     except ParallelError as error:
@@ -297,6 +305,8 @@ def _add_generator_args(
 
 
 def _generate(args: argparse.Namespace) -> EcosystemResult:
+    from repro.synthesis.generator import EcosystemGenerator
+
     return EcosystemGenerator(args.config).generate(jobs=args.jobs)
 
 
@@ -321,9 +331,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if obs_on:
             spans = obs.tracer().finished
             if trace and spans:
-                print(obs.render_tree(spans), file=sys.stderr)
+                print(render_tree(spans), file=sys.stderr)
             if metrics_out:
-                obs.write_snapshot(
+                write_snapshot(
                     metrics_out,
                     obs.metrics(),
                     spans=spans if trace else (),
@@ -340,6 +350,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     # A --jobs value implies --run: listing ids needs no build.
     if args.command == "figures" and not args.run and args.jobs is None:
+        from repro import figures
+
         for figure_id in figures.figure_ids():
             print(f"{figure_id:6s} {figures.describe(figure_id)}")
         return 0
@@ -356,6 +368,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             return 2
 
     if args.command == "figures":
+        from repro import figures
+
         suite = figures.run_suite(
             args.config, jobs=args.jobs if args.jobs is not None else 1
         )
@@ -375,6 +389,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "figure":
+        from repro import figures
+
         result = _generate(args)
         rows = figures.run_figure(args.figure_id, result)
         print(f"== {args.figure_id}: {figures.describe(args.figure_id)} ==")
@@ -382,6 +398,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "summary":
+        from repro import figures
+
         result = _generate(args)
         rows = figures.run_figure("S44", result)
         print(format_table(rows))
@@ -421,13 +439,9 @@ def _testkit(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.errors import ChaosError, TestkitError
-    from repro.testkit import (
-        get_oracle,
-        get_scenario,
-        oracle_names,
-        run_matrix,
-        scenario_names,
-    )
+    from repro.testkit.oracles import get_oracle, oracle_names
+    from repro.testkit.report import run_matrix
+    from repro.testkit.scenario import get_scenario, scenario_names
 
     if args.action == "list":
         scenario_rows = [
@@ -507,8 +521,9 @@ def _check(args: argparse.Namespace) -> int:
     import os
     from pathlib import Path
 
-    from repro.analysis import run_check
-    from repro.lint import LintConfig, write_baseline
+    from repro.analysis.engine import run_check
+    from repro.lint.baseline import write_baseline
+    from repro.lint.config import LintConfig
     from repro.lint.registry import LintRuleError
     from repro.lint.report import format_json, format_text, graph_json
 
@@ -551,9 +566,10 @@ def _ingest(args: argparse.Namespace) -> int:
     if args.sessions < 1:
         print("ingest: --sessions must be >= 1", file=sys.stderr)
         return 2
-    # Lazy: importing repro.chaos also loads the testkit.
-    from repro.chaos import FaultPlan, inject_telemetry
+    from repro.chaos.injectors import inject_telemetry
+    from repro.chaos.plan import FaultPlan
     from repro.errors import ChaosError
+    from repro.telemetry.backend import TelemetryBackend
 
     try:
         plan = FaultPlan.uniform(args.fault_rate, args.fault_seed)

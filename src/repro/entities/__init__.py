@@ -3,24 +3,3 @@
 These model the nouns of §2: publishers, videos and catalogues, bitrate
 ladders, playback devices and their SDKs, and CDNs.
 """
-
-from repro.entities.ladder import BitrateLadder, Rendition
-from repro.entities.video import Video, Catalogue
-from repro.entities.device import Device, SDK, DeviceRegistry, default_registry
-from repro.entities.cdn import CDN, CdnAssignment
-from repro.entities.publisher import Publisher, PublisherProfile
-
-__all__ = [
-    "BitrateLadder",
-    "Rendition",
-    "Video",
-    "Catalogue",
-    "Device",
-    "SDK",
-    "DeviceRegistry",
-    "default_registry",
-    "CDN",
-    "CdnAssignment",
-    "Publisher",
-    "PublisherProfile",
-]

@@ -28,7 +28,8 @@ the finishing step, the baseline, the result type and the report.
 
 Public API::
 
-    from repro.lint import run_lint, LintConfig
+    from repro.lint.config import LintConfig
+    from repro.lint.engine import run_lint
 
     result = run_lint(["src"], config=LintConfig.load("."))
     for finding in result.findings:
@@ -39,27 +40,5 @@ pre-existing findings can be frozen into a baseline file so CI fails
 only on *new* violations (``repro check --baseline`` writes it).
 """
 
-from __future__ import annotations
-
-from repro.lint.baseline import load_baseline, write_baseline
-from repro.lint.config import LintConfig
-from repro.lint.engine import CheckResult, lint_source, run_lint
-from repro.lint.findings import Finding, Severity
-from repro.lint.registry import all_rules, get_rule, rule
-
 # Importing the rule pack registers every rule with the registry.
 from repro.lint import rules as _rules  # noqa: F401  (import for side effect)
-
-__all__ = [
-    "CheckResult",
-    "Finding",
-    "LintConfig",
-    "Severity",
-    "all_rules",
-    "get_rule",
-    "lint_source",
-    "load_baseline",
-    "rule",
-    "run_lint",
-    "write_baseline",
-]

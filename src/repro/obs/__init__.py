@@ -31,66 +31,11 @@ from __future__ import annotations
 import logging
 from typing import IO, Optional
 
-from repro.obs.clock import CallableClock, Clock, FakeClock, MonotonicClock
-from repro.obs.export import (
-    snapshot_payload,
-    to_json,
-    write_snapshot,
-)
-from repro.obs.instruments import CATALOG, InstrumentSpec, register_catalog
+from repro.obs.clock import Clock, MonotonicClock
+from repro.obs.instruments import register_catalog
 from repro.obs.logs import get_logger, install_handler, log_event, remove_handler
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsError,
-    MetricsRegistry,
-    NOOP_INSTRUMENT,
-    log_buckets,
-)
-from repro.obs.tracing import (
-    NULL_SPAN,
-    NULL_SPAN_CONTEXT,
-    Span,
-    Tracer,
-    render_tree,
-)
-
-__all__ = [
-    "CATALOG",
-    "CallableClock",
-    "Clock",
-    "Counter",
-    "FakeClock",
-    "Gauge",
-    "Histogram",
-    "InstrumentSpec",
-    "MetricsError",
-    "MetricsRegistry",
-    "MonotonicClock",
-    "ObsContext",
-    "Span",
-    "Tracer",
-    "configure",
-    "counter",
-    "current_span_id",
-    "emit",
-    "enabled",
-    "gauge",
-    "get_context",
-    "get_logger",
-    "histogram",
-    "log_buckets",
-    "metrics",
-    "register_catalog",
-    "render_tree",
-    "reset",
-    "snapshot_payload",
-    "span",
-    "to_json",
-    "tracer",
-    "write_snapshot",
-]
+from repro.obs.metrics import NOOP_INSTRUMENT, MetricsRegistry
+from repro.obs.tracing import NULL_SPAN_CONTEXT, Tracer
 
 
 class ObsContext:
@@ -98,7 +43,7 @@ class ObsContext:
 
     The module keeps a process-global instance wired to the free
     functions below; tests construct private ones with a
-    :class:`FakeClock` to make span durations exact.
+    :class:`~repro.obs.clock.FakeClock` to make span durations exact.
     """
 
     def __init__(

@@ -1,5 +1,7 @@
 """Manifest writers, parsers, and protocol detection (Table 1).
 
+The Table 1 URL-extension detector lives in
+:mod:`repro.packaging.manifest.detect`.
 One writer/parser pair per HTTP adaptive-streaming protocol.  Use
 :func:`manifest_writer_for` / :func:`parser_for` to obtain them by
 :class:`~repro.constants.Protocol`.
@@ -11,18 +13,8 @@ from typing import Dict, Type
 
 from repro.constants import Protocol
 from repro.errors import ManifestError
-from repro.packaging.manifest.base import (
-    ManifestInfo,
-    ManifestParser,
-    ManifestWriter,
-)
+from repro.packaging.manifest.base import ManifestParser, ManifestWriter
 from repro.packaging.manifest.dash import DASHParser, DASHWriter
-from repro.packaging.manifest.detect import (
-    detect_protocol,
-    detect_protocol_or_none,
-    extension_for,
-    sample_manifest_url,
-)
 from repro.packaging.manifest.hds import HDSParser, HDSWriter
 from repro.packaging.manifest.hls import HLSParser, HLSWriter
 from repro.packaging.manifest.mss import MSSParser, MSSWriter
@@ -65,23 +57,3 @@ def parser_for(protocol: Protocol) -> ManifestParser:
         ) from None
     return parser_cls()
 
-
-__all__ = [
-    "ManifestInfo",
-    "ManifestParser",
-    "ManifestWriter",
-    "HLSWriter",
-    "HLSParser",
-    "DASHWriter",
-    "DASHParser",
-    "MSSWriter",
-    "MSSParser",
-    "HDSWriter",
-    "HDSParser",
-    "detect_protocol",
-    "detect_protocol_or_none",
-    "extension_for",
-    "sample_manifest_url",
-    "manifest_writer_for",
-    "parser_for",
-]

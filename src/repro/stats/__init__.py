@@ -6,16 +6,3 @@ time (Figs 3c, 9c, 12c), decade bucketing by view-hours (Figs 3b, 9b,
 12b), and ordinary least squares on log-log scatter plots with p-values
 (Fig 13).  This package implements each from first principles on numpy.
 """
-
-from repro.stats.cdf import ECDF
-from repro.stats.weighted import weighted_mean
-from repro.stats.regression import LogLogFit, fit_loglog
-from repro.stats.bucketing import DecadeBuckets
-
-__all__ = [
-    "ECDF",
-    "weighted_mean",
-    "LogLogFit",
-    "fit_loglog",
-    "DecadeBuckets",
-]

@@ -4,30 +4,3 @@ Calibrated to the paper's reported statistics; see
 ``repro.synthesis.calibration`` for the full target list and DESIGN.md
 for the substitution rationale.
 """
-
-from repro.synthesis.calibration import (
-    DEFAULT_CONFIG,
-    EcosystemConfig,
-    PAPER,
-    PaperTargets,
-)
-from repro.synthesis.generator import (
-    EcosystemGenerator,
-    EcosystemResult,
-    generate_default_dataset,
-)
-from repro.synthesis.syndication import CaseStudy
-from repro.synthesis.trends import AdoptionCurve, LinearDrift
-
-__all__ = [
-    "DEFAULT_CONFIG",
-    "EcosystemConfig",
-    "PAPER",
-    "PaperTargets",
-    "EcosystemGenerator",
-    "EcosystemResult",
-    "generate_default_dataset",
-    "CaseStudy",
-    "AdoptionCurve",
-    "LinearDrift",
-]

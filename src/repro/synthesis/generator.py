@@ -9,10 +9,11 @@ the syndication case-study definition, which publishers drive DASH).
 Snapshot synthesis is embarrassingly parallel: every snapshot draws
 from its own RNG stream, spawned from the seed by
 :func:`repro.parallel.spawn_streams`, and the sampler carries no
-per-snapshot state from one batch to the next.  ``generate(jobs=N)``
-fans the snapshot loop out through :func:`repro.parallel.parallel_map`;
-because each stream is independent of execution order, a parallel build
-is byte-identical to the serial one (the determinism suite asserts
+per-snapshot state from one batch to the next.  Every build sends its
+snapshots through :func:`repro.parallel.parallel_map`, which runs them
+in-process at ``jobs=1`` and on a process pool otherwise; because each
+stream is independent of execution order, a parallel build is
+byte-identical to the serial one (the determinism suite asserts
 equality of the saved JSONL and of every figure's rows).
 """
 
@@ -192,17 +193,25 @@ def _plan_for(config: cal.EcosystemConfig) -> _SynthesisPlan:
 
 
 def _snapshot_batch(
-    config: cal.EcosystemConfig, index: int
+    config: cal.EcosystemConfig,
+    item: Tuple[int, np.random.SeedSequence],
 ) -> List[ViewRecord]:
-    """Worker entry point: all records of snapshot ``index``."""
+    """Worker entry point: all records of one snapshot.
+
+    ``item`` is the snapshot's index and its own seed stream.
+    """
+    index, stream = item
     plan = _plan_for(config)
-    streams = spawn_streams(config.seed, len(plan.snapshots) + 1)
-    return plan.sampler.snapshot_records(
-        plan.snapshots[index],
-        _snapshot_t(index, len(plan.snapshots)),
-        scale=config.records_scale,
-        rng=np.random.default_rng(streams[index]),
-    )
+    snapshot = plan.snapshots[index]
+    with obs.span("synthesis.snapshot", snapshot=snapshot.isoformat()) as span:
+        batch = plan.sampler.snapshot_records(
+            snapshot,
+            _snapshot_t(index, len(plan.snapshots)),
+            scale=config.records_scale,
+            rng=np.random.default_rng(stream),
+        )
+        span.set(records=len(batch))
+    return batch
 
 
 class EcosystemGenerator:
@@ -248,37 +257,17 @@ class EcosystemGenerator:
         record_counter = obs.counter("synthesis.records")
         snapshot_counter = obs.counter("synthesis.snapshots")
         records: List[ViewRecord] = []
-        if jobs == 1 or len(snapshots) <= 1:
-            for index, snapshot in enumerate(snapshots):
-                with obs.span(
-                    "synthesis.snapshot", snapshot=snapshot.isoformat()
-                ) as span:
-                    batch = plan.sampler.snapshot_records(
-                        snapshot,
-                        _snapshot_t(index, len(snapshots)),
-                        scale=config.records_scale,
-                        rng=np.random.default_rng(streams[index]),
-                    )
-                    span.set(records=len(batch))
-                record_counter.inc(len(batch))
-                snapshot_counter.inc()
-                records.extend(batch)
-        else:
-            # ``plan`` above already warmed the per-process memo, so
-            # forked workers inherit it and skip the rebuild entirely.
-            with obs.span(
-                "synthesis.snapshot_pool", workers=jobs
-            ) as span:
-                batches = parallel_map(
-                    partial(_snapshot_batch, config),
-                    list(range(len(snapshots))),
-                    jobs=jobs,
-                )
-                span.set(records=sum(len(b) for b in batches))
-            for batch in batches:
-                record_counter.inc(len(batch))
-                snapshot_counter.inc()
-                records.extend(batch)
+        # ``plan`` above already warmed the per-process memo, so forked
+        # workers inherit it and skip the rebuild entirely.
+        batches = parallel_map(
+            partial(_snapshot_batch, config),
+            list(enumerate(streams[: len(snapshots)])),
+            jobs=jobs,
+        )
+        for batch in batches:
+            record_counter.inc(len(batch))
+            snapshot_counter.inc()
+            records.extend(batch)
 
         if plan.case_study is not None:
             with obs.span("synthesis.case_study") as span:

@@ -11,6 +11,7 @@ ingestion path (events -> record) is a real, tested code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -62,15 +63,39 @@ class Heartbeat:
     seq: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.interval_seconds <= 0:
-            raise DatasetError("heartbeat interval must be positive")
-        if self.playing_seconds < 0 or self.rebuffering_seconds < 0:
-            raise DatasetError("heartbeat time components must be >= 0")
-        if (
-            self.playing_seconds + self.rebuffering_seconds
-            > self.interval_seconds + 1e-6
-        ):
-            raise DatasetError("heartbeat components exceed the interval")
+        check_heartbeat(self)
+
+
+def check_heartbeat(beat: Heartbeat) -> None:
+    """Raise :class:`DatasetError`, naming the session, unless the
+    beat's timings are finite, non-negative and fit its interval.
+
+    The range checks are written so that NaN fails them too, as
+    :class:`ViewRecord`'s are.  A beat that crossed a transport or a
+    fault injector may have skipped construction, so
+    :class:`Sessionizer` checks every beat it is fed again.
+    """
+    interval = beat.interval_seconds
+    playing = beat.playing_seconds
+    rebuffering = beat.rebuffering_seconds
+    bitrate = beat.bitrate_kbps
+    if not 0.0 < interval < math.inf:
+        problem = f"interval must be finite and positive: {interval}"
+    elif not (0.0 <= playing < math.inf and 0.0 <= rebuffering < math.inf):
+        problem = (
+            "time components must be finite and non-negative: "
+            f"playing {playing}, rebuffering {rebuffering}"
+        )
+    elif not playing + rebuffering <= interval + 1e-6:
+        problem = (
+            f"components {playing} + {rebuffering} exceed the interval "
+            f"{interval}"
+        )
+    elif not 0.0 <= bitrate < math.inf:
+        problem = f"bitrate must be finite and non-negative: {bitrate}"
+    else:
+        return
+    raise DatasetError(f"heartbeat for session {beat.session_id!r}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -115,6 +140,7 @@ class Sessionizer:
                 raise DatasetError(
                     f"heartbeat for unknown session {event.session_id!r}"
                 )
+            check_heartbeat(event)
             self._beats[event.session_id].append(event)
             return None
         if isinstance(event, SessionEnd):

@@ -583,8 +583,14 @@ class RobustSessionizer:
         if not problems:
             return event
         if self.policy is ErrorPolicy.REPAIR:
-            self._counters.repaired.inc()
-            return replace(event, **fixed)
+            try:
+                repaired = replace(event, **fixed)
+            except DatasetError as exc:
+                # Components whose sum overflows fit no finite interval.
+                problems.append(str(exc))
+            else:
+                self._counters.repaired.inc()
+                return repaired
         reason = (
             RejectReason.NEGATIVE_TIMING
             if RejectReason.NEGATIVE_TIMING.value in problems

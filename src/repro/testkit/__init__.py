@@ -7,7 +7,8 @@ checked only piecewise.  This package checks the *whole chain* at once:
 * a **scenario** (:mod:`repro.testkit.scenario`) is a declarative spec
   that composes seeded synthesis -> optional fault-injected ingest ->
   :class:`~repro.telemetry.dataset.Dataset` -> every registered figure
-  into one reproducible run artifact (:class:`ScenarioRun`);
+  into one reproducible run artifact
+  (:class:`~repro.testkit.scenario.ScenarioRun`);
 * **differential oracles** (:mod:`repro.testkit.differential`) execute
   a scenario along independent code paths — row vs columnar dispatch,
   serial vs parallel synthesis, strict vs repair ingest on clean
@@ -27,31 +28,6 @@ pipeline stage's observable behaviour, some oracle names the exact
 inequality.
 """
 
-from __future__ import annotations
-
-from repro.errors import OracleFailure, TestkitError
-from repro.testkit.oracles import (
-    Check,
-    Oracle,
-    OracleOutcome,
-    get_oracle,
-    oracle,
-    oracle_names,
-    oracles_by_kind,
-    run_oracle,
-)
-from repro.testkit.scenario import (
-    IngestSpec,
-    ScenarioRun,
-    ScenarioSpec,
-    chaos_scenarios,
-    get_scenario,
-    register_scenario,
-    run_scenario,
-    scenario_names,
-)
-from repro.testkit.report import OracleReport, run_matrix
-
 # Importing the oracle packs registers them with the registry.
 from repro.testkit import differential as _differential  # noqa: F401
 from repro.testkit import metamorphic as _metamorphic  # noqa: F401
@@ -59,29 +35,4 @@ from repro.testkit import metamorphic as _metamorphic  # noqa: F401
 # The chaos scenario zoo registers its scenarios, perturbations, and
 # contract oracles as import side effects.  It must come last: it
 # imports back into repro.testkit.oracles and repro.testkit.scenario.
-# It imports nothing else from repro.chaos but the plan DSL, so this
-# line is safe even while repro.chaos is mid-import higher in the stack.
-from repro.chaos import zoo as _zoo  # noqa: E402,F401
-
-__all__ = [
-    "Check",
-    "IngestSpec",
-    "Oracle",
-    "OracleFailure",
-    "OracleOutcome",
-    "OracleReport",
-    "ScenarioRun",
-    "ScenarioSpec",
-    "TestkitError",
-    "chaos_scenarios",
-    "get_oracle",
-    "get_scenario",
-    "oracle",
-    "oracle_names",
-    "oracles_by_kind",
-    "register_scenario",
-    "run_matrix",
-    "run_oracle",
-    "run_scenario",
-    "scenario_names",
-]
+from repro.chaos import zoo as _zoo  # noqa: F401

@@ -32,16 +32,17 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro import figures, obs
+from repro.chaos.injectors import TelemetryInjection, inject_telemetry
+from repro.chaos.plan import FaultPlan
 from repro.errors import ChaosError, TestkitError
 from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator, EcosystemResult
 from repro.telemetry.dataset import encode_lines
+from repro.telemetry.ingest import events_from_records
 from repro.telemetry.records import ViewRecord
 from repro.testkit.reference import RowDataset
 
 if TYPE_CHECKING:
-    from repro.chaos.injectors import TelemetryInjection
-    from repro.chaos.plan import FaultPlan
     from repro.chaos.runner import ChaosRun
 
 Rows = List[Dict[str, object]]
@@ -65,8 +66,8 @@ class IngestSpec:
     def __post_init__(self) -> None:
         if self.sessions < 1:
             raise TestkitError("ingest sessions must be >= 1")
-        if not 0.0 <= self.fault_rate <= 1.0:
-            raise TestkitError("fault rate must be in [0, 1]")
+        # The plan constructor is the one check of the rate.
+        FaultPlan.uniform(self.fault_rate, self.fault_seed)
 
 
 @dataclass(frozen=True)
@@ -85,11 +86,9 @@ class ScenarioSpec:
     ingest: Optional[IngestSpec] = None
     #: Figure ids to regenerate; empty means every registered figure.
     figure_ids: Tuple[str, ...] = ()
-    #: Optional :class:`repro.chaos.plan.FaultPlan` driving the
-    #: scenario's contract oracles; ``None`` means the scenario declares
-    #: no fault campaign.  (Typed loosely to keep testkit importable
-    #: without the chaos package in the import graph.)
-    chaos_plan: Optional[object] = None
+    #: Optional fault plan driving the scenario's contract oracles;
+    #: ``None`` means the scenario declares no fault campaign.
+    chaos_plan: Optional[FaultPlan] = None
     #: Optional name of a registered perturbation; when set, the run
     #: offers a "perturbed" build variant for metamorphic contracts.
     perturb: Optional[str] = None
@@ -112,14 +111,13 @@ class ScenarioSpec:
             raise TestkitError(
                 f"scenario names unknown figures: {sorted(unknown)}"
             )
-        if self.chaos_plan is not None:
-            from repro.chaos.plan import FaultPlan
-
-            if not isinstance(self.chaos_plan, FaultPlan):
-                raise TestkitError(
-                    "chaos_plan must be a repro.chaos.plan.FaultPlan, "
-                    f"got {type(self.chaos_plan).__name__}"
-                )
+        if self.chaos_plan is not None and not isinstance(
+            self.chaos_plan, FaultPlan
+        ):
+            raise TestkitError(
+                "chaos_plan must be a repro.chaos.plan.FaultPlan, "
+                f"got {type(self.chaos_plan).__name__}"
+            )
 
     def config(self, seed: Optional[int] = None) -> EcosystemConfig:
         """The generator config for this scenario (or a reseeded one)."""
@@ -135,7 +133,7 @@ class ScenarioSpec:
         """The figure ids this scenario regenerates."""
         return self.figure_ids or tuple(figures.figure_ids())
 
-    def require_plan(self) -> "FaultPlan":
+    def require_plan(self) -> FaultPlan:
         """The declared chaos plan, or a :class:`ChaosError` naming the
         scenario when it declares none."""
         if self.chaos_plan is None:
@@ -253,19 +251,14 @@ class ScenarioRun:
         so a zoo scenario is synthesized once per matrix.
         """
         if self._chaos is None:
-            # Lazy import: repro.chaos imports back into this module.
+            # Lazy import: repro.chaos.runner imports this module.
             from repro.chaos.runner import ChaosRun
 
             self._chaos = ChaosRun(self)
         return self._chaos
 
-    def corrupted_events(self) -> "TelemetryInjection":
+    def corrupted_events(self) -> TelemetryInjection:
         """The ingest stage's corrupted stream with its fault audit."""
-        # Lazy imports: repro.chaos imports back into this module.
-        from repro.chaos.injectors import inject_telemetry
-        from repro.chaos.plan import FaultPlan
-        from repro.telemetry.ingest import events_from_records
-
         spec = self.spec.ingest
         if spec is None:
             raise TestkitError(

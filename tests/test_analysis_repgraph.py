@@ -24,23 +24,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import cli, obs
-from repro.analysis import (
-    EffectAnalysis,
-    Project,
-    build_call_graph,
-    collect_findings,
-    load_project,
-    run_analysis,
-)
-from repro.analysis.callgraph import MODULE_FN
-from repro.lint import (
-    LintConfig,
+from repro.analysis.callgraph import MODULE_FN, build_call_graph
+from repro.analysis.effects import EffectAnalysis
+from repro.analysis.engine import collect_findings, run_analysis
+from repro.analysis.project import Project, load_project
+from repro.lint.baseline import (
     load_baseline,
-    run_lint,
+    split_by_baseline,
     write_baseline,
 )
-from repro.lint.baseline import split_by_baseline
-from repro.lint.engine import apply_pragmas, collect_files, pragma_map
+from repro.lint.config import LintConfig
+from repro.lint.engine import (
+    apply_pragmas,
+    collect_files,
+    pragma_map,
+    run_lint,
+)
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import all_rules, get_rule
 from repro.lint.report import (

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import (
+from repro.chaos.injectors import inject_telemetry
+from repro.chaos.plan import (
     LAYER_KINDS,
     PLAN_VERSION,
     RECOVERABLE_KINDS,
@@ -28,22 +29,22 @@ from repro.chaos import (
     FaultSpec,
     Layer,
     Window,
-    inject_telemetry,
 )
 from repro.cli import main
 from repro.constants import ContentType
 from repro.errors import ChaosError, TestkitError
 from repro.telemetry.ingest import events_from_records
 from repro.telemetry.records import ViewRecord
-from repro.testkit import (
-    chaos_scenarios,
+from repro.testkit.oracles import (
+    PASS,
+    Oracle,
     get_oracle,
+    oracle,
     oracles_by_kind,
-    run_matrix,
     run_oracle,
 )
-from repro.testkit.oracles import PASS, Oracle, oracle
-from repro.testkit.scenario import ScenarioRun, get_scenario
+from repro.testkit.report import run_matrix
+from repro.testkit.scenario import ScenarioRun, chaos_scenarios, get_scenario
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "contract_cells.json"
 
@@ -266,16 +267,19 @@ class TestScenarioZoo:
             assert len(applicable) > len(universal)
 
     def test_import_order_is_symmetric(self):
-        # The zoo registers once whether repro.chaos or repro.testkit
-        # loads first; both orders must agree on the registry contents.
+        # The zoo registers once whether it or repro.testkit loads
+        # first; both orders must agree on the registry contents.
         probe = (
             "import repro.{first}, repro.{second}\n"
-            "from repro.testkit import chaos_scenarios, oracles_by_kind\n"
+            "from repro.testkit.oracles import oracles_by_kind\n"
+            "from repro.testkit.scenario import chaos_scenarios\n"
             "print(len(chaos_scenarios()), "
             "len(oracles_by_kind('contract')))\n"
         )
         outputs = set()
-        for first, second in (("chaos", "testkit"), ("testkit", "chaos")):
+        for first, second in (
+            ("chaos.zoo", "testkit"), ("testkit", "chaos.zoo")
+        ):
             result = subprocess.run(
                 [sys.executable, "-c",
                  probe.format(first=first, second=second)],
@@ -288,18 +292,40 @@ class TestScenarioZoo:
         assert int(contracts) == 7
 
 
-def test_cli_import_loads_neither_chaos_nor_testkit():
-    # `repro ingest` imports the chaos plane inside its handler.
+def _loaded_after(code, modules):
+    """Which of ``modules`` a fresh interpreter has loaded after ``code``."""
     probe = (
-        "import sys, repro.cli\n"
-        "print([m for m in ('repro.chaos', 'repro.testkit') "
-        "if m in sys.modules])\n"
+        f"import sys\n{code}\n"
+        f"print([m for m in {modules!r} if m in sys.modules])\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_neither_chaos_nor_testkit():
+    # `repro ingest` imports the chaos plane inside its handler.
+    code = "import repro.cli"
+    assert _loaded_after(code, ("repro.chaos", "repro.testkit")) == "[]"
+
+
+def test_chaos_plan_and_injectors_load_no_testkit():
+    code = "import repro.chaos.plan, repro.chaos.injectors"
+    assert _loaded_after(code, ("repro.testkit",)) == "[]"
+
+
+def test_static_checker_loads_neither_numpy_nor_scipy():
+    code = "import repro.lint.engine, repro.analysis.engine"
+    assert _loaded_after(code, ("numpy", "scipy")) == "[]"
+
+
+def test_check_command_loads_neither_numpy_nor_scipy():
+    root = Path(__file__).resolve().parent.parent
+    argv = ["check", "--root", str(root), str(root / "src/repro/units.py")]
+    code = f"from repro.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(code, ("numpy", "scipy")) == "[]"
 
 
 @pytest.mark.chaos

@@ -25,8 +25,9 @@ from typing import Dict, List
 import pytest
 
 from repro import cli
-from repro.analysis import run_analysis, run_check
-from repro.lint import LintConfig, run_lint
+from repro.analysis.engine import run_analysis, run_check
+from repro.lint.config import LintConfig
+from repro.lint.engine import run_lint
 from repro.lint import config as lint_config
 from repro.lint import engine as lint_engine
 from repro.lint.registry import LintRuleError, get_rule

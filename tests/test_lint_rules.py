@@ -16,16 +16,14 @@ from pathlib import Path
 import pytest
 
 from repro import cli
-from repro.lint import (
-    LintConfig,
-    lint_source,
+from repro.lint.baseline import (
+    assign_occurrences,
     load_baseline,
-    run_lint,
+    split_by_baseline,
     write_baseline,
 )
-from repro.lint.baseline import assign_occurrences, split_by_baseline
-from repro.lint.config import _parse_toml_subset
-from repro.lint.engine import PARSE_ERROR_CODE
+from repro.lint.config import LintConfig, _parse_toml_subset
+from repro.lint.engine import PARSE_ERROR_CODE, lint_source, run_lint
 from repro.lint.findings import Severity
 from repro.lint.registry import LintRuleError, all_rules, get_rule
 

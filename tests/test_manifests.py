@@ -5,18 +5,11 @@ import pytest
 from repro.constants import ContentType, Protocol
 from repro.entities.video import Video
 from repro.errors import ManifestError, ManifestParseError
-from repro.packaging.manifest import (
-    DASHParser,
-    DASHWriter,
-    HDSParser,
-    HDSWriter,
-    HLSParser,
-    HLSWriter,
-    MSSParser,
-    MSSWriter,
-    manifest_writer_for,
-    parser_for,
-)
+from repro.packaging.manifest import manifest_writer_for, parser_for
+from repro.packaging.manifest.dash import DASHParser, DASHWriter
+from repro.packaging.manifest.hds import HDSParser, HDSWriter
+from repro.packaging.manifest.hls import HLSParser, HLSWriter
+from repro.packaging.manifest.mss import MSSParser, MSSWriter
 
 BASE_URL = "http://cdn-a.example.net"
 

@@ -14,22 +14,18 @@ import logging
 
 import pytest
 
-from repro.obs import (
-    CallableClock,
-    FakeClock,
+from repro.obs import ObsContext
+from repro.obs.clock import CallableClock, Clock, FakeClock, MonotonicClock
+from repro.obs.export import snapshot_payload, to_json, write_snapshot
+from repro.obs.metrics import (
+    NOOP_INSTRUMENT,
+    Histogram,
     MetricsError,
     MetricsRegistry,
-    MonotonicClock,
-    NULL_SPAN_CONTEXT,
-    ObsContext,
-    Tracer,
+    format_series,
     log_buckets,
-    render_tree,
-    snapshot_payload,
-    to_json,
-    write_snapshot,
 )
-from repro.obs.clock import Clock
+from repro.obs.tracing import NULL_SPAN_CONTEXT, Tracer, render_tree
 from repro.obs.instruments import CATALOG, catalog_by_name, register_catalog
 from repro.obs.logs import (
     JsonLogFormatter,
@@ -38,7 +34,6 @@ from repro.obs.logs import (
     log_event,
     remove_handler,
 )
-from repro.obs.metrics import NOOP_INSTRUMENT, Histogram, format_series
 
 pytestmark = pytest.mark.obs
 

@@ -27,8 +27,10 @@ from repro.core.report import format_table
 from repro.delivery.multicdn import CdnBroker, ResilientFetcher
 from repro.entities.cdn import CDN, CdnAssignment
 from repro.errors import CircuitOpenError, DeliveryError, RetryExhaustedError
-from repro.chaos import FaultPlan, inject_telemetry
-from repro.obs import FakeClock, MetricsRegistry
+from repro.chaos.injectors import inject_telemetry
+from repro.chaos.plan import FaultPlan
+from repro.obs.clock import FakeClock
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience import BackoffPolicy, CircuitBreaker, retry_with_backoff
 from repro.synthesis.calibration import QOE_COMBOS, EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator

@@ -6,6 +6,8 @@ dead-letter queue with a typed reason, and sessions the injector did
 not touch fold to exactly the records a clean run produces.
 """
 
+import math
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -13,15 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import (
+from repro.chaos.injectors import corrupt_heartbeat, inject_telemetry
+from repro.chaos.plan import (
     LAYER_KINDS,
     FaultKind,
     FaultPlan,
     FaultSpec,
     Layer,
-    inject_telemetry,
 )
-from repro.chaos.injectors import corrupt_heartbeat
 from repro.constants import ContentType
 from repro.errors import ChaosError, DatasetError, IngestError
 from repro.obs.metrics import MetricsRegistry
@@ -231,6 +232,29 @@ class TestStrictParity:
     def test_strict_clean_stream_matches(self, clean_events, clean_report):
         report = IngestPipeline(ErrorPolicy.STRICT).run(list(clean_events))
         assert report.records == clean_report.records
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "interval_seconds",
+            "playing_seconds",
+            "rebuffering_seconds",
+            "bitrate_kbps",
+        ],
+    )
+    def test_non_finite_heartbeat_rejected_on_arrival(self, field, value):
+        with pytest.raises(DatasetError, match="session 's1'"):
+            replace(_beat(), **{field: value})
+        beat = corrupt_heartbeat(_beat(), **{field: value})
+        messages = []
+        for sessionizer in (Sessionizer(), IngestPipeline(ErrorPolicy.STRICT)):
+            sessionizer.ingest(_start())
+            with pytest.raises(DatasetError, match="session 's1'") as error:
+                sessionizer.ingest(beat)
+            messages.append(str(error.value))
+            assert sessionizer.open_sessions == 1
+        assert messages[0] == messages[1]
 
 
 class TestDeadLetterReasons:

@@ -16,9 +16,16 @@ import json
 
 import pytest
 
-from repro import testkit as tk
 from repro.cli import main
-from repro.testkit.oracles import FAIL, SKIP
+from repro.testkit.oracles import (
+    FAIL,
+    SKIP,
+    get_oracle,
+    oracle_names,
+    oracles_by_kind,
+    run_oracle,
+)
+from repro.testkit.scenario import get_scenario, run_scenario
 
 pytestmark = pytest.mark.testkit
 
@@ -29,7 +36,7 @@ _RUNS = {}
 
 def _run_for(name):
     if name not in _RUNS:
-        _RUNS[name] = tk.run_scenario(tk.get_scenario(name))
+        _RUNS[name] = run_scenario(get_scenario(name))
     return _RUNS[name]
 
 
@@ -47,16 +54,16 @@ DELEGATED = {
     "chaos-recovery": "tests/test_chaos_plane.py",
     **{
         contract.name: "tests/test_chaos_plane.py"
-        for contract in tk.oracles_by_kind("contract")
+        for contract in oracles_by_kind("contract")
     },
 }
 
 #: The cells the matrix builds for the fast scenarios.
 CELLS = [
     (scenario, name)
-    for name in tk.oracle_names()
+    for name in oracle_names()
     for scenario in SCENARIOS
-    if tk.get_oracle(name).applies_to(tk.get_scenario(scenario))
+    if get_oracle(name).applies_to(get_scenario(scenario))
 ]
 
 
@@ -66,7 +73,7 @@ CELLS = [
     ids=[f"{name}-{scenario}" for scenario, name in CELLS],
 )
 def test_oracle_cell(scenario, oracle_name):
-    outcome = tk.run_oracle(tk.get_oracle(oracle_name), _run_for(scenario))
+    outcome = run_oracle(get_oracle(oracle_name), _run_for(scenario))
     assert outcome.status != FAIL, outcome.detail
     if (scenario, oracle_name) in EXPECTED_SKIPS:
         assert outcome.status == SKIP, outcome.detail
@@ -82,7 +89,7 @@ def test_fast_scenarios_cover_every_oracle():
         for scenario, name in CELLS
         if (scenario, name) not in EXPECTED_SKIPS
     }
-    assert set(tk.oracle_names()) - exercised == set(DELEGATED)
+    assert set(oracle_names()) - exercised == set(DELEGATED)
 
 
 def test_cli_testkit_run_emits_machine_readable_report(capsys, tmp_path):

@@ -9,11 +9,29 @@ import math
 
 import pytest
 
-from repro import testkit as tk
-from repro.errors import OracleFailure, TestkitError
-from repro.testkit.oracles import FAIL, PASS, SKIP, Check, Oracle, Skip
+from repro.errors import ChaosError, OracleFailure, TestkitError
+from repro.testkit.oracles import (
+    FAIL,
+    PASS,
+    SKIP,
+    Check,
+    Oracle,
+    OracleOutcome,
+    Skip,
+    get_oracle,
+    oracle,
+    oracles_by_kind,
+    run_oracle,
+)
 from repro.testkit.report import OracleReport, run_matrix
-from repro.testkit.scenario import IngestSpec, ScenarioRun, ScenarioSpec
+from repro.testkit.scenario import (
+    IngestSpec,
+    ScenarioRun,
+    ScenarioSpec,
+    get_scenario,
+    register_scenario,
+    scenario_names,
+)
 
 
 def _spec(**overrides):
@@ -70,7 +88,7 @@ def test_spec_config_carries_seed_override():
 def test_ingest_spec_validation():
     with pytest.raises(TestkitError, match="sessions"):
         IngestSpec(sessions=0)
-    with pytest.raises(TestkitError, match="fault rate"):
+    with pytest.raises(ChaosError, match="fault rate"):
         IngestSpec(fault_rate=1.5)
     assert IngestSpec(fault_rate=0.0).fault_rate == 0.0
     assert IngestSpec(fault_rate=1.0).fault_rate == 1.0
@@ -80,28 +98,28 @@ def test_ingest_spec_validation():
 
 
 def test_scenario_registry_knows_the_four_shipped_scenarios():
-    assert set(tk.scenario_names()) >= {
+    assert set(scenario_names()) >= {
         "tiny",
         "paper-shaped",
         "fault-heavy",
         "syndication-heavy",
     }
-    assert tk.get_scenario("tiny").snapshot_limit == 2
+    assert get_scenario("tiny").snapshot_limit == 2
 
 
 def test_unknown_scenario_names_the_known_ones():
     with pytest.raises(TestkitError, match="tiny"):
-        tk.get_scenario("nope")
+        get_scenario("nope")
 
 
 def test_duplicate_scenario_rejected():
     with pytest.raises(TestkitError, match="duplicate"):
-        tk.register_scenario(_spec(name="tiny"))
+        register_scenario(_spec(name="tiny"))
 
 
 def test_oracle_registry_covers_both_kinds():
-    differential = {o.name for o in tk.oracles_by_kind("differential")}
-    metamorphic = {o.name for o in tk.oracles_by_kind("metamorphic")}
+    differential = {o.name for o in oracles_by_kind("differential")}
+    metamorphic = {o.name for o in oracles_by_kind("metamorphic")}
     assert "row-vs-columnar" in differential
     assert "serial-vs-parallel" in differential
     assert "permutation-invariance" in metamorphic
@@ -111,17 +129,17 @@ def test_oracle_registry_covers_both_kinds():
 
 def test_unknown_oracle_raises():
     with pytest.raises(TestkitError, match="unknown oracle"):
-        tk.get_oracle("nope")
+        get_oracle("nope")
 
 
 def test_duplicate_oracle_name_rejected():
     with pytest.raises(TestkitError, match="duplicate"):
-        tk.oracle("differential", "row-vs-columnar", "dup")(lambda r, c: "")
+        oracle("differential", "row-vs-columnar", "dup")(lambda r, c: "")
 
 
 def test_unknown_oracle_kind_rejected():
     with pytest.raises(TestkitError, match="kind"):
-        tk.oracle("quantum", "novel", "bad kind")
+        oracle("quantum", "novel", "bad kind")
 
 
 # -- Check helper ----------------------------------------------------------
@@ -182,7 +200,7 @@ def _toy_oracle(fn, name="toy"):
 
 def _lazy_run():
     # Never built: the toy oracles below don't touch the dataset.
-    return ScenarioRun(tk.get_scenario("tiny"))
+    return ScenarioRun(get_scenario("tiny"))
 
 
 def test_run_oracle_pass_skip_fail_statuses():
@@ -198,19 +216,19 @@ def test_run_oracle_pass_skip_fail_statuses():
         return "unreachable"
 
     run = _lazy_run()
-    ok = tk.run_oracle(_toy_oracle(passing), run)
+    ok = run_oracle(_toy_oracle(passing), run)
     assert (ok.status, ok.checks, ok.detail) == (PASS, 1, "compared one thing")
     assert ok.passed
-    skip = tk.run_oracle(_toy_oracle(skipping), run)
+    skip = run_oracle(_toy_oracle(skipping), run)
     assert (skip.status, skip.detail) == (SKIP, "not applicable here")
     assert skip.passed  # vacuously
-    fail = tk.run_oracle(_toy_oracle(failing), run)
+    fail = run_oracle(_toy_oracle(failing), run)
     assert fail.status == FAIL and not fail.passed
     assert "expected inequality violated" in fail.detail
 
 
 def test_run_oracle_flags_vacuous_pass_as_harness_bug():
-    outcome = tk.run_oracle(_toy_oracle(lambda r, c: "did nothing"), _lazy_run())
+    outcome = run_oracle(_toy_oracle(lambda r, c: "did nothing"), _lazy_run())
     assert outcome.status == FAIL
     assert "no checks" in outcome.detail
 
@@ -220,7 +238,7 @@ def test_run_oracle_converts_library_errors_to_failures():
         check.that(True, "warm-up")
         raise TestkitError("stage blew up")
 
-    outcome = tk.run_oracle(_toy_oracle(exploding), _lazy_run())
+    outcome = run_oracle(_toy_oracle(exploding), _lazy_run())
     assert outcome.status == FAIL
     assert "TestkitError" in outcome.detail
 
@@ -230,20 +248,20 @@ def test_run_oracle_lets_programming_errors_propagate():
         raise ZeroDivisionError("oracle bug")
 
     with pytest.raises(ZeroDivisionError):
-        tk.run_oracle(_toy_oracle(buggy), _lazy_run())
+        run_oracle(_toy_oracle(buggy), _lazy_run())
 
 
 # -- scenario run caching --------------------------------------------------
 
 
 def test_scenario_run_requires_ingest_spec_for_corruption():
-    run = ScenarioRun(tk.get_scenario("tiny"))
+    run = ScenarioRun(get_scenario("tiny"))
     with pytest.raises(TestkitError, match="no ingest stage"):
         run.corrupted_events()
 
 
 def test_unknown_build_variant_rejected():
-    run = ScenarioRun(tk.get_scenario("tiny"))
+    run = ScenarioRun(get_scenario("tiny"))
     with pytest.raises(TestkitError, match="variant"):
         run._build("turbo")
 
@@ -252,7 +270,7 @@ def test_unknown_build_variant_rejected():
 
 
 def _outcome(status, scenario="tiny", oracle="toy", checks=1):
-    return tk.OracleOutcome(
+    return OracleOutcome(
         oracle=oracle,
         kind="differential",
         scenario=scenario,
