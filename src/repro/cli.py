@@ -25,6 +25,7 @@ neither numpy nor the generator.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
@@ -327,6 +328,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     try:
         code = _dispatch(args)
+        # A reader that closed stdout early raises here, not at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # `repro figures | head -2`: stop quietly.  Point stdout at
+        # devnull so the interpreter's exit flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     finally:
         if obs_on:
             spans = obs.tracer().finished

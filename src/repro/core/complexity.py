@@ -18,9 +18,8 @@ sub-linear, with p-values below 1e-9.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Set
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -31,7 +30,12 @@ from repro.core.dimensions import (
 )
 from repro.errors import AnalysisError
 from repro.stats.regression import LogLogFit, fit_loglog
-from repro.telemetry.columnar import distinct_pair_counts, first_seen
+from repro.telemetry.columnar import (
+    distinct_pair_counts,
+    first_seen,
+    record_codes,
+    truthy,
+)
 from repro.telemetry.dataset import Dataset
 
 
@@ -68,16 +72,7 @@ def publisher_complexity(
     combinations = _combinations(dataset, publisher, n)
     protocols = dataset.values_per_publisher(HTTP_PROTOCOL_COLUMN)
     titles = dataset.values_per_publisher("video_id")
-
-    sdk_versions: Dict[str, Set[str]] = defaultdict(set)
-    browsers: Dict[str, Set[str]] = defaultdict(set)
-    for record in dataset:
-        if record.sdk_name:
-            sdk_versions[record.publisher_id].add(
-                f"{record.sdk_name}/{record.sdk_version or '?'}"
-            )
-        elif record.user_agent:
-            browsers[record.publisher_id].add(record.device_model)
+    unique_sdks = _unique_sdks(dataset, publisher, n)
 
     metrics: Dict[str, ComplexityMetrics] = {}
     for p in first_seen(publisher).tolist():
@@ -90,7 +85,7 @@ def publisher_complexity(
             view_hours=float(view_hours[p]),
             combinations=int(combinations[p]),
             protocol_titles=max(protocols.get(pid, 0), 1) * title_count,
-            unique_sdks=len(sdk_versions[pid]) + len(browsers[pid]),
+            unique_sdks=int(unique_sdks[p]),
         )
     return metrics
 
@@ -114,6 +109,52 @@ def _combinations(
         publisher[cdns.rows], n,
         triples, len(cdns.values) * (unknown + 1) * n_devices,
     )
+
+
+def _unique_sdks(
+    dataset: Dataset, publisher: np.ndarray, n: int
+) -> np.ndarray:
+    """Per publisher code, distinct ``"<SDK>/<version>"`` labels of its
+    app views plus distinct device models of its browser views.
+
+    An app view has an SDK name; a browser view has none but a user
+    agent.  A missing version reads ``?``.  Each distinct (SDK,
+    version) pair is labelled once, and pairs that share a label count
+    once.
+    """
+    size = len(dataset)
+    names = dataset.entries("sdk_name")
+    versions = dataset.entries("sdk_version")
+    devices = dataset.entries("device_model")
+    app = truthy(names, size)
+    browser = ~app & truthy(dataset.entries("user_agent"), size)
+
+    stride = len(versions.values) + 1
+    pairs, pair_codes = np.unique(
+        record_codes(names, size)[app] * stride
+        + record_codes(versions, size)[app] + 1,
+        return_inverse=True,
+    )
+    version_values = versions.values + (None,)  # OUT_OF_SCOPE reads None
+    labels: Dict[str, int] = {}
+    label_codes = [
+        labels.setdefault(
+            f"{names.values[pair // stride]}/"
+            f"{version_values[pair % stride - 1] or '?'}",
+            len(labels),
+        )
+        for pair in pairs.tolist()
+    ]
+    sdks = distinct_pair_counts(
+        publisher[app], n,
+        np.array(label_codes, dtype=np.int64)[pair_codes], len(labels),
+    )
+    # A browser view's missing device model (code -1) counts as a model.
+    models = distinct_pair_counts(
+        publisher[browser], n,
+        record_codes(devices, size)[browser] + 1, len(devices.values) + 1,
+    )
+    return sdks + models
 
 
 @dataclass(frozen=True)

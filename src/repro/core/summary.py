@@ -12,6 +12,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Set
 
+import numpy as np
+
 from repro.constants import ContentType, Protocol
 from repro.core.counts import count_distribution, share_with_count_above
 from repro.core.dimensions import (
@@ -23,6 +25,7 @@ from repro.core.dimensions import (
 )
 from repro.core.trends import count_trend
 from repro.errors import AnalysisError
+from repro.telemetry.columnar import record_codes
 from repro.telemetry.dataset import Dataset
 
 
@@ -82,17 +85,27 @@ def rtmp_share(dataset: Dataset) -> Dict[str, float]:
 
 
 def top_cdn_concentration(dataset: Dataset, n: int = 5) -> float:
-    """% of view-hours served by the top-n CDNs (§4.3: >93% for n=5)."""
-    totals: Dict[str, float] = defaultdict(float)
-    grand_total = 0.0
-    for record in dataset:
-        share = record.view_hours / len(record.cdn_names)
-        grand_total += record.view_hours
-        for cdn in record.cdn_names:
-            totals[cdn] += share
+    """% of view-hours served by the top-n CDNs (§4.3: >93% for n=5).
+
+    A view with k CDNs gives each ``view_hours / k``.  Every total adds
+    its terms one at a time in record order (``bincount`` per CDN,
+    ``add.accumulate`` overall), as a loop over the records would.
+    """
+    view_hours = dataset.measure("view_hours")
+    cdns = dataset.entries(CdnDimension.column_key)
+    k = np.bincount(cdns.rows, minlength=len(view_hours))[cdns.rows]
+    totals = np.bincount(
+        cdns.codes,
+        weights=view_hours[cdns.rows] / k,
+        minlength=len(cdns.values),
+    )
+    present = np.bincount(cdns.codes, minlength=len(cdns.values)) > 0
+    grand_total = (
+        float(np.add.accumulate(view_hours)[-1]) if len(view_hours) else 0.0
+    )
     if grand_total <= 0:
         raise AnalysisError("no view-hours in dataset")
-    top = sorted(totals.values(), reverse=True)[:n]
+    top = sorted(totals[present].tolist(), reverse=True)[:n]
     return 100.0 * sum(top) / grand_total
 
 
@@ -108,12 +121,25 @@ class ContentSplitStats:
 def live_vod_cdn_segregation(dataset: Dataset) -> ContentSplitStats:
     """Of publishers using multiple CDNs and serving both live and VoD,
     the share keeping at least one CDN exclusive to one content type."""
+    publishers = dataset.entries("publisher_id")
+    cdns = dataset.entries(CdnDimension.column_key)
+    types = dataset.entries("content_type")
+    # One key per distinct (publisher, CDN, content type) the views show.
+    n_cdns, n_types = len(cdns.values), len(types.values) + 1
+    keys = np.unique(
+        (publishers.codes[cdns.rows] * n_cdns + cdns.codes) * n_types
+        + record_codes(types, len(dataset))[cdns.rows] + 1
+    )
+    type_values = types.values + (None,)  # OUT_OF_SCOPE reads None
     cdn_types: Dict[str, Dict[str, Set[ContentType]]] = defaultdict(
         lambda: defaultdict(set)
     )
-    for record in dataset:
-        for cdn in record.cdn_names:
-            cdn_types[record.publisher_id][cdn].add(record.content_type)
+    for key in keys.tolist():
+        pair, content_type = divmod(key, n_types)
+        publisher, cdn = divmod(pair, n_cdns)
+        cdn_types[publishers.values[publisher]][cdns.values[cdn]].add(
+            type_values[content_type - 1]
+        )
     eligible = 0
     vod_only = 0
     live_only = 0

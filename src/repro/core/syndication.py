@@ -12,19 +12,26 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
+import numpy as np
+
 from repro.errors import AnalysisError
 from repro.stats.cdf import ECDF
+from repro.telemetry.columnar import distinct_pair_counts, first_seen, truthy
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.records import ViewRecord
 
 
 def observed_syndicators(dataset: Dataset) -> Set[str]:
     """Publishers seen serving someone else's content."""
-    return {r.publisher_id for r in dataset if r.is_syndicated}
+    publishers = dataset.entries("publisher_id")
+    syndicated = truthy(dataset.entries("is_syndicated"), len(dataset))
+    return {
+        publishers.values[p]
+        for p in np.unique(publishers.codes[syndicated]).tolist()
+    }
 
 
 def syndicator_fraction_per_owner(dataset: Dataset) -> Dict[str, float]:
@@ -36,18 +43,19 @@ def syndicator_fraction_per_owner(dataset: Dataset) -> Dict[str, float]:
     syndicators = observed_syndicators(dataset)
     if not syndicators:
         raise AnalysisError("no syndicated views in dataset")
-    carriers: Dict[str, Set[str]] = defaultdict(set)
-    owners: Set[str] = set()
-    for record in dataset:
-        if record.owner_id is not None:
-            owners.add(record.owner_id)
-            if record.is_syndicated:
-                carriers[record.owner_id].add(record.publisher_id)
+    publishers = dataset.entries("publisher_id")
+    owners = dataset.entries("owner_id")
+    syndicated = truthy(dataset.entries("is_syndicated"), len(dataset))
+    carried = syndicated[owners.rows]
+    carriers = distinct_pair_counts(
+        owners.codes[carried], len(owners.values),
+        publishers.codes[owners.rows[carried]], len(publishers.values),
+    )
     # Owners also include publishers serving only owned content; those
     # without any owner_id references simply never syndicated.
     return {
-        owner: 100.0 * len(carriers.get(owner, set())) / len(syndicators)
-        for owner in owners
+        owners.values[o]: 100.0 * int(carriers[o]) / len(syndicators)
+        for o in first_seen(owners.codes).tolist()
     }
 
 

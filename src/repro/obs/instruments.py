@@ -51,6 +51,10 @@ CATALOG: Tuple[InstrumentSpec, ...] = (
         "aggregations that fell back to the row-at-a-time path",
     ),
     InstrumentSpec(
+        "dataset.records_built", "counter",
+        "view records built from a dataset's columns for a caller",
+    ),
+    InstrumentSpec(
         "columnar.classified", "counter",
         "distinct source values a derived column's function classified",
     ),

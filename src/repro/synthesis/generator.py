@@ -42,7 +42,7 @@ from repro.synthesis.syndication import (
     invert_graph,
 )
 from repro.telemetry.dataset import Dataset
-from repro.telemetry.records import ViewRecord
+from repro.telemetry.records import RecordColumns
 from repro.telemetry.snapshots import SnapshotSchedule, default_schedule
 
 
@@ -195,8 +195,8 @@ def _plan_for(config: cal.EcosystemConfig) -> _SynthesisPlan:
 def _snapshot_batch(
     config: cal.EcosystemConfig,
     item: Tuple[int, np.random.SeedSequence],
-) -> List[ViewRecord]:
-    """Worker entry point: all records of one snapshot.
+) -> RecordColumns:
+    """Worker entry point: all records of one snapshot, as columns.
 
     ``item`` is the snapshot's index and its own seed stream.
     """
@@ -256,7 +256,7 @@ class EcosystemGenerator:
 
         record_counter = obs.counter("synthesis.records")
         snapshot_counter = obs.counter("synthesis.snapshots")
-        records: List[ViewRecord] = []
+        records = RecordColumns.empty()
         # ``plan`` above already warmed the per-process memo, so forked
         # workers inherit it and skip the rebuild entirely.
         batches = parallel_map(
@@ -264,7 +264,10 @@ class EcosystemGenerator:
             list(enumerate(streams[: len(snapshots)])),
             jobs=jobs,
         )
-        for batch in batches:
+        # Each batch is dropped once appended, so the joined columns
+        # never sit beside a second copy of every snapshot.
+        for index, batch in enumerate(batches):
+            batches[index] = None
             record_counter.inc(len(batch))
             snapshot_counter.inc()
             records.extend(batch)

@@ -59,7 +59,7 @@ from repro.synthesis.catalogues import (
 from repro.synthesis.population import size_decade, size_rank_percentile
 from repro.synthesis.portfolios import PortfolioAssigner
 from repro.synthesis.syndication import CaseStudy
-from repro.telemetry.records import ViewRecord
+from repro.telemetry.records import RecordColumns
 
 _FAMILY_WEIGHTS = {
     Platform.BROWSER: cal.BROWSER_FAMILY_WEIGHT,
@@ -360,8 +360,9 @@ class SessionSampler:
         scale: float = 1.0,
         *,
         rng: np.random.Generator,
-    ) -> List[ViewRecord]:
-        """All records for one bi-weekly snapshot, drawn from ``rng``.
+    ) -> RecordColumns:
+        """All records for one bi-weekly snapshot, drawn from ``rng``,
+        as one batch of columns.
 
         Per-snapshot sampling state (SDK round-robin cursors, duration
         strata pools) starts empty on every call, so each snapshot is a
@@ -371,12 +372,12 @@ class SessionSampler:
         generator derives one stream per snapshot via
         ``np.random.SeedSequence(seed).spawn(...)``.
         """
-        records: List[ViewRecord] = []
+        batch = RecordColumns.empty()
         for publisher_id in sorted(self._publishers):
-            records.extend(
+            batch.extend(
                 self._publisher_records(rng, publisher_id, snapshot, t, scale)
             )
-        return records
+        return batch
 
     def _publisher_records(
         self,
@@ -385,13 +386,13 @@ class SessionSampler:
         snapshot: date,
         t: float,
         scale: float,
-    ) -> List[ViewRecord]:
+    ) -> RecordColumns:
         """One publisher's records of one snapshot, in three phases.
 
         The cell walk lays out one slot per record (:meth:`_slots`);
         then each attribute takes one vector draw over all of the
-        publisher's slots, in the order DESIGN.md §16 lists; then one
-        loop builds the records from the drawn columns.  A publisher
+        publisher's slots, in the order DESIGN.md §16 lists; then the
+        drawn values become the batch's columns.  A publisher
         holds about 48 records per snapshot, enough to amortize numpy's
         per-call cost; a cell, at about 8, is not.
         """
@@ -400,7 +401,7 @@ class SessionSampler:
         draws = self._publisher_draws(publisher, profile, t)
         slots = self._slots(rng, draws, publisher, profile, t, scale)
         if not slots:
-            return []
+            return RecordColumns.empty()
         n = len(slots)
         (
             devices, protocols, content_types, cdn_tables, view_hours,
@@ -427,16 +428,15 @@ class SessionSampler:
         # analysis sees the calibrated splits without sampling noise;
         # the tilted duration draw keeps the views-weighted
         # distribution on target.
-        return list(
-            map(
-                ViewRecord,
-                itertools.repeat(snapshot, n),
-                itertools.repeat(publisher_id, n),
-                map(sample_manifest_url, protocols, video_ids, hosts),
+        return RecordColumns(
+            [
+                [snapshot] * n,
+                [publisher_id] * n,
+                list(map(sample_manifest_url, protocols, video_ids, hosts)),
                 [device.model for device in devices],
                 [device.os_name for device in devices],
                 cdns,
-                itertools.repeat(draws.rungs, n),
+                [draws.rungs] * n,
                 durations,
                 [
                     min(top_kbps, throughput)
@@ -444,7 +444,7 @@ class SessionSampler:
                     for throughput, factor in zip(throughputs, factors)
                 ],
                 rebuffers,
-                content_types,
+                list(content_types),
                 video_ids,
                 [vh / duration for vh, duration in zip(view_hours, durations)],
                 user_agents,
@@ -458,7 +458,7 @@ class SessionSampler:
                     _CONNECTIONS[bisect_right(_CONNECTION_CDF, u)]
                     for u in connections
                 ],
-            )
+            ]
         )
 
     def _slots(
@@ -758,8 +758,9 @@ class SessionSampler:
         sessions_per_combo: int,
         *,
         rng: np.random.Generator,
-    ) -> List[ViewRecord]:
-        """Simulated owner/syndicator sessions for the popular video.
+    ) -> RecordColumns:
+        """Simulated owner/syndicator sessions for the popular video,
+        as one batch of columns.
 
         California iPad clients over WiFi, per (ISP, CDN) combination;
         network draws are paired across publishers so QoE differences
@@ -768,7 +769,7 @@ class SessionSampler:
         many snapshots were sampled before it.
         """
         if self._case_study is None:
-            return []
+            return RecordColumns.empty()
         study = self._case_study
         profiles = default_isp_profiles()
         abr = ThroughputAbr(safety=0.85)
@@ -776,7 +777,7 @@ class SessionSampler:
             view_seconds=900.0, chunk_seconds=6.0, max_buffer_seconds=20.0
         )
         labels = ("O",) + study.syndicator_labels
-        records: List[ViewRecord] = []
+        records = RecordColumns.empty()
         for isp_name, cdn_name in cal.QOE_COMBOS:
             path = profiles[isp_name].path_to(cdn_name)
             session_means = [
@@ -807,29 +808,25 @@ class SessionSampler:
                 )
                 for result in itertools.islice(results, sessions_per_combo):
                     records.append(
-                        ViewRecord(
-                            snapshot=snapshot,
-                            publisher_id=publisher_id,
-                            url=url,
-                            device_model="ipad",
-                            os_name="ios",
-                            cdn_names=(cdn_name,),
-                            bitrate_ladder_kbps=ladder.bitrates_kbps,
-                            view_duration_hours=config.view_seconds / 3600.0,
-                            avg_bitrate_kbps=result.average_bitrate_kbps,
-                            rebuffer_ratio=result.rebuffer_ratio,
-                            content_type=ContentType.VOD,
-                            video_id=case_video_id(),
-                            weight=1.0,
-                            sdk_name="AVFoundation",
-                            sdk_version="10.2",
-                            is_syndicated=(label != "O"),
-                            owner_id=(
-                                study.owner_id if label != "O" else None
-                            ),
-                            isp=isp_name,
-                            geo="CA",
-                            connection=ConnectionType.WIFI,
-                        )
+                        snapshot=snapshot,
+                        publisher_id=publisher_id,
+                        url=url,
+                        device_model="ipad",
+                        os_name="ios",
+                        cdn_names=(cdn_name,),
+                        bitrate_ladder_kbps=ladder.bitrates_kbps,
+                        view_duration_hours=config.view_seconds / 3600.0,
+                        avg_bitrate_kbps=result.average_bitrate_kbps,
+                        rebuffer_ratio=result.rebuffer_ratio,
+                        content_type=ContentType.VOD,
+                        video_id=case_video_id(),
+                        weight=1.0,
+                        sdk_name="AVFoundation",
+                        sdk_version="10.2",
+                        is_syndicated=(label != "O"),
+                        owner_id=study.owner_id if label != "O" else None,
+                        isp=isp_name,
+                        geo="CA",
+                        connection=ConnectionType.WIFI,
                     )
         return records

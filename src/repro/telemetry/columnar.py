@@ -1,11 +1,16 @@
 """Column store behind :class:`~repro.telemetry.dataset.Dataset`.
 
-A :class:`ColumnStore` mirrors one immutable tuple of
-:class:`~repro.telemetry.records.ViewRecord` as NumPy arrays, built
-lazily per column and shared by every view sliced from the same root
-dataset.  Categorical fields (snapshot, publisher, video id, ...) are
-interned into integer codes so group-bys reduce to ``np.bincount`` over
-codes; numeric measures (view-hours, views) are plain float64 arrays.
+A :class:`ColumnStore` holds one root dataset's records, either as a
+:class:`~repro.telemetry.records.RecordColumns` batch (what synthesis
+hands over) or as a tuple of
+:class:`~repro.telemetry.records.ViewRecord` (what ingest, load and
+tests hand over), and mirrors them as NumPy arrays, built lazily per
+column and shared by every view sliced from the same root dataset.
+Categorical fields (snapshot, publisher, video id, ...) are interned
+into integer codes so group-bys reduce to ``np.bincount`` over codes;
+numeric measures (view-hours, views) are plain float64 arrays.  A
+batch-backed store builds its record tuple only when a caller asks for
+records, and counts them in ``dataset.records_built``.
 
 Derived columns — values computed from a stored field rather than
 stored on it, such as the protocol detected from the URL or the
@@ -25,7 +30,7 @@ carrying 1/k of the record's measures — the even split §4.3 applies to
 multi-CDN views.  A record with no value is out of scope and has no
 entry, so a single-valued key is simply the k <= 1 case.
 
-Everything here is immutable after construction of the record tuple:
+Everything here is immutable after construction of the store:
 columns are only ever *added* to the caches, never changed, which is
 why aggregation memoization in the dataset layer needs no invalidation.
 """
@@ -41,6 +46,7 @@ from typing import (
     Iterable,
     List,
     NamedTuple,
+    Optional,
     Tuple,
     Union,
 )
@@ -48,7 +54,7 @@ from typing import (
 import numpy as np
 
 from repro import obs
-from repro.telemetry.records import ViewRecord
+from repro.telemetry.records import RecordColumns, ViewRecord
 
 #: Sentinel code for a stored field whose value is ``None``.
 OUT_OF_SCOPE = -1
@@ -95,10 +101,18 @@ class Entries(NamedTuple):
 
 
 class ColumnStore:
-    """Lazily materialized column arrays over one record tuple."""
+    """Lazily materialized column arrays over one batch or tuple of
+    records."""
 
-    def __init__(self, records: Tuple[ViewRecord, ...]) -> None:
-        self.records = records
+    def __init__(
+        self, source: Union[RecordColumns, Tuple[ViewRecord, ...]]
+    ) -> None:
+        batch = isinstance(source, RecordColumns)
+        self._batch: Optional[RecordColumns] = source if batch else None
+        self._records: Optional[Tuple[ViewRecord, ...]] = (
+            None if batch else source
+        )
+        self._length = len(source)
         #: Interned columns by name: ``(codes, values)`` for a stored
         #: field, :class:`Entries` for a derived column.
         self._codes: Dict[str, tuple] = {}
@@ -106,7 +120,21 @@ class ColumnStore:
         self._field_entries: Dict[str, Entries] = {}
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._length
+
+    @property
+    def records(self) -> Tuple[ViewRecord, ...]:
+        """The records in order, built from the batch on first use."""
+        if self._records is None:
+            self._records = tuple(self._batch.records())
+            obs.counter("dataset.records_built").inc(self._length)
+        return self._records
+
+    def _values(self, field: str) -> Iterable[object]:
+        """One stored field's values in record order."""
+        if self._batch is not None:
+            return self._batch.column(field)
+        return map(attrgetter(field), self._records)
 
     # ------------------------------------------------------------------
     # Columns
@@ -119,10 +147,8 @@ class ColumnStore:
         if column is None:
             if name != "view_hours" and name not in _PULLED:
                 raise KeyError(f"unknown numeric column {name!r}")
-            with obs.span(
-                "columnar.intern", column=name, records=len(self.records)
-            ):
-                # map(attrgetter) keeps the extraction loop in C; the
+            with obs.span("columnar.intern", column=name, records=len(self)):
+                # np.fromiter keeps the extraction loop in C; the
                 # view-hours product is then a vectorized multiply
                 # instead of a per-record Python float multiplication.
                 if name == "view_hours":
@@ -137,9 +163,7 @@ class ColumnStore:
     def _pull(self, attr: str) -> np.ndarray:
         """Extract one float attribute across all records."""
         return np.fromiter(
-            map(attrgetter(attr), self.records),
-            dtype=np.float64,
-            count=len(self.records),
+            self._values(attr), dtype=np.float64, count=len(self)
         )
 
     def field_codes(
@@ -150,9 +174,9 @@ class ColumnStore:
         cached = self._codes.get(field)
         if cached is None:
             with obs.span(
-                "columnar.intern", column=field, records=len(self.records)
+                "columnar.intern", column=field, records=len(self)
             ) as span:
-                cached = _intern(map(attrgetter(field), self.records))
+                cached = _intern(self._values(field))
                 span.set(distinct=len(cached[1]))
             self._codes[field] = cached
         return cached
@@ -166,7 +190,7 @@ class ColumnStore:
         cached = self._codes.get(key.name)
         if cached is None:
             with obs.span(
-                "columnar.intern", column=key.name, records=len(self.records)
+                "columnar.intern", column=key.name, records=len(self)
             ) as span:
                 source = self.entries(key.source)
                 cached = _expand(
@@ -294,6 +318,23 @@ def pair_sums(
     sums = np.bincount(inverse, weights=weights, minlength=len(keys))
     order = np.argsort(first)
     return keys[order] // stride, keys[order] % stride, sums[order]
+
+
+def record_codes(entries: Entries, n_records: int) -> np.ndarray:
+    """Each record's code in the entries of a stored field (one entry
+    per record whose value is not ``None``), :data:`OUT_OF_SCOPE` for a
+    record with none."""
+    codes = np.full(n_records, OUT_OF_SCOPE, dtype=np.int64)
+    codes[entries.rows] = entries.codes
+    return codes
+
+
+def truthy(entries: Entries, n_records: int) -> np.ndarray:
+    """Per record, whether its value of a stored field is truthy
+    (``None`` is not); the truth test runs once per distinct value."""
+    # The appended False is what OUT_OF_SCOPE (-1) reads.
+    table = np.array([bool(v) for v in entries.values] + [False])
+    return table[record_codes(entries, n_records)]
 
 
 def first_seen(codes: np.ndarray) -> np.ndarray:

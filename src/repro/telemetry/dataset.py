@@ -6,6 +6,10 @@ views, or by distinct video IDs.  Persistence is line-delimited JSON
 (gzipped when the path ends in ``.gz``).
 
 Every dataset runs on a :class:`~repro.telemetry.columnar.ColumnStore`.
+A dataset built from a :class:`~repro.telemetry.records.RecordColumns`
+batch (synthesis builds one) checks it column by column and keeps it:
+its records are built only for the calls that hand records out
+(``records``, iteration, ``filter``, ``explode``, ``save``).
 Slicing is **zero-copy**: ``filter``/``for_snapshot``/
 ``exclude_publishers`` return views that share the parent's store plus
 a boolean mask, so stacking slices never re-materializes record tuples.
@@ -57,7 +61,7 @@ from repro.telemetry.columnar import (
     distinct_pair_counts,
     grouped_sum,
 )
-from repro.telemetry.records import ViewRecord
+from repro.telemetry.records import RecordColumns, ViewRecord
 
 #: A grouping key: record field name, named derived column, or callable.
 GroupKey = Union[str, ColumnKey, Callable[[ViewRecord], object]]
@@ -69,12 +73,23 @@ _SAVE_BATCH = 4096
 class Dataset:
     """An immutable collection of weighted view records."""
 
-    def __init__(self, records: Iterable[ViewRecord]) -> None:
-        materialized: Tuple[ViewRecord, ...] = tuple(records)
-        self._records: Optional[Tuple[ViewRecord, ...]] = materialized
-        self._store = ColumnStore(materialized)
+    def __init__(
+        self, records: Union[RecordColumns, Iterable[ViewRecord]]
+    ) -> None:
+        """A dataset of ``records``: view records, or a batch of
+        columns, which the dataset takes over.  A batch is checked as
+        building its records would check them, and raises the same
+        :class:`DatasetError`."""
+        source: Union[RecordColumns, Tuple[ViewRecord, ...]]
+        if isinstance(records, RecordColumns):
+            records.check()
+            source = records
+        else:
+            source = tuple(records)
+        self._records: Optional[Tuple[ViewRecord, ...]] = None
+        self._store = ColumnStore(source)
         self._mask: Optional[np.ndarray] = None
-        self._length = len(materialized)
+        self._length = len(source)
         self._init_caches()
 
     def _init_caches(self) -> None:
@@ -115,8 +130,10 @@ class Dataset:
     def records(self) -> Tuple[ViewRecord, ...]:
         if self._records is None:
             parent = self._store.records
-            self._records = tuple(
-                parent[i] for i in np.flatnonzero(self._mask)
+            self._records = (
+                parent
+                if self._mask is None
+                else tuple(parent[i] for i in np.flatnonzero(self._mask))
             )
         return self._records
 

@@ -71,30 +71,40 @@ def check_heartbeat(beat: Heartbeat) -> None:
     beat's timings are finite, non-negative and fit its interval.
 
     The range checks are written so that NaN fails them too, as
-    :class:`ViewRecord`'s are.  A beat that crossed a transport or a
-    fault injector may have skipped construction, so
-    :class:`Sessionizer` checks every beat it is fed again.
+    :class:`ViewRecord`'s are, and a timing that is not a number (a
+    comparison raises ``TypeError``) fails as well.  A beat that
+    crossed a transport or a fault injector may have skipped
+    construction, so :class:`Sessionizer` checks every beat it is fed
+    again.
     """
     interval = beat.interval_seconds
     playing = beat.playing_seconds
     rebuffering = beat.rebuffering_seconds
     bitrate = beat.bitrate_kbps
-    if not 0.0 < interval < math.inf:
-        problem = f"interval must be finite and positive: {interval}"
-    elif not (0.0 <= playing < math.inf and 0.0 <= rebuffering < math.inf):
+    try:
+        if not 0.0 < interval < math.inf:
+            problem = f"interval must be finite and positive: {interval}"
+        elif not (
+            0.0 <= playing < math.inf and 0.0 <= rebuffering < math.inf
+        ):
+            problem = (
+                "time components must be finite and non-negative: "
+                f"playing {playing}, rebuffering {rebuffering}"
+            )
+        elif not playing + rebuffering <= interval + 1e-6:
+            problem = (
+                f"components {playing} + {rebuffering} exceed the interval "
+                f"{interval}"
+            )
+        elif not 0.0 <= bitrate < math.inf:
+            problem = f"bitrate must be finite and non-negative: {bitrate}"
+        else:
+            return
+    except TypeError:
         problem = (
-            "time components must be finite and non-negative: "
-            f"playing {playing}, rebuffering {rebuffering}"
+            f"timings must be numbers: interval {interval!r}, playing "
+            f"{playing!r}, rebuffering {rebuffering!r}, bitrate {bitrate!r}"
         )
-    elif not playing + rebuffering <= interval + 1e-6:
-        problem = (
-            f"components {playing} + {rebuffering} exceed the interval "
-            f"{interval}"
-        )
-    elif not 0.0 <= bitrate < math.inf:
-        problem = f"bitrate must be finite and non-negative: {bitrate}"
-    else:
-        return
     raise DatasetError(f"heartbeat for session {beat.session_id!r}: {problem}")
 
 

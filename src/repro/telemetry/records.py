@@ -10,6 +10,10 @@ time; and delivery performance (average bitrate, rebuffering).
 record with ``weight=w`` stands for ``w`` views of identical character,
 which keeps a 27-month dataset analyzable in memory without changing
 any aggregate (the weight-invariance property is tested).
+
+:class:`RecordColumns` holds the same records as columns, one list per
+field.  The sampler draws records in that form and the dataset keeps
+it, so a :class:`ViewRecord` is built only where a caller asks for one.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import json
 import math
 from dataclasses import MISSING, Field, dataclass, fields
 from datetime import date
+from itertools import chain
 from operator import attrgetter, methodcaller
 from typing import (
     Any,
@@ -28,6 +33,7 @@ from typing import (
     Mapping,
     NoReturn,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -263,3 +269,119 @@ def _type_error(name: str, value: Any, expected: str) -> NoReturn:
     raise DatasetError(
         f"field {name!r} must be {expected}, got {type(value).__name__}"
     )
+
+
+#: Each field's Python default, ``MISSING`` for a required field.
+_FIELD_DEFAULTS = tuple(spec.default for spec in fields(ViewRecord))
+_INDEX = {name: index for index, name in enumerate(_NAMES)}
+
+
+class RecordColumns:
+    """View records as columns: one list per :class:`ViewRecord` field,
+    in field order, each holding one value per record.
+
+    A batch is what the sampler draws and what a
+    :class:`~repro.telemetry.dataset.Dataset` keeps; :meth:`records`
+    builds the records themselves.  Batches are mutable while they are
+    being assembled (:meth:`append`, :meth:`extend`); a dataset takes
+    its batch over and never changes it.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: Sequence[List[Any]]) -> None:
+        lengths = set(map(len, columns))
+        if len(columns) != len(_NAMES) or len(lengths) > 1:
+            raise DatasetError(
+                f"a record batch needs {len(_NAMES)} columns of one "
+                f"length, got {len(columns)} of lengths {sorted(lengths)}"
+            )
+        self.columns = list(columns)
+
+    @classmethod
+    def empty(cls) -> "RecordColumns":
+        return cls([[] for _ in _NAMES])
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RecordColumns):
+            return NotImplemented
+        return self.columns == other.columns
+
+    def column(self, name: str) -> List[Any]:
+        """One field's values, in record order."""
+        return self.columns[_INDEX[name]]
+
+    def append(self, **values: Any) -> None:
+        """Add one record, given as :class:`ViewRecord`'s keyword
+        arguments; an omitted field takes its default."""
+        unknown = values.keys() - _INDEX.keys()
+        if unknown:
+            raise TypeError(f"unknown record fields: {sorted(unknown)}")
+        for name, column, default in zip(
+            _NAMES, self.columns, _FIELD_DEFAULTS
+        ):
+            value = values.get(name, default)
+            if value is MISSING:
+                raise TypeError(f"missing record field {name!r}")
+            column.append(value)
+
+    def extend(self, other: "RecordColumns") -> None:
+        """Append another batch's records after this one's."""
+        for mine, theirs in zip(self.columns, other.columns):
+            mine.extend(theirs)
+
+    def records(self) -> List[ViewRecord]:
+        """The records, built one by one in order."""
+        return list(map(ViewRecord, *self.columns))
+
+    def check(self) -> None:
+        """Raise what building the records one by one would raise.
+
+        ``ViewRecord.__post_init__``'s checks run here a column at a
+        time, in loops that stay in C: a truth test per value, and for
+        each float field its ``sum`` (non-finite when any value is NaN
+        or infinite) and ``min``/``max`` (exact once no NaN is left).
+        A column that fails, or whose values do not compare as numbers
+        do, sends the batch through the records themselves, so the
+        first bad record raises its own error.
+        """
+        if len(self) and not self._columns_pass():
+            for values in zip(*self.columns):
+                ViewRecord(*values)
+
+    def _columns_pass(self) -> bool:
+        column = self.column
+        duration = column("view_duration_hours")
+        weight = column("weight")
+        rebuffer = column("rebuffer_ratio")
+        bitrate = column("avg_bitrate_kbps")
+        try:
+            return (
+                all(column("publisher_id"))
+                and all(column("url"))
+                and all(column("cdn_names"))
+                and _finite(duration) and min(duration) >= 0.0
+                and _finite(weight) and min(weight) > 0.0
+                and _finite(rebuffer)
+                and min(rebuffer) >= 0.0 and max(rebuffer) <= 1.0
+                and _finite(bitrate) and min(bitrate) >= 0.0
+                and _ladders_finite(column("bitrate_ladder_kbps"))
+            )
+        except (TypeError, ValueError, ArithmeticError):
+            return False
+
+
+def _finite(values: List[Any]) -> bool:
+    """No value is NaN or infinite: either would make the sum so (a sum
+    that overflows only sends the batch to the per-record checks)."""
+    return math.isfinite(sum(values))
+
+
+def _ladders_finite(ladders: List[Tuple[float, ...]]) -> bool:
+    """Every rung finite; a ladder shared by many records (the sampler
+    repeats one tuple per publisher) is read once."""
+    distinct = dict(zip(map(id, ladders), ladders)).values()
+    return all(map(math.isfinite, chain.from_iterable(distinct)))

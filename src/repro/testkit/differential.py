@@ -12,15 +12,25 @@ from __future__ import annotations
 
 import tempfile
 from pathlib import Path
-from typing import List
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from repro.constants import HTTP_ADAPTIVE_PROTOCOLS, ContentType, Protocol
+from repro.core.complexity import publisher_complexity
 from repro.core.storage import SWEEP_TOLERANCES, build_case_origins
+from repro.core.summary import (
+    live_vod_cdn_segregation,
+    top_cdn_concentration,
+)
+from repro.core.syndication import (
+    observed_syndicators,
+    syndicator_fraction_per_owner,
+)
 from repro.delivery.network import default_isp_profiles
 from repro.entities.ladder import BitrateLadder
 from repro.entities.video import Video
+from repro.errors import AnalysisError
 from repro.packaging.manifest import manifest_writer_for, parser_for
 from repro.packaging.manifest.detect import (
     detect_protocol,
@@ -41,7 +51,12 @@ from repro.testkit.reference import (
     ReferenceOriginServer,
     RowDataset,
     ScalarSessionSampler,
+    live_vod_cdn_segregation_loop,
+    observed_syndicators_loop,
     simulate_session_scalar,
+    syndicator_fraction_per_owner_loop,
+    top_cdn_concentration_loop,
+    unique_sdks_loop,
 )
 from repro.testkit.scenario import ScenarioRun
 
@@ -55,13 +70,49 @@ _LADDER_SAMPLE = 3
 _PLAYBACK_LADDERS = 12
 
 
+#: Analyses that group columns, each beside the record loop it replaced.
+_GROUPED_VS_LOOP: Tuple[Tuple[str, Callable, Callable], ...] = (
+    (
+        "unique SDKs",
+        lambda view: {
+            pid: metrics.unique_sdks
+            for pid, metrics in publisher_complexity(view).items()
+        },
+        unique_sdks_loop,
+    ),
+    ("observed syndicators", observed_syndicators, observed_syndicators_loop),
+    (
+        "syndicator fraction per owner",
+        syndicator_fraction_per_owner,
+        syndicator_fraction_per_owner_loop,
+    ),
+    ("top-5 CDN share", top_cdn_concentration, top_cdn_concentration_loop),
+    (
+        "live/VoD CDN segregation",
+        live_vod_cdn_segregation,
+        live_vod_cdn_segregation_loop,
+    ),
+)
+
+
+def _outcome(analysis: Callable[[Dataset], object], view: Dataset) -> object:
+    """What ``analysis`` returns on ``view``, or the error it raises."""
+    try:
+        return analysis(view)
+    except AnalysisError as error:
+        return f"AnalysisError: {error}"
+
+
 @oracle(
     "differential",
     "row-vs-columnar",
-    "every figure agrees between the column store and the row reference",
+    "every figure agrees between the column store and the row reference, "
+    "and every column group-by equals the record loop it replaced",
 )
 def row_vs_columnar(run: ScenarioRun, check: Check) -> str:
-    """The PR 4 parity contract, over the scenario's whole figure set."""
+    """The PR 4 parity contract, over the scenario's whole figure set,
+    and each analysis in :data:`_GROUPED_VS_LOOP` against its loop over
+    the whole dataset and over its latest snapshot."""
     base, row = run.result.dataset, run.row_result().dataset
     check.that(
         type(base) is Dataset, "base dataset must be the column-store one"
@@ -87,9 +138,17 @@ def row_vs_columnar(run: ScenarioRun, check: Check) -> str:
             f"figure {figure_id}",
             rel=1e-9,
         )
+    for label, view in (("dataset", base), ("latest snapshot", base.latest())):
+        for name, grouped, loop in _GROUPED_VS_LOOP:
+            check.equal(
+                _outcome(grouped, view),
+                _outcome(loop, view),
+                f"{name} over the {label}: column group-by vs record loop",
+            )
     return (
         f"{len(run.spec.figures())} figures + 5 aggregations agree "
-        "across dispatch paths"
+        f"across dispatch paths; {len(_GROUPED_VS_LOOP)} analyses equal "
+        "their record loops"
     )
 
 
@@ -346,7 +405,7 @@ def synthesis_vs_scalar(run: ScenarioRun, check: Check) -> str:
         check.that(len(fast) > 0, f"snapshot {snapshot} has no records")
         check.equal(len(fast), len(scalar), f"snapshot {snapshot} records")
         check.that(
-            fast == scalar,
+            fast.records() == scalar,
             f"snapshot {snapshot}: the sampler drew different records "
             "than the per-record loop",
         )

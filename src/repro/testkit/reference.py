@@ -18,7 +18,12 @@ generator state after every snapshot.
 :class:`~repro.telemetry.dataset.Dataset` slices and aggregates on its
 column store; :class:`RowDataset` does the same by scanning records,
 and the ``row-vs-columnar`` oracle, the perf parity suite and
-``benchmarks/bench_dataset.py`` compare the two.
+``benchmarks/bench_dataset.py`` compare the two.  Five analyses that
+once looped over records group columns now: Fig 13's unique SDKs, the
+two Fig 14 syndicator counts and the two §4.3 CDN statistics.  Their
+record loops are kept here (``unique_sdks_loop`` and the other
+``*_loop`` functions), and ``row-vs-columnar`` compares each analysis
+with its loop with ``==``.
 
 :class:`~repro.analysis.effects.EffectAnalysis` and
 :func:`~repro.analysis.callgraph.build_call_graph` read each scope's
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import ast
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
 from typing import (
@@ -72,12 +78,13 @@ from repro.constants import (
     Protocol,
     SyndicationRole,
 )
+from repro.core.summary import ContentSplitStats
 from repro.delivery.network import NetworkPath
 from repro.entities.device import Device
 from repro.entities.ladder import BitrateLadder
 from repro.entities.publisher import Publisher, PublisherProfile
 from repro.entities.video import Catalogue
-from repro.errors import DatasetError, DeliveryError
+from repro.errors import AnalysisError, DatasetError, DeliveryError
 from repro.lint.rules.common import dotted_name
 from repro.packaging.manifest.detect import sample_manifest_url
 from repro.playback.abr import AbrAlgorithm, AbrState, ThroughputAbr
@@ -737,6 +744,96 @@ def _row_values(key: ColumnRef, record: ViewRecord) -> Tuple[object, ...]:
     return () if value is None else (value,)
 
 
+def unique_sdks_loop(dataset: Dataset) -> Dict[str, int]:
+    """Fig 13's unique SDKs per publisher, by the record loop
+    :func:`~repro.core.complexity.publisher_complexity` ran."""
+    sdk_versions: Dict[str, Set[str]] = defaultdict(set)
+    browsers: Dict[str, Set[str]] = defaultdict(set)
+    for record in dataset:
+        if record.sdk_name:
+            sdk_versions[record.publisher_id].add(
+                f"{record.sdk_name}/{record.sdk_version or '?'}"
+            )
+        elif record.user_agent:
+            browsers[record.publisher_id].add(record.device_model)
+    return {
+        pid: len(sdk_versions[pid]) + len(browsers[pid])
+        for pid in dataset.publishers()
+    }
+
+
+def observed_syndicators_loop(dataset: Dataset) -> Set[str]:
+    """:func:`~repro.core.syndication.observed_syndicators` as a loop."""
+    return {r.publisher_id for r in dataset if r.is_syndicated}
+
+
+def syndicator_fraction_per_owner_loop(dataset: Dataset) -> Dict[str, float]:
+    """:func:`~repro.core.syndication.syndicator_fraction_per_owner` as a
+    loop."""
+    syndicators = observed_syndicators_loop(dataset)
+    if not syndicators:
+        raise AnalysisError("no syndicated views in dataset")
+    carriers: Dict[str, Set[str]] = defaultdict(set)
+    owners: Set[str] = set()
+    for record in dataset:
+        if record.owner_id is not None:
+            owners.add(record.owner_id)
+            if record.is_syndicated:
+                carriers[record.owner_id].add(record.publisher_id)
+    # Owners also include publishers serving only owned content; those
+    # without any owner_id references simply never syndicated.
+    return {
+        owner: 100.0 * len(carriers.get(owner, set())) / len(syndicators)
+        for owner in owners
+    }
+
+
+def top_cdn_concentration_loop(dataset: Dataset, n: int = 5) -> float:
+    """:func:`~repro.core.summary.top_cdn_concentration` as a loop."""
+    totals: Dict[str, float] = defaultdict(float)
+    grand_total = 0.0
+    for record in dataset:
+        share = record.view_hours / len(record.cdn_names)
+        grand_total += record.view_hours
+        for cdn in record.cdn_names:
+            totals[cdn] += share
+    if grand_total <= 0:
+        raise AnalysisError("no view-hours in dataset")
+    top = sorted(totals.values(), reverse=True)[:n]
+    return 100.0 * sum(top) / grand_total
+
+
+def live_vod_cdn_segregation_loop(dataset: Dataset) -> ContentSplitStats:
+    """:func:`~repro.core.summary.live_vod_cdn_segregation` as a loop."""
+    cdn_types: Dict[str, Dict[str, Set[ContentType]]] = defaultdict(
+        lambda: defaultdict(set)
+    )
+    for record in dataset:
+        for cdn in record.cdn_names:
+            cdn_types[record.publisher_id][cdn].add(record.content_type)
+    eligible = 0
+    vod_only = 0
+    live_only = 0
+    for publisher, per_cdn in cdn_types.items():
+        served: Set[ContentType] = set()
+        for types in per_cdn.values():
+            served |= types
+        if len(per_cdn) < 2 or served != {ContentType.LIVE, ContentType.VOD}:
+            continue
+        eligible += 1
+        if any(types == {ContentType.VOD} for types in per_cdn.values()):
+            vod_only += 1
+        if any(types == {ContentType.LIVE} for types in per_cdn.values()):
+            live_only += 1
+    if eligible == 0:
+        raise AnalysisError("no multi-CDN live+VoD publishers observed")
+    return ContentSplitStats(
+        eligible_publishers=eligible,
+        pct_with_vod_only_cdn=100.0 * vod_only / eligible,
+        pct_with_live_only_cdn=100.0 * live_only / eligible,
+    )
+
+
 def scope_walk(root: ast.AST) -> Iterator[ast.AST]:
     """One scope's nodes, by a FIFO queue popped from the front.
 
@@ -1123,8 +1220,13 @@ __all__ = [
     "ScalarSessionSampler",
     "StoredRendition",
     "chunk_throughputs_per_chunk",
+    "live_vod_cdn_segregation_loop",
+    "observed_syndicators_loop",
     "reference_call_graph",
     "scope_walk",
     "simulate_session_scalar",
     "subclasses_by_mro",
+    "syndicator_fraction_per_owner_loop",
+    "top_cdn_concentration_loop",
+    "unique_sdks_loop",
 ]

@@ -1,7 +1,13 @@
 """The figure registry and the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import figures
 from repro.cli import main
 from repro.errors import AnalysisError
@@ -126,3 +132,25 @@ def test_bad_generator_flags_exit_2_with_one_line(
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"{argv[0]}: ") and named in captured.err
     assert not (tmp_path / "x.jsonl").exists()
+
+
+def test_cli_exits_quietly_when_its_reader_closes_stdout():
+    """`repro figures | head -2`: a reader that goes away before the
+    listing is written costs exit 1 and nothing on stderr, neither a
+    traceback nor the interpreter's "Exception ignored" note from the
+    exit flush."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "figures"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 1, stderr
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr

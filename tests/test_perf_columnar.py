@@ -46,6 +46,7 @@ from repro.synthesis.generator import (
     generate_default_dataset,
 )
 from repro.telemetry.dataset import Dataset
+from repro.testkit.differential import _GROUPED_VS_LOOP, _outcome
 from repro.testkit.reference import RowDataset
 from tests.test_telemetry_records import make_record
 
@@ -282,7 +283,43 @@ _record_st = st.builds(
 )
 
 
+#: ``_record_st`` with the client and syndication fields varied too.
+_client_record_st = st.builds(
+    dataclasses.replace,
+    _record_st,
+    sdk_name=st.sampled_from(("RokuSDK", "WebSDK", "", None)),
+    sdk_version=st.sampled_from(("8.1", "9.0", "", None)),
+    user_agent=st.sampled_from(("Mozilla/5.0", None)),
+    is_syndicated=st.booleans(),
+    owner_id=st.sampled_from(("p1", "p2", "", None)),
+)
+
+
 class TestAggregationParity:
+    @given(
+        records=st.lists(_client_record_st, min_size=1, max_size=40),
+        dropped=st.sets(st.sampled_from(_PUBLISHERS), max_size=2),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_grouped_analyses_equal_their_record_loops(
+        self, records, dropped
+    ):
+        """F13's SDK count, F14's syndicator counts and §4.3's CDN
+        statistics group columns; each equals the record loop it
+        replaced with ``==``, on views of up to three CDNs (repeats
+        included) and on the root, a snapshot and an exclusion view."""
+        dataset = Dataset(records)
+        views = (
+            dataset,
+            dataset.for_snapshot(records[0].snapshot),
+            dataset.exclude_publishers(dropped),
+        )
+        for view in views:
+            if not len(view):
+                continue
+            for name, grouped, loop in _GROUPED_VS_LOOP:
+                assert _outcome(grouped, view) == _outcome(loop, view), name
+
     @given(records=st.lists(_record_st, min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_aggregations_agree(self, records):

@@ -7,8 +7,11 @@ from datetime import date
 
 import pytest
 
+from repro import figures, obs
 from repro.constants import ContentType
 from repro.errors import DatasetError
+from repro.synthesis.calibration import EcosystemConfig
+from repro.synthesis.generator import EcosystemGenerator
 from repro.telemetry.dataset import Dataset, encode_lines
 from tests.test_telemetry_records import make_record
 
@@ -315,3 +318,46 @@ class TestRepr:
         assert "3 records" in text
         assert "2 snapshots" in text
         assert "2 publishers" in text
+
+
+@pytest.fixture
+def counting_obs():
+    """The global obs context, on and empty; off and empty afterwards."""
+    ctx = obs.configure(enabled=True)
+    ctx.reset()
+    yield ctx
+    ctx.configure(enabled=False)
+    ctx.reset()
+
+
+def _records_built() -> float:
+    return obs.metrics().counter("dataset.records_built").value
+
+
+class TestLazyRecords:
+    """A synthesized dataset keeps columns; records are built for the
+    callers that ask for them, once."""
+
+    def test_the_longitudinal_figures_build_no_records(self, counting_obs):
+        config = EcosystemConfig(
+            seed=2018, n_publishers=30, snapshot_limit=3,
+            include_case_study=False,
+        )
+        case_study = {"F15", "F16", "F17", "F18", "X2", "X3"}
+        ids = [i for i in figures.figure_ids() if i not in case_study]
+        assert len(ids) == 32
+        rows = figures.run_suite(config, ids=ids)
+        assert all(rows[i] for i in ids)
+        assert _records_built() == 0
+
+    def test_records_are_built_once(self, counting_obs):
+        dataset = EcosystemGenerator(
+            EcosystemConfig(seed=7, n_publishers=20, snapshot_limit=2)
+        ).generate().dataset
+        assert _records_built() == 0
+        records = dataset.records
+        assert len(records) == len(dataset)
+        assert _records_built() == len(dataset)
+        assert dataset.records is records
+        assert dataset.latest().records
+        assert _records_built() == len(dataset)

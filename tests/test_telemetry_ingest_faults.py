@@ -233,7 +233,9 @@ class TestStrictParity:
         report = IngestPipeline(ErrorPolicy.STRICT).run(list(clean_events))
         assert report.records == clean_report.records
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, None, "1"]
+    )
     @pytest.mark.parametrize(
         "field",
         [
@@ -244,6 +246,9 @@ class TestStrictParity:
         ],
     )
     def test_non_finite_heartbeat_rejected_on_arrival(self, field, value):
+        """A timing that is NaN, infinite or not a number at all is a
+        ``DatasetError`` naming the session, from the constructor, the
+        plain sessionizer and the strict pipeline alike."""
         with pytest.raises(DatasetError, match="session 's1'"):
             replace(_beat(), **{field: value})
         beat = corrupt_heartbeat(_beat(), **{field: value})

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from repro.constants import ConnectionType, ContentType
 from repro.errors import DatasetError
-from repro.telemetry.records import ViewRecord
+from repro.telemetry.dataset import Dataset
+from repro.telemetry.records import RecordColumns, ViewRecord
 
 
 def make_record(**overrides):
@@ -213,3 +214,98 @@ class TestCodecReference:
     def test_synthesized_records(self, dataset):
         for record in dataset.records[::97]:
             assert record.to_json() == reference_json(record)
+
+
+_FLOAT_FIELDS = (
+    "view_duration_hours", "avg_bitrate_kbps", "rebuffer_ratio", "weight"
+)
+#: Finite, non-finite, negative and huge values (two 1e308s overflow a
+#: column's sum although every value is finite).
+_SPECIAL_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 1e308]
+)
+_EMPTY = {"publisher_id": "", "url": "", "cdn_names": ()}
+
+
+@st.composite
+def _injected_columns(draw):
+    """Columns of valid records with NaN, infinite, negative, huge or
+    empty values written into a few cells."""
+    n = draw(st.integers(1, 6))
+    records = [make_record(video_id=f"vid_{i}") for i in range(n)]
+    columns = [
+        [getattr(record, spec.name) for record in records]
+        for spec in dataclasses.fields(ViewRecord)
+    ]
+    names = [spec.name for spec in dataclasses.fields(ViewRecord)]
+    targets = _FLOAT_FIELDS + tuple(_EMPTY) + ("bitrate_ladder_kbps",)
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(targets))
+        if name in _FLOAT_FIELDS:
+            value = draw(_SPECIAL_FLOATS)
+        elif name in _EMPTY:
+            value = _EMPTY[name]
+        else:
+            value = tuple(draw(st.lists(_SPECIAL_FLOATS, max_size=3)))
+        columns[names.index(name)][draw(st.integers(0, n - 1))] = value
+    return columns
+
+
+def _error_of(build):
+    try:
+        build()
+    except DatasetError as error:
+        return str(error)
+    return None
+
+
+class TestRecordColumns:
+    def test_append_extend_and_records(self):
+        batch = RecordColumns.empty()
+        batch.append(**dataclasses.asdict(make_record(weight=3.0)))
+        batch.append(**{
+            spec.name: getattr(make_record(), spec.name)
+            for spec in dataclasses.fields(ViewRecord)
+            if spec.default is dataclasses.MISSING
+        })
+        other = RecordColumns.empty()
+        other.extend(batch)
+        assert len(batch) == len(other) == 2
+        assert other == batch
+        assert batch.column("weight") == [3.0, 1.0]
+        assert batch.records()[1] == make_record(
+            weight=1.0, sdk_name=None, sdk_version=None
+        )
+
+    def test_append_rejects_unknown_and_missing_fields(self):
+        batch = RecordColumns.empty()
+        with pytest.raises(TypeError, match="unknown"):
+            batch.append(colour="red")
+        with pytest.raises(TypeError, match="missing"):
+            batch.append(publisher_id="p")
+
+    def test_columns_must_be_one_per_field_of_one_length(self):
+        with pytest.raises(DatasetError):
+            RecordColumns([[1]] * 3)
+        columns = [[None]] * len(dataclasses.fields(ViewRecord))
+        with pytest.raises(DatasetError):
+            RecordColumns(columns[:-1] + [[None, None]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_injected_columns())
+    def test_dataset_checks_columns_as_records_check_themselves(
+        self, columns
+    ):
+        """``Dataset(columns)`` raises exactly the error building the
+        records one by one raises, and accepts exactly when that
+        succeeds."""
+        expected = _error_of(
+            lambda: [ViewRecord(*values) for values in zip(*columns)]
+        )
+        built = []
+        actual = _error_of(
+            lambda: built.append(Dataset(RecordColumns(columns)))
+        )
+        assert actual == expected
+        if expected is None:
+            assert built[0].records == tuple(map(ViewRecord, *columns))
