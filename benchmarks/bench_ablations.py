@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import save_lines
-from repro.core.dimensions import ProtocolDimension
+from repro.core.dimensions import HTTP_PROTOCOL_COLUMN, PROTOCOL_COLUMN
 from repro.core.prevalence import first_last, view_hour_share_series
 from repro.constants import Protocol
 from repro.delivery.network import default_isp_profiles
@@ -40,11 +40,11 @@ def test_ablation_weighting_invariance(benchmark, eco_full):
 
     weighted_series = benchmark.pedantic(
         view_hour_share_series,
-        args=(capped, ProtocolDimension()),
+        args=(capped, HTTP_PROTOCOL_COLUMN),
         rounds=1,
         iterations=1,
     )
-    exploded_series = view_hour_share_series(exploded, ProtocolDimension())
+    exploded_series = view_hour_share_series(exploded, HTTP_PROTOCOL_COLUMN)
     snapshot = capped.latest_snapshot()
     for key, value in weighted_series[snapshot].items():
         assert exploded_series[snapshot][key] == pytest.approx(value)
@@ -66,12 +66,10 @@ def test_ablation_snapshot_cadence(benchmark, eco_full):
     monthly = set(snapshots[::2]) | {snapshots[-1]}
     thinned = dataset.filter(lambda r: r.snapshot in monthly)
 
-    full_series = view_hour_share_series(
-        dataset, ProtocolDimension(http_only=False)
-    )
+    full_series = view_hour_share_series(dataset, PROTOCOL_COLUMN)
     thinned_series = benchmark.pedantic(
         view_hour_share_series,
-        args=(thinned, ProtocolDimension(http_only=False)),
+        args=(thinned, PROTOCOL_COLUMN),
         rounds=1,
         iterations=1,
     )

@@ -2,7 +2,7 @@
 
 from benchmarks.conftest import run_and_save
 from repro.constants import Protocol
-from repro.core.dimensions import ProtocolDimension
+from repro.core.dimensions import PROTOCOL_COLUMN
 from repro.core.prevalence import first_last, publisher_support_series
 
 
@@ -42,7 +42,7 @@ def test_s41_rtmp_decline(benchmark, eco_full):
 def test_dash_support_growth_direction(benchmark, dataset_full):
     series = benchmark.pedantic(
         publisher_support_series,
-        args=(dataset_full, ProtocolDimension(http_only=False)),
+        args=(dataset_full, PROTOCOL_COLUMN),
         rounds=1,
         iterations=1,
     )

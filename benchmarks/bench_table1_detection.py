@@ -5,7 +5,6 @@ the full dataset's URLs (the §3 methodology applies it to every view).
 """
 
 from benchmarks.conftest import run_and_save, save_lines
-from repro.core.dimensions import record_protocol
 
 
 def test_table1_extension_mapping(benchmark, eco_full):

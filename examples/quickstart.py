@@ -13,9 +13,9 @@ Run with::
 from repro.constants import Platform, Protocol
 from repro.core.counts import count_distribution
 from repro.core.dimensions import (
-    CdnDimension,
-    PlatformDimension,
-    ProtocolDimension,
+    CDN_COLUMN,
+    HTTP_PROTOCOL_COLUMN,
+    PLATFORM_COLUMN,
 )
 from repro.core.prevalence import (
     publisher_support_series,
@@ -33,8 +33,8 @@ def main() -> None:
     print(f"  {dataset}\n")
 
     # Fig 2a/2b: protocol prevalence at the study endpoints.
-    support = publisher_support_series(dataset, ProtocolDimension())
-    shares = view_hour_share_series(dataset, ProtocolDimension())
+    support = publisher_support_series(dataset, HTTP_PROTOCOL_COLUMN)
+    shares = view_hour_share_series(dataset, HTTP_PROTOCOL_COLUMN)
     first, last = dataset.first_snapshot(), dataset.latest_snapshot()
     print("Streaming protocols (Fig 2), first -> latest snapshot:")
     rows = []
@@ -55,7 +55,7 @@ def main() -> None:
     print(format_table(rows), "\n")
 
     # Fig 6a: platform view-hour shares at the latest snapshot.
-    platform_shares = view_hour_share_series(dataset, PlatformDimension())
+    platform_shares = view_hour_share_series(dataset, PLATFORM_COLUMN)
     print("Platform view-hour shares, latest snapshot (Fig 6a):")
     print(
         format_table(
@@ -80,9 +80,7 @@ def main() -> None:
                     "% publishers": row.percent_publishers,
                     "% view-hours": row.percent_view_hours,
                 }
-                for row in count_distribution(
-                    dataset.latest(), CdnDimension()
-                )
+                for row in count_distribution(dataset.latest(), CDN_COLUMN)
             ]
         ),
         "\n",

@@ -36,11 +36,12 @@ from typing import Dict, List
 
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec, Layer, Window
 from repro.constants import Protocol
-from repro.core.dimensions import CdnDimension, ProtocolDimension
+from repro.core.dimensions import CDN_COLUMN, PROTOCOL_COLUMN
 from repro.core.prevalence import (
     publisher_support_series,
     view_hour_share_series,
 )
+from repro.packaging.manifest.detect import detect_protocol_or_none
 from repro.synthesis.generator import EcosystemResult
 from repro.telemetry.dataset import Dataset
 from repro.testkit.oracles import Check, Skip, oracle
@@ -97,11 +98,9 @@ def flash_crowd(result: EcosystemResult) -> EcosystemResult:
 
 def protocol_migration_wave(result: EcosystemResult) -> EcosystemResult:
     """Migrate every RTMP view to HLS (the §4.1 die-off, overnight)."""
-    from repro.core.dimensions import record_protocol
-
     records = []
     for record in result.dataset.records:
-        if record_protocol(record) is Protocol.RTMP:
+        if detect_protocol_or_none(record.url) is Protocol.RTMP:
             migrated = (
                 record.url.replace("rtmp://", "http://", 1)
                 + "/master.m3u8"
@@ -436,15 +435,14 @@ def no_silent_leaks(run: ScenarioRun, check: Check) -> str:
 def flash_crowd_shares(run: ScenarioRun, check: Check) -> str:
     base = run.result.dataset
     perturbed = run.perturbed_result().dataset
-    dimension = CdnDimension()
     check.equal(
-        publisher_support_series(perturbed, dimension),
-        publisher_support_series(base, dimension),
+        publisher_support_series(perturbed, CDN_COLUMN),
+        publisher_support_series(base, CDN_COLUMN),
         "publisher-count CDN shares under a flash crowd",
     )
     latest = base.snapshots()[-1]
-    before = view_hour_share_series(base, dimension)[latest]
-    after = view_hour_share_series(perturbed, dimension)[latest]
+    before = view_hour_share_series(base, CDN_COLUMN)[latest]
+    after = view_hour_share_series(perturbed, CDN_COLUMN)[latest]
     moved = max(
         abs(after.get(cdn, 0.0) - before.get(cdn, 0.0))
         for cdn in set(before) | set(after)
@@ -519,9 +517,8 @@ def migration_wave_monotone(run: ScenarioRun, check: Check) -> str:
     check.equal(
         len(perturbed), len(base), "record count across the migration"
     )
-    dimension = ProtocolDimension(http_only=False)
-    support_before = publisher_support_series(base, dimension)
-    support_after = publisher_support_series(perturbed, dimension)
+    support_before = publisher_support_series(base, PROTOCOL_COLUMN)
+    support_after = publisher_support_series(perturbed, PROTOCOL_COLUMN)
     migrated = 0
     for snapshot in base.snapshots():
         before, after = support_before[snapshot], support_after[snapshot]

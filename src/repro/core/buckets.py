@@ -7,48 +7,30 @@ how many protocols / platforms / CDNs its publishers use.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
 from repro.core.counts import publisher_counts
-from repro.core.dimensions import Dimension
-from repro.errors import AnalysisError
 from repro.stats.bucketing import DecadeBuckets
 from repro.synthesis.calibration import (
     SIZE_BUCKET_FRACTIONS,
     VIEW_HOUR_BASE_X,
 )
+from repro.telemetry.columnar import ColumnRef
 from repro.telemetry.dataset import Dataset
+from repro.telemetry.snapshots import SnapshotSchedule
 
 
-def bucketed_counts(
-    dataset: Dataset,
-    dimension: Dimension,
-    base: Optional[float] = None,
-    n_buckets: Optional[int] = None,
-    window_days: float = 2.0,
-) -> DecadeBuckets:
+def bucketed_counts(dataset: Dataset, column: ColumnRef) -> DecadeBuckets:
     """Decade buckets of per-publisher counts for one snapshot slice.
 
     ``dataset`` should be a single-snapshot slice (the paper uses the
-    latest); view-hours are normalized from the two-day window back to
+    latest); view-hours are normalized from the snapshot window back to
     daily so the bucket edges line up with ``X``.
     """
-    if window_days <= 0:
-        raise AnalysisError("window must be positive")
-    counts = publisher_counts(dataset, dimension)
+    counts = publisher_counts(dataset, column)
     vh = dataset.publisher_view_hours()
     buckets = DecadeBuckets(
-        base=base if base is not None else VIEW_HOUR_BASE_X,
-        n_buckets=(
-            n_buckets if n_buckets is not None else len(SIZE_BUCKET_FRACTIONS)
-        ),
+        base=VIEW_HOUR_BASE_X, n_buckets=len(SIZE_BUCKET_FRACTIONS)
     )
     for publisher, count in counts.items():
-        daily = vh.get(publisher, 0.0) / window_days
+        daily = vh.get(publisher, 0.0) / SnapshotSchedule.window_days
         buckets.add(publisher, count, daily)
     return buckets
-
-
-def bucket_table(buckets: DecadeBuckets) -> List[Dict[str, object]]:
-    """Printable rows: bucket label, % publishers, count breakdown."""
-    return buckets.stacked_rows()

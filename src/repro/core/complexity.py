@@ -24,9 +24,9 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from repro.core.dimensions import (
+    CDN_COLUMN,
     HTTP_PROTOCOL_COLUMN,
     PROTOCOL_COLUMN,
-    CdnDimension,
 )
 from repro.errors import AnalysisError
 from repro.stats.regression import LogLogFit, fit_loglog
@@ -95,7 +95,7 @@ def _combinations(
 ) -> np.ndarray:
     """Distinct (CDN, protocol, device model) triples per publisher
     code; a view whose protocol is undetectable counts as "unknown"."""
-    cdns = dataset.entries(CdnDimension.column_key)
+    cdns = dataset.entries(CDN_COLUMN)
     protocols = dataset.entries(PROTOCOL_COLUMN)
     devices = dataset.entries("device_model")
     unknown = len(protocols.values)

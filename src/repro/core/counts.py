@@ -1,7 +1,7 @@
 """Per-publisher instance counts (Figs 3a, 9a, 12a).
 
-For a snapshot, how many distinct values of a dimension does each
-publisher use, and — the paper's signature move — what share of all
+For a snapshot, how many distinct values of a dimension's column does
+each publisher use, and — the paper's signature move — what share of all
 publishers versus what share of all *view-hours* does each count level
 represent?
 """
@@ -12,18 +12,16 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.core.dimensions import Dimension
 from repro.errors import AnalysisError
+from repro.telemetry.columnar import ColumnRef
 from repro.telemetry.dataset import Dataset
 
 
-def publisher_counts(dataset: Dataset, dimension: Dimension) -> Dict[str, int]:
-    """Distinct dimension values per publisher in a dataset slice."""
-    counts = dataset.values_per_publisher(dimension.column_key)
+def publisher_counts(dataset: Dataset, column: ColumnRef) -> Dict[str, int]:
+    """Distinct values of ``column`` per publisher in a dataset slice."""
+    counts = dataset.values_per_publisher(column)
     if not counts:
-        raise AnalysisError(
-            f"no records in scope for dimension {dimension.name!r}"
-        )
+        raise AnalysisError(f"no records in scope for column {column!r}")
     return counts
 
 
@@ -37,15 +35,13 @@ class CountRow:
     publishers: int
 
 
-def count_distribution(
-    dataset: Dataset, dimension: Dimension
-) -> List[CountRow]:
+def count_distribution(dataset: Dataset, column: ColumnRef) -> List[CountRow]:
     """Distribution of per-publisher counts, by publishers and view-hours.
 
     Publishers with no in-scope records are excluded (matching the
     paper, which can only count what it observes).
     """
-    counts = publisher_counts(dataset, dimension)
+    counts = publisher_counts(dataset, column)
     vh = dataset.publisher_view_hours()
     total_vh = sum(vh.get(p, 0.0) for p in counts)
     if total_vh <= 0:

@@ -28,14 +28,13 @@ from dataclasses import dataclass
 from typing import Dict, Mapping
 
 from repro.core.dimensions import (
-    CdnDimension,
-    Dimension,
-    PlatformDimension,
-    ProtocolDimension,
+    CDN_COLUMN,
+    HTTP_PROTOCOL_COLUMN,
+    PLATFORM_COLUMN,
 )
 from repro.errors import AnalysisError
 from repro.stats.regression import LogLogFit, fit_loglog
-from repro.telemetry.columnar import pair_sums
+from repro.telemetry.columnar import ColumnRef, pair_sums
 from repro.telemetry.dataset import Dataset
 
 
@@ -103,15 +102,15 @@ class DiversityProfile:
 
 
 def _share_map(
-    dataset: Dataset, dimension: Dimension
+    dataset: Dataset, column: ColumnRef
 ) -> Dict[str, Dict[object, float]]:
-    """View-hours per publisher per value of ``dimension``.
+    """View-hours per publisher per value of ``column``.
 
     A view with k values gives each 1/k of its view-hours.  Each
     publisher's values appear in the order its views first carry them,
     and every sum adds record by record.
     """
-    entries = dataset.entries(dimension.column_key)
+    entries = dataset.entries(column)
     publishers = dataset.entries("publisher_id")
     publisher, value, total = pair_sums(
         publishers.codes[entries.rows],
@@ -129,9 +128,9 @@ def _share_map(
 
 def publisher_diversity(dataset: Dataset) -> Dict[str, DiversityProfile]:
     """Diversity profiles for every publisher in a dataset slice."""
-    protocol_shares = _share_map(dataset, ProtocolDimension())
-    platform_shares = _share_map(dataset, PlatformDimension())
-    cdn_shares = _share_map(dataset, CdnDimension())
+    protocol_shares = _share_map(dataset, HTTP_PROTOCOL_COLUMN)
+    platform_shares = _share_map(dataset, PLATFORM_COLUMN)
+    cdn_shares = _share_map(dataset, CDN_COLUMN)
     vh = dataset.publisher_view_hours()
     profiles: Dict[str, DiversityProfile] = {}
     for publisher_id in vh:

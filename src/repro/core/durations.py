@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.constants import Platform
-from repro.core.dimensions import PlatformDimension
+from repro.core.dimensions import PLATFORM_COLUMN
 from repro.errors import AnalysisError
 from repro.stats.cdf import ECDF
 from repro.telemetry.columnar import code_of
@@ -20,7 +20,7 @@ from repro.telemetry.dataset import Dataset
 
 def duration_cdfs(dataset: Dataset) -> Dict[Platform, ECDF]:
     """Views-weighted duration CDF per platform for a dataset slice."""
-    platforms = dataset.entries(PlatformDimension.column_key)
+    platforms = dataset.entries(PLATFORM_COLUMN)
     durations = dataset.measure("view_duration_hours")[platforms.rows]
     views = dataset.measure("views")[platforms.rows]
     cdfs: Dict[Platform, ECDF] = {}

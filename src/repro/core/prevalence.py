@@ -1,6 +1,6 @@
 """Prevalence analyses: how each dimension evolved (Figs 2, 6, 7, 10, 11).
 
-Two generic time series per dimension:
+Two generic time series per dimension's column:
 
 * *across publishers* — % of publishers with at least one view on a
   value in each snapshot (sums can exceed 100%: publishers support
@@ -16,7 +16,7 @@ from datetime import date
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import AnalysisError
-from repro.core.dimensions import Dimension
+from repro.telemetry.columnar import ColumnRef
 from repro.telemetry.dataset import Dataset
 
 #: snapshot date -> value -> percentage
@@ -24,7 +24,7 @@ SeriesByValue = Dict[date, Dict[object, float]]
 
 
 def publisher_support_series(
-    dataset: Dataset, dimension: Dimension
+    dataset: Dataset, column: ColumnRef
 ) -> SeriesByValue:
     """% of publishers supporting each value, per snapshot (Figs 2a, 7, 11a)."""
     if len(dataset) == 0:
@@ -32,7 +32,7 @@ def publisher_support_series(
     series: SeriesByValue = {}
     for snapshot in dataset.snapshots():
         snap = dataset.for_snapshot(snapshot)
-        per_value = snap.publishers_per_value(dimension.column_key)
+        per_value = snap.publishers_per_value(column)
         total = len(snap.publishers())
         series[snapshot] = {
             value: 100.0 * count / total for value, count in per_value.items()
@@ -42,7 +42,7 @@ def publisher_support_series(
 
 def view_hour_share_series(
     dataset: Dataset,
-    dimension: Dimension,
+    column: ColumnRef,
     exclude_publishers: Iterable[str] = (),
     by_views: bool = False,
 ) -> SeriesByValue:
@@ -50,16 +50,17 @@ def view_hour_share_series(
 
     Figs 2b/6a/10/11b; with ``exclude_publishers`` it is Figs 2c/6b; with
     ``by_views=True`` it is Fig 6c.  Percentages are of the in-scope
-    total (records the dimension classifies), so they sum to ~100%.
+    total (records the column classifies), so they sum to ~100%.
     """
     excluded = set(exclude_publishers)
-    key = dimension.column_key
     series: SeriesByValue = {}
     for snapshot in dataset.snapshots():
         snap = dataset.for_snapshot(snapshot)
         if excluded:
             snap = snap.exclude_publishers(excluded)
-        totals = snap.views_by(key) if by_views else snap.view_hours_by(key)
+        totals = (
+            snap.views_by(column) if by_views else snap.view_hours_by(column)
+        )
         in_scope = sum(totals.values())
         if in_scope <= 0:
             raise AnalysisError(

@@ -17,15 +17,14 @@ import numpy as np
 from repro.constants import ContentType, Protocol
 from repro.core.counts import count_distribution, share_with_count_above
 from repro.core.dimensions import (
+    CDN_COLUMN,
+    HTTP_PROTOCOL_COLUMN,
+    PLATFORM_COLUMN,
     PROTOCOL_COLUMN,
-    CdnDimension,
-    Dimension,
-    PlatformDimension,
-    ProtocolDimension,
 )
 from repro.core.trends import count_trend
 from repro.errors import AnalysisError
-from repro.telemetry.columnar import record_codes
+from repro.telemetry.columnar import ColumnRef, record_codes
 from repro.telemetry.dataset import Dataset
 
 
@@ -33,7 +32,6 @@ from repro.telemetry.dataset import Dataset
 class DimensionSummary:
     """Headline stats for one dimension in the latest snapshot."""
 
-    name: str
     average_count: float
     weighted_average_count: float
     pct_publishers_multi: float
@@ -41,15 +39,14 @@ class DimensionSummary:
 
 
 def summarize_dimension(
-    dataset: Dataset, dimension: Dimension
+    dataset: Dataset, column: ColumnRef
 ) -> DimensionSummary:
-    """Latest-snapshot summary of one dimension."""
+    """Latest-snapshot summary of one dimension's column."""
     latest = dataset.latest()
-    rows = count_distribution(latest, dimension)
+    rows = count_distribution(latest, column)
     multi = share_with_count_above(rows, 1)
-    trend = count_trend(latest, dimension)[-1]
+    trend = count_trend(latest, column)[-1]
     return DimensionSummary(
-        name=dimension.name,
         average_count=trend.average,
         weighted_average_count=trend.weighted_average,
         pct_publishers_multi=multi["percent_publishers"],
@@ -60,9 +57,9 @@ def summarize_dimension(
 def headline_summary(dataset: Dataset) -> Dict[str, DimensionSummary]:
     """§4.4's three-dimension roll-up (protocols, platforms, CDNs)."""
     return {
-        "protocols": summarize_dimension(dataset, ProtocolDimension()),
-        "platforms": summarize_dimension(dataset, PlatformDimension()),
-        "cdns": summarize_dimension(dataset, CdnDimension()),
+        "protocols": summarize_dimension(dataset, HTTP_PROTOCOL_COLUMN),
+        "platforms": summarize_dimension(dataset, PLATFORM_COLUMN),
+        "cdns": summarize_dimension(dataset, CDN_COLUMN),
     }
 
 
@@ -92,7 +89,7 @@ def top_cdn_concentration(dataset: Dataset, n: int = 5) -> float:
     ``add.accumulate`` overall), as a loop over the records would.
     """
     view_hours = dataset.measure("view_hours")
-    cdns = dataset.entries(CdnDimension.column_key)
+    cdns = dataset.entries(CDN_COLUMN)
     k = np.bincount(cdns.rows, minlength=len(view_hours))[cdns.rows]
     totals = np.bincount(
         cdns.codes,
@@ -122,7 +119,7 @@ def live_vod_cdn_segregation(dataset: Dataset) -> ContentSplitStats:
     """Of publishers using multiple CDNs and serving both live and VoD,
     the share keeping at least one CDN exclusive to one content type."""
     publishers = dataset.entries("publisher_id")
-    cdns = dataset.entries(CdnDimension.column_key)
+    cdns = dataset.entries(CDN_COLUMN)
     types = dataset.entries("content_type")
     # One key per distinct (publisher, CDN, content type) the views show.
     n_cdns, n_types = len(cdns.values), len(types.values) + 1

@@ -13,9 +13,9 @@ from datetime import date
 from typing import List
 
 from repro.core.counts import publisher_counts
-from repro.core.dimensions import Dimension
 from repro.errors import AnalysisError
 from repro.stats.weighted import weighted_mean
+from repro.telemetry.columnar import ColumnRef
 from repro.telemetry.dataset import Dataset
 
 
@@ -29,16 +29,14 @@ class TrendPoint:
     publishers: int
 
 
-def count_trend(
-    dataset: Dataset, dimension: Dimension
-) -> List[TrendPoint]:
+def count_trend(dataset: Dataset, column: ColumnRef) -> List[TrendPoint]:
     """Average and VH-weighted average counts over all snapshots."""
     if len(dataset) == 0:
         raise AnalysisError("dataset is empty")
     points: List[TrendPoint] = []
     for snapshot in dataset.snapshots():
         snap = dataset.for_snapshot(snapshot)
-        counts = publisher_counts(snap, dimension)
+        counts = publisher_counts(snap, column)
         vh = snap.publisher_view_hours()
         publishers = sorted(counts)
         values = [float(counts[p]) for p in publishers]

@@ -19,9 +19,9 @@ from repro.core.complexity import (
 )
 from repro.core.counts import count_distribution, share_with_count_above
 from repro.core.dimensions import (
-    CdnDimension,
-    PlatformDimension,
-    ProtocolDimension,
+    CDN_COLUMN,
+    HTTP_PROTOCOL_COLUMN,
+    PLATFORM_COLUMN,
 )
 from repro.core.durations import long_view_fractions
 from repro.core.prevalence import (
@@ -97,7 +97,7 @@ def build_report(result: EcosystemResult) -> List[Comparison]:
         )
 
     # -- §4.1 protocols -----------------------------------------------
-    support = publisher_support_series(dataset, ProtocolDimension())
+    support = publisher_support_series(dataset, HTTP_PROTOCOL_COLUMN)
     for protocol, target in PAPER.publisher_share_latest.items():
         _, measured = first_last(support, protocol)
         add(
@@ -117,7 +117,7 @@ def build_report(result: EcosystemResult) -> List[Comparison]:
         8.0,
         absolute=True,
     )
-    shares = view_hour_share_series(dataset, ProtocolDimension())
+    shares = view_hour_share_series(dataset, HTTP_PROTOCOL_COLUMN)
     for protocol, target in PAPER.view_hour_share_latest.items():
         _, measured = first_last(shares, protocol)
         add(
@@ -130,7 +130,7 @@ def build_report(result: EcosystemResult) -> List[Comparison]:
         )
     excluded = view_hour_share_series(
         dataset,
-        ProtocolDimension(),
+        HTTP_PROTOCOL_COLUMN,
         exclude_publishers=result.dash_driver_ids,
     )
     _, dash_excluded = first_last(excluded, Protocol.DASH)
@@ -142,7 +142,7 @@ def build_report(result: EcosystemResult) -> List[Comparison]:
         5.0,
         absolute=True,
     )
-    protocol_rows = count_distribution(latest, ProtocolDimension())
+    protocol_rows = count_distribution(latest, HTTP_PROTOCOL_COLUMN)
     one = next(r for r in protocol_rows if r.count == 1)
     add(
         "F3a",
@@ -182,7 +182,7 @@ def build_report(result: EcosystemResult) -> List[Comparison]:
     )
 
     # -- §4.2 platforms -------------------------------------------------
-    platform_shares = view_hour_share_series(dataset, PlatformDimension())
+    platform_shares = view_hour_share_series(dataset, PLATFORM_COLUMN)
     for platform, target in PAPER.platform_view_hour_share_latest.items():
         _, measured = first_last(platform_shares, platform)
         add(
@@ -202,9 +202,7 @@ def build_report(result: EcosystemResult) -> List[Comparison]:
         10.0,
         absolute=True,
     )
-    views = view_hour_share_series(
-        dataset, PlatformDimension(), by_views=True
-    )
+    views = view_hour_share_series(dataset, PLATFORM_COLUMN, by_views=True)
     _, set_top_views = first_last(views, Platform.SET_TOP)
     add(
         "F6c",
@@ -231,7 +229,7 @@ def build_report(result: EcosystemResult) -> List[Comparison]:
         0.12,
         absolute=True,
     )
-    platform_rows = count_distribution(latest, PlatformDimension())
+    platform_rows = count_distribution(latest, PLATFORM_COLUMN)
     multi = share_with_count_above(platform_rows, 1)
     add(
         "F9a",
@@ -243,7 +241,7 @@ def build_report(result: EcosystemResult) -> List[Comparison]:
     )
 
     # -- §4.3 CDNs --------------------------------------------------------
-    cdn_support = publisher_support_series(dataset, CdnDimension())
+    cdn_support = publisher_support_series(dataset, CDN_COLUMN)
     for name, target in PAPER.cdn_publisher_share_latest.items():
         _, measured = first_last(cdn_support, name)
         add(
@@ -262,7 +260,7 @@ def build_report(result: EcosystemResult) -> List[Comparison]:
         6.0,
         absolute=True,
     )
-    cdn_rows = count_distribution(latest, CdnDimension())
+    cdn_rows = count_distribution(latest, CDN_COLUMN)
     single = next(r for r in cdn_rows if r.count == 1)
     add(
         "F12a",

@@ -28,10 +28,11 @@ from repro.core import summary as summary_mod
 from repro.core import syndication as syndication_mod
 from repro.core import trends as trends_mod
 from repro.core.dimensions import (
-    CdnDimension,
-    FamilyDimension,
-    PlatformDimension,
-    ProtocolDimension,
+    CDN_COLUMN,
+    HTTP_PROTOCOL_COLUMN,
+    PLATFORM_COLUMN,
+    PROTOCOL_COLUMN,
+    family_column,
 )
 from repro.entities.device import default_registry
 from repro.errors import AnalysisError
@@ -39,6 +40,7 @@ from repro.packaging.manifest.detect import detect_protocol, sample_manifest_url
 from repro.synthesis.catalogues import case_video_id
 from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator, EcosystemResult
+from repro.telemetry.columnar import ColumnRef
 
 Rows = List[Dict[str, object]]
 FigureFn = Callable[[EcosystemResult], Rows]
@@ -108,6 +110,45 @@ def run_suite(
 
 
 # ---------------------------------------------------------------------------
+# The count, bucket and trend figures of each §4 dimension
+# ---------------------------------------------------------------------------
+
+
+def _count_rows(
+    result: EcosystemResult, column: ColumnRef, label: str
+) -> Rows:
+    """Figs 3a/9a/12a: latest-snapshot publishers and view-hours by
+    the number of values of ``column`` a publisher uses."""
+    rows = counts_mod.count_distribution(result.dataset.latest(), column)
+    return [
+        {
+            label: r.count,
+            "percent_publishers": r.percent_publishers,
+            "percent_view_hours": r.percent_view_hours,
+        }
+        for r in rows
+    ]
+
+
+def _bucket_rows(result: EcosystemResult, column: ColumnRef) -> Rows:
+    """Figs 3b/9b/12b: those counts, bucketed by view-hours."""
+    latest = result.dataset.latest()
+    return buckets_mod.bucketed_counts(latest, column).stacked_rows()
+
+
+def _trend_rows(result: EcosystemResult, column: ColumnRef) -> Rows:
+    """Figs 3c/9c/12c: average and weighted-average count over time."""
+    return [
+        {
+            "snapshot": p.snapshot.isoformat(),
+            "average": p.average,
+            "weighted_average": p.weighted_average,
+        }
+        for p in trends_mod.count_trend(result.dataset, column)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Table 1
 # ---------------------------------------------------------------------------
 
@@ -135,7 +176,7 @@ def table1(result: EcosystemResult) -> Rows:
 @figure("F2a", "Fig 2a: % publishers per streaming protocol over time")
 def fig2a(result: EcosystemResult) -> Rows:
     series = prevalence_mod.publisher_support_series(
-        result.dataset, ProtocolDimension(http_only=False)
+        result.dataset, PROTOCOL_COLUMN
     )
     return prevalence_mod.series_rows(
         series, list(HTTP_ADAPTIVE_PROTOCOLS) + [Protocol.RTMP]
@@ -145,7 +186,7 @@ def fig2a(result: EcosystemResult) -> Rows:
 @figure("F2b", "Fig 2b: % view-hours per streaming protocol over time")
 def fig2b(result: EcosystemResult) -> Rows:
     series = prevalence_mod.view_hour_share_series(
-        result.dataset, ProtocolDimension(http_only=False)
+        result.dataset, PROTOCOL_COLUMN
     )
     return prevalence_mod.series_rows(
         series, list(HTTP_ADAPTIVE_PROTOCOLS) + [Protocol.RTMP]
@@ -156,7 +197,7 @@ def fig2b(result: EcosystemResult) -> Rows:
 def fig2c(result: EcosystemResult) -> Rows:
     series = prevalence_mod.view_hour_share_series(
         result.dataset,
-        ProtocolDimension(http_only=False),
+        PROTOCOL_COLUMN,
         exclude_publishers=result.dash_driver_ids,
     )
     return prevalence_mod.series_rows(series, list(HTTP_ADAPTIVE_PROTOCOLS))
@@ -164,38 +205,17 @@ def fig2c(result: EcosystemResult) -> Rows:
 
 @figure("F3a", "Fig 3a: publishers/view-hours by number of protocols")
 def fig3a(result: EcosystemResult) -> Rows:
-    rows = counts_mod.count_distribution(
-        result.dataset.latest(), ProtocolDimension()
-    )
-    return [
-        {
-            "protocols": r.count,
-            "percent_publishers": r.percent_publishers,
-            "percent_view_hours": r.percent_view_hours,
-        }
-        for r in rows
-    ]
+    return _count_rows(result, HTTP_PROTOCOL_COLUMN, "protocols")
 
 
 @figure("F3b", "Fig 3b: number of protocols, bucketed by view-hours")
 def fig3b(result: EcosystemResult) -> Rows:
-    buckets = buckets_mod.bucketed_counts(
-        result.dataset.latest(), ProtocolDimension()
-    )
-    return buckets_mod.bucket_table(buckets)
+    return _bucket_rows(result, HTTP_PROTOCOL_COLUMN)
 
 
 @figure("F3c", "Fig 3c: average number of protocols over time")
 def fig3c(result: EcosystemResult) -> Rows:
-    points = trends_mod.count_trend(result.dataset, ProtocolDimension())
-    return [
-        {
-            "snapshot": p.snapshot.isoformat(),
-            "average": p.average,
-            "weighted_average": p.weighted_average,
-        }
-        for p in points
-    ]
+    return _trend_rows(result, HTTP_PROTOCOL_COLUMN)
 
 
 @figure("F4", "Fig 4: CDF of per-publisher DASH/HLS view-hour share")
@@ -242,7 +262,7 @@ def fig5(result: EcosystemResult) -> Rows:
 @figure("F6a", "Fig 6a: % view-hours per platform over time")
 def fig6a(result: EcosystemResult) -> Rows:
     series = prevalence_mod.view_hour_share_series(
-        result.dataset, PlatformDimension()
+        result.dataset, PLATFORM_COLUMN
     )
     return prevalence_mod.series_rows(series, list(Platform))
 
@@ -251,7 +271,7 @@ def fig6a(result: EcosystemResult) -> Rows:
 def fig6b(result: EcosystemResult) -> Rows:
     series = prevalence_mod.view_hour_share_series(
         result.dataset,
-        PlatformDimension(),
+        PLATFORM_COLUMN,
         exclude_publishers=result.top3_ids,
     )
     return prevalence_mod.series_rows(series, list(Platform))
@@ -260,7 +280,7 @@ def fig6b(result: EcosystemResult) -> Rows:
 @figure("F6c", "Fig 6c: % views per platform over time")
 def fig6c(result: EcosystemResult) -> Rows:
     series = prevalence_mod.view_hour_share_series(
-        result.dataset, PlatformDimension(), by_views=True
+        result.dataset, PLATFORM_COLUMN, by_views=True
     )
     return prevalence_mod.series_rows(series, list(Platform))
 
@@ -268,7 +288,7 @@ def fig6c(result: EcosystemResult) -> Rows:
 @figure("F7", "Fig 7: % publishers supporting each platform over time")
 def fig7(result: EcosystemResult) -> Rows:
     series = prevalence_mod.publisher_support_series(
-        result.dataset, PlatformDimension()
+        result.dataset, PLATFORM_COLUMN
     )
     return prevalence_mod.series_rows(series, list(Platform))
 
@@ -291,43 +311,22 @@ def fig8(result: EcosystemResult) -> Rows:
 
 @figure("F9a", "Fig 9a: publishers/view-hours by number of platforms")
 def fig9a(result: EcosystemResult) -> Rows:
-    rows = counts_mod.count_distribution(
-        result.dataset.latest(), PlatformDimension()
-    )
-    return [
-        {
-            "platforms": r.count,
-            "percent_publishers": r.percent_publishers,
-            "percent_view_hours": r.percent_view_hours,
-        }
-        for r in rows
-    ]
+    return _count_rows(result, PLATFORM_COLUMN, "platforms")
 
 
 @figure("F9b", "Fig 9b: number of platforms, bucketed by view-hours")
 def fig9b(result: EcosystemResult) -> Rows:
-    buckets = buckets_mod.bucketed_counts(
-        result.dataset.latest(), PlatformDimension()
-    )
-    return buckets_mod.bucket_table(buckets)
+    return _bucket_rows(result, PLATFORM_COLUMN)
 
 
 @figure("F9c", "Fig 9c: average number of platforms over time")
 def fig9c(result: EcosystemResult) -> Rows:
-    points = trends_mod.count_trend(result.dataset, PlatformDimension())
-    return [
-        {
-            "snapshot": p.snapshot.isoformat(),
-            "average": p.average,
-            "weighted_average": p.weighted_average,
-        }
-        for p in points
-    ]
+    return _trend_rows(result, PLATFORM_COLUMN)
 
 
 def _family_rows(result: EcosystemResult, platform: Platform) -> Rows:
     series = prevalence_mod.view_hour_share_series(
-        result.dataset, FamilyDimension(platform)
+        result.dataset, family_column(platform)
     )
     registry = default_registry()
     return prevalence_mod.series_rows(series, registry.families(platform))
@@ -356,7 +355,7 @@ def fig10c(result: EcosystemResult) -> Rows:
 @figure("F11a", "Fig 11a: % publishers per top-5 CDN over time")
 def fig11a(result: EcosystemResult) -> Rows:
     series = prevalence_mod.publisher_support_series(
-        result.dataset, CdnDimension()
+        result.dataset, CDN_COLUMN
     )
     return prevalence_mod.series_rows(series, list(TOP_CDN_NAMES))
 
@@ -364,45 +363,24 @@ def fig11a(result: EcosystemResult) -> Rows:
 @figure("F11b", "Fig 11b: % view-hours per top-5 CDN over time")
 def fig11b(result: EcosystemResult) -> Rows:
     series = prevalence_mod.view_hour_share_series(
-        result.dataset, CdnDimension()
+        result.dataset, CDN_COLUMN
     )
     return prevalence_mod.series_rows(series, list(TOP_CDN_NAMES))
 
 
 @figure("F12a", "Fig 12a: publishers/view-hours by number of CDNs")
 def fig12a(result: EcosystemResult) -> Rows:
-    rows = counts_mod.count_distribution(
-        result.dataset.latest(), CdnDimension()
-    )
-    return [
-        {
-            "cdns": r.count,
-            "percent_publishers": r.percent_publishers,
-            "percent_view_hours": r.percent_view_hours,
-        }
-        for r in rows
-    ]
+    return _count_rows(result, CDN_COLUMN, "cdns")
 
 
 @figure("F12b", "Fig 12b: number of CDNs, bucketed by view-hours")
 def fig12b(result: EcosystemResult) -> Rows:
-    buckets = buckets_mod.bucketed_counts(
-        result.dataset.latest(), CdnDimension()
-    )
-    return buckets_mod.bucket_table(buckets)
+    return _bucket_rows(result, CDN_COLUMN)
 
 
 @figure("F12c", "Fig 12c: average number of CDNs over time")
 def fig12c(result: EcosystemResult) -> Rows:
-    points = trends_mod.count_trend(result.dataset, CdnDimension())
-    return [
-        {
-            "snapshot": p.snapshot.isoformat(),
-            "average": p.average,
-            "weighted_average": p.weighted_average,
-        }
-        for p in points
-    ]
+    return _trend_rows(result, CDN_COLUMN)
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,7 @@ class TelemetryBackend:
     """Ingests events and records; answers rollup queries."""
 
     def __init__(self) -> None:
-        # The backend keeps the canonical record store; the sessionizer
-        # must not retain a second copy of every folded record.
-        self._sessionizer = Sessionizer(retain_records=False)
+        self._sessionizer = Sessionizer()
         self._records: List[ViewRecord] = []
 
     # ------------------------------------------------------------------

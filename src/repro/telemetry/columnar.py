@@ -37,7 +37,7 @@ why aggregation memoization in the dataset layer needs no invalidation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from operator import attrgetter
 from typing import (
@@ -54,14 +54,21 @@ from typing import (
 import numpy as np
 
 from repro import obs
+from repro.errors import DatasetError
 from repro.telemetry.records import RecordColumns, ViewRecord
 
 #: Sentinel code for a stored field whose value is ``None``.
 OUT_OF_SCOPE = -1
 
+#: The stored fields a column can name: :class:`ViewRecord`'s fields.
+_FIELDS = tuple(spec.name for spec in fields(ViewRecord))
+
 #: Float measure columns pulled from a record attribute, by name;
 #: ``view_hours`` is the product of the two.
 _PULLED = {"views": "weight", "view_duration_hours": "view_duration_hours"}
+
+#: The measures :meth:`ColumnStore.numeric` accepts.
+_MEASURES = ("view_hours", *_PULLED)
 
 
 @dataclass(frozen=True)
@@ -145,8 +152,11 @@ class ColumnStore:
         ``view_duration_hours``."""
         column = self._numeric.get(name)
         if column is None:
-            if name != "view_hours" and name not in _PULLED:
-                raise KeyError(f"unknown numeric column {name!r}")
+            if name not in _MEASURES:
+                raise DatasetError(
+                    f"unknown measure {name!r}; the measures are "
+                    f"{', '.join(_MEASURES)}"
+                )
             with obs.span("columnar.intern", column=name, records=len(self)):
                 # np.fromiter keeps the extraction loop in C; the
                 # view-hours product is then a vectorized multiply
@@ -169,8 +179,13 @@ class ColumnStore:
     def field_codes(
         self, field: str
     ) -> Tuple[np.ndarray, Tuple[object, ...]]:
-        """Interned codes of a stored record attribute, one per record;
+        """Interned codes of a stored record field, one per record;
         records whose value is ``None`` get :data:`OUT_OF_SCOPE`."""
+        if field not in _FIELDS:
+            raise DatasetError(
+                f"unknown column {field!r}; a column is a ColumnKey or "
+                f"one of the record fields {', '.join(_FIELDS)}"
+            )
         cached = self._codes.get(field)
         if cached is None:
             with obs.span(

@@ -13,13 +13,14 @@ its records are built only for the calls that hand records out
 Slicing is **zero-copy**: ``filter``/``for_snapshot``/
 ``exclude_publishers`` return views that share the parent's store plus
 a boolean mask, so stacking slices never re-materializes record tuples.
-Aggregations whose grouping key is a column (a record field name or a
-:class:`~repro.telemetry.columnar.ColumnKey`) are vectorized
-``bincount`` group-bys over interned codes, memoized per (view, key) —
-safe because stores are immutable.  Analyses that need more than a
-group-by read a view's columns directly: :meth:`Dataset.entries` and
-:meth:`Dataset.measure`.  Only opaque Python runs row at a time:
-``filter`` predicates and callable group-by keys.
+Aggregations group by a column (a record field name or a
+:class:`~repro.telemetry.columnar.ColumnKey`): they are vectorized
+``bincount`` group-bys over interned codes, memoized per (view, column)
+— safe because stores are immutable.  A name that is not a record
+field raises :class:`~repro.errors.DatasetError`.  Analyses that need
+more than a group-by read a view's columns directly:
+:meth:`Dataset.entries` and :meth:`Dataset.measure`.  Only opaque
+Python runs row at a time: ``filter`` predicates.
 ``dataset.columnar_hits`` / ``dataset.row_fallbacks`` count the two
 kinds of dispatch, and :class:`repro.testkit.reference.RowDataset` is
 the row-at-a-time reference the vectorized code is tested against.
@@ -53,7 +54,6 @@ import numpy as np
 from repro import obs
 from repro.errors import DatasetError
 from repro.telemetry.columnar import (
-    ColumnKey,
     ColumnRef,
     ColumnStore,
     Entries,
@@ -62,9 +62,6 @@ from repro.telemetry.columnar import (
     grouped_sum,
 )
 from repro.telemetry.records import RecordColumns, ViewRecord
-
-#: A grouping key: record field name, named derived column, or callable.
-GroupKey = Union[str, ColumnKey, Callable[[ViewRecord], object]]
 
 #: Records per write batch in :meth:`Dataset.save`.
 _SAVE_BATCH = 4096
@@ -237,12 +234,12 @@ class Dataset:
     def total_views(self) -> float:
         return self._total("views")
 
-    def view_hours_by(self, key: GroupKey) -> Dict[object, float]:
-        """Sum view-hours grouped by a field, column key, or callable."""
+    def view_hours_by(self, key: ColumnRef) -> Dict[object, float]:
+        """Sum view-hours grouped by a field or derived column."""
         return self._grouped("view_hours", key)
 
-    def views_by(self, key: GroupKey) -> Dict[object, float]:
-        """Sum views grouped by a field, column key, or callable."""
+    def views_by(self, key: ColumnRef) -> Dict[object, float]:
+        """Sum views grouped by a field or derived column."""
         return self._grouped("views", key)
 
     def publisher_view_hours(self) -> Dict[str, float]:
@@ -259,19 +256,15 @@ class Dataset:
         ranked = sorted(totals, key=lambda p: totals[p], reverse=True)
         return ranked[:n]
 
-    def distinct_video_ids(self, publisher_id: Optional[str] = None) -> int:
-        """Distinct video IDs, optionally for one publisher (§3 notes
-        this measure is an under-estimate where coverage is partial)."""
-        cache_key = ("distinct_video_ids", publisher_id)
-        cached = self._agg_cache.get(cache_key)
+    def distinct_video_ids(self) -> int:
+        """Distinct video IDs (§3 notes this measure is an
+        under-estimate where coverage is partial)."""
+        cached = self._agg_cache.get(("distinct_video_ids", None))
         if cached is None:
             obs.counter("dataset.columnar_hits").inc()
             codes, _ = self._field_codes("video_id")
-            if publisher_id is not None:
-                pub_codes, pub_values = self._field_codes("publisher_id")
-                codes = codes[pub_codes == code_of(pub_values, publisher_id)]
             cached = int(np.unique(codes).size)
-            self._agg_cache[cache_key] = cached
+            self._agg_cache[("distinct_video_ids", None)] = cached
         return cached
 
     def publishers_per_value(self, key: ColumnRef) -> Dict[object, int]:
@@ -280,7 +273,7 @@ class Dataset:
         Backs the "% of publishers supporting X" series without
         building per-value publisher sets.
         """
-        cache_key = ("publishers_per_value", _cache_token(key))
+        cache_key = ("publishers_per_value", key)
         cached = self._agg_cache.get(cache_key)
         if cached is None:
             obs.counter("dataset.columnar_hits").inc()
@@ -302,7 +295,7 @@ class Dataset:
 
         Backs the Figs 3a/9a/12a per-publisher instance counts.
         """
-        cache_key = ("values_per_publisher", _cache_token(key))
+        cache_key = ("values_per_publisher", key)
         cached = self._agg_cache.get(cache_key)
         if cached is None:
             obs.counter("dataset.columnar_hits").inc()
@@ -342,7 +335,8 @@ class Dataset:
 
     def measure(self, name: str) -> np.ndarray:
         """A float column of this view, one value per record:
-        ``view_hours``, ``views`` or ``view_duration_hours``."""
+        ``view_hours``, ``views`` or ``view_duration_hours``; any other
+        name raises :class:`DatasetError`."""
         column = self._store.numeric(name)
         return column if self._mask is None else column[self._mask]
 
@@ -458,19 +452,8 @@ class Dataset:
             self._agg_cache[cache_key] = cached
         return cached
 
-    def _grouped(self, measure: str, key: GroupKey) -> Dict[object, float]:
-        if callable(key) and not isinstance(key, ColumnKey):
-            # Opaque callables keep their historical semantics exactly:
-            # every return value (including None) is a group.
-            obs.counter("dataset.row_fallbacks").inc()
-            totals: Dict[object, float] = {}
-            for record in self.records:
-                value = key(record)
-                totals[value] = totals.get(value, 0.0) + getattr(
-                    record, measure
-                )
-            return totals
-        cache_key = (measure, _cache_token(key))
+    def _grouped(self, measure: str, key: ColumnRef) -> Dict[object, float]:
+        cache_key = (measure, key)
         cached = self._agg_cache.get(cache_key)
         if cached is None:
             obs.counter("dataset.columnar_hits").inc()
@@ -485,8 +468,3 @@ def encode_lines(records: Sequence[ViewRecord]) -> bytes:
     if not records:
         return b""
     return ("\n".join(map(ViewRecord.to_json, records)) + "\n").encode("utf-8")
-
-
-def _cache_token(key: ColumnRef) -> object:
-    """Hashable cache identity of a column."""
-    return key.name if isinstance(key, ColumnKey) else key

@@ -120,20 +120,14 @@ class Sessionizer:
 
     Events may interleave across sessions; a record is produced when a
     session's end event arrives.  Sessions must start before they beat
-    or end, and heartbeats after an end are rejected.
-
-    With ``retain_records=False`` folded records are returned to the
-    caller but not accumulated internally, so a long-lived owner (e.g.
-    :class:`~repro.telemetry.backend.TelemetryBackend`) that keeps its
-    own record store does not hold every record twice.
+    or end, and heartbeats after an end are rejected.  Folded records
+    are returned to the caller, which keeps them: the sessionizer holds
+    only the open sessions.
     """
 
-    def __init__(self, retain_records: bool = True) -> None:
+    def __init__(self) -> None:
         self._open: Dict[str, SessionStart] = {}
         self._beats: Dict[str, List[Heartbeat]] = {}
-        self._records: List[ViewRecord] = []
-        self._retain_records = retain_records
-        self._folded = 0
 
     def ingest(self, event: object) -> Optional[ViewRecord]:
         """Process one event; returns a record when a session closes."""
@@ -167,20 +161,8 @@ class Sessionizer:
             )
             del self._open[event.session_id]
             self._beats.pop(event.session_id, None)
-            if self._retain_records:
-                self._records.append(record)
-            self._folded += 1
             return record
         raise DatasetError(f"unknown event type {type(event).__name__}")
-
-    @property
-    def records(self) -> Tuple[ViewRecord, ...]:
-        return tuple(self._records)
-
-    @property
-    def folded_count(self) -> int:
-        """Sessions folded so far (counted even without retention)."""
-        return self._folded
 
     @property
     def open_sessions(self) -> int:

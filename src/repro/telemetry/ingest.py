@@ -232,7 +232,7 @@ class RobustSessionizer:
             raise IngestError("max_idle_events must be >= 1 (or None)")
         self.reorder_buffer = reorder_buffer
         self.max_idle_events = max_idle_events
-        self._strict = Sessionizer(retain_records=False)
+        self._strict = Sessionizer()
         self._open: Dict[str, SessionStart] = {}
         self._beats: Dict[str, List[Heartbeat]] = {}
         self._seen_seq: Dict[str, Set[int]] = {}

@@ -16,16 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict
 
 from repro.core import prevalence as prevalence_mod
 from repro.core import summary as summary_mod
-from repro.core.dimensions import (
-    CdnDimension,
-    Dimension,
-    PlatformDimension,
-    ProtocolDimension,
-)
+from repro.core.dimensions import CDN_COLUMN, PLATFORM_COLUMN, PROTOCOL_COLUMN
 from repro.telemetry.dataset import Dataset
 from repro.testkit.oracles import Check, oracle
 from repro.testkit.scenario import ScenarioRun
@@ -42,13 +36,12 @@ _SCALE_FACTOR = 3.0
 #: Figures probed for seed sensitivity, in preference order.
 _SENSITIVE_FIGURES = ("F2a", "S44", "F11b", "F3a", "F6a")
 
-
-def _dimensions() -> Dict[str, Dimension]:
-    return {
-        "protocol": ProtocolDimension(http_only=False),
-        "platform": PlatformDimension(),
-        "cdn": CdnDimension(),
-    }
+#: The three §4 dimensions' columns, by name.
+_DIMENSIONS = (
+    ("cdn", CDN_COLUMN),
+    ("platform", PLATFORM_COLUMN),
+    ("protocol", PROTOCOL_COLUMN),
+)
 
 
 @oracle(
@@ -111,9 +104,9 @@ def subset_monotonicity(run: ScenarioRun, check: Check) -> str:
         "publisher set after exclusion",
     )
     compared = 0
-    for name, dimension in sorted(_dimensions().items()):
-        full = latest.publishers_per_value(dimension.column_key)
-        sub = subset.publishers_per_value(dimension.column_key)
+    for name, column in _DIMENSIONS:
+        full = latest.publishers_per_value(column)
+        sub = subset.publishers_per_value(column)
         check.that(
             set(sub) <= set(full),
             f"{name}: exclusion invented new values "
@@ -159,11 +152,9 @@ def scale_invariance(run: ScenarioRun, check: Check) -> str:
         "scaled total view-hours",
         rel=1e-9,
     )
-    for name, dimension in sorted(_dimensions().items()):
-        series_base = prevalence_mod.view_hour_share_series(base, dimension)
-        series_scaled = prevalence_mod.view_hour_share_series(
-            scaled, dimension
-        )
+    for name, column in _DIMENSIONS:
+        series_base = prevalence_mod.view_hour_share_series(base, column)
+        series_scaled = prevalence_mod.view_hour_share_series(scaled, column)
         check.equal(
             sorted(series_scaled),
             sorted(series_base),

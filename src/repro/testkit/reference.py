@@ -98,7 +98,7 @@ from repro.synthesis.sessions import (
     SessionSampler,
 )
 from repro.telemetry.columnar import ColumnKey, ColumnRef, Entries
-from repro.telemetry.dataset import Dataset, GroupKey
+from repro.telemetry.dataset import Dataset
 from repro.telemetry.records import ViewRecord
 from repro.units import rendition_bytes
 
@@ -654,14 +654,8 @@ class RowDataset(Dataset):
     def publishers(self) -> Set[str]:
         return {r.publisher_id for r in self.records}
 
-    def distinct_video_ids(self, publisher_id: Optional[str] = None) -> int:
-        return len(
-            {
-                r.video_id
-                for r in self.records
-                if publisher_id is None or r.publisher_id == publisher_id
-            }
-        )
+    def distinct_video_ids(self) -> int:
+        return len({r.video_id for r in self.records})
 
     def publishers_per_value(self, key: ColumnRef) -> Dict[object, int]:
         sets: Dict[object, Set[str]] = {}
@@ -710,7 +704,7 @@ class RowDataset(Dataset):
             return sum(r.view_hours for r in self.records)
         return sum(r.views for r in self.records)
 
-    def _grouped(self, measure: str, key: GroupKey) -> Dict[object, float]:
+    def _grouped(self, measure: str, key: ColumnRef) -> Dict[object, float]:
         totals: Dict[object, float] = {}
         if isinstance(key, ColumnKey):
             for record in self.records:
@@ -720,8 +714,6 @@ class RowDataset(Dataset):
                         record, measure
                     ) * (1.0 / len(values))
             return totals
-        if callable(key):
-            return super()._grouped(measure, key)
         fn = lambda record: getattr(record, key)  # noqa: E731
         for record in self.records:
             value = fn(record)

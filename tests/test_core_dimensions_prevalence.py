@@ -1,4 +1,4 @@
-"""Dimensions and prevalence series (repro.core)."""
+"""Dimension columns and prevalence series (repro.core)."""
 
 from datetime import date
 
@@ -6,11 +6,11 @@ import pytest
 
 from repro.constants import Platform, Protocol
 from repro.core.dimensions import (
-    CdnDimension,
-    FamilyDimension,
-    PlatformDimension,
-    ProtocolDimension,
-    record_protocol,
+    CDN_COLUMN,
+    HTTP_PROTOCOL_COLUMN,
+    PLATFORM_COLUMN,
+    PROTOCOL_COLUMN,
+    family_column,
 )
 from repro.core.prevalence import (
     first_last,
@@ -23,15 +23,15 @@ from repro.telemetry.dataset import Dataset
 from tests.test_telemetry_records import make_record
 
 
-def _values(dimension, record):
-    """The dimension's values for one record, as the store classifies it."""
-    entries = Dataset([record]).entries(dimension.column_key)
+def _values(column, record):
+    """The column's values for one record, as the store classifies it."""
+    entries = Dataset([record]).entries(column)
     return tuple(entries.values[code] for code in entries.codes)
 
 
-def _weighted_values(dimension, record):
-    """The dimension's (value, share) pairs for one record, from the store."""
-    entries = Dataset([record]).entries(dimension.column_key)
+def _weighted_values(column, record):
+    """The column's (value, share) pairs for one record, from the store."""
+    entries = Dataset([record]).entries(column)
     return tuple(
         (entries.values[code], float(share))
         for code, share in zip(entries.codes, entries.shares)
@@ -41,63 +41,56 @@ def _weighted_values(dimension, record):
 class TestProtocolDimension:
     def test_detects_from_url(self):
         record = make_record(url="http://x/v/master.mpd")
-        assert _values(ProtocolDimension(), record) == (Protocol.DASH,)
+        assert _values(HTTP_PROTOCOL_COLUMN, record) == (Protocol.DASH,)
 
-    def test_http_only_excludes_rtmp(self):
+    def test_http_column_excludes_rtmp(self):
         record = make_record(url="rtmp://x/live/v")
-        assert _values(ProtocolDimension(http_only=True), record) == ()
-        assert _values(ProtocolDimension(http_only=False), record) == (
-            Protocol.RTMP,
-        )
+        assert _values(HTTP_PROTOCOL_COLUMN, record) == ()
+        assert _values(PROTOCOL_COLUMN, record) == (Protocol.RTMP,)
 
     def test_unknown_url_out_of_scope(self):
         record = make_record(url="http://x/watch/123")
-        assert _values(ProtocolDimension(), record) == ()
-
-    def test_record_protocol_helper(self):
-        assert record_protocol(make_record()) is Protocol.HLS
+        assert _values(HTTP_PROTOCOL_COLUMN, record) == ()
 
 
 class TestPlatformDimension:
     def test_classifies_device(self):
-        assert _values(PlatformDimension(), make_record()) == (
-            Platform.SET_TOP,
-        )
+        assert _values(PLATFORM_COLUMN, make_record()) == (Platform.SET_TOP,)
 
     def test_unknown_device_out_of_scope(self):
         record = make_record(device_model="fridge")
-        assert _values(PlatformDimension(), record) == ()
+        assert _values(PLATFORM_COLUMN, record) == ()
 
 
 class TestFamilyDimension:
     def test_same_platform_classified(self):
-        dim = FamilyDimension(Platform.SET_TOP)
-        assert _values(dim, make_record()) == ("roku",)
+        column = family_column(Platform.SET_TOP)
+        assert _values(column, make_record()) == ("roku",)
 
     def test_other_platform_out_of_scope(self):
-        dim = FamilyDimension(Platform.MOBILE)
-        assert _values(dim, make_record()) == ()
+        column = family_column(Platform.MOBILE)
+        assert _values(column, make_record()) == ()
 
 
 class TestCdnDimension:
     def test_multi_valued(self):
         record = make_record(cdn_names=("A", "B"))
-        assert _values(CdnDimension(), record) == ("A", "B")
+        assert _values(CDN_COLUMN, record) == ("A", "B")
 
     def test_weighted_values_split_evenly(self):
         record = make_record(cdn_names=("A", "B"))
-        weighted = _weighted_values(CdnDimension(), record)
+        weighted = _weighted_values(CDN_COLUMN, record)
         assert weighted == (("A", 0.5), ("B", 0.5))
 
     def test_single_cdn_full_weight(self):
-        weighted = _weighted_values(CdnDimension(), make_record())
+        weighted = _weighted_values(CDN_COLUMN, make_record())
         assert weighted == (("A", 1.0),)
 
     def test_view_hours_split_evenly(self):
         split = make_record(publisher_id="p1", cdn_names=("A", "B"))
         single = make_record(publisher_id="p2", cdn_names=("C",))
         dataset = Dataset([split, single])
-        assert dataset.view_hours_by(CdnDimension.column_key) == {
+        assert dataset.view_hours_by(CDN_COLUMN) == {
             "A": split.view_hours * 0.5,
             "B": split.view_hours * 0.5,
             "C": single.view_hours,
@@ -124,7 +117,7 @@ def _two_snapshot_dataset():
 class TestSupportSeries:
     def test_publisher_percentages(self):
         series = publisher_support_series(
-            _two_snapshot_dataset(), ProtocolDimension()
+            _two_snapshot_dataset(), HTTP_PROTOCOL_COLUMN
         )
         first = series[date(2016, 1, 4)]
         assert first[Protocol.HLS] == 50.0
@@ -134,18 +127,18 @@ class TestSupportSeries:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(AnalysisError):
-            publisher_support_series(Dataset([]), ProtocolDimension())
+            publisher_support_series(Dataset([]), HTTP_PROTOCOL_COLUMN)
 
 
 class TestShareSeries:
     def test_shares_sum_to_100(self, dataset):
-        series = view_hour_share_series(dataset, PlatformDimension())
+        series = view_hour_share_series(dataset, PLATFORM_COLUMN)
         for shares in series.values():
             assert sum(shares.values()) == pytest.approx(100.0)
 
     def test_share_values(self):
         series = view_hour_share_series(
-            _two_snapshot_dataset(), ProtocolDimension()
+            _two_snapshot_dataset(), HTTP_PROTOCOL_COLUMN
         )
         first = series[date(2016, 1, 4)]
         assert first[Protocol.HLS] == pytest.approx(25.0)
@@ -154,15 +147,15 @@ class TestShareSeries:
     def test_exclusion(self):
         series = view_hour_share_series(
             _two_snapshot_dataset(),
-            ProtocolDimension(),
+            HTTP_PROTOCOL_COLUMN,
             exclude_publishers=["p2"],
         )
         assert series[date(2016, 1, 4)][Protocol.HLS] == pytest.approx(100.0)
 
     def test_by_views_differs_from_view_hours(self, dataset):
-        vh = view_hour_share_series(dataset, PlatformDimension())
+        vh = view_hour_share_series(dataset, PLATFORM_COLUMN)
         views = view_hour_share_series(
-            dataset, PlatformDimension(), by_views=True
+            dataset, PLATFORM_COLUMN, by_views=True
         )
         latest = dataset.latest_snapshot()
         # Set-top views are long: view-hour share exceeds view share.
@@ -174,14 +167,14 @@ class TestShareSeries:
         data = _two_snapshot_dataset()
         with pytest.raises(AnalysisError):
             view_hour_share_series(
-                data, ProtocolDimension(), exclude_publishers=["p1", "p2"]
+                data, HTTP_PROTOCOL_COLUMN, exclude_publishers=["p1", "p2"]
             )
 
 
 class TestSeriesHelpers:
     def test_share_at_and_first_last(self):
         series = view_hour_share_series(
-            _two_snapshot_dataset(), ProtocolDimension()
+            _two_snapshot_dataset(), HTTP_PROTOCOL_COLUMN
         )
         assert series[date(2016, 1, 4)][Protocol.DASH] == 75.0
         first, last = first_last(series, Protocol.DASH)
@@ -190,7 +183,7 @@ class TestSeriesHelpers:
 
     def test_series_rows_printable(self):
         series = view_hour_share_series(
-            _two_snapshot_dataset(), ProtocolDimension()
+            _two_snapshot_dataset(), HTTP_PROTOCOL_COLUMN
         )
         rows = series_rows(series, [Protocol.HLS, Protocol.DASH])
         assert len(rows) == 2

@@ -13,7 +13,7 @@ from repro.core.summary import (
     summarize_dimension,
     top_cdn_concentration,
 )
-from repro.core.dimensions import ProtocolDimension
+from repro.core.dimensions import HTTP_PROTOCOL_COLUMN
 from repro.errors import AnalysisError
 from repro.telemetry.dataset import Dataset
 from tests.test_telemetry_records import make_record
@@ -41,8 +41,8 @@ class TestHeadlineSummary:
         assert 4.0 < summaries["cdns"].weighted_average_count < 5.0
 
     def test_summarize_single_dimension(self, dataset):
-        summary = summarize_dimension(dataset, ProtocolDimension())
-        assert summary.name == "protocol"
+        summary = summarize_dimension(dataset, HTTP_PROTOCOL_COLUMN)
+        assert summary == headline_summary(dataset)["protocols"]
 
 
 class TestRtmp:

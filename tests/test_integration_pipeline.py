@@ -97,17 +97,14 @@ class TestDatasetRoundtripAtScale:
         assert loaded.records == sample.records
 
     def test_every_record_is_classifiable(self, dataset):
-        from repro.core.dimensions import (
-            PlatformDimension,
-            ProtocolDimension,
-        )
+        from repro.core.dimensions import PLATFORM_COLUMN, PROTOCOL_COLUMN
 
         sample = dataset.records[:2000]
-        for dimension, field in (
-            (ProtocolDimension(http_only=False), "url"),
-            (PlatformDimension(), "device_model"),
+        for column, field in (
+            (PROTOCOL_COLUMN, "url"),
+            (PLATFORM_COLUMN, "device_model"),
         ):
-            classified = Dataset(sample).entries(dimension.column_key).rows
+            classified = Dataset(sample).entries(column).rows
             missing = set(range(len(sample))) - set(classified.tolist())
             assert not missing, [
                 getattr(sample[i], field) for i in sorted(missing)[:5]
@@ -163,12 +160,12 @@ class TestWeightInvariance:
         )
 
     def test_share_series_invariant(self, pair):
-        from repro.core.dimensions import ProtocolDimension
+        from repro.core.dimensions import HTTP_PROTOCOL_COLUMN
         from repro.core.prevalence import view_hour_share_series
 
         weighted, exploded = pair
-        a = view_hour_share_series(weighted, ProtocolDimension())
-        b = view_hour_share_series(exploded, ProtocolDimension())
+        a = view_hour_share_series(weighted, HTTP_PROTOCOL_COLUMN)
+        b = view_hour_share_series(exploded, HTTP_PROTOCOL_COLUMN)
         for snapshot in a:
             for key in a[snapshot]:
                 assert a[snapshot][key] == pytest.approx(
@@ -177,9 +174,9 @@ class TestWeightInvariance:
 
     def test_counts_invariant(self, pair):
         from repro.core.counts import publisher_counts
-        from repro.core.dimensions import CdnDimension
+        from repro.core.dimensions import CDN_COLUMN
 
         weighted, exploded = pair
-        assert publisher_counts(weighted, CdnDimension()) == publisher_counts(
-            exploded, CdnDimension()
+        assert publisher_counts(weighted, CDN_COLUMN) == publisher_counts(
+            exploded, CDN_COLUMN
         )

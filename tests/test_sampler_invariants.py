@@ -10,7 +10,7 @@ from collections import defaultdict
 import pytest
 
 from repro.constants import Protocol
-from repro.core.dimensions import record_protocol
+from repro.packaging.manifest.detect import detect_protocol_or_none
 from repro.synthesis import calibration as cal
 from repro.synthesis.catalogues import case_video_id
 
@@ -57,7 +57,7 @@ class TestDimensionCoverage:
         for snapshot in eco.dataset.snapshots():
             by_publisher = defaultdict(set)
             for record in eco.dataset.for_snapshot(snapshot):
-                protocol = record_protocol(record)
+                protocol = detect_protocol_or_none(record.url)
                 if protocol and protocol.is_http_adaptive:
                     by_publisher[record.publisher_id].add(protocol)
             for publisher in eco.publishers:
@@ -85,7 +85,7 @@ class TestDashDrivers:
             for record in latest:
                 if record.publisher_id != driver:
                     continue
-                protocol = record_protocol(record)
+                protocol = detect_protocol_or_none(record.url)
                 if protocol is None or not protocol.is_http_adaptive:
                     continue
                 total += record.view_hours
@@ -98,7 +98,7 @@ class TestDashDrivers:
         latest = eco.dataset.latest()
         for driver in eco.dash_driver_ids:
             protocols = {
-                record_protocol(record)
+                detect_protocol_or_none(record.url)
                 for record in latest
                 if record.publisher_id == driver
             }

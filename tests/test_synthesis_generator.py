@@ -131,7 +131,7 @@ class TestDashDriverCounterfactual:
 
     def test_without_drivers_dash_stays_marginal(self):
         from repro.constants import Protocol
-        from repro.core.dimensions import ProtocolDimension
+        from repro.core.dimensions import HTTP_PROTOCOL_COLUMN
         from repro.core.prevalence import (
             first_last,
             view_hour_share_series,
@@ -145,7 +145,7 @@ class TestDashDriverCounterfactual:
         )
         counterfactual = EcosystemGenerator(config).generate()
         series = view_hour_share_series(
-            counterfactual.dataset, ProtocolDimension()
+            counterfactual.dataset, HTTP_PROTOCOL_COLUMN
         )
         _, dash_end = first_last(series, Protocol.DASH)
         # Without the drivers, DASH view-hours never surge (the factual

@@ -1,5 +1,6 @@
 """The Dataset container (repro.telemetry.dataset)."""
 
+import dataclasses
 import gzip
 import json
 import math
@@ -13,6 +14,7 @@ from repro.errors import DatasetError
 from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator
 from repro.telemetry.dataset import Dataset, encode_lines
+from repro.telemetry.records import RecordColumns, ViewRecord
 from tests.test_telemetry_records import make_record
 
 
@@ -92,11 +94,11 @@ class TestAggregation:
         assert vh["p2"] == pytest.approx(10.0)
 
     def test_view_hours_by_arbitrary_key(self, small_dataset):
-        by_type = small_dataset.view_hours_by(lambda r: r.content_type)
+        by_type = small_dataset.view_hours_by("content_type")
         assert by_type[ContentType.LIVE] == pytest.approx(1.0)
 
     def test_views_by(self, small_dataset):
-        by_pub = small_dataset.views_by(lambda r: r.publisher_id)
+        by_pub = small_dataset.views_by("publisher_id")
         assert by_pub["p1"] == 12.0
 
     def test_top_publishers(self, small_dataset):
@@ -107,7 +109,60 @@ class TestAggregation:
 
     def test_distinct_video_ids(self, small_dataset):
         assert small_dataset.distinct_video_ids() == 2
-        assert small_dataset.distinct_video_ids("p2") == 1
+
+
+def _both_kinds(records):
+    """A dataset built from ``records``, and one built from their
+    columns, as synthesis builds it."""
+    columns = [
+        [getattr(record, spec.name) for record in records]
+        for spec in dataclasses.fields(ViewRecord)
+    ]
+    return Dataset(records), Dataset(RecordColumns(columns))
+
+
+class TestUnknownColumns:
+    """A name that is not a record field, or a measure that is not one
+    of the three, raises one ``DatasetError`` whichever way the dataset
+    was built."""
+
+    @pytest.mark.parametrize(
+        "key",
+        ["nonexistent", "view_hours", lambda record: record.publisher_id],
+        ids=["missing", "property", "callable"],
+    )
+    def test_unknown_grouping_column(self, small_dataset, key):
+        messages = set()
+        for dataset in _both_kinds(small_dataset.records):
+            for group_by in (
+                dataset.view_hours_by,
+                dataset.views_by,
+                dataset.publishers_per_value,
+                dataset.values_per_publisher,
+                dataset.entries,
+            ):
+                with pytest.raises(DatasetError, match="record fields") as error:
+                    group_by(key)
+                messages.add(str(error.value))
+        assert len(messages) == 1
+        assert repr(key) in messages.pop()
+
+    def test_unknown_measure(self, small_dataset):
+        messages = set()
+        for dataset in _both_kinds(small_dataset.records):
+            with pytest.raises(DatasetError, match="view_hours, views") as error:
+                dataset.measure("weight")
+            messages.add(str(error.value))
+        assert messages == {
+            "unknown measure 'weight'; the measures are view_hours, "
+            "views, view_duration_hours"
+        }
+
+    def test_both_kinds_group_alike(self, small_dataset):
+        built, batched = _both_kinds(small_dataset.records)
+        assert batched.view_hours_by("content_type") == built.view_hours_by(
+            "content_type"
+        )
 
 
 class TestExplode:
