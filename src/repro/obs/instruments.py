@@ -48,7 +48,7 @@ CATALOG: Tuple[InstrumentSpec, ...] = (
     ),
     InstrumentSpec(
         "dataset.row_fallbacks", "counter",
-        "aggregations that fell back to the row-at-a-time path",
+        "filter predicates run row at a time over a dataset's records",
     ),
     InstrumentSpec(
         "dataset.records_built", "counter",
