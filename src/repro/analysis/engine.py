@@ -28,7 +28,7 @@ from repro.analysis.effects import EffectAnalysis
 from repro.analysis.project import Project, load_project
 from repro.lint.config import LintConfig
 from repro.lint.engine import (
-    Baseline, CheckResult, file_findings, finish, suppressions_for,
+    CheckResult, file_findings, finish, suppressions_for,
 )
 from repro.lint.findings import Finding
 
@@ -53,7 +53,6 @@ def _whole_program(
     raw: List[Finding],
     cfg: LintConfig,
     use_baseline: bool,
-    baseline: Baseline,
 ) -> CheckResult:
     """Run the RPL1xx family over ``project``, then finish its findings
     together with ``raw`` (the per-file ones, if that family ran)."""
@@ -67,7 +66,7 @@ def _whole_program(
         raw + project.parse_findings + program,
         cfg,
         {source.path: source.lines for source in project.sources},
-        suppressions_for(cfg, use_baseline, baseline),
+        suppressions_for(cfg, use_baseline),
     )
     result = CheckResult(
         fresh,
@@ -91,26 +90,24 @@ def run_analysis(
     paths: Optional[Sequence[str]] = None,
     config: Optional[LintConfig] = None,
     use_baseline: bool = True,
-    baseline: Baseline = None,
 ) -> CheckResult:
     """The whole-program rules (RPL1xx) over ``paths``.
 
-    ``paths`` defaults to the configured paths; ``baseline`` works as
-    in :func:`repro.lint.engine.run_lint`.
+    ``paths`` and ``use_baseline`` work as in
+    :func:`repro.lint.engine.run_lint`.
     """
     cfg = config or LintConfig()
     targets = list(paths) if paths else list(cfg.paths)
     with obs.span("analysis.run", paths=",".join(targets)):
         with obs.span("analysis.parse"):
             project = load_project(cfg.root, targets, exclude=cfg.exclude)
-        return _whole_program(project, [], cfg, use_baseline, baseline)
+        return _whole_program(project, [], cfg, use_baseline)
 
 
 def run_check(
     paths: Optional[Sequence[str]] = None,
     config: Optional[LintConfig] = None,
     use_baseline: bool = True,
-    baseline: Baseline = None,
 ) -> CheckResult:
     """Both rule families over ``paths``, each file read and parsed once.
 
@@ -126,7 +123,7 @@ def run_check(
         with obs.span("lint.rules"):
             raw = file_findings(project.sources, cfg)
         obs.counter("lint.files").inc(len(project.sources))
-        return _whole_program(project, raw, cfg, use_baseline, baseline)
+        return _whole_program(project, raw, cfg, use_baseline)
 
 
 def _stats(project: Project, graph: CallGraph) -> Dict[str, int]:

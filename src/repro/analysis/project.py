@@ -41,16 +41,16 @@ from repro.lint.rules.common import dotted_name
 #: Path components stripped from the front of a relative file path
 #: before it is turned into a dotted module name (``src/repro/x.py``
 #: -> ``repro.x``).
-DEFAULT_SOURCE_ROOTS: Tuple[str, ...] = ("src",)
+SOURCE_ROOTS: Tuple[str, ...] = ("src",)
 
 #: The pseudo-function holding each module's import-time code.
 MODULE_FN = "<module>"
 
 
-def module_name_for(path: str, source_roots: Sequence[str]) -> str:
+def module_name_for(path: str) -> str:
     """Dotted module name for a relative posix ``.py`` path."""
     parts = path.split("/")
-    if parts and parts[0] in source_roots:
+    if parts and parts[0] in SOURCE_ROOTS:
         parts = parts[1:]
     if parts and parts[-1].endswith(".py"):
         parts[-1] = parts[-1][: -len(".py")]
@@ -180,8 +180,7 @@ def normalize_dotted(dotted: str) -> str:
 class Project:
     """All analyzed modules plus whole-program indexes."""
 
-    def __init__(self, source_roots: Sequence[str] = DEFAULT_SOURCE_ROOTS):
-        self.source_roots: Tuple[str, ...] = tuple(source_roots)
+    def __init__(self) -> None:
         self.sources: List[SourceFile] = []
         self.modules: Dict[str, ModuleInfo] = {}
         self.modules_by_path: Dict[str, ModuleInfo] = {}
@@ -194,11 +193,7 @@ class Project:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_sources(
-        cls,
-        sources: Sequence[Tuple[str, str]],
-        source_roots: Sequence[str] = DEFAULT_SOURCE_ROOTS,
-    ) -> "Project":
+    def from_sources(cls, sources: Sequence[Tuple[str, str]]) -> "Project":
         """Build a project from ``(relative_path, source_text)`` pairs.
 
         Used directly by tests; :func:`load_project` reads files instead.
@@ -207,7 +202,6 @@ class Project:
         return cls.from_parsed(
             [source for source, _ in parsed],
             [failure for _, failure in parsed if failure is not None],
-            source_roots,
         )
 
     @classmethod
@@ -215,14 +209,13 @@ class Project:
         cls,
         sources: Sequence[SourceFile],
         failures: Sequence[Finding],
-        source_roots: Sequence[str] = DEFAULT_SOURCE_ROOTS,
     ) -> "Project":
         """Index sources the one reader has already parsed."""
-        project = cls(source_roots)
+        project = cls()
         project.sources = list(sources)
         project.parse_findings = list(failures)
         for source in project.sources:
-            name = module_name_for(source.path, project.source_roots)
+            name = module_name_for(source.path)
             module = ModuleInfo(
                 name=name, path=source.path, tree=source.tree,
                 lines=source.lines,
@@ -487,7 +480,6 @@ def load_project(
     root: str,
     paths: Sequence[str],
     exclude: Sequence[str] = (),
-    source_roots: Sequence[str] = DEFAULT_SOURCE_ROOTS,
 ) -> Project:
     """Read, parse and index every ``.py`` file under ``paths`` once.
 
@@ -495,4 +487,4 @@ def load_project(
     """
     config = LintConfig(root=root, exclude=list(exclude))
     sources, failures = read_sources(root, collect_files(list(paths), config))
-    return Project.from_parsed(sources, failures, source_roots)
+    return Project.from_parsed(sources, failures)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec, Layer
 from repro.constants import ContentType, Protocol
@@ -49,6 +49,14 @@ REORDER_SPAN = 3
 #: past its SessionEnd — which keeps the fault exactly recoverable by
 #: the ingest reorder buffer (park + replay in arrival order).
 REORDER_START_SPAN = 3
+
+#: Fetches on the delivery timeline under the plan's windows, then
+#: fault-free fetches in which every opened breaker must re-close.
+DELIVERY_TICKS = 120
+RECOVERY_TICKS = 60
+
+#: Manifests in the corruption sweep, cycling the four protocols.
+MANIFEST_DOCUMENTS = 64
 
 
 # ----------------------------------------------------------------------
@@ -289,27 +297,17 @@ class DeliveryChaosResult:
 
 
 def run_delivery_chaos(
-    plan: FaultPlan,
-    assignments: Sequence[CdnAssignment],
-    *,
-    ticks: int = 120,
-    recovery_ticks: int = 60,
-    base_kbps: Optional[Mapping[str, float]] = None,
-    content_type: ContentType = ContentType.VOD,
-    failure_threshold: int = 3,
-    recovery_timeout: float = 10.0,
+    plan: FaultPlan, assignments: Sequence[CdnAssignment]
 ) -> DeliveryChaosResult:
     """Drive a :class:`ResilientFetcher` through the plan's CDN faults.
 
-    The timeline is ``ticks`` fetches under the plan's delivery windows
-    followed by ``recovery_ticks`` fault-free fetches, all on an
-    injected tick clock; the tail is where every opened breaker must
-    find its way back to closed.
+    The timeline is :data:`DELIVERY_TICKS` VoD fetches under the plan's
+    delivery windows followed by :data:`RECOVERY_TICKS` fault-free
+    fetches, all on an injected tick clock; the tail is where every
+    opened breaker must find its way back to closed.
     """
     from repro.delivery.multicdn import CdnBroker, ResilientFetcher
 
-    if ticks < 1 or recovery_ticks < 0:
-        raise ChaosError("ticks must be >= 1 and recovery_ticks >= 0")
     specs = plan.specs_for(Layer.DELIVERY)
     # Assignment order sets the default throughput ranking (first =
     # fastest): the runner lists fault targets first, so outages hit the
@@ -322,34 +320,33 @@ def run_delivery_chaos(
                 f"delivery fault targets unknown CDN {spec.target!r} "
                 f"(known: {', '.join(names)})"
             )
-    kbps = dict(base_kbps or {})
-    for offset, name in enumerate(order):
-        kbps.setdefault(name, 4000.0 - 500.0 * offset)
+    kbps = {name: 4000.0 - 500.0 * offset for offset, name in enumerate(order)}
 
     now = [0.0]
     fetcher = ResilientFetcher(
         CdnBroker(),
         policy=BackoffPolicy(retries=1, base_delay=0.0, jitter=0.0),
-        failure_threshold=failure_threshold,
-        recovery_timeout=recovery_timeout,
+        recovery_timeout=10.0,
         clock=lambda: now[0],
         seed=plan.seed,
     )
     rngs = {id(spec): random.Random(plan.spec_seed(spec)) for spec in specs}
-    result = DeliveryChaosResult(ticks=ticks, recovery_ticks=recovery_ticks)
+    result = DeliveryChaosResult(DELIVERY_TICKS, RECOVERY_TICKS)
     prev_states = {
         name: fetcher.breaker(name).state.value for name in names
     }
     last_opened: Dict[str, int] = {}
 
-    for tick in range(ticks + recovery_ticks):
+    for tick in range(DELIVERY_TICKS + RECOVERY_TICKS):
         now[0] = float(tick)
         failing: Set[str] = set()
         slowdown: Dict[str, float] = {}
         # Draws are consumed tick by tick for EVERY spec, active window
         # or not, so the stream stays aligned across plan edits.
         for spec in specs:
-            active = tick < ticks and spec.window.contains_tick(tick, ticks)
+            active = tick < DELIVERY_TICKS and spec.window.contains_tick(
+                tick, DELIVERY_TICKS
+            )
             hit = rngs[id(spec)].random() < spec.intensity
             if not (active and hit):
                 continue
@@ -367,7 +364,7 @@ def run_delivery_chaos(
             return name
 
         try:
-            outcome = fetcher.fetch(assignments, content_type, do_fetch)
+            outcome = fetcher.fetch(assignments, ContentType.VOD, do_fetch)
         except AllCdnsFailedError:
             result.leaked += 1
         else:
@@ -430,13 +427,9 @@ class ManifestChaosResult:
     absorbed_by: Dict[str, int] = field(default_factory=dict)
 
 
-def run_manifest_chaos(
-    plan: FaultPlan,
-    *,
-    documents: int = 64,
-    base_url: str = "http://cdn-a.example.net",
-) -> ManifestChaosResult:
-    """Feed truncated/malformed manifests through the real parsers.
+def run_manifest_chaos(plan: FaultPlan) -> ManifestChaosResult:
+    """Feed :data:`MANIFEST_DOCUMENTS` truncated/malformed manifests
+    through the real parsers.
 
     Every faulted document must either still parse (``survived``) or be
     rejected with a typed :class:`~repro.errors.ManifestError` /
@@ -446,23 +439,24 @@ def run_manifest_chaos(
     """
     from repro.packaging.manifest import manifest_writer_for, parser_for
 
-    if documents < 1:
-        raise ChaosError("documents must be >= 1")
     specs = plan.specs_for(Layer.MANIFEST)
-    result = ManifestChaosResult(documents=documents)
+    result = ManifestChaosResult(MANIFEST_DOCUMENTS)
     ladder = BitrateLadder.from_bitrates([400.0, 800.0, 1600.0])
     rngs = {id(spec): random.Random(plan.spec_seed(spec)) for spec in specs}
 
-    for index in range(documents):
+    for index in range(MANIFEST_DOCUMENTS):
         protocol = _MANIFEST_PROTOCOLS[index % len(_MANIFEST_PROTOCOLS)]
         video = Video(video_id=f"vid{index:04d}", duration_seconds=60.0)
-        text = manifest_writer_for(protocol).render(video, ladder, base_url)
+        text = manifest_writer_for(protocol).render(
+            video, ladder, "http://cdn-a.example.net"
+        )
         faulted = False
         for spec in specs:
             rng = rngs[id(spec)]
             # One draw per (spec, document) keeps streams aligned.
             hit = rng.random() < spec.intensity
-            if not spec.window.contains_tick(index, documents) or not hit:
+            in_window = spec.window.contains_tick(index, MANIFEST_DOCUMENTS)
+            if not in_window or not hit:
                 continue
             faulted = True
             if spec.kind is FaultKind.TRUNCATE:
@@ -563,10 +557,7 @@ def inject_ingest_pressure(
 
 
 def run_ingest_chaos(
-    events: Sequence[object],
-    plan: FaultPlan,
-    *,
-    reorder_buffer: int = 256,
+    events: Sequence[object], plan: FaultPlan
 ) -> IngestChaosResult:
     """Run the pressured stream through a quarantine-policy pipeline.
 
@@ -579,10 +570,7 @@ def run_ingest_chaos(
     from repro.telemetry.ingest import ErrorPolicy, IngestPipeline
 
     pressured, injected = inject_ingest_pressure(events, plan)
-    pipeline = IngestPipeline(
-        ErrorPolicy.QUARANTINE, reorder_buffer=reorder_buffer
-    )
-    report = pipeline.run(pressured)
+    report = IngestPipeline(ErrorPolicy.QUARANTINE).run(pressured)
     absorbed = sum(
         1
         for letter in report.dead_letters

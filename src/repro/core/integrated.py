@@ -24,7 +24,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.delivery.network import NetworkPath, default_isp_profiles
+from repro.delivery.network import default_isp_profiles
 from repro.errors import AnalysisError
 from repro.playback.abr import AbrAlgorithm, ThroughputAbr
 # simulate_session stays bound here: traced runs wrap it at this name.
@@ -71,7 +71,6 @@ def integrated_qoe_projection(
     sessions: int = 200,
     seed: int = 7,
     abr: Optional[AbrAlgorithm] = None,
-    path: Optional[NetworkPath] = None,
 ) -> QoeProjection:
     """Project one syndicator's QoE under integrated syndication.
 
@@ -83,8 +82,7 @@ def integrated_qoe_projection(
     """
     if sessions < 10:
         raise AnalysisError("need at least 10 sessions")
-    if path is None:
-        path = default_isp_profiles()[isp].path_to(cdn_name)
+    path = default_isp_profiles()[isp].path_to(cdn_name)
     abr = abr or ThroughputAbr(safety=0.85)
     rng = np.random.default_rng(seed)
     config = SessionConfig(
@@ -119,21 +117,18 @@ def integrated_qoe_projection(
 
 
 def project_all_syndicators(
-    case_study: CaseStudy,
-    isp: str = "X",
-    cdn_name: str = "A",
-    sessions: int = 120,
-    seed: int = 7,
+    case_study: CaseStudy, sessions: int = 120
 ) -> Dict[str, QoeProjection]:
-    """QoE projections for every syndicator in the case study.
+    """QoE projections for every syndicator in the case study, on ISP
+    X's path to CDN A.
 
-    Each label's projection consumes its own ``default_rng(seed)``
-    from scratch, as the before/after pairing requires one sequential
-    stream per label.
+    Each label's projection consumes its own ``default_rng(7)`` from
+    scratch, as the before/after pairing requires one sequential stream
+    per label.
     """
     return {
         label: integrated_qoe_projection(
-            case_study, label, isp, cdn_name, sessions=sessions, seed=seed
+            case_study, label, "X", "A", sessions=sessions
         )
         for label in case_study.syndicator_labels
     }

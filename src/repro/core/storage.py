@@ -10,7 +10,7 @@ owner's copies).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Tuple, TypeVar
 
 from repro.delivery.origin import OriginServer
 from repro.errors import AnalysisError
@@ -104,11 +104,8 @@ def figure18(case_study: CaseStudy) -> List[StorageSavings]:
     ]
 
 
-def tolerance_sweep(
-    case_study: CaseStudy,
-    tolerances: Sequence[float] = SWEEP_TOLERANCES,
-) -> List[Tuple[float, float]]:
-    """Ablation: savings percentage as a function of dedup tolerance.
+def tolerance_sweep(case_study: CaseStudy) -> List[Tuple[float, float]]:
+    """Ablation: savings percentage at each of :data:`SWEEP_TOLERANCES`.
 
     Extends Fig 18 beyond the paper's two tolerance points; evaluated
     on the first common CDN (identical content sits on both).
@@ -116,7 +113,7 @@ def tolerance_sweep(
     origins = build_case_origins(case_study)
     origin = origins[cal.STORAGE_STUDY_COMMON_CDNS[0]]
     sweep: List[Tuple[float, float]] = []
-    for tolerance in tolerances:
+    for tolerance in SWEEP_TOLERANCES:
         _, pct = origin.savings(tolerance)
         sweep.append((tolerance, pct))
     return sweep

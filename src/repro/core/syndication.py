@@ -7,7 +7,7 @@
   syndicator encode one popular video with, for a fixed device class.
 * Figs 15/16 — QoE: average-bitrate and rebuffering CDFs of owner
   versus syndicator clients for that video, restricted to one device,
-  connection, geography and (ISP, CDN) combination.
+  geography and (ISP, CDN) combination.
 """
 
 from __future__ import annotations
@@ -22,6 +22,12 @@ from repro.stats.cdf import ECDF
 from repro.telemetry.columnar import distinct_pair_counts, first_seen, truthy
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.records import ViewRecord
+
+#: The paper's cut for Figs 15-17: iPad clients, in California for the
+#: QoE comparison and on WiFi for the ladders.
+DEVICE_MODEL = "ipad"
+QOE_GEO = "CA"
+LADDER_CONNECTION = "wifi"
 
 
 def observed_syndicators(dataset: Dataset) -> Set[str]:
@@ -86,28 +92,25 @@ def prevalence_summary(dataset: Dataset) -> Dict[str, float]:
 
 
 def ladders_for_video(
-    dataset: Dataset,
-    video_id: str,
-    device_model: str = "ipad",
-    connection_value: str = "wifi",
+    dataset: Dataset, video_id: str
 ) -> Dict[str, Tuple[float, ...]]:
     """publisher_id -> encoded ladder observed for one video (Fig 17).
 
-    Restricted to one device class and connection type for a fair
-    comparison, as in the paper.
+    Restricted to :data:`DEVICE_MODEL` on :data:`LADDER_CONNECTION` for
+    a fair comparison, as in the paper.
     """
     ladders: Dict[str, Tuple[float, ...]] = {}
     for record in dataset:
         if record.video_id != video_id:
             continue
-        if record.device_model != device_model:
+        if record.device_model != DEVICE_MODEL:
             continue
-        if record.connection.value != connection_value:
+        if record.connection.value != LADDER_CONNECTION:
             continue
         ladders[record.publisher_id] = record.bitrate_ladder_kbps
     if not ladders:
         raise AnalysisError(
-            f"no views of {video_id!r} on {device_model}/{connection_value}"
+            f"no views of {video_id!r} on {DEVICE_MODEL}/{LADDER_CONNECTION}"
         )
     return ladders
 
@@ -152,8 +155,6 @@ def _qoe_records(
     video_id: str,
     isp: str,
     cdn_name: str,
-    device_model: str,
-    geo: str,
 ) -> List[ViewRecord]:
     return [
         r
@@ -162,8 +163,8 @@ def _qoe_records(
         and r.video_id == video_id
         and r.isp == isp
         and cdn_name in r.cdn_names
-        and r.device_model == device_model
-        and r.geo == geo
+        and r.device_model == DEVICE_MODEL
+        and r.geo == QOE_GEO
     ]
 
 
@@ -174,15 +175,12 @@ def qoe_comparison(
     video_id: str,
     isp: str,
     cdn_name: str,
-    device_model: str = "ipad",
-    geo: str = "CA",
 ) -> QoeComparison:
-    """Figs 15/16 for one (ISP, CDN) combination."""
-    owner_records = _qoe_records(
-        dataset, owner_id, video_id, isp, cdn_name, device_model, geo
-    )
+    """Figs 15/16 for one (ISP, CDN) combination, over the views by
+    :data:`DEVICE_MODEL` clients in :data:`QOE_GEO`."""
+    owner_records = _qoe_records(dataset, owner_id, video_id, isp, cdn_name)
     syndicator_records = _qoe_records(
-        dataset, syndicator_id, video_id, isp, cdn_name, device_model, geo
+        dataset, syndicator_id, video_id, isp, cdn_name
     )
     if not owner_records or not syndicator_records:
         raise AnalysisError(

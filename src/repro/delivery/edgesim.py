@@ -55,19 +55,15 @@ class EdgeSyndicationStudy:
         ladders: Mapping[str, BitrateLadder],
         owner_id: str,
         cache_capacity_bytes: float,
-        chunk_seconds: float = 6.0,
     ) -> None:
         if owner_id not in ladders:
             raise DeliveryError("owner must have a ladder")
         if len(ladders) < 2:
             raise DeliveryError("need the owner plus at least one syndicator")
-        if chunk_seconds <= 0:
-            raise DeliveryError("chunk duration must be positive")
         self.catalogue = catalogue
         self.ladders = dict(ladders)
         self.owner_id = owner_id
         self.cache_capacity_bytes = cache_capacity_bytes
-        self.chunk_seconds = chunk_seconds
         self._video_ids = catalogue.video_ids
         if not self._video_ids:
             raise DeliveryError("catalogue is empty")
@@ -77,24 +73,20 @@ class EdgeSyndicationStudy:
     # ------------------------------------------------------------------
 
     def sample_requests(
-        self,
-        rng: np.random.Generator,
-        n_sessions: int,
-        zipf_s: float = 1.1,
-        chunks_per_session: int = 40,
+        self, rng: np.random.Generator, n_sessions: int
     ) -> Sequence[Tuple[str, str, float, int]]:
         """(publisher, video, bitrate, chunk index) request tuples.
 
-        Sessions pick a publisher uniformly, a title by Zipf popularity,
-        a sustainable rung from that publisher's ladder, and fetch a
-        contiguous run of chunks — the access pattern a syndicated
-        series sees across its distributors' audiences.
+        Sessions pick a publisher uniformly, a title by Zipf (s = 1.1)
+        popularity, a sustainable rung from that publisher's ladder, and
+        fetch a contiguous run of 40 chunks — the access pattern a
+        syndicated series sees across its distributors' audiences.
         """
         if n_sessions < 1:
             raise DeliveryError("need at least one session")
         publishers = sorted(self.ladders)
         ranks = np.arange(1, len(self._video_ids) + 1, dtype=float)
-        weights = ranks**-zipf_s
+        weights = ranks**-1.1
         popularity = weights / weights.sum()
         requests = []
         for _ in range(n_sessions):
@@ -105,7 +97,7 @@ class EdgeSyndicationStudy:
             throughput = float(rng.lognormal(np.log(4000.0), 0.8))
             rung = ladder.nearest_at_most(0.8 * throughput)
             start = int(rng.integers(0, 200))
-            for chunk in range(chunks_per_session):
+            for chunk in range(40):
                 requests.append(
                     (publisher, video_id, rung.bitrate_kbps, start + chunk)
                 )
@@ -135,9 +127,7 @@ class EdgeSyndicationStudy:
                 key_bitrate = owner_ladder.nearest_at_most(
                     max(bitrate, owner_ladder.min_bitrate_kbps)
                 ).bitrate_kbps
-            size = (
-                kbps_to_bytes_per_second(key_bitrate) * self.chunk_seconds
-            )
+            size = kbps_to_bytes_per_second(key_bitrate) * 6.0  # 6 s chunks
             cache.request(
                 (key_publisher, video_id, key_bitrate, index), size
             )

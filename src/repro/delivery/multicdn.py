@@ -163,7 +163,6 @@ class ResilientFetcher:
         failure_threshold: int = 3,
         recovery_timeout: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Optional[Callable[[float], None]] = None,
         seed: int = 0,
     ) -> None:
         self.broker = broker
@@ -171,7 +170,6 @@ class ResilientFetcher:
         self.failure_threshold = failure_threshold
         self.recovery_timeout = recovery_timeout
         self._clock = clock
-        self._sleep = sleep
         self._seed = seed
         self._calls = 0
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -229,7 +227,6 @@ class ResilientFetcher:
                     policy=self.policy,
                     retry_on=(DeliveryError, TransportError),
                     seed=self._seed + self._calls,
-                    sleep=self._sleep,
                 )
             except RetryExhaustedError as exc:
                 breaker.record_failure()

@@ -19,7 +19,6 @@ class CDN:
 
     name: str
     uses_anycast: bool = False
-    is_private: bool = False
     hostname_suffix: Optional[str] = None
 
     def __post_init__(self) -> None:

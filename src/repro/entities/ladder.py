@@ -96,7 +96,6 @@ class BitrateLadder:
         cls,
         bitrates_kbps: Sequence[float],
         codec: str = "h264",
-        audio_bitrate_kbps: float = 96.0,
     ) -> "BitrateLadder":
         """Build a ladder from bare bitrates, inferring resolutions."""
         renditions = [
@@ -105,7 +104,6 @@ class BitrateLadder:
                 width=resolution_for_bitrate(float(b))[0],
                 height=resolution_for_bitrate(float(b))[1],
                 codec=codec,
-                audio_bitrate_kbps=audio_bitrate_kbps,
             )
             for b in bitrates_kbps
         ]
@@ -171,16 +169,12 @@ class BitrateLadder:
             for lower, upper in zip(self._rungs, self._rungs[1:])
         ]
 
-    def follows_hls_guidelines(
-        self,
-        max_step: float = 2.0,
-        low_rung_kbps: float = 192.0,
-    ) -> bool:
+    def follows_hls_guidelines(self) -> bool:
         """Check the HLS authoring recommendations the paper cites (§6).
 
-        At least one rendition at or under ``low_rung_kbps`` and every
-        successive step within ``max_step``x of the previous rung.
+        At least one rendition at or under 192 kbps and every successive
+        step within 2x of the previous rung.
         """
-        if self.min_bitrate_kbps > low_rung_kbps:
+        if self.min_bitrate_kbps > 192.0:
             return False
-        return all(ratio <= max_step + 1e-9 for ratio in self.step_ratios())
+        return all(ratio <= 2.0 + 1e-9 for ratio in self.step_ratios())

@@ -10,7 +10,7 @@ aggregation directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List
 
 from repro.constants import ContentType
 from repro.entities.ladder import BitrateLadder
@@ -25,7 +25,6 @@ class Video:
     video_id: str
     duration_seconds: float
     content_type: ContentType = ContentType.VOD
-    title_hint: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.video_id:

@@ -38,7 +38,7 @@ from repro.core.summary import (
 )
 from repro.core.syndication import prevalence_summary, qoe_comparison
 from repro.errors import AnalysisError
-from repro.synthesis.calibration import PAPER
+from repro.synthesis.calibration import PAPER, QOE_SYNDICATOR_LABEL
 from repro.synthesis.catalogues import case_video_id
 from repro.synthesis.generator import EcosystemResult
 
@@ -368,7 +368,7 @@ def build_report(result: EcosystemResult) -> List[Comparison]:
         comparison = qoe_comparison(
             dataset,
             study.owner_id,
-            study.publisher_id(study.qoe_syndicator_label),
+            study.publisher_id(QOE_SYNDICATOR_LABEL),
             case_video_id(),
             "X",
             "A",

@@ -38,7 +38,11 @@ from repro.entities.device import default_registry
 from repro.errors import AnalysisError
 from repro.packaging.manifest.detect import detect_protocol, sample_manifest_url
 from repro.synthesis.catalogues import case_video_id
-from repro.synthesis.calibration import EcosystemConfig
+from repro.synthesis.calibration import (
+    PAPER,
+    QOE_SYNDICATOR_LABEL,
+    EcosystemConfig,
+)
 from repro.synthesis.generator import EcosystemGenerator, EcosystemResult
 from repro.telemetry.columnar import ColumnRef
 
@@ -398,21 +402,21 @@ def fig13(result: EcosystemResult) -> Rows:
         {
             "metric": "management-plane combinations",
             "per_decade_factor": fits.combinations.per_decade_factor,
-            "paper_factor": 1.72,
+            "paper_factor": PAPER.combos_factor_per_decade,
             "r_squared": fits.combinations.r_squared,
             "p_value": fits.combinations.p_value,
         },
         {
             "metric": "protocol-titles",
             "per_decade_factor": fits.protocol_titles.per_decade_factor,
-            "paper_factor": 3.8,
+            "paper_factor": PAPER.protocol_titles_factor_per_decade,
             "r_squared": fits.protocol_titles.r_squared,
             "p_value": fits.protocol_titles.p_value,
         },
         {
             "metric": "unique SDKs",
             "per_decade_factor": fits.unique_sdks.per_decade_factor,
-            "paper_factor": 1.8,
+            "paper_factor": PAPER.unique_sdks_factor_per_decade,
             "r_squared": fits.unique_sdks.r_squared,
             "p_value": fits.unique_sdks.p_value,
         },
@@ -421,7 +425,7 @@ def fig13(result: EcosystemResult) -> Rows:
             "per_decade_factor": float(
                 complexity_mod.max_unique_sdks(metrics)
             ),
-            "paper_factor": 85.0,
+            "paper_factor": PAPER.max_unique_sdks,
             "r_squared": float("nan"),
             "p_value": float("nan"),
         },
@@ -460,7 +464,7 @@ def _qoe_rows(result: EcosystemResult, metric: str) -> Rows:
         comparison = syndication_mod.qoe_comparison(
             result.dataset,
             study.owner_id,
-            study.publisher_id(study.qoe_syndicator_label),
+            study.publisher_id(QOE_SYNDICATOR_LABEL),
             case_video_id(),
             isp,
             cdn_name,
@@ -475,7 +479,7 @@ def _qoe_rows(result: EcosystemResult, metric: str) -> Rows:
                         comparison.syndicator_bitrate.median()
                     ),
                     "median_gain": comparison.median_bitrate_gain(),
-                    "paper_gain": 2.5,
+                    "paper_gain": PAPER.owner_median_bitrate_gain,
                 }
             )
         else:
@@ -490,7 +494,7 @@ def _qoe_rows(result: EcosystemResult, metric: str) -> Rows:
                         comparison.syndicator_rebuffer.quantile(0.9)
                     ),
                     "p90_reduction": comparison.p90_rebuffer_reduction(),
-                    "paper_reduction": 0.40,
+                    "paper_reduction": PAPER.owner_p90_rebuffer_reduction,
                 }
             )
     return rows
@@ -561,8 +565,16 @@ def fig18(result: EcosystemResult) -> Rows:
 def s41_rtmp(result: EcosystemResult) -> Rows:
     shares = summary_mod.rtmp_share(result.dataset)
     return [
-        {"snapshot": "first", "rtmp_pct": shares["first"], "paper": 1.6},
-        {"snapshot": "latest", "rtmp_pct": shares["latest"], "paper": 0.1},
+        {
+            "snapshot": "first",
+            "rtmp_pct": shares["first"],
+            "paper": PAPER.rtmp_view_hour_share_first,
+        },
+        {
+            "snapshot": "latest",
+            "rtmp_pct": shares["latest"],
+            "paper": PAPER.rtmp_view_hour_share_latest,
+        },
     ]
 
 
@@ -573,12 +585,12 @@ def s43_segregation(result: EcosystemResult) -> Rows:
         {
             "stat": "vod-only CDN",
             "measured_pct": stats.pct_with_vod_only_cdn,
-            "paper_pct": 30.0,
+            "paper_pct": PAPER.pct_vod_only_cdn_publishers,
         },
         {
             "stat": "live-only CDN",
             "measured_pct": stats.pct_with_live_only_cdn,
-            "paper_pct": 19.0,
+            "paper_pct": PAPER.pct_live_only_cdn_publishers,
         },
     ]
 
@@ -586,7 +598,11 @@ def s43_segregation(result: EcosystemResult) -> Rows:
 @figure("S44", "§4.4: summary statistics across all dimensions")
 def s44_summary(result: EcosystemResult) -> Rows:
     summaries = summary_mod.headline_summary(result.dataset)
-    paper = {"protocols": 2.2, "platforms": 4.5, "cdns": 4.5}
+    paper = {
+        "protocols": PAPER.weighted_avg_protocols,
+        "platforms": PAPER.weighted_avg_platforms,
+        "cdns": PAPER.weighted_avg_cdns,
+    }
     rows: Rows = []
     for name, summary in summaries.items():
         rows.append(
@@ -605,7 +621,7 @@ def s44_summary(result: EcosystemResult) -> Rows:
                 result.dataset.latest()
             ),
             "weighted_avg_count": float("nan"),
-            "paper_weighted_avg": 93.0,
+            "paper_weighted_avg": PAPER.top5_view_hour_share,
             "pct_vh_multi_instance": float("nan"),
         }
     )

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Set,
-    Tuple, Union,
+    Tuple,
 )
 
 from repro import obs
@@ -44,9 +44,6 @@ _PRAGMA_RE = re.compile(
 )
 
 _ALL_CODES = "__all__"
-
-#: A baseline given to a run: a suppression map or a file path.
-Baseline = Optional[Union[str, Dict[str, dict]]]
 
 
 @dataclass
@@ -170,14 +167,9 @@ def apply_pragmas(
 
 
 def suppressions_for(
-    config: LintConfig, use_baseline: bool, baseline: Baseline
+    config: LintConfig, use_baseline: bool
 ) -> Dict[str, dict]:
-    """``baseline`` (a map, or a file to load), else the configured
-    baseline file when ``use_baseline``."""
-    if isinstance(baseline, dict):
-        return baseline
-    if isinstance(baseline, str):
-        return load_baseline(baseline)
+    """The configured baseline file's suppressions when ``use_baseline``."""
     if use_baseline:
         return load_baseline(os.path.join(config.root, config.baseline_path))
     return {}
@@ -296,13 +288,12 @@ def run_lint(
     paths: Optional[Sequence[str]] = None,
     config: Optional[LintConfig] = None,
     use_baseline: bool = True,
-    baseline: Baseline = None,
 ) -> CheckResult:
     """The per-file rules (RPL00x) over ``paths``.
 
-    ``paths`` defaults to the configured paths.  ``baseline`` may be a
-    suppression map or a file path; by default the configured baseline
-    file is loaded when it exists.  The result keeps no trees.
+    ``paths`` defaults to the configured paths.  With ``use_baseline``
+    the configured baseline file is loaded when it exists.  The result
+    keeps no trees.
     """
     cfg = config or LintConfig()
     targets = list(paths) if paths else list(cfg.paths)
@@ -317,6 +308,6 @@ def run_lint(
             lines.update((source.path, source.lines) for source in sources)
         obs.counter("lint.files").inc(len(lines))
     fresh, baselined = finish(
-        raw, cfg, lines, suppressions_for(cfg, use_baseline, baseline)
+        raw, cfg, lines, suppressions_for(cfg, use_baseline)
     )
     return CheckResult(fresh, baselined, files_checked=len(lines))

@@ -23,9 +23,9 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def name_tail(dotted: str, n: int = 2) -> Tuple[str, ...]:
-    """The last ``n`` components of a dotted name."""
-    return tuple(dotted.split(".")[-n:])
+def name_tail(dotted: str) -> Tuple[str, ...]:
+    """The last two components of a dotted name."""
+    return tuple(dotted.split(".")[-2:])
 
 
 def is_float_literal(node: ast.AST) -> bool:

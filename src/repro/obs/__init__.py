@@ -50,11 +50,10 @@ class ObsContext:
         self,
         enabled: bool = False,
         clock: Optional[Clock] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.enabled = enabled
         self.clock = clock or MonotonicClock()
-        self.registry = registry or MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.tracer = Tracer(clock=self.clock)
         self.seed: Optional[int] = None
         self._log_handler: Optional[logging.Handler] = None

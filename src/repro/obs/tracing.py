@@ -119,25 +119,20 @@ class Tracer:
             span.end = self.clock.now()
             self.finished.append(span)
 
-    def adopt(
-        self,
-        spans: Sequence[Span],
-        parent_id: Optional[int] = None,
-    ) -> List[Span]:
+    def adopt(self, spans: Sequence[Span]) -> List[Span]:
         """Graft finished spans from another tracer into this one.
 
         Worker processes record spans against their own tracer (ids
         restart at 1 per worker), so the parent re-numbers them here:
         every adopted span gets a fresh sequential id, intra-batch
         parent links are remapped, and batch roots are re-parented
-        under ``parent_id`` (default: the ambient span, i.e. the
-        fan-out span that collected the batch).  Ids are assigned in
-        the batch's creation order and batches are adopted in
-        unit-index order, so the merged tree is deterministic no
-        matter how workers were scheduled.  Returns the new spans.
+        under the ambient span, i.e. the fan-out span that collected
+        the batch.  Ids are assigned in the batch's creation order and
+        batches are adopted in unit-index order, so the merged tree is
+        deterministic no matter how workers were scheduled.  Returns
+        the new spans.
         """
-        if parent_id is None:
-            parent_id = self.current_span_id
+        parent_id = self.current_span_id
         id_map: Dict[int, int] = {}
         for span in sorted(spans, key=lambda s: s.span_id):
             id_map[span.span_id] = self._next_id
@@ -165,8 +160,8 @@ class Tracer:
         self._next_id = 1
 
 
-def render_tree(spans: List[Span], unit: str = "ms") -> str:
-    """ASCII tree of finished spans with durations and attributes.
+def render_tree(spans: List[Span]) -> str:
+    """ASCII tree of finished spans with durations (ms) and attributes.
 
     Orphan spans (parent never finished, e.g. tracer enabled mid-run)
     render as roots.  Sibling order is span-id order — creation order,
@@ -174,7 +169,6 @@ def render_tree(spans: List[Span], unit: str = "ms") -> str:
     """
     if not spans:
         return "(no spans recorded)"
-    scale = {"s": 1.0, "ms": 1e3, "us": 1e6}[unit]
     by_id = {span.span_id: span for span in spans}
     children: Dict[Optional[int], List[Span]] = {}
     for span in sorted(spans, key=lambda s: s.span_id):
@@ -192,7 +186,7 @@ def render_tree(spans: List[Span], unit: str = "ms") -> str:
             )
             attrs = f"  [{inner}]"
         lines.append(
-            f"{indent}{span.name}  {span.duration * scale:.3f}{unit}{attrs}"
+            f"{indent}{span.name}  {span.duration * 1e3:.3f}ms{attrs}"
         )
         for child in children.get(span.span_id, []):
             walk(child, depth + 1)

@@ -34,15 +34,10 @@ _REFERENCE_PIXEL_RATE = 1920 * 1080 * 30.0
 
 @dataclass(frozen=True)
 class EncodeJob:
-    """A request to encode one video into one ladder."""
+    """A request to encode one video into one ladder, at 30 fps."""
 
     video: Video
     ladder: BitrateLadder
-    frames_per_second: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.frames_per_second <= 0:
-            raise PackagingError("frame rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -109,9 +104,7 @@ class Encoder:
         factor = _CODEC_COMPUTE_FACTOR.get(rendition.codec)
         if factor is None:
             raise PackagingError(f"unknown codec {rendition.codec!r}")
-        pixel_rate = (
-            rendition.width * rendition.height * job.frames_per_second
-        )
+        pixel_rate = rendition.width * rendition.height * 30.0
         return (
             factor
             * pixel_rate

@@ -80,7 +80,6 @@ def retry_with_backoff(
     retry_on: Tuple[Type[BaseException], ...] = (ResilienceError,),
     seed: int = 0,
     sleep: Optional[Callable[[float], None]] = None,
-    on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
 ) -> T:
     """Call ``fn`` until it succeeds or the policy's retries run out.
 
@@ -104,8 +103,6 @@ def retry_with_backoff(
             if attempt >= pol.retries:
                 break
             wait = pol.delay(attempt, rng)
-            if on_retry is not None:
-                on_retry(attempt, exc, wait)
             if sleep is not None:
                 sleep(wait)
         else:
@@ -142,14 +139,13 @@ class CircuitBreaker:
     (a success closes the circuit, a failure re-opens it).  Inspecting
     :attr:`state` never claims the slot.
 
-    Only *operational* failures trip the breaker: by default
+    Only *operational* failures trip the breaker:
     :class:`~repro.errors.ReproError` (which covers every transport
     and delivery error this library raises) plus ``OSError`` for raw
     socket/file failures from user-supplied callables.  Programming
     errors — ``TypeError``, ``KeyError`` and friends — propagate
     without touching the failure count, so a code bug cannot mask
-    itself as a downed dependency.  Pass ``failure_types`` to widen or
-    narrow the set.
+    itself as a downed dependency.
 
     ``name`` labels this breaker in the obs layer: every state
     transition increments ``breaker.transitions{breaker,from,to}`` and
@@ -162,7 +158,6 @@ class CircuitBreaker:
         failure_threshold: int = 5,
         recovery_timeout: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
-        failure_types: Tuple[Type[BaseException], ...] = (ReproError, OSError),
         name: str = "default",
     ) -> None:
         if failure_threshold < 1:
@@ -171,7 +166,6 @@ class CircuitBreaker:
             raise ResilienceError("recovery_timeout must be >= 0")
         self.failure_threshold = failure_threshold
         self.recovery_timeout = recovery_timeout
-        self.failure_types = failure_types
         self.name = name
         self._clock = clock
         self._state = CircuitState.CLOSED
@@ -255,7 +249,7 @@ class CircuitBreaker:
             )
         try:
             result = fn()
-        except self.failure_types:
+        except (ReproError, OSError):
             self.record_failure()
             raise
         self.record_success()

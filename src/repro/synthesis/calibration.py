@@ -363,6 +363,8 @@ CASE_CATALOGUE_MEAN_HOURS = 140.0  # per-title seasons-worth of content
 #: QoE study sessions per (publisher, ISP/CDN combination) — Figs 15/16.
 QOE_SESSIONS_PER_COMBO = 160
 QOE_COMBOS: Tuple[Tuple[str, str], ...] = (("X", "A"), ("Y", "B"))
+#: The syndicator whose clients Figs 15/16 compare with the owner's.
+QOE_SYNDICATOR_LABEL = "S7"
 
 
 @dataclass(frozen=True)

@@ -61,15 +61,15 @@ def video_id_for(publisher_id: str, index: int) -> str:
     return f"vid_{publisher_id}_{index:05d}"
 
 
-def zipf_cdf(catalogue_size: int, zipf_s: float = 1.1) -> List[float]:
-    """Cumulative Zipf popularity of a catalogue's titles, by rank.
+def zipf_cdf(catalogue_size: int) -> List[float]:
+    """Cumulative Zipf (s = 1.1) popularity of a catalogue's titles, by rank.
 
     A list, so :func:`sample_video_index` can search it with
     :func:`bisect.bisect_left`; the session sampler keeps one per
     catalogue size for the length of a build.
     """
     ranks = np.arange(1, catalogue_size + 1, dtype=float)
-    weights = ranks**-zipf_s
+    weights = ranks**-1.1
     return np.cumsum(weights / weights.sum()).tolist()
 
 

@@ -76,7 +76,6 @@ class CaseStudy:
     labels: Mapping[str, str]  # label -> publisher_id
     ladders: Mapping[str, BitrateLadder]  # label -> iPad/WiFi ladder
     catalogue: Catalogue
-    qoe_syndicator_label: str = "S7"
 
     def __post_init__(self) -> None:
         if "O" not in self.labels:

@@ -74,8 +74,6 @@ class TelemetryBackend:
         events: Iterable[object],
         policy: ErrorPolicy | str = ErrorPolicy.QUARANTINE,
         *,
-        reorder_buffer: int = 256,
-        max_idle_events: Optional[int] = None,
         metrics=None,
     ) -> IngestReport:
         """Fault-tolerant batch ingestion of a raw event stream.
@@ -92,13 +90,7 @@ class TelemetryBackend:
         snapshot and the report share instruments); by default each
         batch counts in isolation.
         """
-        pipeline = IngestPipeline(
-            policy,
-            reorder_buffer=reorder_buffer,
-            max_idle_events=max_idle_events,
-            metrics=metrics,
-        )
-        report = pipeline.run(events)
+        report = IngestPipeline(policy, metrics=metrics).run(events)
         self._records.extend(report.records)
         return report
 

@@ -10,7 +10,8 @@ Categorical fields (snapshot, publisher, video id, ...) are interned
 into integer codes so group-bys reduce to ``np.bincount`` over codes;
 numeric measures (view-hours, views) are plain float64 arrays.  A
 batch-backed store builds its record tuple only when a caller asks for
-records, and counts them in ``dataset.records_built``.
+records, and a save builds and drops them a slice at a time; both
+count them in ``dataset.records_built``.
 
 Derived columns — values computed from a stored field rather than
 stored on it, such as the protocol detected from the URL or the
@@ -44,9 +45,11 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -69,6 +72,25 @@ _PULLED = {"views": "weight", "view_duration_hours": "view_duration_hours"}
 
 #: The measures :meth:`ColumnStore.numeric` accepts.
 _MEASURES = ("view_hours", *_PULLED)
+
+
+def check_field(field: object) -> None:
+    """Raise :class:`DatasetError` unless ``field`` names a stored
+    record field."""
+    if field not in _FIELDS:
+        raise DatasetError(
+            f"unknown column {field!r}; a column is a ColumnKey or "
+            f"one of the record fields {', '.join(_FIELDS)}"
+        )
+
+
+def check_measure(name: object) -> None:
+    """Raise :class:`DatasetError` unless ``name`` is a measure."""
+    if name not in _MEASURES:
+        raise DatasetError(
+            f"unknown measure {name!r}; the measures are "
+            f"{', '.join(_MEASURES)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -137,6 +159,20 @@ class ColumnStore:
             obs.counter("dataset.records_built").inc(self._length)
         return self._records
 
+    def record_slices(self, size: int) -> Iterator[Sequence[ViewRecord]]:
+        """The records in order, ``size`` at a time.  A store whose
+        records are not built builds each slice from the batch and
+        keeps none of them."""
+        for start in range(0, self._length, size):
+            if self._records is not None:
+                yield self._records[start:start + size]
+                continue
+            built = list(map(ViewRecord, *(
+                column[start:start + size] for column in self._batch.columns
+            )))
+            obs.counter("dataset.records_built").inc(len(built))
+            yield built
+
     def _values(self, field: str) -> Iterable[object]:
         """One stored field's values in record order."""
         if self._batch is not None:
@@ -152,11 +188,7 @@ class ColumnStore:
         ``view_duration_hours``."""
         column = self._numeric.get(name)
         if column is None:
-            if name not in _MEASURES:
-                raise DatasetError(
-                    f"unknown measure {name!r}; the measures are "
-                    f"{', '.join(_MEASURES)}"
-                )
+            check_measure(name)
             with obs.span("columnar.intern", column=name, records=len(self)):
                 # np.fromiter keeps the extraction loop in C; the
                 # view-hours product is then a vectorized multiply
@@ -181,11 +213,7 @@ class ColumnStore:
     ) -> Tuple[np.ndarray, Tuple[object, ...]]:
         """Interned codes of a stored record field, one per record;
         records whose value is ``None`` get :data:`OUT_OF_SCOPE`."""
-        if field not in _FIELDS:
-            raise DatasetError(
-                f"unknown column {field!r}; a column is a ColumnKey or "
-                f"one of the record fields {', '.join(_FIELDS)}"
-            )
+        check_field(field)
         cached = self._codes.get(field)
         if cached is None:
             with obs.span(

@@ -9,7 +9,8 @@ Every dataset runs on a :class:`~repro.telemetry.columnar.ColumnStore`.
 A dataset built from a :class:`~repro.telemetry.records.RecordColumns`
 batch (synthesis builds one) checks it column by column and keeps it:
 its records are built only for the calls that hand records out
-(``records``, iteration, ``filter``, ``explode``, ``save``).
+(``records``, iteration, ``filter``, ``explode``), and ``save``
+builds them a batch at a time and keeps none.
 Slicing is **zero-copy**: ``filter``/``for_snapshot``/
 ``exclude_publishers`` return views that share the parent's store plus
 a boolean mask, so stacking slices never re-materializes record tuples.
@@ -366,14 +367,18 @@ class Dataset:
         """Write the dataset as JSONL (.gz for gzip compression).
 
         Lines are encoded and written :data:`_SAVE_BATCH` records at a
-        time.  A ``.gz`` file is gzip level 9 with an empty name and a
-        zero timestamp in its header, so one dataset always saves to
-        the same bytes, whatever the file is called and whenever it is
-        written.
+        time.  A dataset kept as columns builds each batch's records
+        for the write and keeps none of them.  A ``.gz`` file is gzip
+        level 9 with an empty name and a zero timestamp in its header,
+        so one dataset always saves to the same bytes, whatever the
+        file is called and whenever it is written.
         """
+        if self._mask is not None:
+            # A slice saves as a dataset of its own records.
+            Dataset(self.records).save(path)
+            return
         path = Path(path)
-        records = self.records
-        with obs.span("dataset.save", records=len(records)) as span:
+        with obs.span("dataset.save", records=len(self)) as span:
             with open(path, "wb") as raw:
                 with (
                     gzip.GzipFile(
@@ -383,10 +388,8 @@ class Dataset:
                     if path.suffix == ".gz"
                     else nullcontext(raw)
                 ) as handle:
-                    for start in range(0, len(records), _SAVE_BATCH):
-                        handle.write(
-                            encode_lines(records[start:start + _SAVE_BATCH])
-                        )
+                    for batch in self._store.record_slices(_SAVE_BATCH):
+                        handle.write(encode_lines(batch))
                 span.set(bytes=raw.tell())
 
     @classmethod

@@ -710,11 +710,7 @@ IngestPipeline = RobustSessionizer
 HEARTBEAT_SECONDS = 20.0
 
 
-def events_from_record(
-    record: ViewRecord,
-    session_id: str,
-    heartbeat_seconds: float = HEARTBEAT_SECONDS,
-) -> List[object]:
+def events_from_record(record: ViewRecord, session_id: str) -> List[object]:
     """Reconstruct a plausible monitoring-event stream for one record.
 
     The inverse of sessionization: folding the returned events
@@ -733,7 +729,7 @@ def events_from_record(
     rebuffering = total - playing
     n_beats = max(
         1,
-        math.ceil(total / heartbeat_seconds),
+        math.ceil(total / HEARTBEAT_SECONDS),
         len(record.cdn_names),
     )
     start = SessionStart(
@@ -758,7 +754,7 @@ def events_from_record(
     events: List[object] = [start]
     per_playing = playing / n_beats
     per_rebuffering = rebuffering / n_beats
-    interval = max(heartbeat_seconds, per_playing + per_rebuffering)
+    interval = max(HEARTBEAT_SECONDS, per_playing + per_rebuffering)
     for i in range(n_beats):
         events.append(
             Heartbeat(
@@ -775,17 +771,9 @@ def events_from_record(
     return events
 
 
-def events_from_records(
-    records: Sequence[ViewRecord],
-    heartbeat_seconds: float = HEARTBEAT_SECONDS,
-    session_prefix: str = "sess",
-) -> Iterator[object]:
+def events_from_records(records: Sequence[ViewRecord]) -> Iterator[object]:
     """Event streams for many records, skipping zero-playback views."""
     for index, record in enumerate(records):
         if record.view_duration_hours <= 0 or record.rebuffer_ratio >= 1.0:
             continue
-        yield from events_from_record(
-            record,
-            session_id=f"{session_prefix}_{index:06d}",
-            heartbeat_seconds=heartbeat_seconds,
-        )
+        yield from events_from_record(record, session_id=f"sess_{index:06d}")

@@ -12,12 +12,12 @@ and a one-stop :func:`audit` report that analyses can gate on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
 from repro.core.dimensions import PROTOCOL_COLUMN
-from repro.entities.device import DeviceRegistry, default_registry
+from repro.entities.device import default_registry
 from repro.errors import DatasetError
 from repro.telemetry.columnar import first_seen
 from repro.telemetry.dataset import Dataset
@@ -70,20 +70,17 @@ class QualityReport:
         return "\n".join(lines)
 
 
-def audit(
-    dataset: Dataset,
-    registry: Optional[DeviceRegistry] = None,
-    min_classifiable: float = 0.95,
-    min_known_devices: float = 0.95,
-) -> QualityReport:
+def audit(dataset: Dataset) -> QualityReport:
     """Audit a dataset against the §3 schema expectations.
 
     Issue codes starting with ``E`` are blocking (the analyses would be
-    silently wrong); ``W`` codes are advisory.
+    silently wrong); ``W`` codes are advisory.  URLs that classify to a
+    protocol, and device models the default registry knows, must each
+    cover 95% of the views.
     """
     if len(dataset) == 0:
         raise DatasetError("cannot audit an empty dataset")
-    registry = registry or default_registry()
+    registry = default_registry()
 
     publisher_ids = dataset.publishers()
     total = len(dataset)
@@ -122,7 +119,7 @@ def audit(
 
     issues: List[QualityIssue] = []
     classifiable = 1.0 - unclassifiable / total
-    if classifiable < min_classifiable:
+    if classifiable < 0.95:
         issues.append(
             QualityIssue(
                 "E-URL",
@@ -139,7 +136,7 @@ def audit(
 
     unknown_total = sum(unknown_devices.values())
     known_fraction = 1.0 - unknown_total / total
-    if known_fraction < min_known_devices:
+    if known_fraction < 0.95:
         worst = sorted(
             unknown_devices, key=lambda m: unknown_devices[m], reverse=True
         )[:3]

@@ -58,7 +58,7 @@ from repro.testkit.reference import (
     top_cdn_concentration_loop,
     unique_sdks_loop,
 )
-from repro.testkit.scenario import ScenarioRun
+from repro.testkit.scenario import PARALLEL_JOBS, ScenarioRun
 
 #: Records replayed through the clean strict-vs-repair comparison.
 _CLEAN_REPLAY_LIMIT = 200
@@ -161,7 +161,7 @@ def serial_vs_parallel(run: ScenarioRun, check: Check) -> str:
     """The PR 4 determinism contract: same bytes, same figure rows."""
     check.that(
         run.dataset_bytes("parallel") == run.dataset_bytes("base"),
-        f"jobs={run.spec.jobs} build serializes to different bytes than "
+        f"jobs={PARALLEL_JOBS} build serializes to different bytes than "
         "the serial build",
     )
     for figure_id in run.spec.figures():
@@ -171,7 +171,7 @@ def serial_vs_parallel(run: ScenarioRun, check: Check) -> str:
             f"figure {figure_id}",
         )
     return (
-        f"serial and jobs={run.spec.jobs} builds are byte-identical "
+        f"serial and jobs={PARALLEL_JOBS} builds are byte-identical "
         f"({len(run.dataset_bytes('base'))} bytes, "
         f"{len(run.spec.figures())} figures)"
     )

@@ -97,7 +97,13 @@ from repro.synthesis.sessions import (
     _PLATFORM_THROUGHPUT_MEDIAN,
     SessionSampler,
 )
-from repro.telemetry.columnar import ColumnKey, ColumnRef, Entries
+from repro.telemetry.columnar import (
+    ColumnKey,
+    ColumnRef,
+    Entries,
+    check_field,
+    check_measure,
+)
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.records import ViewRecord
 from repro.units import rendition_bytes
@@ -632,7 +638,8 @@ class RowDataset(Dataset):
     every aggregation is a Python loop over them; nothing is memoized
     and the column store is never read.  A derived column classifies
     each record by following its chain of sources, and splits a record
-    with k values into k shares of 1/k, as the store does.
+    with k values into k shares of 1/k, as the store does.  Column
+    names and measures go through the store's own checks.
     """
 
     def snapshots(self) -> List[date]:
@@ -658,6 +665,7 @@ class RowDataset(Dataset):
         return len({r.video_id for r in self.records})
 
     def publishers_per_value(self, key: ColumnRef) -> Dict[object, int]:
+        _check_column(key)
         sets: Dict[object, Set[str]] = {}
         for record in self.records:
             for value in _row_values(key, record):
@@ -665,6 +673,7 @@ class RowDataset(Dataset):
         return {value: len(pubs) for value, pubs in sets.items()}
 
     def values_per_publisher(self, key: ColumnRef) -> Dict[str, int]:
+        _check_column(key)
         sets: Dict[str, Set[object]] = {}
         for record in self.records:
             for value in _row_values(key, record):
@@ -672,6 +681,7 @@ class RowDataset(Dataset):
         return {pub: len(values) for pub, values in sets.items()}
 
     def entries(self, key: ColumnRef) -> Entries:
+        _check_column(key)
         lookup: Dict[object, int] = {}
         rows: List[int] = []
         codes: List[int] = []
@@ -690,6 +700,7 @@ class RowDataset(Dataset):
         )
 
     def measure(self, name: str) -> np.ndarray:
+        check_measure(name)
         return np.array(
             [getattr(r, name) for r in self.records], dtype=np.float64
         )
@@ -705,6 +716,7 @@ class RowDataset(Dataset):
         return sum(r.views for r in self.records)
 
     def _grouped(self, measure: str, key: ColumnRef) -> Dict[object, float]:
+        _check_column(key)
         totals: Dict[object, float] = {}
         if isinstance(key, ColumnKey):
             for record in self.records:
@@ -721,6 +733,13 @@ class RowDataset(Dataset):
                 continue
             totals[value] = totals.get(value, 0.0) + getattr(record, measure)
         return totals
+
+
+def _check_column(key: ColumnRef) -> None:
+    """The store's check of the stored field a column reads."""
+    while isinstance(key, ColumnKey):
+        key = key.source
+    check_field(key)
 
 
 def _row_values(key: ColumnRef, record: ViewRecord) -> Tuple[object, ...]:

@@ -3,11 +3,12 @@
 A :class:`ScenarioSpec` declares one end-to-end exercise of the
 pipeline: the synthesis knobs (seed, schedule thinning, population
 size), an optional fault-injected ingest stage, the figure set to
-regenerate, and the parallelism/alternate-seed parameters the
-differential oracles need.  Everything an oracle might compare is
-derived *lazily* from the spec through :class:`ScenarioRun` and cached,
-so a matrix of oracles over one scenario pays for each expensive build
-(serial, parallel, alternate-seed) exactly once.
+regenerate, and the alternate seed the differential oracles need; the
+parallel build runs :data:`PARALLEL_JOBS` workers.  Everything an
+oracle might compare is derived *lazily* from the spec through
+:class:`ScenarioRun` and cached, so a matrix of oracles over one
+scenario pays for each expensive build (serial, parallel,
+alternate-seed) exactly once.
 
 Four scenarios ship by default:
 
@@ -47,6 +48,10 @@ if TYPE_CHECKING:
 
 Rows = List[Dict[str, object]]
 
+#: Workers of a scenario's parallel build, which the serial-vs-parallel
+#: oracle holds to the serial one.
+PARALLEL_JOBS = 2
+
 
 @dataclass(frozen=True)
 class IngestSpec:
@@ -80,9 +85,7 @@ class ScenarioSpec:
     alt_seed: int
     snapshot_limit: int
     n_publishers: int
-    records_scale: float = 1.0
     qoe_sessions: int = 160
-    jobs: int = 2
     ingest: Optional[IngestSpec] = None
     #: Figure ids to regenerate; empty means every registered figure.
     figure_ids: Tuple[str, ...] = ()
@@ -100,11 +103,6 @@ class ScenarioSpec:
             raise TestkitError(
                 "alt_seed must differ from seed (it drives the "
                 "seed-sensitivity oracle)"
-            )
-        if self.jobs < 2:
-            raise TestkitError(
-                "jobs must be >= 2 (it drives the serial-vs-parallel "
-                "oracle)"
             )
         unknown = set(self.figure_ids) - set(figures.figure_ids())
         if unknown:
@@ -125,7 +123,6 @@ class ScenarioSpec:
             seed=self.seed if seed is None else seed,
             snapshot_limit=self.snapshot_limit,
             n_publishers=self.n_publishers,
-            records_scale=self.records_scale,
             qoe_sessions=self.qoe_sessions,
         )
 
@@ -176,7 +173,7 @@ class ScenarioRun:
                 built = EcosystemGenerator(spec.config()).generate()
             elif which == "parallel":
                 built = EcosystemGenerator(spec.config()).generate(
-                    jobs=spec.jobs
+                    jobs=PARALLEL_JOBS
                 )
             elif which == "alt-seed":
                 built = EcosystemGenerator(

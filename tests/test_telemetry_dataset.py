@@ -15,6 +15,7 @@ from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator
 from repro.telemetry.dataset import Dataset, encode_lines
 from repro.telemetry.records import RecordColumns, ViewRecord
+from repro.testkit.reference import RowDataset
 from tests.test_telemetry_records import make_record
 
 
@@ -121,10 +122,15 @@ def _both_kinds(records):
     return Dataset(records), Dataset(RecordColumns(columns))
 
 
+def _every_kind(records):
+    """Both kinds of :func:`_both_kinds`, and the row reference."""
+    return (*_both_kinds(records), RowDataset(records))
+
+
 class TestUnknownColumns:
     """A name that is not a record field, or a measure that is not one
     of the three, raises one ``DatasetError`` whichever way the dataset
-    was built."""
+    was built, and from the row reference."""
 
     @pytest.mark.parametrize(
         "key",
@@ -133,7 +139,7 @@ class TestUnknownColumns:
     )
     def test_unknown_grouping_column(self, small_dataset, key):
         messages = set()
-        for dataset in _both_kinds(small_dataset.records):
+        for dataset in _every_kind(small_dataset.records):
             for group_by in (
                 dataset.view_hours_by,
                 dataset.views_by,
@@ -149,7 +155,7 @@ class TestUnknownColumns:
 
     def test_unknown_measure(self, small_dataset):
         messages = set()
-        for dataset in _both_kinds(small_dataset.records):
+        for dataset in _every_kind(small_dataset.records):
             with pytest.raises(DatasetError, match="view_hours, views") as error:
                 dataset.measure("weight")
             messages.add(str(error.value))
@@ -194,6 +200,13 @@ class TestPersistence:
         path = tmp_path / "data.jsonl.gz"
         small_dataset.save(path)
         assert Dataset.load(path).records == small_dataset.records
+
+    def test_slice_saves_its_own_records(self, small_dataset, tmp_path):
+        path = tmp_path / "latest.jsonl"
+        latest = small_dataset.latest()
+        latest.save(path)
+        assert len(latest) < len(small_dataset)
+        assert Dataset.load(path).records == latest.records
 
     def test_gzip_actually_compressed(self, small_dataset, tmp_path):
         plain = tmp_path / "a.jsonl"
@@ -416,3 +429,15 @@ class TestLazyRecords:
         assert dataset.records is records
         assert dataset.latest().records
         assert _records_built() == len(dataset)
+
+    def test_save_keeps_no_records(self, counting_obs, tmp_path):
+        dataset = EcosystemGenerator(
+            EcosystemConfig(seed=7, n_publishers=20, snapshot_limit=2)
+        ).generate().dataset
+        path = tmp_path / "data.jsonl.gz"
+        dataset.save(path)
+        assert _records_built() == len(dataset)
+        # The save kept none of them, so asking builds them again.
+        records = dataset.records
+        assert _records_built() == 2 * len(dataset)
+        assert gzip.decompress(path.read_bytes()) == encode_lines(records)

@@ -61,11 +61,6 @@ def test_spec_rejects_equal_seeds():
         _spec(alt_seed=1)
 
 
-def test_spec_rejects_serial_jobs():
-    with pytest.raises(TestkitError, match="jobs"):
-        _spec(jobs=1)
-
-
 def test_spec_rejects_unknown_figures():
     with pytest.raises(TestkitError, match="F99zz"):
         _spec(figure_ids=("F2a", "F99zz"))
