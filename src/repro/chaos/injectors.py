@@ -274,8 +274,6 @@ class BreakerTransition:
 class DeliveryChaosResult:
     """Ledger of a delivery-chaos timeline."""
 
-    ticks: int
-    recovery_ticks: int
     served: Dict[str, int] = field(default_factory=dict)
     injected: int = 0
     absorbed: int = 0
@@ -310,8 +308,9 @@ def run_delivery_chaos(
 
     specs = plan.specs_for(Layer.DELIVERY)
     # Assignment order sets the default throughput ranking (first =
-    # fastest): the runner lists fault targets first, so outages hit the
-    # CDN actually carrying traffic rather than an idle straggler.
+    # fastest): the scenario run lists fault targets first, so outages
+    # hit the CDN actually carrying traffic rather than an idle
+    # straggler.
     order = list(dict.fromkeys(a.cdn.name for a in assignments))
     names = sorted(order)
     for spec in specs:
@@ -331,7 +330,7 @@ def run_delivery_chaos(
         seed=plan.seed,
     )
     rngs = {id(spec): random.Random(plan.spec_seed(spec)) for spec in specs}
-    result = DeliveryChaosResult(DELIVERY_TICKS, RECOVERY_TICKS)
+    result = DeliveryChaosResult()
     prev_states = {
         name: fetcher.breaker(name).state.value for name in names
     }
@@ -418,7 +417,6 @@ _MANIFEST_PROTOCOLS: Tuple[Protocol, ...] = (
 class ManifestChaosResult:
     """Ledger of a manifest-corruption sweep."""
 
-    documents: int
     injected: int = 0
     absorbed: int = 0
     leaked: int = 0
@@ -440,7 +438,7 @@ def run_manifest_chaos(plan: FaultPlan) -> ManifestChaosResult:
     from repro.packaging.manifest import manifest_writer_for, parser_for
 
     specs = plan.specs_for(Layer.MANIFEST)
-    result = ManifestChaosResult(MANIFEST_DOCUMENTS)
+    result = ManifestChaosResult()
     ladder = BitrateLadder.from_bitrates([400.0, 800.0, 1600.0])
     rngs = {id(spec): random.Random(plan.spec_seed(spec)) for spec in specs}
 

@@ -33,8 +33,8 @@ from repro.stats.regression import LogLogFit, fit_loglog
 from repro.telemetry.columnar import (
     distinct_pair_counts,
     first_seen,
+    holds,
     record_codes,
-    truthy,
 )
 from repro.telemetry.dataset import Dataset
 
@@ -126,8 +126,8 @@ def _unique_sdks(
     names = dataset.entries("sdk_name")
     versions = dataset.entries("sdk_version")
     devices = dataset.entries("device_model")
-    app = truthy(names, size)
-    browser = ~app & truthy(dataset.entries("user_agent"), size)
+    app = holds(names, size, bool)
+    browser = ~app & holds(dataset.entries("user_agent"), size, bool)
 
     stride = len(versions.values) + 1
     pairs, pair_codes = np.unique(

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import AnalysisError
 from repro.stats.cdf import ECDF
-from repro.telemetry.columnar import distinct_pair_counts, first_seen, truthy
+from repro.telemetry.columnar import distinct_pair_counts, first_seen, holds
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.records import ViewRecord
 
@@ -33,7 +33,7 @@ LADDER_CONNECTION = "wifi"
 def observed_syndicators(dataset: Dataset) -> Set[str]:
     """Publishers seen serving someone else's content."""
     publishers = dataset.entries("publisher_id")
-    syndicated = truthy(dataset.entries("is_syndicated"), len(dataset))
+    syndicated = holds(dataset.entries("is_syndicated"), len(dataset), bool)
     return {
         publishers.values[p]
         for p in np.unique(publishers.codes[syndicated]).tolist()
@@ -51,7 +51,7 @@ def syndicator_fraction_per_owner(dataset: Dataset) -> Dict[str, float]:
         raise AnalysisError("no syndicated views in dataset")
     publishers = dataset.entries("publisher_id")
     owners = dataset.entries("owner_id")
-    syndicated = truthy(dataset.entries("is_syndicated"), len(dataset))
+    syndicated = holds(dataset.entries("is_syndicated"), len(dataset), bool)
     carried = syndicated[owners.rows]
     carriers = distinct_pair_counts(
         owners.codes[carried], len(owners.values),

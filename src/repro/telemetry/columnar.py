@@ -372,11 +372,14 @@ def record_codes(entries: Entries, n_records: int) -> np.ndarray:
     return codes
 
 
-def truthy(entries: Entries, n_records: int) -> np.ndarray:
-    """Per record, whether its value of a stored field is truthy
-    (``None`` is not); the truth test runs once per distinct value."""
+def holds(
+    entries: Entries, n_records: int, test: Callable[[object], bool]
+) -> np.ndarray:
+    """Per record, whether ``test`` holds for its value of a stored
+    field (``False`` where the value is ``None``); ``test`` runs once
+    per distinct value."""
     # The appended False is what OUT_OF_SCOPE (-1) reads.
-    table = np.array([bool(v) for v in entries.values] + [False])
+    table = np.array([bool(test(v)) for v in entries.values] + [False])
     return table[record_codes(entries, n_records)]
 
 

@@ -12,14 +12,14 @@ and a one-stop :func:`audit` report that analyses can gate on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
 from repro.core.dimensions import PROTOCOL_COLUMN
 from repro.entities.device import default_registry
 from repro.errors import DatasetError
-from repro.telemetry.columnar import first_seen
+from repro.telemetry.columnar import first_seen, holds
 from repro.telemetry.dataset import Dataset
 
 
@@ -87,15 +87,15 @@ def audit(dataset: Dataset) -> QualityReport:
     unclassifiable = total - len(dataset.entries(PROTOCOL_COLUMN).rows)
 
     # Each distinct device model is looked up once, not once per view.
-    known = _holds(dataset, "device_model", registry.__contains__)
-    app = _holds(
-        dataset,
-        "device_model",
+    devices = dataset.entries("device_model")
+    known = holds(devices, total, registry.__contains__)
+    app = holds(
+        devices,
+        total,
         lambda model: model in registry
         and registry.lookup(model).platform.is_app_based,
     )
     browser = known & ~app
-    devices = dataset.entries("device_model")
     views_per_model = np.bincount(
         devices.codes, minlength=len(devices.values)
     )
@@ -104,16 +104,18 @@ def audit(dataset: Dataset) -> QualityReport:
         for code in first_seen(devices.codes).tolist()
         if devices.values[code] not in registry
     }
-    has_sdk = _holds(dataset, "sdk_name", bool)
-    has_user_agent = _holds(dataset, "user_agent", bool)
+    has_sdk = holds(dataset.entries("sdk_name"), total, bool)
+    has_user_agent = holds(dataset.entries("user_agent"), total, bool)
     app_views = int(app.sum())
     app_missing_sdk = int((app & ~has_sdk).sum())
     browser_views = int(browser.sum())
     browser_missing_ua = int((browser & ~has_user_agent).sum())
     syndication_dangling = int(
         (
-            _holds(dataset, "is_syndicated", bool)
-            & ~_holds(dataset, "owner_id", publisher_ids.__contains__)
+            holds(dataset.entries("is_syndicated"), total, bool)
+            & ~holds(
+                dataset.entries("owner_id"), total, publisher_ids.__contains__
+            )
         ).sum()
     )
 
@@ -209,15 +211,3 @@ def audit(dataset: Dataset) -> QualityReport:
         publisher_snapshot_coverage=coverage,
         issues=issues,
     )
-
-
-def _holds(
-    dataset: Dataset, field_name: str, test: Callable[[object], bool]
-) -> np.ndarray:
-    """Per record: whether ``test`` holds for the field's value (False
-    where the value is ``None``), testing each distinct value once."""
-    entries = dataset.entries(field_name)
-    passes = np.array([bool(test(v)) for v in entries.values], dtype=bool)
-    flags = np.zeros(len(dataset), dtype=bool)
-    flags[entries.rows] = passes[entries.codes]
-    return flags

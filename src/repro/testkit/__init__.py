@@ -17,8 +17,11 @@ checked only piecewise.  This package checks the *whole chain* at once:
   relations that must hold between a run and a transformed run:
   record-permutation invariance, publisher-subset monotonicity,
   view-hour scale invariance, and seed sensitivity;
-* **contract oracles** (:mod:`repro.chaos.zoo`) assert what graceful
-  degradation means on the scenarios that declare a fault plan;
+* the **scenario zoo** (:mod:`repro.testkit.zoo`) registers five
+  scenarios that declare a cross-layer fault plan
+  (:mod:`repro.chaos`), and **contract oracles** that assert what
+  graceful degradation means on them, reading the fault campaign's
+  stages and ledger from the same run artifact;
 * the **report** layer (:mod:`repro.testkit.report`) runs the full
   scenario x oracle matrix, wires counts into :mod:`repro.obs`, and
   renders a machine-readable JSON report (``repro testkit run --json``).
@@ -28,11 +31,8 @@ pipeline stage's observable behaviour, some oracle names the exact
 inequality.
 """
 
-# Importing the oracle packs registers them with the registry.
+# Importing the oracle packs and the zoo registers them with the
+# registries.
 from repro.testkit import differential as _differential  # noqa: F401
 from repro.testkit import metamorphic as _metamorphic  # noqa: F401
-
-# The chaos scenario zoo registers its scenarios, perturbations, and
-# contract oracles as import side effects.  It must come last: it
-# imports back into repro.testkit.oracles and repro.testkit.scenario.
-from repro.chaos import zoo as _zoo  # noqa: F401
+from repro.testkit import zoo as _zoo  # noqa: F401

@@ -184,7 +184,7 @@ def serial_vs_parallel(run: ScenarioRun, check: Check) -> str:
 )
 def strict_vs_repair_clean(run: ScenarioRun, check: Check) -> str:
     """A lenient policy must be invisible when nothing is wrong."""
-    records = run.clean_records(_CLEAN_REPLAY_LIMIT)
+    records = run.clean_records[:_CLEAN_REPLAY_LIMIT]
     check.that(len(records) > 0, "scenario produced no replayable records")
     folded = {}
     reports = {}
@@ -535,8 +535,7 @@ def chaos_recovery(run: ScenarioRun, check: Check) -> str:
     """
     if run.spec.chaos_plan is None:
         raise Skip(f"scenario {run.spec.name!r} declares no chaos plan")
-    chaos_run = run.chaos()
-    recovery = chaos_run.recovery()
+    recovery = run.recovery
     check.that(
         recovery.injection.total_injected > 0,
         "the plan's recoverable projection injected nothing — this "
@@ -553,18 +552,15 @@ def chaos_recovery(run: ScenarioRun, check: Check) -> str:
         "recovered ingest folded different records than the fault-free "
         "replay",
     )
-    clean_rows = chaos_run.figure_rows_from(recovery.clean_records, "clean")
-    recovered_rows = chaos_run.figure_rows_from(
-        recovery.recovered_records, "recovered"
-    )
-    for figure_id in sorted(clean_rows):
+    figure_ids = sorted(run.spec.figures())
+    for figure_id in figure_ids:
         check.rows_equal(
-            recovered_rows[figure_id],
-            clean_rows[figure_id],
+            run.figure_rows(figure_id, "recovered"),
+            run.figure_rows(figure_id, "clean"),
             f"figure {figure_id} under recovered chaos",
         )
     return (
         f"{recovery.injection.total_injected} recoverable faults left "
         f"{len(recovery.clean_records)} records and "
-        f"{len(clean_rows)} figures byte-identical"
+        f"{len(figure_ids)} figures byte-identical"
     )

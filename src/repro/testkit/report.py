@@ -29,6 +29,7 @@ from repro.testkit.oracles import (
     run_oracle,
 )
 from repro.testkit.scenario import (
+    Ledger,
     ScenarioSpec,
     get_scenario,
     run_scenario,
@@ -38,9 +39,6 @@ from repro.testkit.scenario import (
 #: Schema version of the JSON payload; bump on incompatible change.
 #: Version 2 added the ``chaos`` map of plans and fault ledgers.
 REPORT_VERSION = 2
-
-#: Per-layer ``injected``/``absorbed``/``leaked`` counts of one campaign.
-Ledger = Dict[str, Dict[str, int]]
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,7 @@ def _scenario_row(
     with obs.span("testkit.scenario", scenario=spec.name):
         outcomes = [run_oracle(target, run) for target in targets]
         if any(target.kind == "contract" for target in targets):
-            ledger = run.chaos().ledger()
+            ledger = run.ledger
     return outcomes, ledger
 
 

@@ -1,14 +1,15 @@
-"""Scenario spec DSL and the named scenario library.
+"""Scenario spec DSL, the run artifact and the named scenario library.
 
 A :class:`ScenarioSpec` declares one end-to-end exercise of the
 pipeline: the synthesis knobs (seed, schedule thinning, population
 size), an optional fault-injected ingest stage, the figure set to
-regenerate, and the alternate seed the differential oracles need; the
-parallel build runs :data:`PARALLEL_JOBS` workers.  Everything an
-oracle might compare is derived *lazily* from the spec through
-:class:`ScenarioRun` and cached, so a matrix of oracles over one
-scenario pays for each expensive build (serial, parallel,
-alternate-seed) exactly once.
+regenerate, the alternate seed the differential oracles need, and an
+optional cross-layer fault campaign; the parallel build runs
+:data:`PARALLEL_JOBS` workers.  Everything an oracle might compare is
+derived *lazily* from the spec through :class:`ScenarioRun` and
+cached, so a matrix of oracles over one scenario pays for each
+expensive build (serial, parallel, alternate-seed) and each stage of
+its fault campaign exactly once.
 
 Four scenarios ship by default:
 
@@ -29,28 +30,52 @@ Four scenarios ship by default:
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import figures, obs
-from repro.chaos.injectors import TelemetryInjection, inject_telemetry
-from repro.chaos.plan import FaultPlan
+from repro.chaos.injectors import (
+    DeliveryChaosResult,
+    IngestChaosResult,
+    ManifestChaosResult,
+    TelemetryInjection,
+    inject_telemetry,
+    run_delivery_chaos,
+    run_ingest_chaos,
+    run_manifest_chaos,
+)
+from repro.chaos.plan import FaultPlan, Layer
+from repro.entities.cdn import CDN, CdnAssignment
 from repro.errors import ChaosError, TestkitError
 from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator, EcosystemResult
-from repro.telemetry.dataset import encode_lines
-from repro.telemetry.ingest import events_from_records
+from repro.telemetry.dataset import Dataset, encode_lines
+from repro.telemetry.ingest import (
+    ErrorPolicy,
+    IngestPipeline,
+    IngestReport,
+    events_from_records,
+)
 from repro.telemetry.records import ViewRecord
 from repro.testkit.reference import RowDataset
 
-if TYPE_CHECKING:
-    from repro.chaos.runner import ChaosRun
-
 Rows = List[Dict[str, object]]
+
+#: Per-layer ``injected``/``absorbed``/``leaked`` counts of one campaign.
+Ledger = Dict[str, Dict[str, int]]
 
 #: Workers of a scenario's parallel build, which the serial-vs-parallel
 #: oracle holds to the serial one.
 PARALLEL_JOBS = 2
+
+#: Clean records replayed through the telemetry/ingest chaos stages.
+REPLAY_LIMIT = 160
+
+#: CDN names the delivery timeline falls back to when the plan's
+#: targets leave fewer than two healthy CDNs to absorb an outage.
+_FALLBACK_CDNS = ("A", "B", "C", "D", "E")
 
 
 @dataclass(frozen=True)
@@ -92,9 +117,6 @@ class ScenarioSpec:
     #: Optional fault plan driving the scenario's contract oracles;
     #: ``None`` means the scenario declares no fault campaign.
     chaos_plan: Optional[FaultPlan] = None
-    #: Optional name of a registered perturbation; when set, the run
-    #: offers a "perturbed" build variant for metamorphic contracts.
-    perturb: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.name or any(c.isspace() for c in self.name):
@@ -138,12 +160,54 @@ class ScenarioSpec:
         return self.chaos_plan
 
 
+@dataclass
+class TelemetryOutcome:
+    """Fault ledger of the telemetry layer for one run.
+
+    ``leaked`` counts *silent corruption*: output records that changed
+    relative to the fault-free replay in excess of the sessions the
+    injector touched.  Every changed record must trace to a touched
+    session, so any excess means an untouched session was altered.
+    """
+
+    injected: int
+    absorbed: int
+    leaked: int
+
+
+@dataclass
+class RecoveryOutcome:
+    """The chaos-with-recovery vs fault-free comparison inputs."""
+
+    injection: TelemetryInjection
+    clean_records: Tuple[ViewRecord, ...]
+    recovered_records: Tuple[ViewRecord, ...]
+    quarantined: int
+
+    @property
+    def identical(self) -> bool:
+        return list(self.recovered_records) == list(self.clean_records)
+
+
+#: The result of one layer's campaign stage.
+Stage = Union[
+    TelemetryOutcome, DeliveryChaosResult, ManifestChaosResult,
+    IngestChaosResult,
+]
+
+
 class ScenarioRun:
     """The run artifact: every derived view of one scenario, cached.
 
-    All builds are pure functions of the spec, so lazy construction
-    cannot leak order dependence between oracles — any access order
-    yields the same artifacts.
+    All builds and campaign stages are pure functions of the spec, so
+    lazy construction cannot leak order dependence between oracles —
+    any access order yields the same artifacts.  The campaign stages
+    (:attr:`telemetry`, :attr:`delivery`, :attr:`manifest`,
+    :attr:`ingest`, :attr:`recovery` and the :attr:`ledger` over them)
+    run the spec's chaos plan, so every contract oracle and the
+    chaos-recovery oracle share one campaign per scenario; each raises
+    the :class:`ChaosError` of :meth:`ScenarioSpec.require_plan` when
+    the spec declares no plan.
     """
 
     def __init__(self, spec: ScenarioSpec) -> None:
@@ -151,8 +215,6 @@ class ScenarioRun:
         self._results: Dict[str, EcosystemResult] = {}
         self._figure_rows: Dict[Tuple[str, str], Rows] = {}
         self._bytes: Dict[str, bytes] = {}
-        self._clean_records: Optional[Tuple[ViewRecord, ...]] = None
-        self._chaos: Optional["ChaosRun"] = None
 
     # -- builds ----------------------------------------------------------
 
@@ -179,30 +241,31 @@ class ScenarioRun:
                 built = EcosystemGenerator(
                     spec.config(seed=spec.alt_seed)
                 ).generate()
-            elif which == "row":
-                built = dataclasses.replace(
-                    self.result,
-                    dataset=RowDataset(self.result.dataset.records),
-                )
-            elif which == "perturbed":
-                if spec.perturb is None:
-                    raise TestkitError(
-                        f"scenario {spec.name!r} declares no perturbation"
-                    )
-                built = get_perturbation(spec.perturb)(self.result)
             else:
-                raise TestkitError(f"unknown build variant {which!r}")
+                dataset = self._dataset(which)
+                built = dataclasses.replace(self.result, dataset=dataset)
         self._results[which] = built
         return built
+
+    def _dataset(self, which: str) -> Dataset:
+        """The dataset of a variant that only swaps the base build's:
+        ``row`` is the base records on the row-at-a-time reference,
+        ``rebuilt`` the base records in a fresh column store, and
+        ``clean``/``recovered`` the two ingests of :attr:`recovery`."""
+        if which == "row":
+            return RowDataset(self.result.dataset.records)
+        if which == "rebuilt":
+            return Dataset(self.result.dataset.records)
+        if which == "clean":
+            return Dataset(self.recovery.clean_records)
+        if which == "recovered":
+            return Dataset(self.recovery.recovered_records)
+        raise TestkitError(f"unknown build variant {which!r}")
 
     def row_result(self) -> EcosystemResult:
         """The base build with its dataset on the row-at-a-time
         reference (:class:`~repro.testkit.reference.RowDataset`)."""
         return self._build("row")
-
-    def perturbed_result(self) -> EcosystemResult:
-        """The base build transformed by the spec's perturbation."""
-        return self._build("perturbed")
 
     # -- figure rows -----------------------------------------------------
 
@@ -228,31 +291,15 @@ class ScenarioRun:
 
     # -- event replay ----------------------------------------------------
 
-    def clean_records(self, limit: Optional[int] = None) -> Tuple[ViewRecord, ...]:
+    @cached_property
+    def clean_records(self) -> Tuple[ViewRecord, ...]:
         """Records replayable as clean event streams (positive playback,
         sub-total rebuffering — the same cut the ingest CLI applies)."""
-        if self._clean_records is None:
-            self._clean_records = tuple(
-                r
-                for r in self.result.dataset.records
-                if r.view_duration_hours > 0 and r.rebuffer_ratio < 1.0
-            )
-        if limit is None:
-            return self._clean_records
-        return self._clean_records[:limit]
-
-    def chaos(self) -> "ChaosRun":
-        """The spec's fault campaign over this run, built once.
-
-        Every contract oracle and the chaos-recovery oracle share it,
-        so a zoo scenario is synthesized once per matrix.
-        """
-        if self._chaos is None:
-            # Lazy import: repro.chaos.runner imports this module.
-            from repro.chaos.runner import ChaosRun
-
-            self._chaos = ChaosRun(self)
-        return self._chaos
+        return tuple(
+            r
+            for r in self.result.dataset.records
+            if r.view_duration_hours > 0 and r.rebuffer_ratio < 1.0
+        )
 
     def corrupted_events(self) -> TelemetryInjection:
         """The ingest stage's corrupted stream with its fault audit."""
@@ -261,43 +308,151 @@ class ScenarioRun:
             raise TestkitError(
                 f"scenario {self.spec.name!r} has no ingest stage"
             )
-        records = self.clean_records(spec.sessions)
+        records = self.clean_records[:spec.sessions]
         events = list(events_from_records(records))
         plan = FaultPlan.uniform(spec.fault_rate, spec.fault_seed)
         return inject_telemetry(events, plan)
 
+    # -- fault campaign --------------------------------------------------
 
-# ---------------------------------------------------------------------------
-# Perturbation registry
-# ---------------------------------------------------------------------------
+    @cached_property
+    def events(self) -> List[object]:
+        """The clean replayed event stream every injector starts from."""
+        records = self.clean_records[:REPLAY_LIMIT]
+        if not records:
+            raise ChaosError(
+                f"scenario {self.spec.name!r} produced no replayable "
+                "records"
+            )
+        return list(events_from_records(records))
 
-#: A perturbation is a pure dataset-level transformation of one built
-#: ecosystem — the metamorphic half of a chaos scenario (flash crowd,
-#: protocol migration wave, ...).  It must be deterministic: the
-#: "perturbed" build variant is cached and compared against "base".
-Perturbation = Callable[[EcosystemResult], EcosystemResult]
+    @cached_property
+    def clean_ingest(self) -> IngestReport:
+        """The fault-free quarantine-policy ingest of :attr:`events`."""
+        return IngestPipeline(ErrorPolicy.QUARANTINE).run(list(self.events))
 
-_PERTURBATIONS: Dict[str, Perturbation] = {}
+    def _replay(
+        self, plan: FaultPlan
+    ) -> Tuple[TelemetryInjection, IngestReport]:
+        """:attr:`events` under ``plan``'s telemetry faults, and their
+        quarantine-policy ingest."""
+        injection = inject_telemetry(self.events, plan)
+        faulted = IngestPipeline(ErrorPolicy.QUARANTINE).run(
+            injection.events
+        )
+        return injection, faulted
+
+    @cached_property
+    def telemetry(self) -> TelemetryOutcome:
+        """Inject the plan's telemetry faults; account for every one."""
+        injection, faulted = self._replay(self.spec.require_plan())
+        changed = _multiset_delta(self.clean_ingest.records, faulted.records)
+        leaked = max(0, changed - len(injection.corrupted_sessions))
+        outcome = TelemetryOutcome(
+            injected=injection.total_injected,
+            absorbed=injection.total_injected - leaked,
+            leaked=leaked,
+        )
+        _observe(Layer.TELEMETRY, outcome)
+        return outcome
+
+    @cached_property
+    def delivery(self) -> DeliveryChaosResult:
+        """Run the plan's CDN faults through the resilient fetcher."""
+        plan = self.spec.require_plan()
+        result = run_delivery_chaos(plan, _delivery_assignments(plan))
+        _observe(Layer.DELIVERY, result)
+        for latency in result.recovery_latency.values():
+            obs.histogram("chaos.breaker_recovery").observe(latency)
+        return result
+
+    @cached_property
+    def manifest(self) -> ManifestChaosResult:
+        """Sweep corrupted manifests through the real parsers."""
+        result = run_manifest_chaos(self.spec.require_plan())
+        _observe(Layer.MANIFEST, result)
+        return result
+
+    @cached_property
+    def ingest(self) -> IngestChaosResult:
+        """Pressure the ingest pipeline per the plan."""
+        result = run_ingest_chaos(self.events, self.spec.require_plan())
+        _observe(Layer.INGEST, result)
+        return result
+
+    @cached_property
+    def recovery(self) -> RecoveryOutcome:
+        """Ingest under the plan's *recoverable* faults only.
+
+        The resulting records must equal the fault-free replay exactly —
+        the invariant behind the chaos-recovery differential oracle.
+        """
+        plan = self.spec.require_plan().recoverable()
+        injection, faulted = self._replay(plan)
+        return RecoveryOutcome(
+            injection=injection,
+            clean_records=tuple(self.clean_ingest.records),
+            recovered_records=tuple(faulted.records),
+            quarantined=faulted.quarantined,
+        )
+
+    @cached_property
+    def ledger(self) -> Ledger:
+        """Per-layer injected/absorbed/leaked, for the oracle report.
+
+        Only the stages of layers the plan targets run (each layer's
+        stage is the attribute named after it); an all-quiet plan
+        yields an empty ledger rather than burning time exercising
+        layers with nothing to inject.
+        """
+        return {
+            layer.value: _counts(getattr(self, layer.value))
+            for layer in self.spec.require_plan().layers()
+        }
 
 
-def register_perturbation(name: str, fn: Perturbation) -> Perturbation:
-    """Add a named perturbation (rejects duplicate names)."""
-    if not name or any(c.isspace() for c in name):
-        raise TestkitError("perturbation name must be non-empty, no spaces")
-    if name in _PERTURBATIONS:
-        raise TestkitError(f"duplicate perturbation name {name!r}")
-    _PERTURBATIONS[name] = fn
-    return fn
+def _delivery_assignments(plan: FaultPlan) -> Tuple[CdnAssignment, ...]:
+    """CDN assignments for the delivery timeline: every plan target
+    plus enough healthy fallbacks that failover has somewhere to go.
+    """
+    targets = plan.targets(Layer.DELIVERY)
+    names = list(targets)
+    for fallback in _FALLBACK_CDNS:
+        if len(names) >= len(targets) + 2:
+            break
+        if fallback not in names:
+            names.append(fallback)
+    return tuple(CdnAssignment(cdn=CDN(name)) for name in names)
 
 
-def get_perturbation(name: str) -> Perturbation:
-    try:
-        return _PERTURBATIONS[name]
-    except KeyError:
-        raise TestkitError(
-            f"unknown perturbation {name!r}; known: "
-            f"{', '.join(sorted(_PERTURBATIONS))}"
-        ) from None
+def _counts(stage: Stage) -> Dict[str, int]:
+    """A stage's injected/absorbed/leaked; a faulted manifest that
+    still parses counts as absorbed."""
+    absorbed = stage.absorbed
+    if isinstance(stage, ManifestChaosResult):
+        absorbed += stage.survived
+    return {
+        "injected": stage.injected,
+        "absorbed": absorbed,
+        "leaked": stage.leaked,
+    }
+
+
+def _observe(layer: Layer, stage: Stage) -> None:
+    """Add a stage's counts to ``chaos.faults``."""
+    for disposition, count in _counts(stage).items():
+        if count:
+            obs.counter(
+                "chaos.faults", layer=layer.value, disposition=disposition
+            ).inc(count)
+
+
+def _multiset_delta(left: Sequence[object], right: Sequence[object]) -> int:
+    """Records present in one list but not the other (multiset max-side)."""
+    left_counts, right_counts = Counter(left), Counter(right)
+    only_left = sum((left_counts - right_counts).values())
+    only_right = sum((right_counts - left_counts).values())
+    return max(only_left, only_right)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ scenario (``flash-crowd``) also runs through ``repro testkit run``, whose
 report must equal the library's.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -267,7 +268,7 @@ class TestScenarioZoo:
             assert len(applicable) > len(universal)
 
     def test_import_order_is_symmetric(self):
-        # The zoo registers once whether it or repro.testkit loads
+        # The zoo registers once whether it or its package loads
         # first; both orders must agree on the registry contents.
         probe = (
             "import repro.{first}, repro.{second}\n"
@@ -278,7 +279,7 @@ class TestScenarioZoo:
         )
         outputs = set()
         for first, second in (
-            ("chaos.zoo", "testkit"), ("testkit", "chaos.zoo")
+            ("testkit.zoo", "testkit"), ("testkit", "testkit.zoo")
         ):
             result = subprocess.run(
                 [sys.executable, "-c",
@@ -314,6 +315,29 @@ def test_cli_import_loads_neither_chaos_nor_testkit():
 def test_chaos_plan_and_injectors_load_no_testkit():
     code = "import repro.chaos.plan, repro.chaos.injectors"
     assert _loaded_after(code, ("repro.testkit",)) == "[]"
+
+
+def test_no_chaos_module_imports_the_testkit():
+    # The testkit imports the chaos plane, never the reverse, so the
+    # package graph stays acyclic.
+    chaos = Path(__file__).resolve().parent.parent / "src/repro/chaos"
+    offenders = []
+    for path in sorted(chaos.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.name}: {module}"
+                for module in modules
+                if module == "repro.testkit"
+                or module.startswith("repro.testkit.")
+            ]
+    assert offenders == []
 
 
 def test_static_checker_loads_neither_numpy_nor_scipy():
