@@ -16,8 +16,12 @@ from repro.core.prevalence import first_last, view_hour_share_series
 from repro.constants import Protocol
 from repro.delivery.network import default_isp_profiles
 from repro.entities.ladder import BitrateLadder
-from repro.playback.abr import BufferBasedAbr, ThroughputAbr
-from repro.playback.session import SessionConfig, simulate_sessions
+from repro.playback.abr import BufferBasedAbr
+from repro.playback.session import (
+    CASE_STUDY_ABR,
+    CASE_STUDY_SESSION,
+    simulate_sessions,
+)
 from repro.synthesis import calibration as cal
 from repro.telemetry.dataset import Dataset
 
@@ -94,9 +98,6 @@ def test_ablation_qoe_gap_across_abrs(benchmark):
     owner = BitrateLadder.from_bitrates(cal.CASE_STUDY_LADDERS["O"])
     syndicator = BitrateLadder.from_bitrates(cal.CASE_STUDY_LADDERS["S7"])
     path = default_isp_profiles()["X"].path_to("A")
-    config = SessionConfig(
-        view_seconds=900.0, chunk_seconds=6.0, max_buffer_seconds=20.0
-    )
 
     def gap_for(abr):
         rng = np.random.default_rng(5)
@@ -104,7 +105,7 @@ def test_ablation_qoe_gap_across_abrs(benchmark):
         results = simulate_sessions(
             [owner] * len(means) + [syndicator] * len(means),
             path,
-            config,
+            CASE_STUDY_SESSION,
             rng,
             abr=abr,
             session_means=means * 2,
@@ -114,7 +115,7 @@ def test_ablation_qoe_gap_across_abrs(benchmark):
         return float(np.median(owner_rates) / np.median(syn_rates))
 
     throughput_gap = benchmark.pedantic(
-        gap_for, args=(ThroughputAbr(safety=0.85),), rounds=1, iterations=1
+        gap_for, args=(CASE_STUDY_ABR,), rounds=1, iterations=1
     )
     buffer_gap = gap_for(BufferBasedAbr())
     # The gap is a ladder effect: both ABR families show it.

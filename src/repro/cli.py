@@ -3,16 +3,19 @@
 ::
 
     repro generate --out dataset.jsonl.gz [--seed N] [--snapshots K]
-    repro figure F2a [--dataset dataset.jsonl.gz] [--seed N]
-    repro figures                # list ids
+    repro figure F2a [--seed N] [--snapshots K]   # one figure/table
+    repro figures [--run]        # list ids, or run every figure
     repro summary [--seed N]     # §4.4 roll-up
+    repro experiments            # paper-vs-measured report
     repro ingest --policy quarantine --fault-rate 0.2   # robustness demo
+    repro testkit run|list       # scenario x oracle matrix
     repro metrics                # instrument taxonomy + snapshot
     repro check [paths...]       # static checker: RPL00x + RPL1xx rules
 
-Figures that need generator ground truth (catalogue sizes, the case
-study) regenerate the ecosystem from the seed; pure-dataset figures can
-run against a saved dataset file.
+The commands that take ``--seed`` generate the ecosystem first, from
+``--seed``, ``--snapshots`` (0 is the full 59-snapshot schedule, the
+default everywhere but ``ingest``) and ``--publishers``; ``generate``
+saves that dataset to a file, and no command reads one back.
 
 Every subcommand accepts ``--trace`` (print the span tree of the run)
 and ``--metrics-out PATH`` (write the metrics snapshot as JSON); either
@@ -593,14 +596,8 @@ def _ingest(args: argparse.Namespace) -> int:
     events = list(events_from_records(records))
     injection = inject_telemetry(events, plan)
     backend = TelemetryBackend()
-    # When observability is on, the pipeline counts into the global
-    # registry so a --metrics-out snapshot and the printed report are
-    # literally the same instruments.
-    metrics = obs.metrics() if obs.enabled() else None
     try:
-        report = backend.ingest_events(
-            injection.events, policy=args.policy, metrics=metrics
-        )
+        report = backend.ingest_events(injection.events, policy=args.policy)
     except DatasetError as exc:
         print(f"strict ingestion aborted: {exc}", file=sys.stderr)
         return 1

@@ -26,10 +26,11 @@ import numpy as np
 
 from repro.delivery.network import default_isp_profiles
 from repro.errors import AnalysisError
-from repro.playback.abr import AbrAlgorithm, ThroughputAbr
+from repro.playback.abr import AbrAlgorithm
 # simulate_session stays bound here: traced runs wrap it at this name.
 from repro.playback.session import (  # noqa: F401
-    SessionConfig,
+    CASE_STUDY_ABR,
+    CASE_STUDY_SESSION,
     simulate_session,
     simulate_sessions,
 )
@@ -83,11 +84,8 @@ def integrated_qoe_projection(
     if sessions < 10:
         raise AnalysisError("need at least 10 sessions")
     path = default_isp_profiles()[isp].path_to(cdn_name)
-    abr = abr or ThroughputAbr(safety=0.85)
+    abr = abr or CASE_STUDY_ABR
     rng = np.random.default_rng(seed)
-    config = SessionConfig(
-        view_seconds=900.0, chunk_seconds=6.0, max_buffer_seconds=20.0
-    )
     own_ladder = case_study.ladder(label)
     owner_ladder = case_study.ladder("O")
     means = [path.sample_session_mean(rng) for _ in range(sessions)]
@@ -96,7 +94,7 @@ def integrated_qoe_projection(
     results = simulate_sessions(
         [own_ladder, owner_ladder] * sessions,
         path,
-        config,
+        CASE_STUDY_SESSION,
         rng,
         abr=abr,
         session_means=[mean for mean in means for _ in range(2)],

@@ -3,11 +3,7 @@
 A :class:`MetricsRegistry` hands out labeled instruments and renders a
 deterministic JSON-able snapshot.  There are no dependencies and no
 background threads: instruments are plain objects mutated in-process,
-which is all a single-process reproduction pipeline needs — and the
-registry doubles as the backing store for per-pipeline reports (the
-:class:`~repro.telemetry.ingest.IngestReport` counts *are* these
-counters, so a metrics snapshot can never disagree with a printed
-report).
+which is all a single-process reproduction pipeline needs.
 
 Instruments are identified by ``(name, labels)``; asking twice for the
 same identity returns the same object, which is what makes shared

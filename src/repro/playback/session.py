@@ -66,6 +66,15 @@ class SessionConfig:
             raise PlaybackError("ewma alpha must be in (0, 1]")
 
 
+#: The case-study view (Figs 15-17 and X2, which replays the Fig 15/16
+#: sessions over the owner's ladder): 15 minutes in 6 s chunks behind a
+#: 20 s buffer, under a throughput ABR that spends 85% of its estimate.
+CASE_STUDY_SESSION = SessionConfig(
+    view_seconds=900.0, chunk_seconds=6.0, max_buffer_seconds=20.0
+)
+CASE_STUDY_ABR = ThroughputAbr(safety=0.85)
+
+
 @dataclass(frozen=True)
 class SessionResult:
     """QoE outcome of one simulated view."""

@@ -41,10 +41,10 @@ from repro.entities.device import Device, DeviceRegistry
 from repro.entities.ladder import BitrateLadder
 from repro.entities.publisher import Publisher, PublisherProfile
 from repro.packaging.manifest.detect import sample_manifest_url
-from repro.playback.abr import ThroughputAbr
 # simulate_session stays bound here: traced runs wrap it at this name.
 from repro.playback.session import (  # noqa: F401
-    SessionConfig,
+    CASE_STUDY_ABR,
+    CASE_STUDY_SESSION,
     simulate_session,
     simulate_sessions,
 )
@@ -772,11 +772,8 @@ class SessionSampler:
             return RecordColumns.empty()
         study = self._case_study
         profiles = default_isp_profiles()
-        abr = ThroughputAbr(safety=0.85)
-        config = SessionConfig(
-            view_seconds=900.0, chunk_seconds=6.0, max_buffer_seconds=20.0
-        )
         labels = ("O",) + study.syndicator_labels
+        view_hours = CASE_STUDY_SESSION.view_seconds / 3600.0
         records = RecordColumns.empty()
         for isp_name, cdn_name in cal.QOE_COMBOS:
             path = profiles[isp_name].path_to(cdn_name)
@@ -792,9 +789,9 @@ class SessionSampler:
                         for _ in session_means
                     ],
                     path,
-                    config,
+                    CASE_STUDY_SESSION,
                     rng,
-                    abr=abr,
+                    abr=CASE_STUDY_ABR,
                     session_means=session_means * len(labels),
                 )
             )
@@ -815,7 +812,7 @@ class SessionSampler:
                         os_name="ios",
                         cdn_names=(cdn_name,),
                         bitrate_ladder_kbps=ladder.bitrates_kbps,
-                        view_duration_hours=config.view_seconds / 3600.0,
+                        view_duration_hours=view_hours,
                         avg_bitrate_kbps=result.average_bitrate_kbps,
                         rebuffer_ratio=result.rebuffer_ratio,
                         content_type=ContentType.VOD,

@@ -17,7 +17,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.errors import DatasetError
 from repro.packaging.manifest.detect import detect_protocol_or_none
 from repro.telemetry.dataset import Dataset
-from repro.telemetry.events import Sessionizer
 from repro.telemetry.ingest import ErrorPolicy, IngestPipeline, IngestReport
 from repro.telemetry.records import ViewRecord
 
@@ -40,23 +39,23 @@ class ComboRollup:
     mean_bitrate_kbps: float
 
 
+def _combo_order(
+    cdn: str, protocol: Optional[str], device: str
+) -> Tuple[str, bool, str, str]:
+    """Rollup order: an unclassified protocol (``None``) sorts after the
+    known ones of its CDN, which keep their alphabetical order."""
+    return (cdn, protocol is None, protocol or "", device)
+
+
 class TelemetryBackend:
     """Ingests events and records; answers rollup queries."""
 
     def __init__(self) -> None:
-        self._sessionizer = Sessionizer()
         self._records: List[ViewRecord] = []
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-
-    def ingest_event(self, event: object) -> Optional[ViewRecord]:
-        """Feed one raw monitoring event; returns a record on session end."""
-        record = self._sessionizer.ingest(event)
-        if record is not None:
-            self._records.append(record)
-        return record
 
     def ingest_record(self, record: ViewRecord) -> None:
         """Feed a pre-sessionized record (bulk import path)."""
@@ -73,24 +72,18 @@ class TelemetryBackend:
         self,
         events: Iterable[object],
         policy: ErrorPolicy | str = ErrorPolicy.QUARANTINE,
-        *,
-        metrics=None,
     ) -> IngestReport:
-        """Fault-tolerant batch ingestion of a raw event stream.
+        """Batch ingestion of a raw event stream.
 
         Runs the events through an :class:`IngestPipeline` under the
-        given :class:`ErrorPolicy` (``strict`` raises on the first bad
-        event exactly like :meth:`ingest_event`; ``quarantine`` and
-        ``repair`` never raise), stores the folded records, and returns
-        the pipeline's :class:`IngestReport` with the dead-letter queue.
-
-        ``metrics`` optionally names the
-        :class:`~repro.obs.metrics.MetricsRegistry` that should own the
-        pipeline's counters (e.g. ``obs.metrics()`` so a ``--metrics-out``
-        snapshot and the report share instruments); by default each
-        batch counts in isolation.
+        given :class:`ErrorPolicy` (``strict`` raises
+        :class:`~repro.errors.DatasetError` on the first bad event, as
+        the plain :class:`~repro.telemetry.events.Sessionizer` does;
+        ``quarantine`` and ``repair`` never raise), stores the folded
+        records, and returns the pipeline's :class:`IngestReport` with
+        the dead-letter queue.
         """
-        report = IngestPipeline(policy, metrics=metrics).run(events)
+        report = IngestPipeline(policy).run(events)
         self._records.extend(report.records)
         return report
 
@@ -128,7 +121,7 @@ class TelemetryBackend:
                 )
         rollups: List[ComboRollup] = []
         for (cdn, protocol_name, device), records in sorted(
-            groups.items(), key=lambda item: item[0]
+            groups.items(), key=lambda item: _combo_order(*item[0])
         ):
             views = sum(r.views for r in records)
             if views > 0:

@@ -5,7 +5,7 @@ first malformed event, which is the right contract for a library but a
 fatal one for a backend ingesting heartbeats from millions of
 heterogeneous player SDKs: there, events arrive malformed, duplicated,
 out of order, or truncated, and one corrupt heartbeat must never poison
-a whole batch.  :class:`RobustSessionizer` wraps the same fold logic
+a whole batch.  :class:`IngestPipeline` wraps the same fold logic
 with a configurable :class:`ErrorPolicy`:
 
 * ``strict`` — delegate to the plain :class:`Sessionizer`; the first bad
@@ -32,8 +32,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro import obs
 from repro.errors import DatasetError, IngestError
-from repro.obs.instruments import catalog_by_name
-from repro.obs.metrics import Counter, MetricsRegistry
 from repro.telemetry.events import Heartbeat, SessionEnd, SessionStart, Sessionizer
 from repro.telemetry.records import ViewRecord
 
@@ -76,79 +74,15 @@ class DeadLetter:
     sequence: int = -1
 
 
-class IngestCounters:
-    """The obs instruments backing one pipeline's :class:`IngestReport`.
-
-    Counts live in :class:`~repro.obs.metrics.Counter` instruments
-    rather than plain ints so the printed report and a metrics
-    snapshot are *the same numbers*, not two bookkeeping paths that
-    can drift.  By default each pipeline gets a private registry
-    (isolated counts, the historical semantics); pass a shared
-    registry — e.g. ``obs.metrics()`` from the CLI — to surface the
-    same instruments in the process-wide snapshot.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        specs = catalog_by_name()
-
-        def make(name: str) -> Counter:
-            return self.registry.counter(name, specs[name].description)
-
-        self.events = make("ingest.events")
-        self.accepted = make("ingest.accepted")
-        self.repaired = make("ingest.repaired")
-        self.deduped = make("ingest.deduped")
-        self.reaped = make("ingest.reaped")
-        self.records = make("ingest.records")
-        self.open_sessions = self.registry.gauge(
-            "ingest.open_sessions", specs["ingest.open_sessions"].description
-        )
-        self.parked_events = self.registry.gauge(
-            "ingest.parked_events", specs["ingest.parked_events"].description
-        )
-        self._quarantine_desc = specs["ingest.quarantined"].description
-        self._quarantined: Dict[RejectReason, Counter] = {}
-
-    def quarantined(self, reason: RejectReason) -> Counter:
-        """The per-reason dead-letter counter (created on first use)."""
-        counter = self._quarantined.get(reason)
-        if counter is None:
-            counter = self.registry.counter(
-                "ingest.quarantined", self._quarantine_desc,
-                reason=reason.value,
-            )
-            self._quarantined[reason] = counter
-        return counter
-
-    @property
-    def quarantined_total(self) -> int:
-        return sum(
-            int(instrument.value)
-            for instrument in self.registry.series(
-                "ingest.quarantined"
-            ).values()
-        )
-
-    def reason_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for labels, instrument in self.registry.series(
-            "ingest.quarantined"
-        ).items():
-            value = int(instrument.value)
-            if value:
-                counts[dict(labels)["reason"]] = value
-        return counts
-
-
 @dataclass
 class IngestReport:
-    """Counters and outputs of one ingestion run.
+    """Counts and outputs of one ingestion run.
 
-    Every count is a property over the pipeline's obs counters
-    (:class:`IngestCounters`) — the single source of truth shared with
-    the metrics snapshot, so ``repro ingest --metrics-out`` can never
-    print a summary that disagrees with the exported JSON.
+    The counts are plain fields that the pipeline increments; every
+    return of :meth:`IngestPipeline.ingest_many` and
+    :meth:`IngestPipeline.finalize` adds what changed to the
+    ``ingest.*`` obs instruments, so while obs is on a metrics snapshot
+    equals the printed report.
 
     Invariant (verified by the fuzz suite): every input event is
     accounted for exactly once —
@@ -158,36 +92,22 @@ class IngestReport:
     """
 
     policy: ErrorPolicy
-    counters: IngestCounters = field(default_factory=IngestCounters)
+    total_events: int = 0
+    accepted: int = 0
+    repaired: int = 0
+    deduped: int = 0
+    reaped: int = 0
+    #: Dead letters per reject reason, in first-seen order.
+    rejects: Dict[RejectReason, int] = field(default_factory=dict)
     records: List[ViewRecord] = field(default_factory=list)
     dead_letters: List[DeadLetter] = field(default_factory=list)
 
     @property
-    def total_events(self) -> int:
-        return self.counters.events.count
-
-    @property
-    def accepted(self) -> int:
-        return self.counters.accepted.count
-
-    @property
-    def repaired(self) -> int:
-        return self.counters.repaired.count
-
-    @property
     def quarantined(self) -> int:
-        return self.counters.quarantined_total
-
-    @property
-    def reaped(self) -> int:
-        return self.counters.reaped.count
-
-    @property
-    def deduped(self) -> int:
-        return self.counters.deduped.count
+        return sum(self.rejects.values())
 
     def reason_counts(self) -> Dict[str, int]:
-        return self.counters.reason_counts()
+        return {reason.value: count for reason, count in self.rejects.items()}
 
     @property
     def event_quarantined(self) -> int:
@@ -208,7 +128,7 @@ class IngestReport:
         )
 
 
-class RobustSessionizer:
+class IngestPipeline:
     """Policy-driven, fault-tolerant wrapper around session folding.
 
     ``reorder_buffer`` bounds how many events may be parked waiting for
@@ -223,7 +143,6 @@ class RobustSessionizer:
         *,
         reorder_buffer: int = 256,
         max_idle_events: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.policy = ErrorPolicy(policy)
         if reorder_buffer < 0:
@@ -243,10 +162,9 @@ class RobustSessionizer:
         self._parked: Dict[str, List[Tuple[int, object]]] = {}
         self._parked_total = 0
         self._clock = 0
-        self._counters = IngestCounters(metrics)
-        self.report = IngestReport(
-            policy=self.policy, counters=self._counters
-        )
+        self.report = IngestReport(policy=self.policy)
+        # (counter, reason) -> the count obs has been given so far.
+        self._published: Dict[Tuple[str, str], int] = {}
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -261,16 +179,16 @@ class RobustSessionizer:
     def ingest_many(self, events: Iterable[object]) -> List[ViewRecord]:
         """Process events in order; returns the records their ends fold.
 
-        Counts and gauges are exact at every return, also when a strict
-        abort raises: ``ingest.events`` advances by the logical clock's
-        step over the call, and the two gauges are set once.
+        The report's counts are exact at every return, also when a
+        strict abort raises: ``total_events`` advances by the logical
+        clock's step over the call, and the counts are published once.
         """
         if self._finalized:
             # Raise on the first event, not on an empty batch.
             for _ in events:
                 raise IngestError("pipeline already finalized")
             return []
-        counters = self._counters
+        report = self.report
         start = self._clock
         out: List[ViewRecord] = []
         try:
@@ -278,10 +196,9 @@ class RobustSessionizer:
                 for event in events:
                     self._clock += 1
                     record = self._strict.ingest(event)
-                    counters.accepted.inc()
+                    report.accepted += 1
                     if record is not None:
-                        counters.records.inc()
-                        self.report.records.append(record)
+                        report.records.append(record)
                         out.append(record)
             else:
                 reap = self.max_idle_events is not None
@@ -294,10 +211,8 @@ class RobustSessionizer:
                         out.append(record)
         finally:
             if self._clock != start:
-                counters.events.inc(self._clock - start)
-                counters.open_sessions.set(self.open_sessions)
-                if self.policy is not ErrorPolicy.STRICT:
-                    counters.parked_events.set(self._parked_total)
+                report.total_events = self._clock
+                self._publish()
         return out
 
     def finalize(self) -> IngestReport:
@@ -322,8 +237,7 @@ class RobustSessionizer:
         self._parked_total = 0
         for sid in sorted(self._open):
             self._reap_session(sid, "open at finalize")
-        self._counters.open_sessions.set(0)
-        self._counters.parked_events.set(0)
+        self._publish()
         return self.report
 
     def run(self, events: Iterable[object]) -> IngestReport:
@@ -368,7 +282,7 @@ class RobustSessionizer:
         sid = event.session_id
         if sid in self._open:
             if self._open[sid] == event:
-                self._counters.deduped.inc()
+                self.report.deduped += 1
             else:
                 self._quarantine(
                     event, RejectReason.DUPLICATE_START,
@@ -377,7 +291,7 @@ class RobustSessionizer:
                 )
             return None
         if sid in self._closed:
-            self._counters.deduped.inc()
+            self.report.deduped += 1
             return None
         self._accept(sid)
         self._open[sid] = event
@@ -402,7 +316,7 @@ class RobustSessionizer:
                 self._park(event, sequence=sequence)
             return None
         if event.seq is not None and event.seq in self._seen_seq[sid]:
-            self._counters.deduped.inc()
+            self.report.deduped += 1
             return None
         checked = self._check_beat(event, sequence=sequence)
         if checked is None:
@@ -419,7 +333,7 @@ class RobustSessionizer:
         sid = event.session_id
         if sid not in self._open:
             if sid in self._closed:
-                self._counters.deduped.inc()
+                self.report.deduped += 1
             elif may_park and sid in self._parked:
                 # Start still missing: park the end so a late start can
                 # replay the whole session in order.
@@ -434,8 +348,7 @@ class RobustSessionizer:
         record = self._try_fold(sid, end=event, sequence=sequence)
         if record is not None:
             # The fold closed the session: count the end, track nothing.
-            self._counters.accepted.inc()
-            self._counters.records.inc()
+            self.report.accepted += 1
             self.report.records.append(record)
         return record
 
@@ -450,7 +363,7 @@ class RobustSessionizer:
         the reaper runs, and in last-seen order: a session seen again
         moves to the end, and the reaper reads the stalest first.
         """
-        self._counters.accepted.inc()
+        self.report.accepted += 1
         if sid is not None and self.max_idle_events is not None:
             self._last_seen.pop(sid, None)
             self._last_seen[sid] = self._clock
@@ -459,11 +372,44 @@ class RobustSessionizer:
         self, event: object, reason: RejectReason, detail: str,
         sequence: int = -1,
     ) -> None:
-        self._counters.quarantined(reason).inc()
+        rejects = self.report.rejects
+        rejects[reason] = rejects.get(reason, 0) + 1
         self.report.dead_letters.append(
             DeadLetter(event=event, reason=reason, detail=detail,
                        sequence=sequence)
         )
+
+    def _publish(self) -> None:
+        """Add what the report counted since the last publish to obs.
+
+        The counts go to the ``ingest.*`` instruments of
+        :mod:`repro.obs.instruments` under their names and ``reason``
+        labels, and the gauges are set, so while obs is on the registry
+        equals the report.  With obs off nothing is added; the next
+        publish under obs carries the difference.
+        """
+        if not obs.enabled():
+            return
+        report = self.report
+        counts = {
+            ("ingest.events", ""): report.total_events,
+            ("ingest.accepted", ""): report.accepted,
+            ("ingest.repaired", ""): report.repaired,
+            ("ingest.deduped", ""): report.deduped,
+            ("ingest.reaped", ""): report.reaped,
+            ("ingest.records", ""): len(report.records),
+        }
+        for reason, count in report.rejects.items():
+            counts["ingest.quarantined", reason.value] = count
+        for (name, reason), count in counts.items():
+            step = count - self._published.get((name, reason), 0)
+            if step:
+                labels = {"reason": reason} if reason else {}
+                obs.counter(name, **labels).inc(step)
+        self._published = counts
+        obs.gauge("ingest.open_sessions").set(self.open_sessions)
+        if self.policy is not ErrorPolicy.STRICT:
+            obs.gauge("ingest.parked_events").set(self._parked_total)
 
     def _park(self, event: object, sequence: int) -> None:
         """Buffer an early event until its SessionStart arrives."""
@@ -589,7 +535,7 @@ class RobustSessionizer:
                 # Components whose sum overflows fit no finite interval.
                 problems.append(str(exc))
             else:
-                self._counters.repaired.inc()
+                self.report.repaired += 1
                 return repaired
         reason = (
             RejectReason.NEGATIVE_TIMING
@@ -664,7 +610,7 @@ class RobustSessionizer:
         """Force-fold (repair) or drop (quarantine) one idle session."""
         start = self._open[sid]
         beats = self._beats[sid]
-        self._counters.reaped.inc()
+        self.report.reaped += 1
         obs.emit(
             "ingest.reap",
             session=sid,
@@ -688,8 +634,7 @@ class RobustSessionizer:
                 )
                 return
             self._close(sid)
-            self._counters.repaired.inc()
-            self._counters.records.inc()
+            self.report.repaired += 1
             self.report.records.append(record)
             return
         self._close(sid)
@@ -697,10 +642,6 @@ class RobustSessionizer:
             start, RejectReason.STALE_SESSION,
             f"stale session {sid!r} dropped ({why})",
         )
-
-
-# Batch-facing alias: the pipeline name used by the backend and CLI.
-IngestPipeline = RobustSessionizer
 
 
 # ----------------------------------------------------------------------

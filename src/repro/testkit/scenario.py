@@ -249,13 +249,10 @@ class ScenarioRun:
 
     def _dataset(self, which: str) -> Dataset:
         """The dataset of a variant that only swaps the base build's:
-        ``row`` is the base records on the row-at-a-time reference,
-        ``rebuilt`` the base records in a fresh column store, and
+        ``row`` is the base records on the row-at-a-time reference, and
         ``clean``/``recovered`` the two ingests of :attr:`recovery`."""
         if which == "row":
             return RowDataset(self.result.dataset.records)
-        if which == "rebuilt":
-            return Dataset(self.result.dataset.records)
         if which == "clean":
             return Dataset(self.recovery.clean_records)
         if which == "recovered":

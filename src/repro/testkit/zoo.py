@@ -14,8 +14,8 @@ dataset) to the run's base build:
     not (a flash crowd changes *traffic*, not *adoption*).
 ``regional-cdn-outage``
     The regional CDN carrying the hot path goes dark mid-run.  Traffic
-    must fail over with zero leaked fetches, the breaker must re-close
-    once the outage ends, and packaging figures must not change.
+    must fail over with zero leaked fetches, and the breaker must
+    re-close once the outage ends.
 ``protocol-migration-wave``
     Every RTMP view migrates to HLS.  RTMP support must vanish, HLS
     support must not shrink, and nothing else may move.
@@ -439,8 +439,7 @@ def flash_crowd_shares(run: ScenarioRun, check: Check) -> str:
 @oracle(
     "contract",
     "regional-outage-contained",
-    "a regional CDN outage is absorbed by failover and does not "
-    "change packaging figures",
+    "a regional CDN outage is absorbed by failover",
     scenarios=("regional-cdn-outage",),
 )
 def regional_outage_contained(run: ScenarioRun, check: Check) -> str:
@@ -465,15 +464,9 @@ def regional_outage_contained(run: ScenarioRun, check: Check) -> str:
         healthy_served > 0,
         "no healthy CDN ever served — failover did not engage",
     )
-    for figure_id in sorted(run.spec.figures()):
-        check.rows_equal(
-            run.figure_rows(figure_id, "rebuilt"),
-            run.figure_rows(figure_id),
-            f"figure {figure_id} after the outage",
-        )
     return (
         f"outage absorbed ({delivery.absorbed} served under fault, "
-        f"{healthy_served} by healthy CDNs); figures untouched"
+        f"{healthy_served} by healthy CDNs)"
     )
 
 

@@ -19,9 +19,11 @@ import random
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.constants import ContentType
 from repro.entities.ladder import BitrateLadder
 from repro.entities.video import Catalogue, Video
+from repro.obs.clock import FakeClock
 from repro.synthesis.generator import generate_default_dataset
 
 _SHUFFLE_ENV = "PYTEST_SHUFFLE_SEED"
@@ -112,6 +114,18 @@ def dataset(eco):
 @pytest.fixture(scope="session")
 def latest(dataset):
     return dataset.latest()
+
+
+@pytest.fixture
+def global_obs():
+    """Enable the process-global obs context with nothing recorded yet
+    (earlier tests may leave spans behind); restore defaults after."""
+    ctx = obs.configure(enabled=True, clock=FakeClock())
+    ctx.reset()
+    yield ctx
+    ctx.configure(enabled=False)
+    ctx.reset()
+    ctx.seed = None
 
 
 @pytest.fixture

@@ -3,8 +3,8 @@
 Three claims are under test here:
 
 1. single source of truth — the counts an :class:`IngestReport` prints
-   and the counters a metrics snapshot exports are the same instrument
-   objects, so they cannot disagree, fault injection or not;
+   are published to the obs counters at every return of the pipeline,
+   so a metrics snapshot equals the report, fault injection or not;
 2. instrumentation is live — retries, breaker transitions, CDN
    failovers, generator stages and figure runs all leave the declared
    metric/span trail when obs is enabled;
@@ -30,12 +30,12 @@ from repro.errors import CircuitOpenError, DeliveryError, RetryExhaustedError
 from repro.chaos.injectors import inject_telemetry
 from repro.chaos.plan import FaultPlan
 from repro.obs.clock import FakeClock
-from repro.obs.metrics import MetricsRegistry
 from repro.resilience import BackoffPolicy, CircuitBreaker, retry_with_backoff
 from repro.synthesis.calibration import QOE_COMBOS, EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.ingest import IngestPipeline, events_from_records
+from repro.testkit.scenario import ScenarioRun, get_scenario
 
 pytestmark = pytest.mark.obs
 
@@ -45,18 +45,6 @@ FAST_CONFIG = dict(
     seed=11, snapshot_limit=2, n_publishers=24, records_scale=0.2,
     qoe_sessions=10,
 )
-
-
-@pytest.fixture
-def global_obs():
-    """Enable the process-global obs context with nothing recorded yet
-    (earlier tests may leave spans behind); restore defaults after."""
-    ctx = obs.configure(enabled=True, clock=FakeClock())
-    ctx.reset()
-    yield ctx
-    ctx.configure(enabled=False)
-    ctx.reset()
-    ctx.seed = None
 
 
 def _faulted_events(eco, rate: float = 0.3, sessions: int = 40):
@@ -70,31 +58,49 @@ def _faulted_events(eco, rate: float = 0.3, sessions: int = 40):
 
 
 # ---------------------------------------------------------------------------
-# Single source of truth: report counts ARE the metrics counters
+# Single source of truth: the report's counts, published to obs
 # ---------------------------------------------------------------------------
 
 
-class TestIngestSingleSource:
-    def test_snapshot_counters_match_report_exactly(self, eco):
-        registry = MetricsRegistry()
-        pipeline = IngestPipeline("quarantine", metrics=registry)
-        report = pipeline.run(_faulted_events(eco))
-        counters = registry.snapshot()["counters"]
+def _published(registry):
+    """The ``ingest.*`` counts a registry holds, in report terms."""
+    counters = registry.snapshot()["counters"]
+    reasons = {
+        key: int(value)
+        for key, value in registry.series_values("ingest.quarantined").items()
+        if value
+    }
+    return {
+        "events": counters["ingest.events"],
+        "accepted": counters["ingest.accepted"],
+        "repaired": counters["ingest.repaired"],
+        "deduped": counters["ingest.deduped"],
+        "reaped": counters["ingest.reaped"],
+        "records": counters["ingest.records"],
+        "reasons": reasons,
+    }
 
-        assert counters["ingest.events"] == report.total_events
-        assert counters["ingest.accepted"] == report.accepted
-        assert counters["ingest.repaired"] == report.repaired
-        assert counters["ingest.deduped"] == report.deduped
-        assert counters["ingest.reaped"] == report.reaped
-        assert counters["ingest.records"] == len(report.records)
-        per_reason = {
-            key: int(value)
-            for key, value in registry.series_values(
-                "ingest.quarantined"
-            ).items()
-            if value
-        }
-        assert per_reason == report.reason_counts()
+
+def _counted(report):
+    """The same counts, read from the report."""
+    return {
+        "events": report.total_events,
+        "accepted": report.accepted,
+        "repaired": report.repaired,
+        "deduped": report.deduped,
+        "reaped": report.reaped,
+        "records": len(report.records),
+        "reasons": report.reason_counts(),
+    }
+
+
+class TestIngestSingleSource:
+    def test_snapshot_counters_match_report_exactly(self, eco, global_obs):
+        pipeline = IngestPipeline("quarantine")
+        report = pipeline.run(_faulted_events(eco))
+
+        assert _published(global_obs.registry) == _counted(report)
+        per_reason = _published(global_obs.registry)["reasons"]
         assert sum(per_reason.values()) == report.quarantined
         assert report.quarantined > 0  # the fault mix actually bit
 
@@ -105,45 +111,51 @@ class TestIngestSingleSource:
             == report.total_events
         )
 
-    def test_private_registries_isolate_pipelines(self, eco):
+    def test_reports_isolate_pipelines(self, eco, global_obs):
         events = _faulted_events(eco, sessions=10)
         first = IngestPipeline("quarantine").run(list(events))
         second = IngestPipeline("quarantine").run(list(events))
         assert first.total_events == second.total_events
         assert first.summary() == second.summary()
 
-    def test_shared_registry_accumulates_across_batches(self, eco):
-        registry = MetricsRegistry()
+    def test_shared_registry_accumulates_across_batches(self, eco, global_obs):
         events = list(_faulted_events(eco, sessions=10))
         solo = IngestPipeline("quarantine").run(list(events))
-        IngestPipeline("quarantine", metrics=registry).run(list(events))
-        shared = IngestPipeline("quarantine", metrics=registry).run(
-            list(events)
-        )
-        total = registry.snapshot()["counters"]["ingest.events"]
+        shared = IngestPipeline("quarantine").run(list(events))
+        total = global_obs.registry.counter("ingest.events").value
         assert total == 2 * solo.total_events
-        # A shared-registry report aliases the cumulative instruments —
-        # single source of truth means it cannot diverge from them.
-        assert shared.total_events == total
+        # The process registry sums the pipelines; each report keeps
+        # its own pipeline's counts.
+        assert shared.total_events == solo.total_events == total / 2
 
-    def test_repair_policy_counts_repairs(self, eco):
-        registry = MetricsRegistry()
-        report = IngestPipeline("repair", metrics=registry).run(
-            _faulted_events(eco)
-        )
+    def test_repair_policy_counts_repairs(self, eco, global_obs):
+        report = IngestPipeline("repair").run(_faulted_events(eco))
+        assert report.repaired > 0
         assert (
-            registry.snapshot()["counters"]["ingest.repaired"]
+            global_obs.registry.snapshot()["counters"]["ingest.repaired"]
             == report.repaired
         )
 
+    def test_nothing_published_while_obs_is_off(self, eco):
+        assert not obs.enabled()
+        before = obs.metrics().snapshot()
+        report = IngestPipeline("quarantine").run(_faulted_events(eco))
+        assert report.total_events > 0
+        assert obs.metrics().snapshot() == before
+
     def test_batch_span_recorded_when_enabled(self, eco, global_obs):
-        IngestPipeline("quarantine").run(_faulted_events(eco, sessions=5))
+        report = IngestPipeline("quarantine").run(
+            _faulted_events(eco, sessions=5)
+        )
         spans = [
             s for s in global_obs.tracer.finished if s.name == "ingest.batch"
         ]
         assert len(spans) == 1
         assert spans[0].attrs["policy"] == "quarantine"
         assert spans[0].attrs["events"] > 0
+        # The counts land beside the span that timed them.
+        assert spans[0].attrs["events"] == report.total_events
+        assert _published(global_obs.registry) == _counted(report)
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +389,16 @@ class TestDeterminism:
 
 
 class TestCliObs:
-    def test_ingest_metrics_out_matches_printed_report(
-        self, tmp_path, capsys, global_obs
-    ):
+    @staticmethod
+    def _ingest(tmp_path, policy, fault_rate):
         out = tmp_path / "m.json"
         exit_code = cli.main(
             [
                 "ingest",
                 "--policy",
-                "quarantine",
+                policy,
                 "--fault-rate",
-                "0.2",
+                fault_rate,
                 "--sessions",
                 "30",
                 "--publishers",
@@ -396,11 +407,21 @@ class TestCliObs:
                 str(out),
             ]
         )
+        return exit_code, json.loads(out.read_text())["metrics"]
+
+    @pytest.mark.parametrize(
+        "policy, fault_rate",
+        [("strict", "0"), ("quarantine", "0.2"), ("repair", "0.2")],
+    )
+    def test_ingest_metrics_out_matches_printed_report(
+        self, tmp_path, capsys, global_obs, policy, fault_rate
+    ):
+        exit_code, metrics = self._ingest(tmp_path, policy, fault_rate)
         assert exit_code == 0
         summary = capsys.readouterr().out
-        counters = json.loads(out.read_text())["metrics"]["counters"]
-        # The printed summary and the snapshot share instruments; parse
-        # the summary line back and compare every count.
+        counters = metrics["counters"]
+        # The snapshot holds what the report published; parse the
+        # printed summary back and compare every count.
         line = next(
             l for l in summary.splitlines() if l.startswith("policy=")
         )
@@ -409,15 +430,60 @@ class TestCliObs:
             for part in line.split(" [")[0].split()
             if "=" in part
         )
-        assert counters["ingest.events"] == float(printed["events"])
-        assert counters["ingest.accepted"] == float(printed["accepted"])
-        assert counters["ingest.deduped"] == float(printed["deduped"])
+        assert printed["policy"] == policy
+        for name in (
+            "events", "accepted", "records", "repaired", "deduped", "reaped"
+        ):
+            assert counters[f"ingest.{name}"] == float(printed[name]), name
         quarantined = sum(
             value
             for key, value in counters.items()
             if key.startswith("ingest.quarantined{")
         )
         assert quarantined == float(printed["quarantined"])
+        assert metrics["gauges"]["ingest.open_sessions"] == 0.0
+
+    def test_strict_abort_snapshot_keeps_the_failing_call(
+        self, tmp_path, capsys, global_obs
+    ):
+        """A strict abort exits 1 and exports the counts up to the
+        failing event: the ``ingest.*`` values the snapshot held before
+        counts moved onto the report's fields."""
+        exit_code, metrics = self._ingest(tmp_path, "strict", "0.2")
+        assert exit_code == 1
+        assert "strict ingestion aborted" in capsys.readouterr().err
+        ingest = {
+            key: value
+            for section in ("counters", "gauges")
+            for key, value in metrics[section].items()
+            if key.startswith("ingest.") and value
+        }
+        assert ingest == {
+            "ingest.events": 22.0,
+            "ingest.accepted": 21.0,
+            "ingest.open_sessions": 1.0,
+        }
+
+    def test_testkit_metrics_out_counts_the_oracles_ingests(
+        self, tmp_path, capsys, global_obs
+    ):
+        """``fault-ingest-replay`` ingests the corrupted stream twice
+        under each of two policies; the snapshot counts all four."""
+        out = tmp_path / "tk.json"
+        exit_code = cli.main(
+            [
+                "testkit", "run", "--scenario", "fault-heavy",
+                "--oracle", "fault-ingest-replay",
+                "--metrics-out", str(out),
+            ]
+        )
+        assert exit_code == 0
+        capsys.readouterr()
+        counters = json.loads(out.read_text())["metrics"]["counters"]
+        run = ScenarioRun(get_scenario("fault-heavy"))
+        stream = len(run.corrupted_events().events)
+        assert stream > 0
+        assert counters["ingest.events"] == 4 * stream
 
     def test_figure_trace_prints_span_tree(self, capsys, global_obs):
         exit_code = cli.main(

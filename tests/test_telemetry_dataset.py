@@ -170,6 +170,23 @@ class TestUnknownColumns:
             "content_type"
         )
 
+    def test_both_kinds_give_every_figure_the_same_rows(self, eco):
+        """A store built from records answers every figure (F3a and F4
+        among them) exactly as one built from columns, as synthesis
+        builds it; rows compare as JSON text, so NaN equals NaN."""
+
+        def texts(dataset):
+            result = dataclasses.replace(eco, dataset=dataset)
+            return {
+                figure_id: json.dumps(
+                    figures.run_figure(figure_id, result), sort_keys=True
+                )
+                for figure_id in figures.figure_ids()
+            }
+
+        built, batched = _both_kinds(eco.dataset.records)
+        assert texts(built) == texts(batched)
+
 
 class TestExplode:
     def test_explode_preserves_aggregates(self, small_dataset):

@@ -125,10 +125,10 @@ class TestSessionizer:
 class TestBackend:
     def test_event_path_produces_records(self):
         backend = TelemetryBackend()
-        backend.ingest_event(_start())
-        backend.ingest_event(_beat())
-        record = backend.ingest_event(SessionEnd("s1"))
-        assert record is not None
+        report = backend.ingest_events(
+            [_start(), _beat(), SessionEnd("s1")], policy="strict"
+        )
+        assert len(report.records) == 1
         assert backend.record_count == 1
         assert len(backend.dataset()) == 1
 
@@ -165,6 +165,25 @@ class TestBackend:
         )
         rollup = backend.combo_rollups()[0]
         assert rollup.mean_rebuffer_ratio == pytest.approx(0.3)
+
+    def test_unclassified_protocol_sorts_after_known_ones(self):
+        """A URL the Table 1 detector cannot classify rolls up under
+        protocol ``None``, after the known protocols of its CDN."""
+        backend = TelemetryBackend()
+        for url in (
+            "http://a/x/video.unknownext",
+            "http://a/x/master.m3u8",
+            "http://a/x/manifest.mpd",
+        ):
+            backend.ingest_record(
+                make_record(cdn_names=("A",), device_model="ipad", url=url)
+            )
+        backend.ingest_record(make_record(cdn_names=("B",)))
+        rollups = backend.combo_rollups()
+        assert [(r.cdn_name, r.protocol) for r in rollups] == [
+            ("A", "dash"), ("A", "hls"), ("A", None), ("B", "hls"),
+        ]
+        assert len(backend.worst_combos(n=5)) == 4
 
     def test_worst_combos_sorted_by_rebuffering(self):
         backend = TelemetryBackend()
@@ -212,9 +231,9 @@ class TestBackend:
 
     def test_event_path_does_not_double_retain_records(self):
         backend = TelemetryBackend()
-        backend.ingest_event(_start())
-        backend.ingest_event(_beat())
-        backend.ingest_event(SessionEnd("s1"))
+        backend.ingest_events(
+            [_start(), _beat(), SessionEnd("s1")], policy="strict"
+        )
         assert backend.record_count == 1
 
     def test_ingest_events_batch_quarantine(self):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.chaos.injectors import corrupt_heartbeat, inject_telemetry
 from repro.chaos.plan import (
     LAYER_KINDS,
@@ -25,7 +26,6 @@ from repro.chaos.plan import (
 )
 from repro.constants import ContentType
 from repro.errors import ChaosError, DatasetError, IngestError
-from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.events import (
     Heartbeat,
     SessionEnd,
@@ -36,11 +36,11 @@ from repro.telemetry.ingest import (
     ErrorPolicy,
     IngestPipeline,
     RejectReason,
-    RobustSessionizer,
     events_from_record,
     events_from_records,
 )
 from repro.telemetry.records import ViewRecord
+from tests.test_obs_integration import _counted, _published
 
 
 def make_record(i: int = 0, **overrides) -> ViewRecord:
@@ -572,9 +572,19 @@ class TestPerKindAudit:
             assert report.records == clean_report.records
 
 
-def _state(pipeline, registry):
-    """Everything a caller can observe of a pipeline between calls."""
+def _state(pipeline):
+    """Everything a caller can observe of a pipeline between calls: its
+    report and its gauges.  While obs is on, the process registry must
+    hold exactly what the report counted."""
     report = pipeline.report
+    gauges = (pipeline.open_sessions, pipeline._parked_total)
+    if obs.enabled():
+        registry = obs.metrics()
+        assert _published(registry) == _counted(report)
+        assert (
+            registry.gauge("ingest.open_sessions").value,
+            registry.gauge("ingest.parked_events").value,
+        ) == gauges
     return (
         report.summary(),
         [
@@ -582,7 +592,7 @@ def _state(pipeline, registry):
             for letter in report.dead_letters
         ],
         list(report.records),
-        registry.snapshot(),
+        gauges,
     )
 
 
@@ -595,44 +605,59 @@ class TestBatchInvariance:
 
     @staticmethod
     def _pipeline(policy):
-        registry = MetricsRegistry()
-        pipeline = RobustSessionizer(
-            policy, reorder_buffer=8, max_idle_events=6, metrics=registry
-        )
-        return pipeline, registry
+        return IngestPipeline(policy, reorder_buffer=8, max_idle_events=6)
+
+    def _states(self, policy, events, feed, global_obs):
+        """One pipeline's state at every chunk boundary and after
+        ``finalize``, each chunk fed through ``feed``; the process
+        registry counts this pipeline alone."""
+        global_obs.reset()
+        pipeline = self._pipeline(policy)
+        states = []
+        for start in range(0, len(events), self.CHUNK):
+            folded = feed(pipeline, events[start:start + self.CHUNK])
+            states.append((folded, _state(pipeline)))
+        pipeline.finalize()
+        states.append(_state(pipeline))
+        return states
 
     @pytest.mark.parametrize(
         "policy", [ErrorPolicy.QUARANTINE, ErrorPolicy.REPAIR]
     )
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_single_chunked_and_run_agree(self, clean_events, policy, seed):
+    def test_single_chunked_and_run_agree(
+        self, clean_events, policy, seed, global_obs
+    ):
         events = _faulted(clean_events, 0.3, seed).events
-        single, single_registry = self._pipeline(policy)
-        chunked, chunked_registry = self._pipeline(policy)
-        for start in range(0, len(events), self.CHUNK):
-            chunk = events[start:start + self.CHUNK]
-            folded = [r for r in map(single.ingest, chunk) if r is not None]
-            assert chunked.ingest_many(chunk) == folded
-            assert _state(chunked, chunked_registry) == _state(
-                single, single_registry
-            )
-        whole, whole_registry = self._pipeline(policy)
+        single = self._states(
+            policy, events,
+            lambda pipeline, chunk: [
+                r for r in map(pipeline.ingest, chunk) if r is not None
+            ],
+            global_obs,
+        )
+        chunked = self._states(
+            policy, events,
+            lambda pipeline, chunk: pipeline.ingest_many(chunk),
+            global_obs,
+        )
+        assert chunked == single
+        global_obs.reset()
+        whole = self._pipeline(policy)
         whole.run(events)
-        single.finalize()
-        chunked.finalize()
-        expected = _state(whole, whole_registry)
-        assert _state(single, single_registry) == expected
-        assert _state(chunked, chunked_registry) == expected
+        assert single[-1] == _state(whole)
         # The stream reached the lenient paths and the reaper.
         assert whole.report.dead_letters and whole.report.reaped
 
-    def test_strict_abort_keeps_counts_of_the_failing_call(self):
-        registry = MetricsRegistry()
-        pipeline = RobustSessionizer(ErrorPolicy.STRICT, metrics=registry)
+    def test_strict_abort_keeps_counts_of_the_failing_call(self, global_obs):
+        pipeline = IngestPipeline(ErrorPolicy.STRICT)
         pipeline.ingest_many([_start("a"), _beat("a")])
         with pytest.raises(DatasetError):
             pipeline.ingest_many([_beat("a"), _beat("ghost"), _beat("a")])
-        snapshot = registry.snapshot()
+        report = pipeline.report
+        assert (report.total_events, report.accepted) == (4, 3)
+        assert pipeline.open_sessions == 1
+        snapshot = global_obs.registry.snapshot()
         assert snapshot["counters"]["ingest.events"] == 4.0
         assert snapshot["counters"]["ingest.accepted"] == 3.0
         assert snapshot["gauges"]["ingest.open_sessions"] == 1.0
@@ -675,17 +700,14 @@ class TestFastAccept:
             interval_seconds=interval,
             bitrate_kbps=bitrate,
         )
-        fast, full = RobustSessionizer(policy), RobustSessionizer(policy)
+        fast, full = IngestPipeline(policy), IngestPipeline(policy)
         got = fast._check_beat(beat, 0)
         want = full._check_beat_fully(beat, 0)
         if got is beat:
             assert want is beat
         assert got == want
         assert fast.report.dead_letters == full.report.dead_letters
-        assert (
-            fast.report.counters.registry.snapshot()
-            == full.report.counters.registry.snapshot()
-        )
+        assert _counted(fast.report) == _counted(full.report)
 
 
 def _interleaved(events, width=5):
@@ -705,7 +727,7 @@ def _interleaved(events, width=5):
     return out
 
 
-class _ScanningReaper(RobustSessionizer):
+class _ScanningReaper(IngestPipeline):
     """The reaper as first written: after every event, scan every
     tracked session and reap the idle ones that are still open."""
 
@@ -732,18 +754,17 @@ class TestReaper:
     @pytest.mark.parametrize("max_idle", [1, 3, 6, 40])
     @pytest.mark.parametrize("seed", [3, 11])
     def test_reaps_what_a_full_scan_reaps(
-        self, clean_events, policy, max_idle, seed
+        self, clean_events, policy, max_idle, seed, global_obs
     ):
         events = _faulted(_interleaved(clean_events), 0.3, seed).events
         states = []
-        for kind in (RobustSessionizer, _ScanningReaper):
-            registry = MetricsRegistry()
+        for kind in (IngestPipeline, _ScanningReaper):
+            global_obs.reset()
             pipeline = kind(
-                policy, reorder_buffer=8, max_idle_events=max_idle,
-                metrics=registry,
+                policy, reorder_buffer=8, max_idle_events=max_idle
             )
             pipeline.run(events)
-            states.append(_state(pipeline, registry))
+            states.append(_state(pipeline))
         assert states[0] == states[1]
         if max_idle < 6:
             assert pipeline.report.reaped
@@ -751,7 +772,7 @@ class TestReaper:
     def test_last_seen_holds_only_open_sessions(
         self, clean_records, clean_events
     ):
-        pipeline = RobustSessionizer(
+        pipeline = IngestPipeline(
             ErrorPolicy.QUARANTINE, max_idle_events=10**9
         )
         events = _interleaved(clean_events)
