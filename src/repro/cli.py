@@ -38,7 +38,7 @@ from repro.errors import CalibrationError, DatasetError, ParallelError
 from repro.obs.export import write_snapshot
 from repro.obs.tracing import render_tree
 from repro.synthesis.calibration import EcosystemConfig
-from repro.telemetry.ingest import ErrorPolicy, events_from_records
+from repro.telemetry.ingest import ErrorPolicy, events_from_records, replayable
 
 if TYPE_CHECKING:
     from repro.synthesis.generator import EcosystemResult
@@ -588,11 +588,7 @@ def _ingest(args: argparse.Namespace) -> int:
         print(f"ingest: {exc}", file=sys.stderr)
         return 2
     result = _generate(args)
-    records = [
-        r
-        for r in result.dataset.records
-        if r.view_duration_hours > 0 and r.rebuffer_ratio < 1.0
-    ][: args.sessions]
+    records = list(filter(replayable, result.dataset.records))[: args.sessions]
     events = list(events_from_records(records))
     injection = inject_telemetry(events, plan)
     backend = TelemetryBackend()

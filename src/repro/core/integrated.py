@@ -35,6 +35,7 @@ from repro.playback.session import (  # noqa: F401
     simulate_sessions,
 )
 from repro.stats.cdf import ECDF
+from repro.synthesis.calibration import QOE_COMBOS
 from repro.synthesis.syndication import CaseStudy
 from repro.telemetry.dataset import Dataset
 
@@ -117,16 +118,17 @@ def integrated_qoe_projection(
 def project_all_syndicators(
     case_study: CaseStudy, sessions: int = 120
 ) -> Dict[str, QoeProjection]:
-    """QoE projections for every syndicator in the case study, on ISP
-    X's path to CDN A.
+    """QoE projections for every syndicator in the case study, on the
+    first QoE combination's path (ISP X to CDN A).
 
     Each label's projection consumes its own ``default_rng(7)`` from
     scratch, as the before/after pairing requires one sequential stream
     per label.
     """
+    isp, cdn_name = QOE_COMBOS[0]
     return {
         label: integrated_qoe_projection(
-            case_study, label, "X", "A", sessions=sessions
+            case_study, label, isp, cdn_name, sessions=sessions
         )
         for label in case_study.syndicator_labels
     }

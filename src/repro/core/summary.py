@@ -22,6 +22,7 @@ from repro.core.dimensions import (
     PLATFORM_COLUMN,
     PROTOCOL_COLUMN,
 )
+from repro.core.prevalence import first_last, view_hour_share_series
 from repro.core.trends import count_trend
 from repro.errors import AnalysisError
 from repro.telemetry.columnar import ColumnRef, record_codes
@@ -65,20 +66,10 @@ def headline_summary(dataset: Dataset) -> Dict[str, DimensionSummary]:
 
 def rtmp_share(dataset: Dataset) -> Dict[str, float]:
     """RTMP view-hour share at the first and last snapshots (§4.1)."""
-    shares: Dict[str, float] = {}
-    for which, snapshot in (
-        ("first", dataset.first_snapshot()),
-        ("latest", dataset.latest_snapshot()),
-    ):
-        by_protocol = dataset.for_snapshot(snapshot).view_hours_by(
-            PROTOCOL_COLUMN
-        )
-        total = sum(by_protocol.values())
-        rtmp = by_protocol.get(Protocol.RTMP, 0.0)
-        if total <= 0:
-            raise AnalysisError(f"no classifiable records at {snapshot}")
-        shares[which] = 100.0 * rtmp / total
-    return shares
+    first, latest = first_last(
+        view_hour_share_series(dataset, PROTOCOL_COLUMN), Protocol.RTMP
+    )
+    return {"first": first, "latest": latest}
 
 
 def top_cdn_concentration(dataset: Dataset, n: int = 5) -> float:

@@ -19,15 +19,10 @@ import numpy as np
 
 from repro.errors import AnalysisError
 from repro.stats.cdf import ECDF
+from repro.synthesis import calibration as cal
 from repro.telemetry.columnar import distinct_pair_counts, first_seen, holds
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.records import ViewRecord
-
-#: The paper's cut for Figs 15-17: iPad clients, in California for the
-#: QoE comparison and on WiFi for the ladders.
-DEVICE_MODEL = "ipad"
-QOE_GEO = "CA"
-LADDER_CONNECTION = "wifi"
 
 
 def observed_syndicators(dataset: Dataset) -> Set[str]:
@@ -96,21 +91,22 @@ def ladders_for_video(
 ) -> Dict[str, Tuple[float, ...]]:
     """publisher_id -> encoded ladder observed for one video (Fig 17).
 
-    Restricted to :data:`DEVICE_MODEL` on :data:`LADDER_CONNECTION` for
-    a fair comparison, as in the paper.
+    Restricted to the case-study device on the case-study connection
+    for a fair comparison, as in the paper.
     """
     ladders: Dict[str, Tuple[float, ...]] = {}
     for record in dataset:
         if record.video_id != video_id:
             continue
-        if record.device_model != DEVICE_MODEL:
+        if record.device_model != cal.CASE_STUDY_DEVICE:
             continue
-        if record.connection.value != LADDER_CONNECTION:
+        if record.connection != cal.CASE_STUDY_CONNECTION:
             continue
         ladders[record.publisher_id] = record.bitrate_ladder_kbps
     if not ladders:
         raise AnalysisError(
-            f"no views of {video_id!r} on {DEVICE_MODEL}/{LADDER_CONNECTION}"
+            f"no views of {video_id!r} on "
+            f"{cal.CASE_STUDY_DEVICE}/{cal.CASE_STUDY_CONNECTION.value}"
         )
     return ladders
 
@@ -163,8 +159,8 @@ def _qoe_records(
         and r.video_id == video_id
         and r.isp == isp
         and cdn_name in r.cdn_names
-        and r.device_model == DEVICE_MODEL
-        and r.geo == QOE_GEO
+        and r.device_model == cal.CASE_STUDY_DEVICE
+        and r.geo == cal.CASE_STUDY_GEO
     ]
 
 
@@ -177,7 +173,7 @@ def qoe_comparison(
     cdn_name: str,
 ) -> QoeComparison:
     """Figs 15/16 for one (ISP, CDN) combination, over the views by
-    :data:`DEVICE_MODEL` clients in :data:`QOE_GEO`."""
+    case-study device clients in the case-study geography."""
     owner_records = _qoe_records(dataset, owner_id, video_id, isp, cdn_name)
     syndicator_records = _qoe_records(
         dataset, syndicator_id, video_id, isp, cdn_name

@@ -10,7 +10,7 @@ metric of §5 counts distinct (SDK, version) pairs plus browsers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.constants import (
     BROWSER_PLAYERS,
@@ -146,86 +146,51 @@ def _browser_devices() -> List[Device]:
     return devices
 
 
-def _mobile_devices() -> List[Device]:
-    specs = (
-        ("iphone", "ios", "AVFoundation"),
-        ("ipad", "ios", "AVFoundation"),
-        ("android-phone", "android", "ExoPlayer"),
-        ("android-tablet", "android", "ExoPlayer"),
-        ("windows-phone", "other_mobile", "MediaElement"),
-    )
+def _app_devices(
+    platform: Platform,
+    families: Tuple[str, ...],
+    specs: Tuple[Tuple[str, str, str], ...],
+) -> List[Device]:
+    """App devices from ``(model, family, SDK)`` specs on one platform."""
     return [
         Device(
             model=model,
-            platform=Platform.MOBILE,
+            platform=platform,
             family=family,
             os_name=family,
             sdk_name=sdk,
         )
         for model, family, sdk in specs
-        if family in MOBILE_OSES
+        if family in families
     ]
 
 
-def _set_top_devices() -> List[Device]:
-    specs = (
-        ("roku-express", "roku", "RokuSDK"),
-        ("roku-ultra", "roku", "RokuSDK"),
-        ("appletv-4k", "appletv", "tvOS"),
-        ("firetv-stick", "firetv", "FireAppBuilder"),
-        ("chromecast", "chromecast", "CastSDK"),
-        ("tivo-stream", "other_settop", "TivoSDK"),
-    )
-    return [
-        Device(
-            model=model,
-            platform=Platform.SET_TOP,
-            family=family,
-            os_name=family,
-            sdk_name=sdk,
-        )
-        for model, family, sdk in specs
-        if family in SET_TOP_DEVICES
-    ]
-
-
-def _smart_tv_devices() -> List[Device]:
-    specs = (
-        ("samsung-tizen-tv", "samsung_tv", "TizenSDK"),
-        ("lg-webos-tv", "lg_tv", "WebOSSDK"),
-        ("sony-android-tv", "android_tv", "AndroidTVSDK"),
-        ("vizio-smartcast", "other_tv", "SmartCastSDK"),
-    )
-    return [
-        Device(
-            model=model,
-            platform=Platform.SMART_TV,
-            family=family,
-            os_name=family,
-            sdk_name=sdk,
-        )
-        for model, family, sdk in specs
-        if family in SMART_TV_DEVICES
-    ]
-
-
-def _console_devices() -> List[Device]:
-    specs = (
-        ("xbox-one", "xbox", "XDK"),
-        ("playstation-4", "playstation", "PSSDK"),
-        ("nintendo-switch", "other_console", "NXSDK"),
-    )
-    return [
-        Device(
-            model=model,
-            platform=Platform.CONSOLE,
-            family=family,
-            os_name=family,
-            sdk_name=sdk,
-        )
-        for model, family, sdk in specs
-        if family in CONSOLE_DEVICES
-    ]
+_MOBILE_SPECS = (
+    ("iphone", "ios", "AVFoundation"),
+    ("ipad", "ios", "AVFoundation"),
+    ("android-phone", "android", "ExoPlayer"),
+    ("android-tablet", "android", "ExoPlayer"),
+    ("windows-phone", "other_mobile", "MediaElement"),
+)
+_SET_TOP_SPECS = (
+    ("roku-express", "roku", "RokuSDK"),
+    ("roku-ultra", "roku", "RokuSDK"),
+    ("appletv-4k", "appletv", "tvOS"),
+    ("firetv-stick", "firetv", "FireAppBuilder"),
+    ("chromecast", "chromecast", "CastSDK"),
+    ("tivo-stream", "other_settop", "TivoSDK"),
+)
+_SMART_TV_SPECS = (
+    ("samsung-tizen-tv", "samsung_tv", "TizenSDK"),
+    ("lg-webos-tv", "lg_tv", "WebOSSDK"),
+    ("sony-android-tv", "android_tv", "AndroidTVSDK"),
+    ("vizio-smartcast", "other_tv", "SmartCastSDK"),
+)
+_CONSOLE_SPECS = (
+    ("xbox-one", "xbox", "XDK"),
+    ("playstation-4", "playstation", "PSSDK"),
+    ("nintendo-switch", "other_console", "NXSDK"),
+)
 
 
 def default_registry() -> DeviceRegistry:
@@ -237,8 +202,14 @@ def default_registry() -> DeviceRegistry:
     """
     devices: List[Device] = []
     devices.extend(_browser_devices())
-    devices.extend(_mobile_devices())
-    devices.extend(_set_top_devices())
-    devices.extend(_smart_tv_devices())
-    devices.extend(_console_devices())
+    devices.extend(_app_devices(Platform.MOBILE, MOBILE_OSES, _MOBILE_SPECS))
+    devices.extend(
+        _app_devices(Platform.SET_TOP, SET_TOP_DEVICES, _SET_TOP_SPECS)
+    )
+    devices.extend(
+        _app_devices(Platform.SMART_TV, SMART_TV_DEVICES, _SMART_TV_SPECS)
+    )
+    devices.extend(
+        _app_devices(Platform.CONSOLE, CONSOLE_DEVICES, _CONSOLE_SPECS)
+    )
     return DeviceRegistry(devices)

@@ -38,7 +38,7 @@ from repro.core.summary import (
 )
 from repro.core.syndication import prevalence_summary, qoe_comparison
 from repro.errors import AnalysisError
-from repro.synthesis.calibration import PAPER, QOE_SYNDICATOR_LABEL
+from repro.synthesis.calibration import PAPER, QOE_COMBOS, QOE_SYNDICATOR_LABEL
 from repro.synthesis.catalogues import case_video_id
 from repro.synthesis.generator import EcosystemResult
 
@@ -365,24 +365,25 @@ def build_report(result: EcosystemResult) -> List[Comparison]:
     )
     if result.case_study is not None:
         study = result.case_study
+        isp, cdn_name = QOE_COMBOS[0]
         comparison = qoe_comparison(
             dataset,
             study.owner_id,
             study.publisher_id(QOE_SYNDICATOR_LABEL),
             case_video_id(),
-            "X",
-            "A",
+            isp,
+            cdn_name,
         )
         add(
             "F15",
-            "owner median bitrate gain (X/A)",
+            f"owner median bitrate gain ({isp}/{cdn_name})",
             PAPER.owner_median_bitrate_gain,
             comparison.median_bitrate_gain(),
             0.40,
         )
         add(
             "F16",
-            "owner p90 rebuffer reduction (X/A)",
+            f"owner p90 rebuffer reduction ({isp}/{cdn_name})",
             PAPER.owner_p90_rebuffer_reduction,
             comparison.p90_rebuffer_reduction(),
             0.20,

@@ -40,6 +40,7 @@ from repro.packaging.manifest.detect import detect_protocol, sample_manifest_url
 from repro.synthesis.catalogues import case_video_id
 from repro.synthesis.calibration import (
     PAPER,
+    QOE_COMBOS,
     QOE_SYNDICATOR_LABEL,
     EcosystemConfig,
 )
@@ -460,7 +461,7 @@ def _qoe_rows(result: EcosystemResult, metric: str) -> Rows:
         raise AnalysisError("dataset was generated without a case study")
     study = result.case_study
     rows: Rows = []
-    for isp, cdn_name in (("X", "A"), ("Y", "B")):
+    for isp, cdn_name in QOE_COMBOS:
         comparison = syndication_mod.qoe_comparison(
             result.dataset,
             study.owner_id,

@@ -35,7 +35,7 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class WorkerObs:
-    """Everything one worker recorded while running its chunk."""
+    """Everything one worker recorded while running one unit."""
 
     registry: MetricsRegistry
     spans: Tuple[Span, ...]

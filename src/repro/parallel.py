@@ -21,7 +21,7 @@ three disciplines hold (DESIGN.md §14):
 
 :func:`parallel_map` packages all three: ordered result collection
 over a :class:`~concurrent.futures.ProcessPoolExecutor`, contiguous
-chunking, and per-worker obs capture.  ``jobs=1`` is an exact
+chunking, and per-unit obs capture.  ``jobs=1`` is an exact
 in-process serial run — no pool, no pickling — which keeps the serial
 path the reference implementation the differential oracles compare
 against.
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from itertools import accumulate
 from typing import Callable, List, Sequence, TypeVar
 
 import numpy as np
@@ -82,40 +81,6 @@ def spawn_streams(seed: int, units: int) -> List[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(units)
 
 
-def chunk_sizes_for(units: int, jobs: int) -> List[int]:
-    """Contiguous chunk sizes balancing dispatch cost against skew.
-
-    Aims for ~4 chunks per worker (cheap units amortize their pickling
-    and capture overhead; stragglers can still be rebalanced), with
-    every chunk a contiguous run of unit indices so ordered collection
-    is a plain concatenation.  ``units <= jobs`` degenerates to one
-    unit per chunk.
-    """
-    jobs = parse_jobs(jobs)
-    if units < 0:
-        raise ParallelError(f"units must be >= 0, got {units}")
-    if units == 0:
-        return []
-    size = max(1, units // (jobs * 4))
-    sizes = [size] * (units // size)
-    remainder = units - size * len(sizes)
-    for index in range(remainder):
-        sizes[index % len(sizes)] += 1
-    return sizes
-
-
-def _run_chunk(fn: Callable[[T], U], chunk: List[T]):
-    """Worker entry point: run one contiguous chunk under capture.
-
-    Returns ``(results, payload)`` where the payload carries every
-    metric, span, and log line the chunk recorded (``None`` with
-    observability off).  The capture makes the worker's use of the
-    global obs context invisible to its caller: state flows in through
-    the pickled arguments and out through the return value only.
-    """
-    return obs_worker.captured(lambda: [fn(item) for item in chunk])
-
-
 def parallel_map(
     fn: Callable[[T], U],
     items: Sequence[T],
@@ -126,31 +91,28 @@ def parallel_map(
 
     ``fn`` must be picklable (a module-level function, possibly
     wrapped in :func:`functools.partial`) and pure in the RPL104
-    sense.  Results come back in unit-index order regardless of
-    scheduling; :func:`chunk_sizes_for` cuts the units into
-    contiguous chunks.  ``jobs=1`` runs everything in-process with no
-    capture indirection: the serial path *is* the reference.
+    sense.  ``Executor.map`` sends the units in contiguous chunks of
+    about a quarter of a worker's share, each unit runs under its own
+    obs capture, and results and captures come back in unit-index
+    order regardless of scheduling.  ``jobs=1`` runs everything
+    in-process with no capture indirection: the serial path *is* the
+    reference.
     """
     jobs = parse_jobs(jobs)
     items = list(items)
     if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    bounds = list(accumulate(chunk_sizes_for(len(items), jobs), initial=0))
-    chunks = [items[a:b] for a, b in zip(bounds, bounds[1:])]
-    with obs.span(label, jobs=jobs, units=len(items)) as span:
+    run_unit = partial(obs_worker.captured, fn)
+    chunksize = max(1, len(items) // (4 * jobs))
+    with obs.span(label, jobs=jobs, units=len(items)):
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            packed = list(pool.map(partial(_run_chunk, fn), chunks))
+            packed = list(pool.map(run_unit, items, chunksize=chunksize))
         obs_worker.absorb([payload for _, payload in packed])
-        results: List[U] = []
-        for chunk_results, _ in packed:
-            results.extend(chunk_results)
-        span.set(chunks=len(chunks))
-    return results
+    return [result for result, _ in packed]
 
 
 __all__ = [
     "ParallelError",
-    "chunk_sizes_for",
     "parallel_map",
     "parse_jobs",
     "spawn_streams",

@@ -11,6 +11,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.stats.weighted import as_weighted_arrays
+
 
 class ECDF:
     """Weighted empirical CDF over a one-dimensional sample.
@@ -25,21 +27,7 @@ class ECDF:
         values: Iterable[float],
         weights: Optional[Iterable[float]] = None,
     ) -> None:
-        vals = np.asarray(list(values), dtype=float)
-        if vals.size == 0:
-            raise ValueError("ECDF requires at least one sample")
-        if weights is None:
-            wts = np.ones_like(vals)
-        else:
-            wts = np.asarray(list(weights), dtype=float)
-            if wts.shape != vals.shape:
-                raise ValueError(
-                    f"weights shape {wts.shape} != values shape {vals.shape}"
-                )
-            if np.any(wts < 0):
-                raise ValueError("weights must be non-negative")
-            if not np.any(wts > 0):
-                raise ValueError("at least one weight must be positive")
+        vals, wts = as_weighted_arrays(values, weights)
         order = np.argsort(vals, kind="stable")
         self._x = vals[order]
         cum = np.cumsum(wts[order])

@@ -13,9 +13,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 
-def _as_arrays(
+def as_weighted_arrays(
     values: Iterable[float], weights: Optional[Iterable[float]]
 ) -> tuple:
+    """A sample and its checked weights as float arrays (ones if None)."""
     vals = np.asarray(list(values), dtype=float)
     if vals.size == 0:
         raise ValueError("need at least one value")
@@ -36,5 +37,5 @@ def weighted_mean(
     values: Iterable[float], weights: Optional[Iterable[float]] = None
 ) -> float:
     """Weighted arithmetic mean; unweighted when ``weights`` is None."""
-    vals, wts = _as_arrays(values, weights)
+    vals, wts = as_weighted_arrays(values, weights)
     return float(np.sum(vals * wts) / np.sum(wts))

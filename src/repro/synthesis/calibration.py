@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple
 
-from repro.constants import Platform, Protocol
+from repro.constants import ConnectionType, Platform, Protocol
 from repro.errors import CalibrationError
 from repro.synthesis.trends import AdoptionCurve, LinearDrift
 
@@ -365,6 +365,12 @@ QOE_SESSIONS_PER_COMBO = 160
 QOE_COMBOS: Tuple[Tuple[str, str], ...] = (("X", "A"), ("Y", "B"))
 #: The syndicator whose clients Figs 15/16 compare with the owner's.
 QOE_SYNDICATOR_LABEL = "S7"
+#: The §6 cut: every case-study view is an iPad client in California on
+#: WiFi; Figs 15/16 compare QoE in that geography, Fig 17 the ladders
+#: on that connection.
+CASE_STUDY_DEVICE = "ipad"
+CASE_STUDY_GEO = "CA"
+CASE_STUDY_CONNECTION = ConnectionType.WIFI
 
 
 @dataclass(frozen=True)

@@ -808,7 +808,7 @@ class SessionSampler:
                         snapshot=snapshot,
                         publisher_id=publisher_id,
                         url=url,
-                        device_model="ipad",
+                        device_model=cal.CASE_STUDY_DEVICE,
                         os_name="ios",
                         cdn_names=(cdn_name,),
                         bitrate_ladder_kbps=ladder.bitrates_kbps,
@@ -823,7 +823,7 @@ class SessionSampler:
                         is_syndicated=(label != "O"),
                         owner_id=study.owner_id if label != "O" else None,
                         isp=isp_name,
-                        geo="CA",
-                        connection=ConnectionType.WIFI,
+                        geo=cal.CASE_STUDY_GEO,
+                        connection=cal.CASE_STUDY_CONNECTION,
                     )
         return records

@@ -241,16 +241,23 @@ class IngestPipeline:
         return self.report
 
     def run(self, events: Iterable[object]) -> IngestReport:
-        """Ingest a whole stream and finalize — the batch entry point."""
+        """Ingest a whole stream and finalize — the batch entry point.
+
+        The ``ingest.batch`` span carries the report's counts however
+        the call ends, a strict abort included.
+        """
+        report = self.report
         with obs.span("ingest.batch", policy=self.policy.value) as sp:
-            self.ingest_many(events)
-            report = self.finalize()
-            sp.set(
-                events=report.total_events,
-                accepted=report.accepted,
-                quarantined=report.quarantined,
-                records=len(report.records),
-            )
+            try:
+                self.ingest_many(events)
+                self.finalize()
+            finally:
+                sp.set(
+                    events=report.total_events,
+                    accepted=report.accepted,
+                    quarantined=report.quarantined,
+                    records=len(report.records),
+                )
         return report
 
     @property
@@ -712,9 +719,15 @@ def events_from_record(record: ViewRecord, session_id: str) -> List[object]:
     return events
 
 
+def replayable(record: ViewRecord) -> bool:
+    """Whether a view has an event stream: it played, and not all of
+    its time was rebuffering."""
+    return record.view_duration_hours > 0 and record.rebuffer_ratio < 1.0
+
+
 def events_from_records(records: Sequence[ViewRecord]) -> Iterator[object]:
-    """Event streams for many records, skipping zero-playback views."""
+    """Event streams for many records, skipping unreplayable views."""
     for index, record in enumerate(records):
-        if record.view_duration_hours <= 0 or record.rebuffer_ratio >= 1.0:
+        if not replayable(record):
             continue
         yield from events_from_record(record, session_id=f"sess_{index:06d}")

@@ -39,6 +39,7 @@ from repro.packaging.manifest.detect import (
 from repro.playback.abr import BufferBasedAbr, HybridAbr, ThroughputAbr
 from repro.parallel import spawn_streams
 from repro.playback.session import SessionConfig, simulate_sessions
+from repro.synthesis.calibration import QOE_COMBOS
 from repro.synthesis.generator import _build_plan, _snapshot_t
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.ingest import (
@@ -251,13 +252,8 @@ def _sample_ladders(
     run: ScenarioRun, limit: int = _LADDER_SAMPLE
 ) -> List[BitrateLadder]:
     """First few distinct ladders observed in the scenario's dataset."""
-    seen = []
-    for record in run.result.dataset.records:
-        if record.bitrate_ladder_kbps not in seen:
-            seen.append(record.bitrate_ladder_kbps)
-        if len(seen) >= limit:
-            break
-    return [BitrateLadder.from_bitrates(b) for b in seen]
+    seen = run.result.dataset.entries("bitrate_ladder_kbps").values
+    return [BitrateLadder.from_bitrates(b) for b in seen[:limit]]
 
 
 @oracle(
@@ -346,7 +342,8 @@ def playback_batch_vs_scalar(run: ScenarioRun, check: Check) -> str:
     """
     ladders = _sample_ladders(run, _PLAYBACK_LADDERS) * 2
     check.that(len(ladders) > 0, "scenario dataset carries no ladders")
-    path = default_isp_profiles()["X"].path_to("A")
+    isp, cdn_name = QOE_COMBOS[0]
+    path = default_isp_profiles()[isp].path_to(cdn_name)
     config = SessionConfig(view_seconds=300.0, max_buffer_seconds=20.0)
     abrs = (ThroughputAbr(safety=0.85), BufferBasedAbr(), HybridAbr())
     for abr in abrs:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import obs
 from repro.core.report import format_table
@@ -35,6 +35,8 @@ from repro.testkit.scenario import (
     run_scenario,
     scenario_names,
 )
+
+T = TypeVar("T")
 
 #: Schema version of the JSON payload; bump on incompatible change.
 #: Version 2 added the ``chaos`` map of plans and fault ledgers.
@@ -136,27 +138,15 @@ class OracleReport:
         return "\n".join(lines)
 
 
-def _resolve_scenarios(
-    scenarios: Optional[Sequence[object]],
-) -> List[ScenarioSpec]:
-    if scenarios is None:
-        return [get_scenario(name) for name in scenario_names()]
-    resolved = []
-    for item in scenarios:
-        spec = get_scenario(item) if isinstance(item, str) else item
-        resolved.append(spec)
-    return resolved
-
-
-def _resolve_oracles(
-    oracles: Optional[Sequence[object]],
-) -> List[Oracle]:
-    if oracles is None:
-        return [get_oracle(name) for name in oracle_names()]
-    return [
-        get_oracle(item) if isinstance(item, str) else item
-        for item in oracles
-    ]
+def _resolve(
+    items: Optional[Sequence[object]],
+    names: Callable[[], List[str]],
+    lookup: Callable[[str], T],
+) -> List[T]:
+    """``None`` means every registered name; a string is looked up."""
+    if items is None:
+        items = names()
+    return [lookup(item) if isinstance(item, str) else item for item in items]
 
 
 def _scenario_row(
@@ -198,8 +188,8 @@ def run_matrix(
     byte-identical to the serial one and merged obs counters match the
     serial totals.
     """
-    specs = _resolve_scenarios(scenarios)
-    targets = _resolve_oracles(oracles)
+    specs = _resolve(scenarios, scenario_names, get_scenario)
+    targets = _resolve(oracles, oracle_names, get_oracle)
     jobs = parse_jobs(jobs)
     rows = []
     for spec in specs:

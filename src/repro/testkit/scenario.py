@@ -57,6 +57,7 @@ from repro.telemetry.ingest import (
     IngestPipeline,
     IngestReport,
     events_from_records,
+    replayable,
 )
 from repro.telemetry.records import ViewRecord
 from repro.testkit.reference import RowDataset
@@ -290,13 +291,10 @@ class ScenarioRun:
 
     @cached_property
     def clean_records(self) -> Tuple[ViewRecord, ...]:
-        """Records replayable as clean event streams (positive playback,
-        sub-total rebuffering — the same cut the ingest CLI applies)."""
-        return tuple(
-            r
-            for r in self.result.dataset.records
-            if r.view_duration_hours > 0 and r.rebuffer_ratio < 1.0
-        )
+        """Records replayable as clean event streams (the
+        :func:`~repro.telemetry.ingest.replayable` cut the ingest CLI
+        applies)."""
+        return tuple(filter(replayable, self.result.dataset.records))
 
     def corrupted_events(self) -> TelemetryInjection:
         """The ingest stage's corrupted stream with its fault audit."""

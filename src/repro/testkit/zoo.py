@@ -33,7 +33,6 @@ the chaos-recovery differential oracle is never vacuous on them.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict
 
 from repro.chaos.injectors import DELIVERY_TICKS, RECOVERY_TICKS
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec, Layer, Window
@@ -66,13 +65,8 @@ def flash_crowd(dataset: Dataset) -> Dataset:
     The busiest publisher is the one with the most view-hours at the
     latest snapshot (ties broken by id), so the choice is deterministic.
     """
-    latest = dataset.snapshots()[-1]
-    hours: Dict[str, float] = {}
-    for record in dataset.records:
-        if record.snapshot == latest:
-            hours[record.publisher_id] = (
-                hours.get(record.publisher_id, 0.0) + record.view_hours
-            )
+    latest = dataset.latest_snapshot()
+    hours = dataset.latest().publisher_view_hours()
     busiest = min(
         hours, key=lambda publisher_id: (-hours[publisher_id], publisher_id)
     )

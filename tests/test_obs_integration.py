@@ -26,7 +26,12 @@ from repro.core.dimensions import PROTOCOL_COLUMN
 from repro.core.report import format_table
 from repro.delivery.multicdn import CdnBroker, ResilientFetcher
 from repro.entities.cdn import CDN, CdnAssignment
-from repro.errors import CircuitOpenError, DeliveryError, RetryExhaustedError
+from repro.errors import (
+    CircuitOpenError,
+    DatasetError,
+    DeliveryError,
+    RetryExhaustedError,
+)
 from repro.chaos.injectors import inject_telemetry
 from repro.chaos.plan import FaultPlan
 from repro.obs.clock import FakeClock
@@ -34,7 +39,11 @@ from repro.resilience import BackoffPolicy, CircuitBreaker, retry_with_backoff
 from repro.synthesis.calibration import QOE_COMBOS, EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator
 from repro.telemetry.dataset import Dataset
-from repro.telemetry.ingest import IngestPipeline, events_from_records
+from repro.telemetry.ingest import (
+    IngestPipeline,
+    events_from_records,
+    replayable,
+)
 from repro.testkit.scenario import ScenarioRun, get_scenario
 
 pytestmark = pytest.mark.obs
@@ -48,11 +57,7 @@ FAST_CONFIG = dict(
 
 
 def _faulted_events(eco, rate: float = 0.3, sessions: int = 40):
-    records = [
-        r
-        for r in eco.dataset.records
-        if r.view_duration_hours > 0 and r.rebuffer_ratio < 1.0
-    ][:sessions]
+    records = list(filter(replayable, eco.dataset.records))[:sessions]
     events = list(events_from_records(records))
     return inject_telemetry(events, FaultPlan.uniform(rate, 5)).events
 
@@ -156,6 +161,25 @@ class TestIngestSingleSource:
         # The counts land beside the span that timed them.
         assert spans[0].attrs["events"] == report.total_events
         assert _published(global_obs.registry) == _counted(report)
+
+    def test_batch_span_keeps_the_counts_of_a_strict_abort(
+        self, eco, global_obs
+    ):
+        pipeline = IngestPipeline("strict")
+        with pytest.raises(DatasetError):
+            pipeline.run(_faulted_events(eco))
+        (span,) = [
+            s for s in global_obs.tracer.finished if s.name == "ingest.batch"
+        ]
+        report = pipeline.report
+        assert report.total_events > 0
+        assert span.attrs == {
+            "policy": "strict",
+            "events": report.total_events,
+            "accepted": report.accepted,
+            "quarantined": report.quarantined,
+            "records": len(report.records),
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The shared process-pool execution layer.
 
-Unit coverage for :mod:`repro.parallel` (jobs validation, chunking,
-ordered collection, seed spawning) plus the standing determinism
+Unit coverage for :mod:`repro.parallel` (jobs validation, ordered
+collection, seed spawning) plus the standing determinism
 contract: merged observability from a pooled map equals the serial
 run's.  The ``jobs``-capable entry points (figure suite, testkit
 matrix) are pinned byte-identical in ``tests/test_parallel_suite.py``.
@@ -12,12 +12,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ParallelError
-from repro.parallel import (
-    chunk_sizes_for,
-    parallel_map,
-    parse_jobs,
-    spawn_streams,
-)
+from repro.parallel import parallel_map, parse_jobs, spawn_streams
 from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator
 
@@ -40,25 +35,6 @@ class TestParseJobs:
     def test_rejects_non_integers(self, bad):
         with pytest.raises(ParallelError):
             parse_jobs(bad)
-
-
-class TestChunking:
-    def test_sizes_cover_all_units(self):
-        for units in (1, 2, 7, 59, 100):
-            for jobs in (1, 2, 4, 16):
-                sizes = chunk_sizes_for(units, jobs)
-                assert sum(sizes) == units
-                assert all(size >= 1 for size in sizes)
-
-    def test_empty_units(self):
-        assert chunk_sizes_for(0, 4) == []
-
-    def test_oversubscribes_for_balance(self):
-        # ~4x oversubscription so straggler chunks can't dominate:
-        # 59 units on 4 workers -> at least 16 near-equal chunks.
-        sizes = chunk_sizes_for(59, 4)
-        assert len(sizes) >= 16
-        assert max(sizes) - min(sizes) <= 1
 
 
 def _square(value: int) -> int:
@@ -89,18 +65,21 @@ class TestParallelMap:
 
     @pytest.mark.obs
     def test_worker_counters_merge_to_serial_totals(self):
+        # 40 units on 2 workers: chunks of 5, so each worker process
+        # runs several captured units back to back.
+        items = list(range(40))
         obs.configure(enabled=True)
         try:
             obs.metrics().reset()
-            serial = parallel_map(_observed_square, list(range(10)), jobs=1)
+            serial = parallel_map(_observed_square, items, jobs=1)
             serial_count = obs.counter("test.parallel_units").value
             obs.metrics().reset()
-            pooled = parallel_map(_observed_square, list(range(10)), jobs=2)
+            pooled = parallel_map(_observed_square, items, jobs=2)
             pooled_count = obs.counter("test.parallel_units").value
         finally:
             obs.configure(enabled=False)
         assert pooled == serial
-        assert serial_count == pooled_count == 10.0
+        assert serial_count == pooled_count == 40.0
 
 
 class TestSpawnStreams:

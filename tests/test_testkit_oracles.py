@@ -17,6 +17,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.entities.ladder import BitrateLadder
+from repro.testkit.differential import _sample_ladders
 from repro.testkit.oracles import (
     FAIL,
     SKIP,
@@ -79,6 +81,20 @@ def test_oracle_cell(scenario, oracle_name):
         assert outcome.status == SKIP, outcome.detail
     else:
         assert outcome.checks > 0, "applicable oracle verified nothing"
+
+
+def test_manifest_roundtrip_samples_the_first_distinct_ladders():
+    """The manifest oracle encodes the first three distinct ladders in
+    record order, the ones a walk over the records meets first."""
+    run = _run_for("tiny")
+    seen = []
+    for record in run.result.dataset.records:
+        if record.bitrate_ladder_kbps not in seen:
+            seen.append(record.bitrate_ladder_kbps)
+    assert len(seen) > 3
+    assert _sample_ladders(run) == [
+        BitrateLadder.from_bitrates(bitrates) for bitrates in seen[:3]
+    ]
 
 
 def test_fast_scenarios_cover_every_oracle():

@@ -325,10 +325,21 @@ def test_run_matrix_resolves_names_and_rejects_unknown():
         check.equal(run.spec.name, "tiny", "scenario routing")
         return "routed"
 
-    report = run_matrix(
-        scenarios=["tiny"], oracles=[_toy_oracle(trivial, name="routing")]
+    toy = Oracle(
+        name="routing",
+        kind="differential",
+        description="toy",
+        fn=trivial,
+        scenarios=("tiny",),
     )
+    report = run_matrix(scenarios=["tiny"], oracles=[toy])
     assert report.ok and report.passed == 1
     assert report.outcomes[0].scenario == "tiny"
+    # A spec is used as given; no scenarios means every registered one.
+    by_spec = run_matrix(scenarios=[get_scenario("tiny")], oracles=[toy])
+    by_default = run_matrix(oracles=[toy])
+    assert by_spec.outcomes == by_default.outcomes == report.outcomes
     with pytest.raises(TestkitError, match="unknown scenario"):
         run_matrix(scenarios=["nope"], oracles=[])
+    with pytest.raises(TestkitError, match="unknown oracle"):
+        run_matrix(scenarios=["tiny"], oracles=["nope"])
