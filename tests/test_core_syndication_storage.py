@@ -80,6 +80,30 @@ class TestSyndicationPrevalence:
         assert 8.0 < summary["pct_owners_third_of_syndicators"] < 45.0
 
 
+class TestCaseStudyCut:
+    def test_case_video_views_are_the_cut_the_analyses_select(
+        self, dataset, eco
+    ):
+        """Synthesis writes the case video's views on the §6 cut that
+        Figs 15-17 filter on: one device, geo and connection, over the
+        QoE (ISP, CDN) combinations, for the owner and every syndicator."""
+        study = eco.case_study
+        views = [r for r in dataset if r.video_id == case_video_id()]
+        assert {(r.device_model, r.geo, r.connection) for r in views} == {
+            (
+                cal.CASE_STUDY_DEVICE,
+                cal.CASE_STUDY_GEO,
+                cal.CASE_STUDY_CONNECTION,
+            )
+        }
+        assert {(r.isp, r.cdn_names) for r in views} == {
+            (isp, (cdn_name,)) for isp, cdn_name in cal.QOE_COMBOS
+        }
+        assert {r.publisher_id for r in views} == {study.owner_id} | {
+            study.publisher_id(label) for label in study.syndicator_labels
+        }
+
+
 class TestLadderDivergence:
     def test_ladders_for_case_video(self, dataset, eco):
         ladders = ladders_for_video(dataset, case_video_id())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.stats.cdf import ECDF
+from repro.stats.weighted import weighted_mean
 
 
 class TestUnweighted:
@@ -59,6 +60,22 @@ class TestWeighted:
 
     def test_total_weight(self):
         assert ECDF([1, 2], weights=[3, 2]).total_weight == 5.0
+
+    def test_rejects_a_bad_sample_as_the_weighted_stats_do(self):
+        # One validation for every weighted statistic: the ECDF refuses
+        # each bad sample with the message weighted_mean gives.
+        bad = (
+            ([], None),
+            ([1, 2, 3], [1, 2]),
+            ([1, 2], [1, -1]),
+            ([1, 2], [0, 0]),
+        )
+        for values, weights in bad:
+            with pytest.raises(ValueError) as from_mean:
+                weighted_mean(values, weights)
+            with pytest.raises(ValueError) as from_ecdf:
+                ECDF(values, weights)
+            assert str(from_ecdf.value) == str(from_mean.value)
 
 
 class TestQuantiles:

@@ -38,6 +38,7 @@ from repro.telemetry.ingest import (
     RejectReason,
     events_from_record,
     events_from_records,
+    replayable,
 )
 from repro.telemetry.records import ViewRecord
 from tests.test_obs_integration import _counted, _published
@@ -134,6 +135,25 @@ class TestEventRoundTrip:
         record = make_record(0, view_duration_hours=0.0)
         with pytest.raises(IngestError):
             events_from_record(record, session_id="s")
+
+    def test_replay_skips_exactly_the_records_with_no_event_form(self):
+        records = [
+            make_record(0),
+            make_record(1, view_duration_hours=0.0),
+            make_record(2, rebuffer_ratio=1.0),
+            make_record(3),
+        ]
+        assert [replayable(r) for r in records] == [True, False, False, True]
+        for record in records[1:3]:
+            with pytest.raises(IngestError):
+                events_from_record(record, session_id="s")
+        # A skipped record keeps its index out of the session ids.
+        starts = [
+            event.session_id
+            for event in events_from_records(records)
+            if isinstance(event, SessionStart)
+        ]
+        assert starts == ["sess_000000", "sess_000003"]
 
 
 @pytest.mark.robustness
