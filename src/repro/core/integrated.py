@@ -158,10 +158,11 @@ class AccountingEntry:
 def accounting_report(
     dataset: Dataset,
     cdn_name: str,
-    video_ids: Optional[frozenset] = None,
+    video_id: Optional[str] = None,
 ) -> Dict[str, AccountingEntry]:
     """Attribute one CDN's delivered traffic per publisher (§6's open
-    accounting problem for API integration).
+    accounting problem for API integration), over the views of one
+    video when ``video_id`` is given.
 
     Delivered bytes are estimated from each view's average bitrate and
     duration; multi-CDN views split their traffic evenly across their
@@ -170,10 +171,10 @@ def accounting_report(
     views: Dict[str, float] = defaultdict(float)
     view_hours: Dict[str, float] = defaultdict(float)
     gigabytes: Dict[str, float] = defaultdict(float)
+    if video_id is not None:
+        dataset = dataset.where("video_id", video_id)
     for record in dataset:
         if cdn_name not in record.cdn_names:
-            continue
-        if video_ids is not None and record.video_id not in video_ids:
             continue
         fraction = 1.0 / len(record.cdn_names)
         hours = record.view_hours * fraction

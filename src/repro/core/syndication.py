@@ -95,9 +95,7 @@ def ladders_for_video(
     for a fair comparison, as in the paper.
     """
     ladders: Dict[str, Tuple[float, ...]] = {}
-    for record in dataset:
-        if record.video_id != video_id:
-            continue
+    for record in dataset.where("video_id", video_id):
         if record.device_model != cal.CASE_STUDY_DEVICE:
             continue
         if record.connection != cal.CASE_STUDY_CONNECTION:
@@ -154,9 +152,8 @@ def _qoe_records(
 ) -> List[ViewRecord]:
     return [
         r
-        for r in dataset
+        for r in dataset.where("video_id", video_id)
         if r.publisher_id == publisher_id
-        and r.video_id == video_id
         and r.isp == isp
         and cdn_name in r.cdn_names
         and r.device_model == cal.CASE_STUDY_DEVICE

@@ -693,9 +693,7 @@ def x3_accounting(result: EcosystemResult) -> Rows:
     id_to_label = {
         pid: label for label, pid in result.case_study.labels.items()
     }
-    report = accounting_report(
-        result.dataset, "A", video_ids=frozenset({case_video_id()})
-    )
+    report = accounting_report(result.dataset, "A", case_video_id())
     total = sum(e.delivered_gigabytes for e in report.values())
     rows: Rows = []
     for publisher_id, entry in sorted(

@@ -27,7 +27,6 @@ from datetime import date
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.constants import (
     ConnectionType,
@@ -49,6 +48,7 @@ from repro.playback.session import (  # noqa: F401
     simulate_sessions,
 )
 from repro.playback.useragent import build_user_agent
+from repro.stats.normal import ndtri
 from repro.synthesis import calibration as cal
 from repro.synthesis.catalogues import (
     case_video_id,
@@ -210,11 +210,12 @@ def _durations(
 
     One double per slot lands inside the slot's stratum (cycling
     through strata tempers the view-count noise of families with few
-    records, Fig 6c); then one ``ndtri`` and one ``np.exp`` run over
-    the array.
+    records, Fig 6c); each clipped uniform goes through the Cephes
+    ``ndtri`` port, whose bits equal ``scipy.special.ndtri``'s, and one
+    ``np.exp`` runs over the array.
     """
     u = (np.array(strata) + rng.random(len(strata))) / _DURATION_STRATA
-    z = ndtri(np.clip(u, 1e-9, 1.0 - 1e-9))
+    z = [ndtri(p) for p in np.clip(u, 1e-9, 1.0 - 1e-9).tolist()]
     return np.exp(np.array(tilted_log_medians) + np.array(sigmas) * z).tolist()
 
 

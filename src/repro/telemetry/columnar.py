@@ -10,8 +10,9 @@ Categorical fields (snapshot, publisher, video id, ...) are interned
 into integer codes so group-bys reduce to ``np.bincount`` over codes;
 numeric measures (view-hours, views) are plain float64 arrays.  A
 batch-backed store builds its record tuple only when a caller asks for
-records, and a save builds and drops them a slice at a time; both
-count them in ``dataset.records_built``.
+records, a save builds and drops them a slice at a time, and a view
+builds only its own rows' records; each counts them in
+``dataset.records_built``.
 
 Derived columns — values computed from a stored field rather than
 stored on it, such as the protocol detected from the URL or the
@@ -155,8 +156,7 @@ class ColumnStore:
     def records(self) -> Tuple[ViewRecord, ...]:
         """The records in order, built from the batch on first use."""
         if self._records is None:
-            self._records = tuple(self._batch.records())
-            obs.counter("dataset.records_built").inc(self._length)
+            self._records = tuple(self._build(self._batch.columns))
         return self._records
 
     def record_slices(self, size: int) -> Iterator[Sequence[ViewRecord]]:
@@ -167,11 +167,27 @@ class ColumnStore:
             if self._records is not None:
                 yield self._records[start:start + size]
                 continue
-            built = list(map(ViewRecord, *(
+            yield self._build(
                 column[start:start + size] for column in self._batch.columns
-            )))
-            obs.counter("dataset.records_built").inc(len(built))
-            yield built
+            )
+
+    def records_at(self, rows: np.ndarray) -> Tuple[ViewRecord, ...]:
+        """The records at ``rows``, in that order.  A store whose records
+        are not built builds only these from the batch, for the caller
+        to keep."""
+        picked = rows.tolist()
+        if self._records is not None:
+            return tuple(map(self._records.__getitem__, picked))
+        return tuple(self._build(
+            [column[i] for i in picked] for column in self._batch.columns
+        ))
+
+    @staticmethod
+    def _build(columns: Iterable[Sequence[object]]) -> List[ViewRecord]:
+        """Records from one slice of every column, counted."""
+        built = list(map(ViewRecord, *columns))
+        obs.counter("dataset.records_built").inc(len(built))
+        return built
 
     def _values(self, field: str) -> Iterable[object]:
         """One stored field's values in record order."""

@@ -11,9 +11,10 @@ batch (synthesis builds one) checks it column by column and keeps it:
 its records are built only for the calls that hand records out
 (``records``, iteration, ``filter``, ``explode``), and ``save``
 builds them a batch at a time and keeps none.
-Slicing is **zero-copy**: ``filter``/``for_snapshot``/
+Slicing is **zero-copy**: ``filter``/``where``/``for_snapshot``/
 ``exclude_publishers`` return views that share the parent's store plus
-a boolean mask, so stacking slices never re-materializes record tuples.
+a boolean mask, so stacking slices never re-materializes record tuples,
+and a view asked for its records builds only its own rows' records.
 Aggregations group by a column (a record field name or a
 :class:`~repro.telemetry.columnar.ColumnKey`): they are vectorized
 ``bincount`` group-bys over interned codes, memoized per (view, column)
@@ -92,7 +93,7 @@ class Dataset:
 
     def _init_caches(self) -> None:
         self._snapshots_cache: Optional[Tuple[date, ...]] = None
-        self._snapshot_views: Dict[date, "Dataset"] = {}
+        self._where_views: Dict[Tuple[str, object], "Dataset"] = {}
         self._exclude_views: Dict[FrozenSet[str], "Dataset"] = {}
         self._agg_cache: Dict[Tuple[str, object], object] = {}
 
@@ -126,12 +127,13 @@ class Dataset:
 
     @property
     def records(self) -> Tuple[ViewRecord, ...]:
+        """The records in order.  A view of a store whose records are
+        not built builds only its own."""
         if self._records is None:
-            parent = self._store.records
             self._records = (
-                parent
+                self._store.records
                 if self._mask is None
-                else tuple(parent[i] for i in np.flatnonzero(self._mask))
+                else self._store.records_at(np.flatnonzero(self._mask))
             )
         return self._records
 
@@ -160,20 +162,30 @@ class Dataset:
             raise DatasetError("dataset is empty")
         return snapshots[0]
 
-    def for_snapshot(self, snapshot: date) -> "Dataset":
-        """Sub-dataset of one snapshot (a zero-copy mask view)."""
-        cached = self._snapshot_views.get(snapshot)
+    def where(self, field: str, value: object) -> "Dataset":
+        """Sub-dataset of the records whose ``field`` holds ``value``
+        (a zero-copy mask view; empty when no record does)."""
+        cached = self._where_views.get((field, value))
         if cached is not None:
             return cached
-        codes, values = self._store.field_codes("snapshot")
-        mask = codes == code_of(values, snapshot)
+        codes, values = self._store.field_codes(field)
+        # code_of gives a value missing from the table None's code.
+        if value is None or value in values:
+            mask = codes == code_of(values, value)
+        else:
+            mask = np.zeros(len(codes), dtype=bool)
         if self._mask is not None:
             mask &= self._mask
-        if not mask.any():
-            raise DatasetError(f"no records for snapshot {snapshot}")
         obs.counter("dataset.columnar_hits").inc()
         view = Dataset._view(self._store, mask)
-        self._snapshot_views[snapshot] = view
+        self._where_views[(field, value)] = view
+        return view
+
+    def for_snapshot(self, snapshot: date) -> "Dataset":
+        """Sub-dataset of one snapshot (a zero-copy mask view)."""
+        view = self.where("snapshot", snapshot)
+        if not len(view):
+            raise DatasetError(f"no records for snapshot {snapshot}")
         return view
 
     def latest(self) -> "Dataset":

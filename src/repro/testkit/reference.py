@@ -13,7 +13,10 @@ record through the cheapest numpy call that consumes the stream the
 way the original per-record loop did; :class:`ScalarSessionSampler`
 is that loop, and the ``synthesis-vs-scalar`` oracle and the Hypothesis
 differential in ``tests/test_synthesis_sampler.py`` compare records and
-generator state after every snapshot.
+generator state after every snapshot.  Both take each duration through
+:func:`repro.stats.normal.ndtri`, the Cephes port whose bits
+``tests/test_stats_normal.py`` holds to ``scipy.special.ndtri``'s;
+scipy is not needed at run time.
 
 :class:`~repro.telemetry.dataset.Dataset` slices and aggregates on its
 column store; :class:`RowDataset` does the same by scanning records,
@@ -54,7 +57,6 @@ from typing import (
 )
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.analysis.callgraph import (
     MODULE_FN,
@@ -84,12 +86,13 @@ from repro.entities.device import Device
 from repro.entities.ladder import BitrateLadder
 from repro.entities.publisher import Publisher, PublisherProfile
 from repro.entities.video import Catalogue
-from repro.errors import AnalysisError, DatasetError, DeliveryError
+from repro.errors import AnalysisError, DeliveryError
 from repro.lint.rules.common import dotted_name
 from repro.packaging.manifest.detect import sample_manifest_url
 from repro.playback.abr import AbrAlgorithm, AbrState, ThroughputAbr
 from repro.playback.session import SessionConfig, SessionResult
 from repro.playback.useragent import build_user_agent
+from repro.stats.normal import ndtri
 from repro.synthesis import calibration as cal
 from repro.synthesis.catalogues import sample_video_index, video_id_for
 from repro.synthesis.population import size_decade
@@ -116,8 +119,8 @@ def chunk_throughputs_per_chunk(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Per-chunk throughputs with one ``rng.uniform()`` call per draw."""
-    if session_mean_kbps <= 0:
-        raise DeliveryError("session mean must be positive")
+    if not math.isfinite(session_mean_kbps) or session_mean_kbps <= 0:
+        raise DeliveryError("session mean must be positive and finite")
     if n_chunks < 1:
         raise DeliveryError("need at least one chunk")
     if path.within_session_cv == 0:
@@ -645,11 +648,11 @@ class RowDataset(Dataset):
     def snapshots(self) -> List[date]:
         return sorted({r.snapshot for r in self.records})
 
-    def for_snapshot(self, snapshot: date) -> "RowDataset":
-        subset = RowDataset(r for r in self.records if r.snapshot == snapshot)
-        if not len(subset):
-            raise DatasetError(f"no records for snapshot {snapshot}")
-        return subset
+    def where(self, field: str, value: object) -> "RowDataset":
+        check_field(field)
+        return RowDataset(
+            r for r in self.records if getattr(r, field) == value
+        )
 
     def filter(self, predicate: Callable[[ViewRecord], bool]) -> "RowDataset":
         return RowDataset(r for r in self.records if predicate(r))

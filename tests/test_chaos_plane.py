@@ -352,6 +352,22 @@ def test_check_command_loads_neither_numpy_nor_scipy():
     assert _loaded_after(code, ("numpy", "scipy")) == "[]"
 
 
+def test_synthesis_and_figures_load_no_scipy():
+    # scipy is a test dependency only: synthesis draws durations
+    # through the Cephes ndtri port.
+    code = (
+        "import repro.cli, repro.figures, repro.testkit.report\n"
+        "from repro.synthesis.calibration import EcosystemConfig\n"
+        "from repro.synthesis.generator import EcosystemGenerator\n"
+        "config = EcosystemConfig(\n"
+        "    seed=2018, n_publishers=20, snapshot_limit=2, qoe_sessions=10\n"
+        ")\n"
+        "assert len(EcosystemGenerator(config).generate().dataset)\n"
+        "assert repro.cli.main(['figures']) == 0\n"
+    )
+    assert _loaded_after(code, ("scipy",)) == "[]"
+
+
 @pytest.mark.chaos
 class TestContractCells:
     """The zoo's contract cells, ledgers and recovery cells, pinned."""

@@ -110,9 +110,7 @@ class TestAccounting:
 
     def test_video_filter(self, dataset, eco):
         study = eco.case_study
-        report = accounting_report(
-            dataset, "A", video_ids=frozenset({case_video_id()})
-        )
+        report = accounting_report(dataset, "A", case_video_id())
         # Only case-study participants touched that video on CDN A.
         participant_ids = set(study.labels.values())
         assert set(report) <= participant_ids

@@ -4,7 +4,11 @@ An install from ``pyproject.toml`` (``pip install -e .``) must bring
 everything ``src/repro`` imports.  An import guarded by ``try``/``except
 ImportError`` (or ``ModuleNotFoundError``) is optional: the module has
 a fallback, so it need not be declared.  Import names are compared with
-distribution names as they are, which holds for numpy and scipy.
+distribution names as they are, which holds for numpy.
+
+scipy is a test dependency only: ``repro.stats.normal.ndtri`` stands in
+for ``scipy.special.ndtri`` at run time, and the tests hold the two to
+the same bits.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import Set
+from typing import Optional, Set
 
 import pytest
 
@@ -69,15 +73,22 @@ def _third_party_imports() -> Set[str]:
     }
 
 
-def _declared() -> Set[str]:
+def _declared(extra: Optional[str] = None) -> Set[str]:
+    """The distributions ``pyproject.toml`` requires, or those of one of
+    its extras."""
     import tomllib
 
     project = tomllib.loads(
         (ROOT / "pyproject.toml").read_text("utf-8")
     )["project"]
+    requirements = (
+        project["dependencies"]
+        if extra is None
+        else project["optional-dependencies"][extra]
+    )
     return {
         re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower()
-        for requirement in project["dependencies"]
+        for requirement in requirements
     }
 
 
@@ -89,6 +100,12 @@ def test_third_party_imports_are_declared():
         f"imported under src/repro but not in pyproject.toml's "
         f"dependencies: {sorted(missing)}"
     )
+
+
+def test_scipy_is_a_test_dependency_only():
+    assert "scipy" not in _third_party_imports()
+    assert "scipy" not in _declared()
+    assert "scipy" in _declared("test")
 
 
 def test_guarded_imports_are_optional():

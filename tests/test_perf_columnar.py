@@ -39,6 +39,7 @@ from repro.core.dimensions import (
     PROTOCOL_COLUMN,
     family_column,
 )
+from repro.errors import DatasetError
 from repro.packaging.manifest import detect
 from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import (
@@ -179,9 +180,11 @@ class TestMaskViews:
         dataset = Dataset(self._records())
         snap = dataset.for_snapshot(date(2016, 1, 4))
         live = snap.filter(lambda r: r.content_type is ContentType.LIVE)
+        video = live.where("video_id", "vid_b")
         assert snap._store is dataset._store
         assert live._store is dataset._store
-        assert len(snap) == 3 and len(live) == 1
+        assert video._store is dataset._store
+        assert len(snap) == 3 and len(live) == 1 and len(video) == 1
 
     def test_filter_of_filter_composes(self):
         dataset = Dataset(self._records())
@@ -336,6 +339,40 @@ class TestAggregationParity:
             for name, grouped, loop in _GROUPED_VS_LOOP:
                 assert _outcome(grouped, view) == _outcome(loop, view), name
 
+    @given(
+        records=st.lists(_record_st, min_size=1, max_size=40),
+        dropped=st.sets(st.sampled_from(_PUBLISHERS), max_size=2),
+        field_value=st.sampled_from([
+            ("video_id", "vid_a"),
+            ("video_id", "vid_none"),
+            ("sdk_name", "RokuSDK"),
+            ("sdk_name", None),
+            ("snapshot", _SNAPSHOTS[0]),
+        ]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_where_selects_the_rows_the_reference_selects(
+        self, records, dropped, field_value
+    ):
+        """On the root and on a view, for a value some records hold, a
+        value none holds, and None."""
+        field, value = field_value
+        columnar, row = Dataset(records), RowDataset(records)
+        for col_view, row_view in (
+            (columnar, row),
+            (
+                columnar.exclude_publishers(dropped),
+                row.exclude_publishers(dropped),
+            ),
+        ):
+            assert (
+                col_view.where(field, value).records
+                == row_view.where(field, value).records
+            )
+        for dataset in (columnar, row):
+            with pytest.raises(DatasetError, match="unknown column"):
+                dataset.where("no_such_field", value)
+
     @given(records=st.lists(_record_st, min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_aggregations_agree(self, records):
@@ -394,6 +431,10 @@ class TestAggregationParity:
             (
                 columnar.exclude_publishers(dropped),
                 row.exclude_publishers(dropped),
+            ),
+            (
+                columnar.where("video_id", "vid_a"),
+                row.where("video_id", "vid_a"),
             ),
         ]
         methods = (

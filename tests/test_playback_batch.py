@@ -9,6 +9,8 @@ block-drawn chunk sampler must return the per-chunk sampler's array
 and leave the generator in the same state.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.delivery.network import NetworkPath, default_isp_profiles
 from repro.entities.ladder import BitrateLadder
-from repro.errors import PlaybackError
+from repro.errors import DeliveryError, PlaybackError
 from repro.playback.abr import (
     AbrAlgorithm,
     BufferBasedAbr,
@@ -165,6 +167,23 @@ class TestBatchEqualsScalar:
         assert block.dtype == reference.dtype
         assert np.array_equal(block, reference)
         assert block_rng.bit_generator.state == chunk_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "mean_kbps", [0.0, -1.0, math.nan, math.inf, -math.inf]
+    )
+    def test_block_sampler_and_reference_reject_the_same_means(
+        self, mean_kbps
+    ):
+        path = default_isp_profiles()["Y"].path_to("B")
+        message = "session mean must be positive and finite"
+        with pytest.raises(DeliveryError, match=message):
+            path.sample_chunk_throughputs(
+                mean_kbps, 10, np.random.default_rng(0)
+            )
+        with pytest.raises(DeliveryError, match=message):
+            chunk_throughputs_per_chunk(
+                path, mean_kbps, 10, np.random.default_rng(0)
+            )
 
     def test_case_study_batch_matches_reference(self, eco):
         """The §6 case-study shape: every ladder, paired session means."""

@@ -30,7 +30,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
 
 from repro.parallel import spawn_streams
 from repro.synthesis.calibration import EcosystemConfig
@@ -59,8 +58,9 @@ GOLDEN_SHAPES: Dict[str, Dict[str, object]] = {
     "p110-s2": {"n_publishers": 110, "snapshot_limit": 2},
 }
 
-#: Measures whose bits come from ``np.exp``/``ndtri`` and may differ in
-#: the last place across platforms; compared at ``rel=1e-12``.
+#: Measures whose bits come from ``np.exp`` or from the libm ``log``
+#: inside ``ndtri`` and may differ in the last place across platforms;
+#: compared at ``rel=1e-12``.
 FLOAT_FIELDS = (
     "view_duration_hours",
     "avg_bitrate_kbps",
@@ -312,17 +312,6 @@ class TestDrawEquivalences:
     def test_exp_over_an_array_is_exp_per_element(self, values):
         assert np.exp(np.array(values, dtype=float)).tolist() == [
             float(np.exp(v)) for v in values
-        ]
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        values=st.lists(
-            st.floats(min_value=1e-9, max_value=1.0 - 1e-9), max_size=70
-        )
-    )
-    def test_ndtri_over_an_array_is_ndtri_per_element(self, values):
-        assert ndtri(np.array(values, dtype=float)).tolist() == [
-            float(ndtri(v)) for v in values
         ]
 
     @settings(max_examples=200, deadline=None)

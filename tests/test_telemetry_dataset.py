@@ -12,6 +12,7 @@ from repro import figures, obs
 from repro.constants import ContentType
 from repro.errors import DatasetError
 from repro.synthesis.calibration import EcosystemConfig
+from repro.synthesis.catalogues import case_video_id
 from repro.synthesis.generator import EcosystemGenerator
 from repro.telemetry.dataset import Dataset, encode_lines
 from repro.telemetry.records import RecordColumns, ViewRecord
@@ -446,6 +447,32 @@ class TestLazyRecords:
         assert dataset.records is records
         assert dataset.latest().records
         assert _records_built() == len(dataset)
+
+    def test_a_view_builds_only_its_own_records(self, counting_obs):
+        dataset = EcosystemGenerator(
+            EcosystemConfig(seed=7, n_publishers=20, snapshot_limit=2)
+        ).generate().dataset
+        latest = dataset.latest()
+        records = latest.records
+        assert 0 < _records_built() == len(latest) < len(dataset)
+        assert records == tuple(
+            r for r in dataset.records if r.snapshot == latest.snapshots()[0]
+        )
+
+    def test_the_case_study_figures_build_only_the_case_video(
+        self, counting_obs
+    ):
+        # The qoe-whatif benchmark shape.
+        result = EcosystemGenerator(
+            EcosystemConfig(
+                seed=2018, n_publishers=20, snapshot_limit=2,
+                qoe_sessions=40,
+            )
+        ).generate()
+        for figure_id in ("F15", "F16", "F17", "F18", "X2", "X3"):
+            assert figures.run_figure(figure_id, result)
+        case_video = result.dataset.where("video_id", case_video_id())
+        assert 0 < _records_built() == len(case_video) < len(result.dataset)
 
     def test_save_keeps_no_records(self, counting_obs, tmp_path):
         dataset = EcosystemGenerator(
